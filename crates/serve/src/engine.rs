@@ -39,7 +39,7 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use timber_resilience::{
@@ -466,11 +466,11 @@ impl Engine {
         }
         // Design tier first, in canonical key order: one compile per
         // unique design, each isolated against panics.
-        let mut ready: Vec<(CacheKey, Pending, CompiledDesign, Instant)> = Vec::new();
+        let mut ready: Vec<(CacheKey, Pending, CompiledDesign, u64)> = Vec::new();
         for (key, p) in pending {
             let started = Instant::now();
             match self.design_for(&p.spec) {
-                Ok(design) => ready.push((key, p, design, started)),
+                Ok(design) => ready.push((key, p, design, started.elapsed().as_nanos() as u64)),
                 Err(detail) => {
                     self.stats
                         .add(ServiceCounter::Quarantined, p.ids.len() as u64);
@@ -495,8 +495,9 @@ impl Engine {
 
         // Evaluation batch through the hardened work-pull executor:
         // catch_unwind isolation, wall-clock watchdog, bounded retries,
-        // quarantine instead of a dead daemon. Per-job durations ride
-        // out through a side table keyed by job index.
+        // quarantine instead of a dead daemon. Per-job durations (first
+        // attempt start to successful return) ride out through a side
+        // table keyed by job index.
         let durations: Arc<Mutex<BTreeMap<usize, u64>>> = Arc::new(Mutex::new(BTreeMap::new()));
         let armed = self.armed_fault.take();
         let watchdog = self.config.watchdog;
@@ -511,7 +512,9 @@ impl Engine {
                 // first attempt only; retries run clean.
                 let fault = if pos == 0 { armed } else { None };
                 let attempts_seen = Arc::new(AtomicU32::new(0));
+                let first_attempt: Arc<OnceLock<Instant>> = Arc::new(OnceLock::new());
                 let job: TrialJob = Arc::new(move || {
+                    let started = *first_attempt.get_or_init(Instant::now);
                     let attempt = attempts_seen.fetch_add(1, Ordering::SeqCst);
                     if attempt == 0 {
                         match fault {
@@ -531,7 +534,6 @@ impl Engine {
                             None => {}
                         }
                     }
-                    let started = Instant::now();
                     let body = evaluate(&design, &spec);
                     durations
                         .lock()
@@ -558,18 +560,17 @@ impl Engine {
         let mut quarantined: BTreeMap<usize, &timber_resilience::QuarantineEntry> =
             outcome.quarantined.iter().map(|q| (q.index, q)).collect();
         let durations = durations.lock().expect("duration table");
-        for (pos, ((key, p, _, started), payload)) in
+        for (pos, ((key, p, _, design_ns), payload)) in
             ready.iter().zip(outcome.payloads.iter()).enumerate()
         {
             match payload {
                 Some(body) => {
-                    // Compile share + evaluation, one cold sample per
-                    // unique key.
+                    // One cold sample per unique key: its own design
+                    // fetch plus its job's wall time from first attempt
+                    // to successful return (retries and backoff
+                    // included, queue wait excluded).
                     let eval_ns = durations.get(&pos).copied().unwrap_or(0);
-                    let compile_ns = started.elapsed().as_nanos() as u64;
-                    self.stats
-                        .miss_latency
-                        .record(compile_ns.max(eval_ns).max(1));
+                    self.stats.miss_latency.record((design_ns + eval_ns).max(1));
                     // Seal once; the cache and journal both store the
                     // checksummed form so every later read verifies.
                     let sealed = seal(body);
@@ -891,6 +892,32 @@ mod tests {
             .unwrap();
         assert!(next.responses[0].body.contains("\"status\":\"ok\""));
         assert_eq!(e.stats().counter(ServiceCounter::Retries), 1);
+    }
+
+    #[test]
+    fn miss_latency_is_each_keys_own_cost_not_the_batch_tail() {
+        let mut e = Engine::new(tiny()).unwrap();
+        let stall = Duration::from_millis(200);
+        e.arm_eval_fault(EvalFault::Stall(stall));
+        let out = e
+            .process_batch(&lines(&[
+                r#"{"id":1,"design":"rca16"}"#,
+                r#"{"id":2,"design":"ks16"}"#,
+                r#"{"id":3,"design":"mul8"}"#,
+                r#"{"id":4,"design":"alu8"}"#,
+            ]))
+            .unwrap();
+        assert!(out
+            .responses
+            .iter()
+            .all(|r| r.body.contains("\"status\":\"ok\"")));
+        // Only the stalled job's sample carries the stall; the other
+        // three keys finished long before the batch did.
+        let miss = &e.stats().miss_latency;
+        let stall_ns = stall.as_nanos() as u64;
+        assert_eq!(miss.count(), 4);
+        assert!(miss.quantile(1.0) >= stall_ns, "{}", miss.json());
+        assert!(miss.quantile(2.0 / 3.0) < stall_ns, "{}", miss.json());
     }
 
     #[test]

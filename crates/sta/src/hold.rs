@@ -145,7 +145,7 @@ impl HoldAnalysis {
 }
 
 /// Buffer-insertion plan to satisfy the extended hold constraint.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PaddingPlan {
     /// Required min path delay (`hold + checking period`).
     pub floor: Picos,
@@ -178,7 +178,10 @@ impl PaddingPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use timber_netlist::{CellLibrary, NetlistBuilder};
+    use timber_netlist::{
+        alu, array_multiplier, kogge_stone_adder, pipelined_datapath, random_dag,
+        ripple_carry_adder, CellLibrary, DatapathSpec, NetlistBuilder, RandomDagSpec,
+    };
 
     fn direct_and_buffered() -> Netlist {
         let lib = CellLibrary::standard();
@@ -237,6 +240,44 @@ mod tests {
         // paths are safe; only the PI-fed flop violates.
         let plan = h.padding_plan(&nl, Picos::ZERO);
         assert_eq!(plan.deficits.len(), 1);
+    }
+
+    /// Min arrivals use only `clk_to_q` and `hold`, which
+    /// `ClockConstraint::with_period` holds constant, so one analysis
+    /// serves every clock and checking period (callers that cache a
+    /// design's hold analysis across schedules rely on this).
+    #[test]
+    fn hold_analysis_does_not_depend_on_the_clock_period() {
+        let lib = CellLibrary::standard();
+        let designs = [
+            ripple_carry_adder(&lib, 16).unwrap(),
+            kogge_stone_adder(&lib, 16).unwrap(),
+            array_multiplier(&lib, 8).unwrap(),
+            alu(&lib, 8).unwrap(),
+            random_dag(&lib, &RandomDagSpec::default()).unwrap(),
+            pipelined_datapath(&lib, &DatapathSpec::uniform(4, 12, 150, 0.7, 17)).unwrap(),
+            direct_and_buffered(),
+        ];
+        for nl in &designs {
+            let fast = HoldAnalysis::run(nl, &ClockConstraint::with_period(Picos(300)));
+            let slow = HoldAnalysis::run(nl, &ClockConstraint::with_period(Picos(1_000_000)));
+            for net in nl.net_ids() {
+                assert_eq!(
+                    fast.min_arrival(net),
+                    slow.min_arrival(net),
+                    "{}",
+                    nl.name()
+                );
+            }
+            for checking in [0, 45, 120, 333, 900] {
+                assert_eq!(
+                    fast.padding_plan(nl, Picos(checking)),
+                    slow.padding_plan(nl, Picos(checking)),
+                    "{} at checking {checking}ps",
+                    nl.name()
+                );
+            }
+        }
     }
 
     #[test]
