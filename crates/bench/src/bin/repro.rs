@@ -1,10 +1,12 @@
 //! `repro` — regenerates every table and figure of the TIMBER paper.
 //!
 //! ```text
-//! repro [table1|fig1|fig2|fig5|fig7|fig8|claims|compare|margin|\
-//!        ablation-schedule|ablation-droop|metastability|validate|\
-//!        bench|all] [--json] [--threads N]
-//! repro bench [--json] [--out BENCH.json] [--batch {on,off,auto}]
+//! repro [all] [--json] [--threads N]
+//! repro table1|fig2|fig5|fig7|validate|dag|glitch
+//! repro fig1|fig8 [--json]
+//! repro claims|claims-netlist|compare [--json] [--threads N]
+//! repro margin|ablation-schedule|ablation-droop|metastability [--threads N]
+//! repro bench [--json] [--threads N] [--out BENCH.json] [--batch {on,off,auto}]
 //! repro trace <claims|claims-netlist> [--telemetry OUT.json] [--threads N]
 //! repro bench-check --fresh FRESH.json [--baseline BASE.json]
 //!                   [--tolerance 0.15] [--max-overhead 0.5]
@@ -16,7 +18,7 @@
 //!            [--inject-panic K] [--inject-hang K]
 //!            [--retry-base MS] [--retry-cap MS] [--watchdog MS]
 //! repro serve [--socket PATH] [--checkpoint FILE] [--resume]
-//!             [--batch-size N] [--capacity N] [--threads N]
+//!             [--batch-size N] [--capacity N] [--threads N] [--seed S]
 //!             [--retry-base MS] [--retry-cap MS] [--watchdog MS]
 //! repro storm [--clients N] [--requests M] [--seed S] [--poison K]
 //!             [--batch-size N] [--capacity N] [--threads N]
@@ -28,6 +30,10 @@
 //!            [--budget N] [--tolerance T] [--sabotage]
 //! repro tune --frontier-check FRONTIER.json [--threads N]
 //! ```
+//!
+//! A value flag is written `--x v` or `--x=v`. Each subcommand accepts
+//! exactly the flags listed for it above: any other flag is a usage
+//! error, as is a value that does not parse or is out of range.
 //!
 //! `--threads N` sets the Monte-Carlo sweep worker count (default: all
 //! cores; `0` also means all cores). The thread count never changes
@@ -43,7 +49,8 @@
 //! batching speed floor when the document carries a `batched` section)
 //! always run and report every breach in one invocation, and with
 //! `--baseline` the machine-dependent throughput comparison against a
-//! committed document runs too (`--tolerance`, two-sided). `trace`
+//! committed document runs too (`--tolerance`, two-sided, a fraction
+//! in (0, 1)). `trace`
 //! runs an experiment with telemetry attached and writes the JSON
 //! trace (plus a CSV sibling) to the `--telemetry` path. `lint` runs
 //! the `timber-lint` static design-rule checks over every shipped
@@ -94,10 +101,11 @@
 //! and deadlines run against a tight admission-control governor, and
 //! every shed or deadline-rejected request is retried with the seeded
 //! jittered backoff of `--retry-base`/`--retry-cap` until served.
-//! `--retry-base MS` / `--retry-cap MS` set the deterministic
-//! seeded-jitter backoff between evaluation attempts wherever the
-//! hardened executor runs (`soak`, `serve`, `storm`), and
-//! `--watchdog MS` the per-attempt wall-clock watchdog.
+//! In `soak` and `serve`, `--retry-base MS` / `--retry-cap MS` set the
+//! deterministic seeded-jitter backoff between evaluation attempts on
+//! the hardened executor (jittered by `--seed`), and `--watchdog MS`
+//! the per-attempt wall-clock watchdog. `--capacity` (the result-cache
+//! size of `serve` and `storm`) must be at least 1.
 //!
 //! `chaos` runs the deterministic fault-injection campaign against an
 //! in-process server: a seeded `FaultPlan` (splitmix64 counter-mode)
@@ -121,7 +129,7 @@
 //! must be minimal, the evaluation order must match the enumeration,
 //! and the paper's §4 case-study schedules (immediate and deferred at
 //! c=30%) must land within the `--tolerance` band of the frontier
-//! (default 0.25). `--budget N` truncates the candidate list (the
+//! (default 0.25, never negative). `--budget N` truncates the candidate list (the
 //! evaluated prefix is unchanged — objective values never depend on
 //! the budget), `--sabotage` leaks a seeded dominated point the
 //! validation must catch (exit 1 *is* the expected self-test outcome),
@@ -135,700 +143,444 @@
 //! campaign that does not pass, or a tune run that fails validation or
 //! drifts from its golden frontier), `2` usage error.
 
-use std::env;
+use std::fmt::Display;
+use std::path::PathBuf;
+use std::str::FromStr;
+use std::time::Duration;
 
 use timber_bench::{
     ablations, analyzegate, conform, experiments, lintgate, margin, perf, report, soak, trace, tune,
 };
 
-fn main() {
-    let raw: Vec<String> = env::args().skip(1).collect();
-    let mut json = false;
-    let mut threads: usize = 0;
-    let mut telemetry: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut fresh: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut tolerance: f64 = 0.15;
-    let mut max_overhead: f64 = 0.5;
-    let mut batch = perf::BatchMode::Auto;
-    let mut deny: Option<String> = None;
-    let mut seed: u64 = conform::DEFAULT_SEED;
-    let mut seed_set = false;
-    let mut tolerance_set = false;
-    let mut budget: usize = usize::MAX;
-    let mut frontier_check_path: Option<String> = None;
-    let mut full = false;
-    let mut sabotage = false;
-    let mut cycles: u64 = soak::DEFAULT_CYCLES;
-    let mut checkpoint: Option<String> = None;
-    let mut resume = false;
-    let mut stop_after: Option<usize> = None;
-    let mut inject_panic: usize = 0;
-    let mut inject_hang: usize = 0;
-    let mut socket: Option<String> = None;
-    let mut batch_size: usize = timber_serve::DEFAULT_BATCH_SIZE;
-    let mut capacity: usize = timber_serve::engine::DEFAULT_RESULT_CAPACITY;
-    let mut clients: usize = 4;
-    let mut requests: usize = 64;
-    let mut poison: usize = 0;
-    let mut chaos_seed: Option<u64> = None;
-    let mut retry_base_ms: u64 = 10;
-    let mut retry_cap_ms: u64 = 100;
-    let mut watchdog_ms: Option<u64> = None;
-    let mut faults: usize = timber_chaos::DEFAULT_FAULTS;
-    let mut positionals: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < raw.len() {
-        let arg = &raw[i];
-        let value_of = |name: &str, i: &mut usize| -> String {
-            *i += 1;
-            raw.get(*i)
-                .cloned()
-                .unwrap_or_else(|| die(&format!("{name} needs a value")))
-        };
-        if arg == "--json" {
-            json = true;
-        } else if arg == "--threads" {
-            threads = value_of("--threads", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--threads needs a number"));
-        } else if let Some(v) = arg.strip_prefix("--threads=") {
-            threads = v
-                .parse()
-                .unwrap_or_else(|_| die("--threads needs a number"));
-        } else if arg == "--telemetry" {
-            telemetry = Some(value_of("--telemetry", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--telemetry=") {
-            telemetry = Some(v.to_owned());
-        } else if arg == "--baseline" {
-            baseline = Some(value_of("--baseline", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--baseline=") {
-            baseline = Some(v.to_owned());
-        } else if arg == "--fresh" {
-            fresh = Some(value_of("--fresh", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--fresh=") {
-            fresh = Some(v.to_owned());
-        } else if arg == "--out" {
-            out = Some(value_of("--out", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--out=") {
-            out = Some(v.to_owned());
-        } else if arg == "--max-overhead" {
-            max_overhead = value_of("--max-overhead", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--max-overhead needs a fraction, e.g. 0.5"));
-        } else if let Some(v) = arg.strip_prefix("--max-overhead=") {
-            max_overhead = v
-                .parse()
-                .unwrap_or_else(|_| die("--max-overhead needs a fraction, e.g. 0.5"));
-        } else if arg == "--tolerance" {
-            tolerance = value_of("--tolerance", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--tolerance needs a fraction, e.g. 0.15"));
-            tolerance_set = true;
-        } else if let Some(v) = arg.strip_prefix("--tolerance=") {
-            tolerance = v
-                .parse()
-                .unwrap_or_else(|_| die("--tolerance needs a fraction, e.g. 0.15"));
-            tolerance_set = true;
-        } else if arg == "--budget" {
-            budget = value_of("--budget", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--budget needs a number"));
-        } else if let Some(v) = arg.strip_prefix("--budget=") {
-            budget = v.parse().unwrap_or_else(|_| die("--budget needs a number"));
-        } else if arg == "--frontier-check" {
-            frontier_check_path = Some(value_of("--frontier-check", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--frontier-check=") {
-            frontier_check_path = Some(v.to_owned());
-        } else if arg == "--batch" {
-            batch = value_of("--batch", &mut i)
-                .parse()
-                .unwrap_or_else(|e| die(&format!("--batch {e}")));
-        } else if let Some(v) = arg.strip_prefix("--batch=") {
-            batch = v.parse().unwrap_or_else(|e| die(&format!("--batch {e}")));
-        } else if arg == "--deny" {
-            deny = Some(value_of("--deny", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--deny=") {
-            deny = Some(v.to_owned());
-        } else if arg == "--seed" {
-            seed = value_of("--seed", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--seed needs a number"));
-            seed_set = true;
-        } else if let Some(v) = arg.strip_prefix("--seed=") {
-            seed = v.parse().unwrap_or_else(|_| die("--seed needs a number"));
-            seed_set = true;
-        } else if arg == "--full" {
-            full = true;
-        } else if arg == "--sabotage" {
-            sabotage = true;
-        } else if arg == "--cycles" {
-            cycles = value_of("--cycles", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--cycles needs a number"));
-        } else if let Some(v) = arg.strip_prefix("--cycles=") {
-            cycles = v.parse().unwrap_or_else(|_| die("--cycles needs a number"));
-        } else if arg == "--checkpoint" {
-            checkpoint = Some(value_of("--checkpoint", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--checkpoint=") {
-            checkpoint = Some(v.to_owned());
-        } else if arg == "--resume" {
-            resume = true;
-        } else if arg == "--stop-after" {
-            stop_after = Some(
-                value_of("--stop-after", &mut i)
-                    .parse()
-                    .unwrap_or_else(|_| die("--stop-after needs a number")),
-            );
-        } else if let Some(v) = arg.strip_prefix("--stop-after=") {
-            stop_after = Some(
-                v.parse()
-                    .unwrap_or_else(|_| die("--stop-after needs a number")),
-            );
-        } else if arg == "--inject-panic" {
-            inject_panic = value_of("--inject-panic", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--inject-panic needs a count"));
-        } else if let Some(v) = arg.strip_prefix("--inject-panic=") {
-            inject_panic = v
-                .parse()
-                .unwrap_or_else(|_| die("--inject-panic needs a count"));
-        } else if arg == "--inject-hang" {
-            inject_hang = value_of("--inject-hang", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--inject-hang needs a count"));
-        } else if let Some(v) = arg.strip_prefix("--inject-hang=") {
-            inject_hang = v
-                .parse()
-                .unwrap_or_else(|_| die("--inject-hang needs a count"));
-        } else if arg == "--socket" {
-            socket = Some(value_of("--socket", &mut i));
-        } else if let Some(v) = arg.strip_prefix("--socket=") {
-            socket = Some(v.to_owned());
-        } else if arg == "--batch-size" {
-            batch_size = value_of("--batch-size", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--batch-size needs a number"));
-        } else if let Some(v) = arg.strip_prefix("--batch-size=") {
-            batch_size = v
-                .parse()
-                .unwrap_or_else(|_| die("--batch-size needs a number"));
-        } else if arg == "--capacity" {
-            capacity = value_of("--capacity", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--capacity needs a number"));
-        } else if let Some(v) = arg.strip_prefix("--capacity=") {
-            capacity = v
-                .parse()
-                .unwrap_or_else(|_| die("--capacity needs a number"));
-        } else if arg == "--clients" {
-            clients = value_of("--clients", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--clients needs a number"));
-        } else if let Some(v) = arg.strip_prefix("--clients=") {
-            clients = v
-                .parse()
-                .unwrap_or_else(|_| die("--clients needs a number"));
-        } else if arg == "--requests" {
-            requests = value_of("--requests", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--requests needs a number"));
-        } else if let Some(v) = arg.strip_prefix("--requests=") {
-            requests = v
-                .parse()
-                .unwrap_or_else(|_| die("--requests needs a number"));
-        } else if arg == "--poison" {
-            poison = value_of("--poison", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--poison needs a count"));
-        } else if let Some(v) = arg.strip_prefix("--poison=") {
-            poison = v.parse().unwrap_or_else(|_| die("--poison needs a count"));
-        } else if arg == "--chaos-seed" {
-            chaos_seed = Some(
-                value_of("--chaos-seed", &mut i)
-                    .parse()
-                    .unwrap_or_else(|_| die("--chaos-seed needs a number")),
-            );
-        } else if let Some(v) = arg.strip_prefix("--chaos-seed=") {
-            chaos_seed = Some(
-                v.parse()
-                    .unwrap_or_else(|_| die("--chaos-seed needs a number")),
-            );
-        } else if arg == "--retry-base" {
-            retry_base_ms = value_of("--retry-base", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--retry-base needs milliseconds"));
-        } else if let Some(v) = arg.strip_prefix("--retry-base=") {
-            retry_base_ms = v
-                .parse()
-                .unwrap_or_else(|_| die("--retry-base needs milliseconds"));
-        } else if arg == "--retry-cap" {
-            retry_cap_ms = value_of("--retry-cap", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--retry-cap needs milliseconds"));
-        } else if let Some(v) = arg.strip_prefix("--retry-cap=") {
-            retry_cap_ms = v
-                .parse()
-                .unwrap_or_else(|_| die("--retry-cap needs milliseconds"));
-        } else if arg == "--watchdog" {
-            watchdog_ms = Some(
-                value_of("--watchdog", &mut i)
-                    .parse()
-                    .unwrap_or_else(|_| die("--watchdog needs milliseconds")),
-            );
-        } else if let Some(v) = arg.strip_prefix("--watchdog=") {
-            watchdog_ms = Some(
-                v.parse()
-                    .unwrap_or_else(|_| die("--watchdog needs milliseconds")),
-            );
-        } else if arg == "--faults" {
-            faults = value_of("--faults", &mut i)
-                .parse()
-                .unwrap_or_else(|_| die("--faults needs a count"));
-        } else if let Some(v) = arg.strip_prefix("--faults=") {
-            faults = v.parse().unwrap_or_else(|_| die("--faults needs a count"));
-        } else if let Some(flag) = arg.strip_prefix("--") {
-            die(&format!("unknown flag --{flag}"));
-        } else {
-            positionals.push(arg.clone());
-        }
-        i += 1;
-    }
-    let what = positionals
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "all".to_owned());
+/// Every flag, once, grouped by what its value must be (the usage
+/// error quotes it); `None` marks a switch.
+#[rustfmt::skip]
+const FLAGS: &[(&[&str], Option<&str>)] = &[
+    (&["json", "full", "sabotage", "resume"], None),
+    (&["threads", "seed", "chaos-seed", "cycles", "stop-after", "budget", "batch-size", "capacity",
+       "clients", "requests"], Some("a number")),
+    (&["inject-panic", "inject-hang", "poison", "faults"], Some("a count")),
+    (&["retry-base", "retry-cap", "watchdog"], Some("milliseconds")),
+    (&["tolerance"], Some("a fraction, e.g. 0.15")),
+    (&["max-overhead"], Some("a fraction, e.g. 0.5")),
+    (&["batch"], Some("`on`, `off` or `auto`")),
+    (&["deny"], Some("`warn` or `error`")),
+    (&["out", "telemetry", "baseline", "fresh", "frontier-check", "checkpoint"], Some("a file")),
+    (&["socket"], Some("a path")),
+];
 
-    if what == "trace" {
-        let experiment = positionals
-            .get(1)
-            .cloned()
-            .unwrap_or_else(|| die("trace needs an experiment, e.g. `repro trace claims`"));
-        if positionals.len() > 2 {
-            die(&format!("unexpected argument {}", positionals[2]));
-        }
-        run_trace(&experiment, threads, telemetry.as_deref());
-        return;
-    }
-    if what == "lint" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        let deny_warn = match deny.as_deref() {
-            None | Some("error") => false,
-            Some("warn") => true,
-            Some(other) => die(&format!("--deny expects `warn` or `error`, got {other:?}")),
-        };
-        run_lint(json, deny_warn);
-        return;
-    }
-    if what == "analyze" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        let deny_warn = match deny.as_deref() {
-            None | Some("error") => false,
-            Some("warn") => true,
-            Some(other) => die(&format!("--deny expects `warn` or `error`, got {other:?}")),
-        };
-        run_analyze(json, deny_warn, sabotage);
-        return;
-    }
-    if what == "conform" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        run_conform(json, seed, full, sabotage, threads);
-        return;
-    }
-    if what == "soak" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        if resume && checkpoint.is_none() {
-            die("--resume needs --checkpoint FILE");
-        }
-        let mut spec = soak::SoakSpec {
-            cycles,
-            threads,
-            checkpoint: checkpoint.map(std::path::PathBuf::from),
-            resume,
-            inject_panic,
-            inject_hang,
-            stop_after,
-            retry: timber_resilience::RetryPolicy::from_millis(retry_base_ms, retry_cap_ms, seed),
-            ..soak::SoakSpec::pinned(seed)
-        };
-        if let Some(ms) = watchdog_ms {
-            spec.watchdog = std::time::Duration::from_millis(ms);
-        }
-        run_soak(json, &spec);
-        return;
-    }
-    if what == "serve" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        if resume && checkpoint.is_none() {
-            die("--resume needs --checkpoint FILE");
-        }
-        let mut config = timber_serve::EngineConfig {
-            result_capacity: capacity,
-            threads,
-            journal: checkpoint.map(std::path::PathBuf::from),
-            resume,
-            retry: timber_resilience::RetryPolicy::from_millis(retry_base_ms, retry_cap_ms, seed),
-            ..timber_serve::EngineConfig::default()
-        };
-        if let Some(ms) = watchdog_ms {
-            config.watchdog = std::time::Duration::from_millis(ms);
-        }
-        run_serve(config, socket.as_deref(), batch_size);
-        return;
-    }
-    if what == "storm" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        let spec = timber_serve::StormSpec {
-            clients,
-            requests,
-            seed,
-            poison,
-            threads,
-            batch_size,
-            capacity,
-            chaos_seed,
-            retry_base_ms,
-            retry_cap_ms,
-        };
-        run_storm(json, &spec, out.as_deref());
-        return;
-    }
-    if what == "chaos" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        let spec = timber_chaos::ChaosSpec {
-            seed,
-            faults,
-            threads,
-            sabotage,
-        };
-        run_chaos(json, &spec, out.as_deref());
-        return;
-    }
-    if what == "tune" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        // `tune` has its own defaults (seed 42, band tolerance 0.25),
-        // distinct from the conform seed and the bench-check tolerance
-        // that share the flag names.
-        let defaults = timber_tune::TuneSpec::default();
-        let spec = timber_tune::TuneSpec {
-            seed: if seed_set { seed } else { defaults.seed },
-            budget,
-            threads,
-            tolerance: if tolerance_set {
-                tolerance
-            } else {
-                defaults.tolerance
-            },
-            sabotage,
-        };
-        run_tune(json, &spec, out.as_deref(), frontier_check_path.as_deref());
-        return;
-    }
-    if what == "bench-check" {
-        if positionals.len() > 1 {
-            die(&format!("unexpected argument {}", positionals[1]));
-        }
-        let fresh = fresh.unwrap_or_else(|| die("bench-check needs --fresh FILE"));
-        run_bench_check(baseline.as_deref(), &fresh, tolerance, max_overhead);
-        return;
-    }
-    if positionals.len() > 1 {
-        die(&format!("unexpected argument {}", positionals[1]));
-    }
+type Flags = &'static [&'static str];
 
-    const KNOWN: &[&str] = &[
-        "all",
-        "table1",
-        "fig1",
-        "fig2",
-        "fig5",
-        "fig7",
-        "fig8",
-        "claims",
-        "claims-netlist",
-        "margin",
-        "validate",
-        "ablation-schedule",
-        "ablation-droop",
-        "dag",
-        "glitch",
-        "metastability",
-        "compare",
-        "bench",
-    ];
-    if !KNOWN.contains(&what.as_str()) {
-        die(&format!(
-            "unknown subcommand {what:?} (expected one of: {}, lint, analyze, conform, soak, serve, storm, chaos, trace, tune, bench-check)",
-            KNOWN.join(", ")
-        ));
-    }
+/// One subcommand: the flags it reads (any other flag is a usage
+/// error) and the runner that reads them.
+struct Command {
+    name: &'static str,
+    flags: Flags,
+    /// What the one operand names, for the subcommand that takes one.
+    operand: Option<&'static str>,
+    /// The banner of a paper artefact: the rows `repro all` runs.
+    title: Option<&'static str>,
+    run: fn(&Args),
+}
 
-    let run = |name: &str| what == "all" || what == name;
-
-    if run("table1") {
-        println!("== Table 1: comparison of online timing-error-resilience techniques ==");
-        println!("{}", experiments::table1());
+const fn command(name: &'static str, flags: Flags, run: fn(&Args)) -> Command {
+    Command {
+        name,
+        flags,
+        operand: None,
+        title: None,
+        run,
     }
-    if run("fig1") {
-        println!("== Fig. 1: critical-path distribution between flip-flops ==");
+}
+
+const fn figure(name: &'static str, title: &'static str, flags: Flags, run: fn(&Args)) -> Command {
+    Command {
+        title: Some(title),
+        ..command(name, flags, run)
+    }
+}
+
+const JSON_THREADS: Flags = &["json", "threads"];
+
+/// Every subcommand, in the order the usage error lists them; the
+/// figure rows run in this order under `all`.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    command("all", JSON_THREADS, |a| {
+        COMMANDS.iter().filter(|c| c.title.is_some()).for_each(|c| c.exec(a));
+    }),
+    figure("table1", "Table 1: comparison of online timing-error-resilience techniques", &[],
+           |_| println!("{}", experiments::table1())),
+    figure("fig1", "Fig. 1: critical-path distribution between flip-flops", &["json"], |a| {
         let r = experiments::fig1();
-        if json {
-            println!("{}", report::fig1_json(&r));
-        } else {
-            println!("{}", r.render());
-        }
-    }
-    if run("fig2") {
-        println!("== Fig. 2: checking-period schedules ==");
-        println!("{}", experiments::fig2());
-    }
-    if run("fig5") {
-        println!("== Fig. 5: two-stage timing error in a TIMBER flip-flop design ==");
-        let r = experiments::fig5();
-        println!("{}", r.render);
-        println!(
-            "Err1 flags: {} (expected 0)   Err2 flags: {} (expected 1)   data correct: {}",
-            r.err1_rises, r.err2_rises, r.data_correct
-        );
-        println!();
-    }
-    if run("fig7") {
-        println!("== Fig. 7: two-stage timing error in a TIMBER latch design ==");
-        let r = experiments::fig7();
-        println!("{}", r.render);
-        println!(
-            "Err1 flags: {} (expected 0)   Err2 flags: {} (expected 1)   data correct: {}",
-            r.err1_rises, r.err2_rises, r.data_correct
-        );
-        println!();
-    }
-    if run("fig8") {
-        println!("== Fig. 8: TIMBER overheads on the synthetic processor ==");
+        show(a, report::fig1_json(&r), r.render() + "\n", true);
+    }),
+    figure("fig2", "Fig. 2: checking-period schedules", &[], |_| println!("{}", experiments::fig2())),
+    figure("fig5", "Fig. 5: two-stage timing error in a TIMBER flip-flop design", &[],
+           |_| print_waveform(&experiments::fig5())),
+    figure("fig7", "Fig. 7: two-stage timing error in a TIMBER latch design", &[],
+           |_| print_waveform(&experiments::fig7())),
+    figure("fig8", "Fig. 8: TIMBER overheads on the synthetic processor", &["json"], |a| {
         let points = experiments::fig8();
-        if json {
-            println!("{}", report::fig8_json(&points));
-        } else {
-            println!("{}", experiments::render_fig8(&points));
-        }
-    }
-    if run("claims") {
-        println!("== §3/§4 claims: error rates, flagging policies, performance loss ==");
-        let r = experiments::claims_threaded(1_000_000, threads);
-        if json {
-            println!("{}", report::claims_json(&r));
-        } else {
-            println!("{}", r.render());
-        }
-    }
-    if run("claims-netlist") {
-        println!("== §3/§4 claims on netlist-derived stage profiles ==");
-        let r = experiments::claims_netlist_backed_threaded(1_000_000, threads);
-        if json {
-            println!("{}", report::claims_json(&r));
-        } else {
-            println!("{}", r.render());
-        }
-    }
-    if run("margin") {
-        println!("== Margin recovery: minimum safe operating period per scheme ==");
-        let rows = margin::margin_recovery_threaded(300_000, threads);
-        println!("{}", margin::render_margin(&rows));
-    }
-    if run("validate") {
-        println!("== Corner-case circuit validation (paper §1: \"validated using corner-case circuit simulations\") ==");
-        println!("{}", ablations::render_validation(&ablations::validation()));
-    }
-    if run("ablation-schedule") {
-        println!("== Ablation: TB/ED interval split vs flagging policy ==");
-        let rows = ablations::ablation_schedule_threaded(500_000, threads);
+        show(a, report::fig8_json(&points), experiments::render_fig8(&points) + "\n", true);
+    }),
+    figure("claims", "§3/§4 claims: error rates, flagging policies, performance loss", JSON_THREADS, |a| {
+        let r = experiments::claims_threaded(1_000_000, a.threads());
+        show(a, report::claims_json(&r), r.render() + "\n", true);
+    }),
+    figure("claims-netlist", "§3/§4 claims on netlist-derived stage profiles", JSON_THREADS, |a| {
+        let r = experiments::claims_netlist_backed_threaded(1_000_000, a.threads());
+        show(a, report::claims_json(&r), r.render() + "\n", true);
+    }),
+    figure("margin", "Margin recovery: minimum safe operating period per scheme", &["threads"],
+           |a| println!("{}", margin::render_margin(&margin::margin_recovery_threaded(300_000, a.threads())))),
+    figure("validate", "Corner-case circuit validation (paper §1: \"validated using corner-case circuit simulations\")", &[],
+           |_| println!("{}", ablations::render_validation(&ablations::validation()))),
+    figure("ablation-schedule", "Ablation: TB/ED interval split vs flagging policy", &["threads"], |a| {
+        let rows = ablations::ablation_schedule_threaded(500_000, a.threads());
         println!("{}", ablations::render_ablation_schedule(&rows));
-    }
-    if run("ablation-droop") {
-        println!("== Ablation: droop depth vs masking coverage ==");
-        let rows = ablations::ablation_droop_threaded(500_000, threads);
+    }),
+    figure("ablation-droop", "Ablation: droop depth vs masking coverage", &["threads"], |a| {
+        let rows = ablations::ablation_droop_threaded(500_000, a.threads());
         println!("{}", ablations::render_ablation_droop(&rows));
-    }
-    if run("dag") {
-        println!("== Extension: reconvergent (diamond) topology with the DAG error relay ==");
-        let r = ablations::ablation_dag(500_000);
-        println!("{}", ablations::render_dag(&r));
-    }
-    if run("glitch") {
-        println!("== Ablation: glitch propagation through the TIMBER latch (the §5.2 drawback) ==");
-        let g = ablations::ablation_glitch_activity(200);
-        println!("{}", ablations::render_glitch(&g));
-    }
-    if run("metastability") {
-        println!("== Ablation: Razor metastability exposure vs TIMBER immunity ==");
-        let r = ablations::ablation_metastability_threaded(500_000, threads);
+    }),
+    figure("dag", "Extension: reconvergent (diamond) topology with the DAG error relay", &[],
+           |_| println!("{}", ablations::render_dag(&ablations::ablation_dag(500_000)))),
+    figure("glitch", "Ablation: glitch propagation through the TIMBER latch (the §5.2 drawback)", &[],
+           |_| println!("{}", ablations::render_glitch(&ablations::ablation_glitch_activity(200)))),
+    figure("metastability", "Ablation: Razor metastability exposure vs TIMBER immunity", &["threads"], |a| {
+        let r = ablations::ablation_metastability_threaded(500_000, a.threads());
         println!("{}", ablations::render_metastability(&r));
+    }),
+    figure("compare", "Cross-scheme comparison under the identical stress environment", JSON_THREADS, |a| {
+        let rows = experiments::compare_threaded(1_000_000, a.threads());
+        let text = experiments::render_compare(&rows, experiments::PERIOD) + "\n";
+        show(a, report::compare_json(&rows, experiments::PERIOD), text, true);
+    }),
+    command("bench", &["json", "threads", "out", "batch"], run_bench),
+    Command {
+        operand: Some("an experiment, e.g. `repro trace claims`"),
+        ..command("trace", &["threads", "telemetry"], run_trace)
+    },
+    command("bench-check", &["fresh", "baseline", "tolerance", "max-overhead"], run_bench_check),
+    command("lint", &["json", "deny"], run_lint),
+    command("analyze", &["json", "deny", "sabotage"], run_analyze),
+    command("conform", &["json", "threads", "seed", "full", "sabotage"], run_conform),
+    command("soak", &["json", "threads", "seed", "cycles", "checkpoint", "resume", "stop-after",
+                      "inject-panic", "inject-hang", "retry-base", "retry-cap", "watchdog"], run_soak),
+    command("serve", &["socket", "checkpoint", "resume", "batch-size", "capacity", "threads", "seed",
+                       "retry-base", "retry-cap", "watchdog"], run_serve),
+    command("storm", &["clients", "requests", "seed", "poison", "batch-size", "capacity", "threads",
+                       "chaos-seed", "retry-base", "retry-cap", "json", "out"], run_storm),
+    command("chaos", &["json", "seed", "faults", "threads", "sabotage", "out"], run_chaos),
+    command("tune", &["json", "out", "seed", "threads", "budget", "tolerance", "sabotage",
+                      "frontier-check"], run_tune),
+];
+
+impl Command {
+    fn exec(&self, a: &Args) {
+        // The one value a figure (or `all`) reads, checked before
+        // anything prints: a usage error leaves stdout empty.
+        if self.flags.contains(&"threads") {
+            a.threads();
+        }
+        if let Some(title) = self.title {
+            println!("== {title} ==");
+        }
+        (self.run)(a);
     }
-    if run("compare") {
-        println!("== Cross-scheme comparison under the identical stress environment ==");
-        let rows = experiments::compare_threaded(1_000_000, threads);
-        if json {
-            println!("{}", report::compare_json(&rows, experiments::PERIOD));
-        } else {
-            println!(
-                "{}",
-                experiments::render_compare(&rows, experiments::PERIOD)
-            );
+}
+
+/// A checked command line: the subcommand's row, each flag given (its
+/// name, its [`FLAGS`] hint and its raw value, empty for a switch) in
+/// order, and the operand.
+struct Args {
+    cmd: &'static Command,
+    flags: Vec<(&'static str, Option<&'static str>, String)>,
+    operand: Option<String>,
+}
+
+impl Args {
+    /// Lexes `--x`, `--x v`, `--x=v` and positionals against [`FLAGS`],
+    /// then checks them against the subcommand's row of [`COMMANDS`].
+    /// Every usage error exits 2 naming the offending flag or argument.
+    fn parse(mut raw: impl Iterator<Item = String>) -> Args {
+        let (mut flags, mut positionals) = (Vec::new(), Vec::new());
+        while let Some(arg) = raw.next() {
+            let Some(body) = arg.strip_prefix("--") else {
+                positionals.push(arg);
+                continue;
+            };
+            let (name, inline) = match body.split_once('=') {
+                Some((name, v)) => (name, Some(v.to_owned())),
+                None => (body, None),
+            };
+            let Some((name, hint)) = FLAGS
+                .iter()
+                .find_map(|(names, hint)| names.iter().find(|n| **n == name).map(|n| (*n, *hint)))
+            else {
+                die(&format!("unknown flag --{name}"))
+            };
+            let value = match (hint, inline) {
+                (None, Some(_)) => die(&format!("--{name} takes no value")),
+                (None, None) => String::new(),
+                (Some(hint), inline) => inline
+                    .or_else(|| raw.next())
+                    .unwrap_or_else(|| die(&format!("--{name} needs {hint}"))),
+            };
+            flags.push((name, hint, value));
+        }
+        let mut positionals = positionals.into_iter();
+        let what = positionals.next().unwrap_or_else(|| "all".to_owned());
+        let Some(cmd) = COMMANDS.iter().find(|c| c.name == what) else {
+            let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+            let names = names.join(", ");
+            die(&format!(
+                "unknown subcommand {what:?} (expected one of: {names})"
+            ))
+        };
+        if let Some((name, ..)) = flags.iter().find(|(f, ..)| !cmd.flags.contains(f)) {
+            die(&format!("unknown flag --{name} for repro {what}"));
+        }
+        let operand = cmd.operand.map(|names| {
+            positionals
+                .next()
+                .unwrap_or_else(|| die(&format!("{what} needs {names}")))
+        });
+        if let Some(extra) = positionals.next() {
+            die(&format!("unexpected argument {extra}"));
+        }
+        Args {
+            cmd,
+            flags,
+            operand,
         }
     }
-    // The engine baseline is opt-in (not part of `all`): it times the
-    // sweep engine rather than reproducing a paper figure.
-    if what == "bench" {
-        // `--out` keeps CI measurement runs from clobbering the
-        // committed baseline the gate compares against.
-        let out_path = out.as_deref().unwrap_or("BENCH_pipeline.json");
-        // With `--json` the banner goes to stderr so stdout stays a
-        // single machine-readable document (CI pipes it to a file).
-        if json {
-            eprintln!("== Sweep-engine baseline (writes {out_path}) ==");
-        } else {
-            println!("== Sweep-engine baseline (writes {out_path}) ==");
+
+    /// The last `--name` given.
+    fn last(&self, name: &str) -> Option<&(&str, Option<&str>, String)> {
+        debug_assert!(self.cmd.flags.contains(&name), "undeclared --{name}");
+        self.flags.iter().rev().find(|(f, ..)| *f == name)
+    }
+
+    fn on(&self, name: &str) -> bool {
+        self.last(name).is_some()
+    }
+
+    /// `--name`'s value parsed as `T`, or `None` when the flag is
+    /// absent; a value that does not parse exits 2 naming the flag.
+    fn get<T: FromStr>(&self, name: &str) -> Option<T> {
+        self.get_where(name, "", |_| true)
+    }
+
+    /// [`Args::get`], where a value failing `ok` exits 2 as well. These
+    /// are the ranges the libraries assert, so out-of-range input is a
+    /// usage error instead of a panic.
+    fn get_where<T: FromStr>(&self, name: &str, rule: &str, ok: fn(&T) -> bool) -> Option<T> {
+        let (_, hint, raw) = self.last(name)?;
+        match raw.parse() {
+            Ok(v) if ok(&v) => Some(v),
+            Ok(_) => die(&format!("--{name} must be {rule}, got {raw}")),
+            Err(_) => die(&format!("--{name} needs {}", hint.expect("not a switch"))),
         }
-        let r = perf::pipeline_baseline_threaded(2_000_000, threads, batch);
-        let doc = perf::bench_json(&r);
-        std::fs::write(out_path, format!("{doc}\n"))
-            .unwrap_or_else(|e| die(&format!("cannot write {out_path}: {e}")));
-        if json {
-            println!("{doc}");
-        } else {
-            println!("{}", perf::render_bench(&r));
+    }
+
+    fn threads(&self) -> usize {
+        self.get("threads").unwrap_or(0)
+    }
+
+    /// `--deny warn` raises the lint/analyze threshold to warnings.
+    fn deny_warn(&self) -> bool {
+        self.get_where::<String>("deny", "`warn` or `error`", |d| d == "warn" || d == "error")
+            .is_some_and(|d| d == "warn")
+    }
+
+    /// The journal path (`<none>` when absent, for diagnostics) and
+    /// whether to resume from it.
+    fn checkpoint(&self) -> (Option<PathBuf>, String, bool) {
+        let path: Option<String> = self.get("checkpoint");
+        if self.on("resume") && path.is_none() {
+            die("--resume needs --checkpoint FILE");
         }
-        // Gate verdicts, not programming errors: exit 1 with a
-        // diagnostic instead of unwinding through a panic.
-        if !r.identical {
-            eprintln!("repro bench FAILED: thread count changed sweep results");
-            std::process::exit(1);
-        }
-        if r.batched.is_some_and(|b| !b.identical) {
-            eprintln!("repro bench FAILED: scalar and bit-sliced engines diverged");
-            std::process::exit(1);
-        }
+        let shown = path.clone().unwrap_or_else(|| "<none>".to_owned());
+        (path.map(PathBuf::from), shown, self.on("resume"))
+    }
+
+    fn capacity(&self) -> usize {
+        self.get_where("capacity", "at least 1", |&c: &usize| c > 0)
+            .unwrap_or(timber_serve::engine::DEFAULT_RESULT_CAPACITY)
+    }
+
+    /// The retry backoff `(base, cap)` in milliseconds.
+    fn retry_ms(&self) -> (u64, u64) {
+        let base = self.get("retry-base").unwrap_or(10);
+        (base, self.get("retry-cap").unwrap_or(100))
+    }
+
+    fn watchdog(&self, default: Duration) -> Duration {
+        self.get("watchdog").map_or(default, Duration::from_millis)
+    }
+
+    /// The hardened executor's retry policy, jittered by `seed`.
+    fn retry(&self, seed: u64) -> timber_resilience::RetryPolicy {
+        let (base, cap) = self.retry_ms();
+        timber_resilience::RetryPolicy::from_millis(base, cap, seed)
+    }
+}
+
+fn main() {
+    let args = Args::parse(std::env::args().skip(1));
+    args.cmd.exec(&args);
+}
+
+/// Prints the `--json` document when asked for, else the text
+/// rendering (which carries its own trailing newline); then exits 1
+/// when a gate did not `pass`.
+fn show(a: &Args, json: impl Display, text: impl Display, pass: bool) {
+    if a.on("json") {
+        println!("{json}");
+    } else {
+        print!("{text}");
+    }
+    if !pass {
+        std::process::exit(1);
+    }
+}
+
+fn print_waveform(r: &experiments::WaveResult) {
+    println!("{}", r.render);
+    println!(
+        "Err1 flags: {} (expected 0)   Err2 flags: {} (expected 1)   data correct: {}",
+        r.err1_rises, r.err2_rises, r.data_correct
+    );
+    println!();
+}
+
+/// `repro bench`: the sweep-engine baseline. Opt-in (not part of
+/// `all`): it times the engine rather than reproducing a paper figure.
+fn run_bench(a: &Args) {
+    // `--out` keeps CI measurement runs from clobbering the committed
+    // baseline the gate compares against.
+    let out: String = a.get("out").unwrap_or_else(|| "BENCH_pipeline.json".into());
+    let (threads, batch) = (a.threads(), a.get("batch").unwrap_or(perf::BatchMode::Auto));
+    // With `--json` the banner goes to stderr so stdout stays a single
+    // machine-readable document (CI pipes it to a file).
+    if a.on("json") {
+        eprintln!("== Sweep-engine baseline (writes {out}) ==");
+    } else {
+        println!("== Sweep-engine baseline (writes {out}) ==");
+    }
+    let r = perf::pipeline_baseline_threaded(2_000_000, threads, batch);
+    let doc = perf::bench_json(&r);
+    write_out(Some(&out), &format!("{doc}\n"));
+    show(a, &doc, perf::render_bench(&r) + "\n", true);
+    // Gate verdicts, not programming errors: exit 1 with a diagnostic
+    // instead of unwinding through a panic.
+    if !r.identical {
+        fail("repro bench FAILED: thread count changed sweep results");
+    }
+    if r.batched.is_some_and(|b| !b.identical) {
+        fail("repro bench FAILED: scalar and bit-sliced engines diverged");
     }
 }
 
 /// `repro lint`: the static design-rule gate over every shipped
 /// generator config. Exit 1 when any config has findings at the deny
 /// threshold.
-fn run_lint(json: bool, deny_warn: bool) {
+fn run_lint(a: &Args) {
+    let deny_warn = a.deny_warn();
     let reports = lintgate::lint_all();
-    if json {
-        println!("{}", timber_lint::reports_json(&reports, deny_warn));
-    } else {
-        print!("{}", lintgate::render_reports(&reports, deny_warn));
-    }
-    if !lintgate::gate_passes(&reports, deny_warn) {
-        std::process::exit(1);
-    }
+    let json = timber_lint::reports_json(&reports, deny_warn);
+    let pass = lintgate::gate_passes(&reports, deny_warn);
+    show(a, json, lintgate::render_reports(&reports, deny_warn), pass);
 }
 
 /// `repro analyze`: the abstract-interpretation certification gate.
 /// Exit 1 when any certificate, governor bound or soundness replay has
 /// findings at the deny threshold (with `--sabotage`, exiting 1 *is*
 /// the expected self-test outcome).
-fn run_analyze(json: bool, deny_warn: bool, sabotage: bool) {
-    let gate = analyzegate::run(sabotage);
-    if json {
-        println!("{}", analyzegate::gate_json(&gate, deny_warn));
-    } else {
-        print!("{}", analyzegate::render(&gate, deny_warn));
-    }
-    if !analyzegate::gate_passes(&gate, deny_warn) {
-        std::process::exit(1);
-    }
+fn run_analyze(a: &Args) {
+    let deny_warn = a.deny_warn();
+    let gate = analyzegate::run(a.on("sabotage"));
+    let json = analyzegate::gate_json(&gate, deny_warn);
+    let pass = analyzegate::gate_passes(&gate, deny_warn);
+    show(a, json, analyzegate::render(&gate, deny_warn), pass);
 }
 
 /// `repro conform`: the differential conformance campaign. Exit 1 when
 /// the report does not pass (divergence, contract or metamorphic
 /// violation, or incomplete coverage).
-fn run_conform(json: bool, seed: u64, full: bool, sabotage: bool, threads: usize) {
-    let report = conform::run(seed, full, sabotage, threads);
-    if json {
-        println!("{}", report.json());
-    } else {
-        print!("{}", report.render());
-    }
-    if !report.pass() {
-        std::process::exit(1);
-    }
+fn run_conform(a: &Args) {
+    let seed = a.get("seed").unwrap_or(conform::DEFAULT_SEED);
+    let report = conform::run(seed, a.on("full"), a.on("sabotage"), a.threads());
+    show(a, report.json(), report.render(), report.pass());
 }
 
 /// `repro soak`: the resilience soak campaign. Exit 1 when the report
 /// does not pass (a real trial quarantined or missing, or an injected
 /// failure escaping the ledger); checkpoint I/O problems are usage
 /// errors (exit 2) naming the offending path.
-fn run_soak(json: bool, spec: &soak::SoakSpec) {
+fn run_soak(a: &Args) {
+    let seed = a.get("seed").unwrap_or(conform::DEFAULT_SEED);
+    let (checkpoint, path, resume) = a.checkpoint();
+    let pinned = soak::SoakSpec::pinned(seed);
+    let spec = soak::SoakSpec {
+        cycles: a.get("cycles").unwrap_or(pinned.cycles),
+        threads: a.threads(),
+        checkpoint,
+        resume,
+        inject_panic: a.get("inject-panic").unwrap_or(0),
+        inject_hang: a.get("inject-hang").unwrap_or(0),
+        stop_after: a.get("stop-after"),
+        retry: a.retry(seed),
+        watchdog: a.watchdog(pinned.watchdog),
+        ..pinned
+    };
     // Trial panics are isolated and quarantined by the hardened
     // executor (the ledger keeps each panic message), so the default
     // hook's per-panic backtrace spew would only pollute the report.
     std::panic::set_hook(Box::new(|_| {}));
-    let report = soak::run(spec).unwrap_or_else(|e| {
-        let path = spec
-            .checkpoint
-            .as_deref()
-            .map(|p| p.display().to_string())
-            .unwrap_or_else(|| "<none>".to_owned());
-        die(&format!("cannot use checkpoint {path}: {e}"))
-    });
-    if json {
-        println!("{}", report.json());
-    } else {
-        print!("{}", report.render());
-    }
-    if !report.pass() {
-        std::process::exit(1);
-    }
+    let report =
+        soak::run(&spec).unwrap_or_else(|e| die(&format!("cannot use checkpoint {path}: {e}")));
+    show(a, report.json(), report.render(), report.pass());
 }
 
 /// `repro serve`: the persistent evaluation daemon. Serves JSONL
 /// requests on stdin (or `--socket PATH`) until a shutdown request or
 /// EOF; journal/socket I/O problems are usage errors (exit 2) naming
 /// the path.
-fn run_serve(config: timber_serve::EngineConfig, socket: Option<&str>, batch_size: usize) {
+fn run_serve(a: &Args) {
+    let (journal, path, resume) = a.checkpoint();
+    let defaults = timber_serve::EngineConfig::default();
+    let config = timber_serve::EngineConfig {
+        result_capacity: a.capacity(),
+        threads: a.threads(),
+        journal,
+        resume,
+        retry: a.retry(a.get("seed").unwrap_or(conform::DEFAULT_SEED)),
+        watchdog: a.watchdog(defaults.watchdog),
+        ..defaults
+    };
+    let socket: Option<String> = a.get("socket");
+    let batch_size = a
+        .get("batch-size")
+        .unwrap_or(timber_serve::DEFAULT_BATCH_SIZE);
     // Poisoned compiles and evaluation panics are isolated and
     // quarantined by the engine (the response keeps the panic message),
     // so the default hook's backtrace spew would only pollute the
     // response stream's stderr.
     std::panic::set_hook(Box::new(|_| {}));
-    let journal = config
-        .journal
-        .as_deref()
-        .map(|p| p.display().to_string())
-        .unwrap_or_else(|| "<none>".to_owned());
     let mut engine = timber_serve::Engine::new(config)
-        .unwrap_or_else(|e| die(&format!("cannot open journal {journal}: {e}")));
-    let batch_size = batch_size.max(1);
+        .unwrap_or_else(|e| die(&format!("cannot open journal {path}: {e}")));
     match socket {
         Some(path) => {
             eprintln!("repro serve: listening on {path}");
-            timber_serve::serve_unix(&mut engine, std::path::Path::new(path), batch_size)
+            timber_serve::serve_unix(&mut engine, std::path::Path::new(&path), batch_size)
                 .unwrap_or_else(|e| die(&format!("cannot serve socket {path}: {e}")));
         }
         None => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
+            let (stdin, stdout) = (std::io::stdin(), std::io::stdout());
             timber_serve::serve_lines(&mut engine, stdin.lock(), &mut stdout.lock(), batch_size)
-                .map(|_| ())
                 .unwrap_or_else(|e| die(&format!("cannot serve stdin: {e}")));
         }
     }
@@ -838,22 +590,31 @@ fn run_serve(config: timber_serve::EngineConfig, socket: Option<&str>, batch_siz
 /// engine. Exit 1 when the gate fails (a real request not answered
 /// `ok`, a poisoned request escaping quarantine, or the hit-rate or
 /// hit-speedup floor breached).
-fn run_storm(json: bool, spec: &timber_serve::StormSpec, out: Option<&str>) {
+fn run_storm(a: &Args) {
+    let pinned = timber_serve::StormSpec::pinned(a.get("seed").unwrap_or(conform::DEFAULT_SEED));
+    let (retry_base_ms, retry_cap_ms) = a.retry_ms();
+    let spec = timber_serve::StormSpec {
+        clients: a.get("clients").unwrap_or(pinned.clients),
+        requests: a.get("requests").unwrap_or(pinned.requests),
+        poison: a.get("poison").unwrap_or(pinned.poison),
+        threads: a.threads(),
+        batch_size: a
+            .get("batch-size")
+            .unwrap_or(timber_serve::DEFAULT_BATCH_SIZE),
+        capacity: a.capacity(),
+        chaos_seed: a.get("chaos-seed"),
+        retry_base_ms,
+        retry_cap_ms,
+        ..pinned
+    };
+    let out: Option<String> = a.get("out");
     std::panic::set_hook(Box::new(|_| {}));
-    let report = timber_serve::storm::run(spec).unwrap_or_else(|e| die(&format!("storm: {e}")));
-    if let Some(path) = out {
-        std::fs::write(path, format!("{}\n", report.json()))
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-    }
-    if json {
-        println!("{}", report.json());
-    } else {
-        print!("{}", report.render());
-    }
+    let report = timber_serve::storm::run(&spec).unwrap_or_else(|e| die(&format!("storm: {e}")));
+    write_out(out.as_deref(), &format!("{}\n", report.json()));
     if !report.pass() {
         eprintln!("repro storm FAILED:\n{}", report.render());
-        std::process::exit(1);
     }
+    show(a, report.json(), report.render(), report.pass());
 }
 
 /// `repro chaos`: the deterministic fault-injection campaign against
@@ -862,24 +623,23 @@ fn run_storm(json: bool, spec: &timber_serve::StormSpec, out: Option<&str>) {
 /// final replay drifting from the unfaulted oracle — with
 /// `--sabotage`, which disables the cache-read checksum, exiting 1
 /// *is* the expected self-test outcome).
-fn run_chaos(json: bool, spec: &timber_chaos::ChaosSpec, out: Option<&str>) {
+fn run_chaos(a: &Args) {
+    let spec = timber_chaos::ChaosSpec {
+        seed: a.get("seed").unwrap_or(conform::DEFAULT_SEED),
+        faults: a.get("faults").unwrap_or(timber_chaos::DEFAULT_FAULTS),
+        threads: a.threads(),
+        sabotage: a.on("sabotage"),
+    };
+    let out: Option<String> = a.get("out");
     // Poison-spec compiles panic on purpose; the engine isolates and
     // quarantines them, so the default hook would only spew backtraces.
     std::panic::set_hook(Box::new(|_| {}));
-    let report = timber_chaos::run(spec).unwrap_or_else(|e| die(&format!("chaos: {e}")));
-    if let Some(path) = out {
-        std::fs::write(path, format!("{}\n", report.json()))
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-    }
-    if json {
-        println!("{}", report.json());
-    } else {
-        print!("{}", report.render());
-    }
+    let report = timber_chaos::run(&spec).unwrap_or_else(|e| die(&format!("chaos: {e}")));
+    write_out(out.as_deref(), &format!("{}\n", report.json()));
     if !report.pass() {
         eprintln!("repro chaos FAILED:\n{}", report.render());
-        std::process::exit(1);
     }
+    show(a, report.json(), report.render(), report.pass());
 }
 
 /// `repro tune`: the design-space autotuner and its golden-frontier
@@ -888,75 +648,62 @@ fn run_chaos(json: bool, spec: &timber_chaos::ChaosSpec, out: Option<&str>) {
 /// exiting 1 *is* the expected self-test outcome) or when
 /// `--frontier-check` finds the recomputed document drifted from the
 /// committed golden; unreadable or malformed goldens are usage errors.
-fn run_tune(
-    json: bool,
-    spec: &timber_tune::TuneSpec,
-    out: Option<&str>,
-    frontier_check: Option<&str>,
-) {
-    if let Some(path) = frontier_check {
-        let golden = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        match tune::frontier_check(&golden, spec.threads) {
-            Ok(tune::FrontierCheck::Match) => {
-                println!("repro tune: frontier check PASS ({path} reproduces byte-identically)");
-            }
-            Ok(tune::FrontierCheck::Drift {
-                line,
-                golden,
-                fresh,
-            }) => {
-                eprintln!("repro tune FAILED: {path} drifted from the recomputed frontier");
-                eprintln!("  first difference at line {line}:");
-                eprintln!("  golden: {golden}");
-                eprintln!("  fresh:  {fresh}");
-                std::process::exit(1);
-            }
-            Ok(tune::FrontierCheck::Invalid(violations)) => {
-                eprintln!("repro tune FAILED: recomputed frontier does not validate:");
-                for v in &violations {
-                    eprintln!("  - {v}");
-                }
-                std::process::exit(1);
-            }
-            Err(msg) => die(&msg),
+fn run_tune(a: &Args) {
+    let defaults = timber_tune::TuneSpec::default();
+    let spec = timber_tune::TuneSpec {
+        seed: a.get("seed").unwrap_or(defaults.seed),
+        budget: a.get("budget").unwrap_or(defaults.budget),
+        threads: a.threads(),
+        tolerance: a
+            .get_where("tolerance", "non-negative", |&t: &f64| t >= 0.0)
+            .unwrap_or(defaults.tolerance),
+        sabotage: a.on("sabotage"),
+    };
+    let (out, golden): (Option<String>, Option<String>) = (a.get("out"), a.get("frontier-check"));
+    let Some(path) = golden else {
+        let (report, doc) = tune::tune_document(&spec);
+        write_out(out.as_deref(), &doc);
+        if !report.pass() {
+            eprintln!("repro tune FAILED:{}", bullets(&report.violations()));
         }
-        return;
-    }
-    let (report, doc) = tune::tune_document(spec);
-    if let Some(path) = out {
-        std::fs::write(path, &doc).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-    }
-    if json {
-        print!("{doc}");
-    } else {
-        print!("{}", tune::render_report(&report));
-    }
-    if !report.pass() {
-        eprintln!("repro tune FAILED:");
-        for v in report.violations() {
-            eprintln!("  - {v}");
+        let text = tune::render_report(&report);
+        return show(a, doc.trim_end(), text, report.pass());
+    };
+    let golden =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
+    match tune::frontier_check(&golden, spec.threads).unwrap_or_else(|msg| die(&msg)) {
+        tune::FrontierCheck::Match => {
+            println!("repro tune: frontier check PASS ({path} reproduces byte-identically)");
         }
-        std::process::exit(1);
+        tune::FrontierCheck::Drift {
+            line,
+            golden,
+            fresh,
+        } => fail(&format!(
+            "repro tune FAILED: {path} drifted from the recomputed frontier\n  \
+             first difference at line {line}:\n  golden: {golden}\n  fresh:  {fresh}"
+        )),
+        tune::FrontierCheck::Invalid(violations) => fail(&format!(
+            "repro tune FAILED: recomputed frontier does not validate:{}",
+            bullets(&violations)
+        )),
     }
 }
 
 /// `repro trace <experiment>`: runs the experiment with telemetry and
 /// exports the trace.
-fn run_trace(experiment: &str, threads: usize, telemetry: Option<&str>) {
+fn run_trace(a: &Args) {
+    let experiment = a.operand.as_deref().expect("trace's row takes an operand");
+    let (threads, telemetry) = (a.threads(), a.get::<String>("telemetry"));
     println!("== Telemetry trace: {experiment} ==");
     let t = trace::trace_experiment(experiment, 1_000_000, threads, trace::DEFAULT_RING_CAPACITY)
         .unwrap_or_else(|e| die(&e));
     print!("{}", t.render());
     if let Some(path) = telemetry {
-        std::fs::write(path, t.json())
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        let csv_path = match path.rsplit_once('.') {
-            Some((stem, _ext)) => format!("{stem}.csv"),
-            None => format!("{path}.csv"),
-        };
-        std::fs::write(&csv_path, t.csv())
-            .unwrap_or_else(|e| die(&format!("cannot write {csv_path}: {e}")));
+        write_out(Some(&path), &t.json());
+        let stem = path.rsplit_once('.').map_or(&*path, |(stem, _)| stem);
+        let csv_path = format!("{stem}.csv");
+        write_out(Some(&csv_path), &t.csv());
         println!("wrote {path} and {csv_path}");
     }
 }
@@ -964,26 +711,68 @@ fn run_trace(experiment: &str, threads: usize, telemetry: Option<&str>) {
 /// `repro bench-check`: the CI regression gate over `BENCH_pipeline.json`
 /// documents. Within-run checks always run; the cross-run throughput
 /// comparison needs `--baseline`.
-fn run_bench_check(baseline: Option<&str>, fresh: &str, tolerance: f64, max_overhead: f64) {
+fn run_bench_check(a: &Args) {
+    let fresh: String = a
+        .get("fresh")
+        .unwrap_or_else(|| die("bench-check needs --fresh FILE"));
+    let baseline: Option<String> = a.get("baseline");
+    let tolerance = a.get_where("tolerance", "in (0, 1)", |&t: &f64| t > 0.0 && t < 1.0);
+    let max_overhead = a.get_where("max-overhead", "positive", |&m: &f64| m > 0.0);
     let read = |path: &str| {
         std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")))
     };
-    let baseline_doc = baseline.map(read);
+    let baseline_doc = baseline.as_deref().map(read);
     match perf::bench_check(
         baseline_doc.as_deref(),
-        &read(fresh),
-        tolerance,
-        max_overhead,
+        &read(&fresh),
+        tolerance.unwrap_or(0.15),
+        max_overhead.unwrap_or(0.5),
     ) {
         Ok(report) => print!("{report}"),
-        Err(breaches) => {
-            eprintln!("repro bench-check FAILED:\n{breaches}");
-            std::process::exit(1);
-        }
+        Err(breaches) => fail(&format!("repro bench-check FAILED:\n{breaches}")),
     }
 }
 
+/// Writes an artefact to `path` when one was asked for; an unwritable
+/// path is a usage error naming it.
+fn write_out(path: Option<&str>, contents: &str) {
+    if let Some(path) = path {
+        std::fs::write(path, contents)
+            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+    }
+}
+
+/// One `\n  - ` line per violation.
+fn bullets(violations: &[String]) -> String {
+    violations.iter().map(|v| format!("\n  - {v}")).collect()
+}
+
+/// A gate verdict, not a programming error: exit 1 with a diagnostic.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
+}
+
+/// A usage error: exit 2.
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{COMMANDS, FLAGS};
+
+    #[test]
+    fn every_row_names_known_flags() {
+        for c in COMMANDS {
+            for f in c.flags {
+                assert!(
+                    FLAGS.iter().any(|(n, _)| n.contains(f)),
+                    "{}: --{f}",
+                    c.name
+                );
+            }
+        }
+    }
 }

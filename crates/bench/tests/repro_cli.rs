@@ -11,12 +11,206 @@ fn repro(args: &[&str]) -> std::process::Output {
         .expect("spawn repro")
 }
 
-#[test]
-fn lint_gate_passes_on_shipped_configs() {
-    let out = repro(&["lint", "--deny", "warn"]);
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{text}");
-    assert!(text.contains("PASS"), "{text}");
+/// The committed golden frontier at the repository root, resolved from
+/// the crate dir so the test passes from any working directory.
+const GOLDEN_FRONTIER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../FRONTIER_tune.json");
+
+/// The committed pipeline baseline: a valid `bench-check --fresh`
+/// document, so the range checks below fail on the flag alone.
+const BENCH_BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
+
+/// A directory that always exists and is never a valid journal or
+/// checkpoint file.
+const A_DIRECTORY: &str = env!("CARGO_MANIFEST_DIR");
+
+/// A table of exit-code contracts, one row per subcommand. Every row
+/// runs the same check — `repro ARGS` exits with `CODE` and the named
+/// stream contains each text — and becomes its own `#[test]`, so a
+/// failing row names itself.
+macro_rules! contracts {
+    ($($(#[$meta:meta])* $name:ident: [$($arg:expr),*] => $code:literal, $stream:ident has [$($text:expr),*];)*) => {$(
+        $(#[$meta])*
+        #[test]
+        fn $name() {
+            let out = repro(&[$($arg),*]);
+            let text = String::from_utf8_lossy(&out.$stream);
+            assert_eq!(out.status.code(), Some($code), "{}: {text}", stringify!($stream));
+            for want in [$($text),*] {
+                assert!(text.contains(want), "{want:?} missing from {}: {text}", stringify!($stream));
+            }
+        }
+    )*};
+}
+
+// Gates pass on the shipped configs and pinned seeds.
+contracts! {
+    lint_gate_passes_on_shipped_configs: ["lint", "--deny", "warn"] => 0, stdout has ["PASS"];
+    analyze_gate_passes_on_shipped_configs: ["analyze", "--deny", "warn"]
+        => 0, stdout has ["PASS", "incorruptible", "proved"];
+    conform_gate_passes_on_the_pinned_seed: ["conform", "--threads", "4"]
+        => 0, stdout has ["PASS", "coverage"];
+    tune_golden_frontier_reproduces_byte_identically:
+        ["tune", "--frontier-check", GOLDEN_FRONTIER, "--threads", "4"] => 0, stdout has ["PASS"];
+}
+
+// Sabotage self-tests: each gate must fail (exit 1) with its defence
+// switched off.
+contracts! {
+    analyze_sabotage_fails_with_exit_1: ["analyze", "--sabotage"]
+        => 1, stdout has ["FAIL", "sabotage seeded"];
+    chaos_sabotage_is_caught_and_exits_1: ["chaos", "--seed", "42", "--faults", "7", "--sabotage"]
+        => 1, stdout has ["FAIL", "checksum-sentinel-caught"];
+    tune_sabotage_fails_with_exit_1: ["tune", "--sabotage", "--budget", "12", "--threads", "4"]
+        => 1, stderr has ["FAILED", "dominated"];
+    /// With the seeded model-B bug active the gate must fail and print
+    /// a divergence. Ignored by default: the sabotaged campaign
+    /// minimizes every divergence, which takes a while in debug builds.
+    /// CI's conformance-gate job runs it on every push, in its
+    /// "Harness self-test (seeded bug must fail the gate)" step.
+    #[ignore = "slow: minimizes hundreds of divergences; run with -- --ignored"]
+    conform_sabotage_fails_with_exit_1: ["conform", "--sabotage", "--threads", "4"]
+        => 1, stdout has ["DIVERGENCE", "FAIL"];
+    // A thrashing cache (capacity 1, no in-batch coalescing) fails the
+    // hit-rate floor with exit 1, not a crash.
+    storm_thrashing_cache_fails_the_hit_rate_floor:
+        ["storm", "--requests", "64", "--seed", "7", "--capacity", "1", "--batch-size", "1"]
+        => 1, stderr has ["FAILED"];
+}
+
+// An unknown subcommand is a usage error listing every subcommand.
+contracts! {
+    unknown_subcommand_exits_2_and_lists_lint: ["frobnicate"] => 2, stderr has [
+        "unknown subcommand", "lint", "analyze", "conform", "soak", "serve", "storm", "chaos",
+        "tune", "trace", "bench-check", "fig8", "all"
+    ];
+}
+
+// A flag no subcommand knows, or one the subcommand does not read, is
+// a usage error naming it.
+contracts! {
+    analyze_unknown_flag_exits_2_and_names_it: ["analyze", "--frobs", "3"]
+        => 2, stderr has ["unknown flag --frobs"];
+    analyze_unknown_switch_exits_2_and_names_it: ["analyze", "--frobs"]
+        => 2, stderr has ["unknown flag --frobs"];
+    conform_unknown_flag_exits_2: ["conform", "--shards", "3"] => 2, stderr has ["unknown flag"];
+    storm_unknown_flag_exits_2_and_names_it: ["storm", "--frobs", "3"]
+        => 2, stderr has ["unknown flag --frobs"];
+    storm_unknown_switch_exits_2_and_names_it: ["storm", "--bogus"]
+        => 2, stderr has ["unknown flag --bogus"];
+    chaos_unknown_flag_exits_2_and_names_it: ["chaos", "--frobs", "3"]
+        => 2, stderr has ["unknown flag --frobs"];
+    chaos_unknown_switch_exits_2_and_names_it: ["chaos", "--bogus"]
+        => 2, stderr has ["unknown flag --bogus"];
+    serve_unknown_flag_exits_2_and_names_it: ["serve", "--frobs", "3"]
+        => 2, stderr has ["unknown flag --frobs"];
+    serve_unknown_switch_exits_2_and_names_it: ["serve", "--bogus"]
+        => 2, stderr has ["unknown flag --bogus"];
+    tune_unknown_flag_exits_2_and_names_it: ["tune", "--frobs", "3"]
+        => 2, stderr has ["unknown flag --frobs"];
+    tune_unknown_switch_exits_2_and_names_it: ["tune", "--frobs"]
+        => 2, stderr has ["unknown flag --frobs"];
+    lint_unknown_flag_exits_2_and_names_it: ["lint", "--frobs", "3"]
+        => 2, stderr has ["unknown flag --frobs"];
+    soak_unknown_flag_exits_2_and_names_it: ["soak", "--frobs", "3"]
+        => 2, stderr has ["unknown flag --frobs"];
+    bench_unknown_flag_exits_2_and_names_it: ["bench", "--frobs", "3"]
+        => 2, stderr has ["unknown flag --frobs"];
+    bench_check_unknown_flag_exits_2_and_names_it: ["bench-check", "--frobs", "3"]
+        => 2, stderr has ["unknown flag --frobs"];
+    trace_unknown_flag_exits_2_and_names_it: ["trace", "claims", "--frobs", "3"]
+        => 2, stderr has ["unknown flag --frobs"];
+    figure_unknown_flag_exits_2_and_names_it: ["fig8", "--frobs"]
+        => 2, stderr has ["unknown flag --frobs"];
+    lint_rejects_a_flag_it_does_not_read: ["lint", "--seed", "3"]
+        => 2, stderr has ["unknown flag --seed"];
+    storm_rejects_the_watchdog_it_does_not_have: ["storm", "--requests", "4", "--watchdog", "5"]
+        => 2, stderr has ["unknown flag --watchdog"];
+    figure_rejects_a_flag_it_does_not_read: ["fig2", "--threads", "4"]
+        => 2, stderr has ["unknown flag --threads"];
+    switch_rejects_a_value: ["lint", "--json=yes"] => 2, stderr has ["--json"];
+}
+
+// A value that does not parse, or is missing, is a usage error naming
+// the flag.
+contracts! {
+    analyze_bad_deny_value_exits_2: ["analyze", "--deny", "sometimes"] => 2, stderr has ["--deny"];
+    bad_deny_value_exits_2: ["lint", "--deny", "sometimes"] => 2, stderr has ["--deny"];
+    conform_bad_seed_exits_2: ["conform", "--seed", "banana"] => 2, stderr has ["--seed"];
+    soak_bad_inject_count_exits_2_and_names_the_flag: ["soak", "--inject-panic", "banana"]
+        => 2, stderr has ["--inject-panic"];
+    chaos_bad_faults_count_exits_2_and_names_the_flag: ["chaos", "--faults", "banana"]
+        => 2, stderr has ["--faults"];
+    tune_bad_budget_exits_2_and_names_the_flag: ["tune", "--budget", "banana"]
+        => 2, stderr has ["--budget"];
+    storm_bad_request_count_exits_2_and_names_the_flag: ["storm", "--requests=banana"]
+        => 2, stderr has ["--requests"];
+    serve_bad_batch_size_exits_2_and_names_the_flag: ["serve", "--batch-size", "banana"]
+        => 2, stderr has ["--batch-size"];
+    bench_bad_batch_mode_exits_2_and_names_the_flag: ["bench", "--batch", "sometimes"]
+        => 2, stderr has ["--batch"];
+    bench_check_bad_tolerance_exits_2_and_names_the_flag:
+        ["bench-check", "--fresh", BENCH_BASELINE, "--tolerance", "banana"]
+        => 2, stderr has ["--tolerance"];
+    trace_bad_thread_count_exits_2_and_names_the_flag: ["trace", "claims", "--threads", "x"]
+        => 2, stderr has ["--threads"];
+    figure_bad_thread_count_exits_2_and_names_the_flag: ["claims", "--threads", "x"]
+        => 2, stderr has ["--threads"];
+    missing_value_exits_2_and_names_the_flag: ["conform", "--seed"] => 2, stderr has ["--seed"];
+}
+
+// Out-of-range values the libraries assert on are usage errors naming
+// the flag, not panics.
+contracts! {
+    storm_zero_capacity_exits_2_and_names_the_flag: ["storm", "--capacity", "0"]
+        => 2, stderr has ["--capacity"];
+    serve_zero_capacity_exits_2_and_names_the_flag: ["serve", "--capacity", "0"]
+        => 2, stderr has ["--capacity"];
+    bench_check_negative_tolerance_exits_2_and_names_the_flag:
+        ["bench-check", "--fresh", BENCH_BASELINE, "--tolerance", "-1"]
+        => 2, stderr has ["--tolerance"];
+    bench_check_negative_overhead_exits_2_and_names_the_flag:
+        ["bench-check", "--fresh", BENCH_BASELINE, "--max-overhead", "-3"]
+        => 2, stderr has ["--max-overhead"];
+    tune_negative_tolerance_exits_2_and_names_the_flag: ["tune", "--tolerance", "-1", "--budget", "4"]
+        => 2, stderr has ["--tolerance"];
+}
+
+// Operands: a subcommand takes exactly the ones it names.
+contracts! {
+    analyze_unexpected_argument_exits_2: ["analyze", "everything"]
+        => 2, stderr has ["unexpected argument"];
+    tune_unexpected_argument_exits_2: ["tune", "everything"] => 2, stderr has ["unexpected argument"];
+    lint_unexpected_argument_exits_2: ["lint", "everything"] => 2, stderr has ["unexpected argument"];
+    soak_unexpected_argument_exits_2: ["soak", "everything"] => 2, stderr has ["unexpected argument"];
+    bench_check_unexpected_argument_exits_2: ["bench-check", "everything"]
+        => 2, stderr has ["unexpected argument"];
+    trace_unexpected_argument_exits_2: ["trace", "claims", "everything"]
+        => 2, stderr has ["unexpected argument"];
+    figure_unexpected_argument_exits_2: ["fig8", "everything"]
+        => 2, stderr has ["unexpected argument"];
+    trace_without_an_experiment_exits_2: ["trace"] => 2, stderr has ["trace needs an experiment"];
+    trace_unknown_experiment_exits_2: ["trace", "frobnicate"] => 2, stderr has ["frobnicate"];
+}
+
+// `--resume` replays a journal, so it needs one.
+contracts! {
+    soak_resume_without_checkpoint_exits_2: ["soak", "--resume"] => 2, stderr has ["--checkpoint"];
+    serve_resume_without_checkpoint_exits_2: ["serve", "--resume"] => 2, stderr has ["--checkpoint"];
+}
+
+// An unusable path is a usage error naming the path.
+contracts! {
+    soak_unreadable_checkpoint_exits_2_and_names_the_path:
+        ["soak", "--cycles", "400", "--checkpoint", A_DIRECTORY]
+        => 2, stderr has ["checkpoint", A_DIRECTORY];
+    serve_unusable_journal_exits_2_and_names_the_path: ["serve", "--checkpoint", A_DIRECTORY]
+        => 2, stderr has ["journal", A_DIRECTORY];
+    bench_check_unreadable_fresh_file_exits_2_and_names_the_path:
+        ["bench-check", "--fresh", "/nonexistent/FRESH.json"]
+        => 2, stderr has ["/nonexistent/FRESH.json"];
+    tune_missing_golden_exits_2_and_names_the_path:
+        ["tune", "--frontier-check", "/nonexistent/FRONTIER.json"]
+        => 2, stderr has ["/nonexistent/FRONTIER.json"];
 }
 
 #[test]
@@ -29,32 +223,6 @@ fn lint_json_is_a_single_machine_readable_document() {
     assert_eq!(doc["schema_version"], serde_json::json!(1));
     assert_eq!(doc["pass"], serde_json::json!(true));
     assert!(doc["reports"].as_array().is_some_and(|r| !r.is_empty()));
-}
-
-#[test]
-fn unknown_subcommand_exits_2_and_lists_lint() {
-    let out = repro(&["frobnicate"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown subcommand"), "{err}");
-    assert!(err.contains("lint"), "usage must list lint: {err}");
-    assert!(err.contains("analyze"), "usage must list analyze: {err}");
-    assert!(err.contains("conform"), "usage must list conform: {err}");
-    assert!(err.contains("soak"), "usage must list soak: {err}");
-    assert!(err.contains("serve"), "usage must list serve: {err}");
-    assert!(err.contains("storm"), "usage must list storm: {err}");
-    assert!(err.contains("chaos"), "usage must list chaos: {err}");
-    assert!(err.contains("tune"), "usage must list tune: {err}");
-}
-
-#[test]
-fn analyze_gate_passes_on_shipped_configs() {
-    let out = repro(&["analyze", "--deny", "warn"]);
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{text}");
-    assert!(text.contains("PASS"), "{text}");
-    assert!(text.contains("incorruptible"), "{text}");
-    assert!(text.contains("proved"), "{text}");
 }
 
 #[test]
@@ -73,54 +241,6 @@ fn analyze_json_is_a_single_machine_readable_document() {
         .as_array()
         .is_some_and(|g| g.iter().all(|a| a["proved"] == serde_json::json!(true))));
     assert_eq!(doc["soundness"]["violations"], serde_json::json!([]));
-}
-
-#[test]
-fn analyze_sabotage_fails_with_exit_1() {
-    let out = repro(&["analyze", "--sabotage"]);
-    assert_eq!(out.status.code(), Some(1));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("FAIL"), "{text}");
-    assert!(text.contains("sabotage seeded"), "{text}");
-}
-
-#[test]
-fn analyze_unknown_flag_exits_2_and_names_it() {
-    let out = repro(&["analyze", "--frobs", "3"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown flag --frobs"), "{err}");
-}
-
-#[test]
-fn analyze_bad_deny_value_exits_2() {
-    let out = repro(&["analyze", "--deny", "sometimes"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--deny"));
-}
-
-#[test]
-fn analyze_unexpected_argument_exits_2() {
-    let out = repro(&["analyze", "everything"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unexpected argument"), "{err}");
-}
-
-#[test]
-fn bad_deny_value_exits_2() {
-    let out = repro(&["lint", "--deny", "sometimes"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--deny"));
-}
-
-#[test]
-fn conform_gate_passes_on_the_pinned_seed() {
-    let out = repro(&["conform", "--threads", "4"]);
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{text}");
-    assert!(text.contains("PASS"), "{text}");
-    assert!(text.contains("coverage"), "{text}");
 }
 
 #[test]
@@ -143,21 +263,6 @@ fn conform_threads_do_not_change_the_json() {
     assert!(one.status.success());
     assert!(four.status.success());
     assert_eq!(one.stdout, four.stdout, "report must be byte-identical");
-}
-
-#[test]
-fn conform_unknown_flag_exits_2() {
-    let out = repro(&["conform", "--shards", "3"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown flag"), "{err}");
-}
-
-#[test]
-fn conform_bad_seed_exits_2() {
-    let out = repro(&["conform", "--seed", "banana"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--seed"));
 }
 
 #[test]
@@ -223,39 +328,6 @@ fn soak_stop_then_resume_matches_an_uninterrupted_run_byte_for_byte() {
 }
 
 #[test]
-fn soak_unreadable_checkpoint_exits_2_and_names_the_path() {
-    // A directory is never a valid checkpoint log: opening it for
-    // append fails, and the diagnostic must name the offending path.
-    let dir = std::env::temp_dir();
-    let out = repro(&[
-        "soak",
-        "--cycles",
-        "400",
-        "--checkpoint",
-        dir.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("checkpoint"), "{err}");
-    assert!(err.contains(dir.to_str().unwrap()), "{err}");
-}
-
-#[test]
-fn soak_resume_without_checkpoint_exits_2() {
-    let out = repro(&["soak", "--resume"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--checkpoint"), "{err}");
-}
-
-#[test]
-fn soak_bad_inject_count_exits_2_and_names_the_flag() {
-    let out = repro(&["soak", "--inject-panic", "banana"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--inject-panic"));
-}
-
-#[test]
 fn storm_campaign_passes_and_replays_byte_identically() {
     let args = [
         "storm",
@@ -285,14 +357,6 @@ fn storm_campaign_passes_and_replays_byte_identically() {
     let b = repro(&replay_args);
     assert!(b.status.success());
     assert_eq!(a.stdout, b.stdout, "storm report must replay exactly");
-}
-
-#[test]
-fn storm_unknown_flag_exits_2_and_names_it() {
-    let out = repro(&["storm", "--frobs", "3"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown flag --frobs"), "{err}");
 }
 
 #[test]
@@ -330,33 +394,6 @@ fn chaos_campaign_accounts_for_every_fault_and_replays_byte_identically() {
 }
 
 #[test]
-fn chaos_sabotage_is_caught_and_exits_1() {
-    let out = repro(&["chaos", "--seed", "42", "--faults", "7", "--sabotage"]);
-    assert_eq!(out.status.code(), Some(1), "sabotage must fail the gate");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("FAIL"), "{text}");
-    assert!(
-        text.contains("checksum-sentinel-caught"),
-        "the sentinel check must be reported: {text}"
-    );
-}
-
-#[test]
-fn chaos_unknown_flag_exits_2_and_names_it() {
-    let out = repro(&["chaos", "--frobs", "3"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown flag --frobs"), "{err}");
-}
-
-#[test]
-fn chaos_bad_faults_count_exits_2_and_names_the_flag() {
-    let out = repro(&["chaos", "--faults", "banana"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--faults"));
-}
-
-#[test]
 fn storm_chaos_client_retries_to_a_fully_served_stream() {
     let out = repro(&[
         "storm",
@@ -390,22 +427,6 @@ fn storm_chaos_client_retries_to_a_fully_served_stream() {
         .unwrap()
         .iter()
         .all(|r| r["status"] == serde_json::json!("ok")));
-}
-
-#[test]
-fn serve_unknown_flag_exits_2_and_names_it() {
-    let out = repro(&["serve", "--frobs", "3"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown flag --frobs"), "{err}");
-}
-
-#[test]
-fn serve_resume_without_checkpoint_exits_2() {
-    let out = repro(&["serve", "--resume"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--checkpoint"), "{err}");
 }
 
 #[test]
@@ -446,18 +467,6 @@ fn serve_answers_a_session_on_stdin_and_honours_shutdown() {
     assert_eq!(counters["hits"], serde_json::json!(1), "{text}");
     assert_eq!(docs[3]["shutdown"], serde_json::json!(true));
 }
-
-#[test]
-fn bench_check_unreadable_fresh_file_exits_2_and_names_the_path() {
-    let out = repro(&["bench-check", "--fresh", "/nonexistent/FRESH.json"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("/nonexistent/FRESH.json"), "{err}");
-}
-
-/// The committed golden frontier at the repository root, resolved from
-/// the crate dir so the test passes from any working directory.
-const GOLDEN_FRONTIER: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../FRONTIER_tune.json");
 
 #[test]
 fn tune_gate_passes_and_reports_anchors_in_band() {
@@ -518,21 +527,6 @@ fn tune_out_writes_the_stdout_document_with_a_trailing_newline() {
 }
 
 #[test]
-fn tune_golden_frontier_reproduces_byte_identically() {
-    let out = repro(&[
-        "tune",
-        "--frontier-check",
-        GOLDEN_FRONTIER,
-        "--threads",
-        "4",
-    ]);
-    let text = String::from_utf8_lossy(&out.stdout);
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "stdout: {text}\nstderr: {err}");
-    assert!(text.contains("PASS"), "{text}");
-}
-
-#[test]
 fn tune_frontier_check_detects_a_single_tampered_byte() {
     let golden = std::fs::read_to_string(GOLDEN_FRONTIER).expect("golden committed");
     let needle = "\"energy_per_instr\": 1.0";
@@ -547,58 +541,4 @@ fn tune_frontier_check_detects_a_single_tampered_byte() {
     assert!(err.contains("drifted"), "{err}");
     assert!(err.contains("first difference at line"), "{err}");
     let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn tune_sabotage_fails_with_exit_1() {
-    let out = repro(&["tune", "--sabotage", "--budget", "12", "--threads", "4"]);
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("FAILED"), "{err}");
-    assert!(err.contains("dominated"), "{err}");
-}
-
-#[test]
-fn tune_unknown_flag_exits_2_and_names_it() {
-    let out = repro(&["tune", "--frobs", "3"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown flag --frobs"), "{err}");
-}
-
-#[test]
-fn tune_unexpected_argument_exits_2() {
-    let out = repro(&["tune", "everything"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unexpected argument"), "{err}");
-}
-
-#[test]
-fn tune_bad_budget_exits_2_and_names_the_flag() {
-    let out = repro(&["tune", "--budget", "banana"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--budget"));
-}
-
-#[test]
-fn tune_missing_golden_exits_2_and_names_the_path() {
-    let out = repro(&["tune", "--frontier-check", "/nonexistent/FRONTIER.json"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("/nonexistent/FRONTIER.json"), "{err}");
-}
-
-/// The harness self-test: with the seeded model-B bug active the gate
-/// must fail with exit 1 and print a divergence. Ignored by default —
-/// the sabotaged campaign minimizes every divergence, which takes
-/// a while in debug builds (CI's workflow_dispatch job runs it).
-#[test]
-#[ignore = "slow: minimizes hundreds of divergences; run with -- --ignored"]
-fn conform_sabotage_fails_with_exit_1() {
-    let out = repro(&["conform", "--sabotage", "--threads", "4"]);
-    assert_eq!(out.status.code(), Some(1));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("DIVERGENCE"), "{text}");
-    assert!(text.contains("FAIL"), "{text}");
 }
