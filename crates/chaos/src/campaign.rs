@@ -15,7 +15,7 @@ use timber_pipeline::montecarlo::splitmix64;
 use timber_resilience::RetryPolicy;
 use timber_schemes::SchemeId;
 use timber_serve::{
-    parse_request, CacheKey, DesignId, Engine, EngineConfig, EvalFault, Request,
+    json_str, parse_request, CacheKey, DesignId, Engine, EngineConfig, EvalFault, Request,
     ServiceGovernorConfig, SEAL_PREFIX_LEN,
 };
 use timber_telemetry::ServiceCounter;
@@ -145,10 +145,6 @@ impl ChaosReport {
         out.push_str(if self.pass() { "PASS\n" } else { "FAIL\n" });
         out
     }
-}
-
-fn json_str(s: &str) -> String {
-    serde_json::Value::String(s.to_owned()).to_string()
 }
 
 fn kind_index(kind: FaultKind) -> usize {

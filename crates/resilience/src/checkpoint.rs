@@ -10,7 +10,10 @@
 //! A kill can truncate at most the final line (appends are sequential
 //! and flushed per line); the readers therefore tolerate — and
 //! silently drop — a last line with no trailing newline or a malformed
-//! prefix. Everything before it is intact by construction.
+//! prefix. Everything before it is intact by construction. Every
+//! reader streams the file through [`visit_log`], one line at a time,
+//! so reading a log never holds more than one line of it beyond what
+//! the caller keeps.
 //!
 //! Two keyspaces share the format:
 //!
@@ -23,7 +26,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 /// Appends completed-trial records to a checkpoint file, one flushed
@@ -121,38 +124,47 @@ impl ScanStats {
     }
 }
 
-/// Reads an append-only log back as complete `(key, payload)` records
-/// in file order, counting what it drops. The unterminated tail (a
-/// torn final append) and any malformed complete line are skipped
-/// rather than fatal: the only writers are the `record` methods, so
-/// they can't occur in practice, and a resume should never be
-/// scuttled by one stray line — but each drop lands in [`ScanStats`].
-pub fn scan_log(path: &Path) -> std::io::Result<(Vec<(String, String)>, ScanStats)> {
-    let mut text = String::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_string(&mut text)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok((Vec::new(), ScanStats::default()))
-        }
+/// Streams an append-only log, calling `visit(key, payload)` for each
+/// complete record in file order, and counts what it drops. The file
+/// is read one line at a time, so memory stays at one line however
+/// long the log. The unterminated tail (a torn final append) and any
+/// malformed complete line are skipped rather than fatal: the only
+/// writers are the `record` methods, so they can't occur in practice,
+/// and a resume should never be scuttled by one stray line — but each
+/// drop lands in [`ScanStats`]. A missing file visits nothing; a read
+/// error or invalid UTF-8 is an `Err` (records before it have already
+/// been visited).
+pub fn visit_log(path: &Path, mut visit: impl FnMut(&str, &str)) -> std::io::Result<ScanStats> {
+    let mut reader = match File::open(path) {
+        Ok(f) => BufReader::new(f),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(ScanStats::default()),
         Err(e) => return Err(e),
-    }
-    let mut records = Vec::new();
+    };
     let mut stats = ScanStats::default();
-    let mut rest = text.as_str();
-    while let Some(nl) = rest.find('\n') {
-        let line = &rest[..nl];
-        rest = &rest[nl + 1..];
-        match line.split_once('\t') {
-            Some((key, payload)) if !key.is_empty() => {
-                records.push((key.to_owned(), payload.to_owned()));
-            }
+    let mut line = String::new();
+    while reader.read_line(&mut line)? > 0 {
+        let Some(complete) = line.strip_suffix('\n') else {
+            // No newline before end of file: a torn final append.
+            stats.torn_tail = true;
+            break;
+        };
+        match complete.split_once('\t') {
+            Some((key, payload)) if !key.is_empty() => visit(key, payload),
             _ => stats.malformed += 1,
         }
+        line.clear();
     }
-    // `rest` is now the unterminated tail, if any: a torn final append.
-    stats.torn_tail = !rest.is_empty();
+    Ok(stats)
+}
+
+/// Reads an append-only log back as complete `(key, payload)` records
+/// in file order, counting what it drops: [`visit_log`] collected into
+/// a `Vec`.
+pub fn scan_log(path: &Path) -> std::io::Result<(Vec<(String, String)>, ScanStats)> {
+    let mut records = Vec::new();
+    let stats = visit_log(path, |key, payload| {
+        records.push((key.to_owned(), payload.to_owned()));
+    })?;
     Ok((records, stats))
 }
 
@@ -169,16 +181,15 @@ pub fn read_checkpoint(path: &Path) -> std::io::Result<BTreeMap<usize, String>> 
 pub fn read_checkpoint_counting(
     path: &Path,
 ) -> std::io::Result<(BTreeMap<usize, String>, ScanStats)> {
-    let (records, mut stats) = scan_log(path)?;
     let mut map = BTreeMap::new();
-    for (key, payload) in records {
-        match key.parse::<usize>() {
-            Ok(i) => {
-                map.insert(i, payload);
-            }
-            Err(_) => stats.malformed += 1,
+    let mut unindexed = 0;
+    let mut stats = visit_log(path, |key, payload| match key.parse::<usize>() {
+        Ok(i) => {
+            map.insert(i, payload.to_owned());
         }
-    }
+        Err(_) => unindexed += 1,
+    })?;
+    stats.malformed += unindexed;
     Ok((map, stats))
 }
 
@@ -312,5 +323,63 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let mut w = JournalWriter::append(&path).unwrap();
         let _ = w.record("", "payload");
+    }
+
+    /// Collects what [`visit_log`] visits, for comparison with
+    /// [`scan_log`].
+    fn visited(path: &Path) -> std::io::Result<(Vec<(String, String)>, ScanStats)> {
+        let mut records = Vec::new();
+        let stats = visit_log(path, |k, p| records.push((k.to_owned(), p.to_owned())))?;
+        Ok((records, stats))
+    }
+
+    #[test]
+    fn visit_log_and_scan_log_agree_on_every_damage_shape() {
+        let cases: [(&str, Option<&str>, usize, usize, bool); 5] = [
+            ("missing", None, 0, 0, false),
+            ("empty", Some(""), 0, 0, false),
+            ("torn", Some("aa\t1\nbb\t2\ncc\t{\"to"), 2, 0, true),
+            (
+                "malformed",
+                Some("aa\t1\nno-tab\n\tempty-key\nbb\t2\n"),
+                2,
+                2,
+                false,
+            ),
+            ("no-newline", Some("aa\t1\nbb\t2"), 1, 0, true),
+        ];
+        for (name, text, records, malformed, torn_tail) in cases {
+            let path = tmp(&format!("visit-{name}"));
+            let _ = std::fs::remove_file(&path);
+            if let Some(text) = text {
+                std::fs::write(&path, text).unwrap();
+            }
+            let scanned = scan_log(&path).unwrap();
+            assert_eq!(visited(&path).unwrap(), scanned, "{name}");
+            assert_eq!(scanned.0.len(), records, "{name}");
+            assert_eq!(
+                scanned.1,
+                ScanStats {
+                    torn_tail,
+                    malformed
+                },
+                "{name}"
+            );
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_error() {
+        let path = tmp("visit-utf8");
+        std::fs::write(&path, b"aa\t1\nbb\t\xff\xfe\n").unwrap();
+        assert_eq!(
+            visited(&path).unwrap_err().kind(),
+            std::io::ErrorKind::InvalidData
+        );
+        assert!(scan_log(&path).is_err());
+        assert!(read_journal(&path).is_err());
+        assert!(read_checkpoint(&path).is_err());
+        let _ = std::fs::remove_file(&path);
     }
 }

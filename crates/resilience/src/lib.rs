@@ -39,7 +39,7 @@ pub mod retry;
 pub mod storms;
 
 pub use checkpoint::{
-    read_checkpoint, read_checkpoint_counting, read_journal, scan_log, CheckpointWriter,
+    read_checkpoint, read_checkpoint_counting, read_journal, scan_log, visit_log, CheckpointWriter,
     JournalWriter, ScanStats,
 };
 pub use executor::{

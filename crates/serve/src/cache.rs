@@ -2,24 +2,49 @@
 //!
 //! One generic [`LruCache`] backs both tiers of the engine: the
 //! *result* tier (spec key → finished response body) and the *design*
-//! tier (design key → [`crate::compile::CompiledDesign`]). Recency is a
-//! logical tick the cache increments on every touch — no wall clock —
-//! and eviction takes the smallest `(tick, key)` pair, so the entire
-//! cache trajectory (hits, misses, which entry leaves when) is a pure
-//! function of the touch sequence. The storm gate leans on that: replay
-//! the same request stream and the eviction counters diff byte-equal.
+//! tier (design key → [`crate::compile::CompiledDesign`]). Recency is
+//! a doubly-linked list threaded through a slab of entries — no wall
+//! clock: a touch moves the entry to the head, and eviction pops the
+//! tail, the least recently touched entry, in constant time. The entire
+//! cache trajectory (hits, misses, which entry leaves when) is therefore
+//! a pure function of the touch sequence. The storm gate leans on that:
+//! replay the same request stream and the eviction counters diff
+//! byte-equal.
 
 use std::collections::BTreeMap;
 
 use crate::key::CacheKey;
 
-/// A bounded map from content keys to values with logical-clock LRU
+/// The null link: no neighbour.
+const NIL: usize = usize::MAX;
+
+/// One slab slot: an entry and its place in the recency list.
+#[derive(Debug, Clone)]
+struct Slot<V> {
+    key: CacheKey,
+    /// `None` only while the slot sits on the free list.
+    value: Option<V>,
+    /// Neighbour towards the head (more recently touched).
+    newer: usize,
+    /// Neighbour towards the tail (less recently touched).
+    older: usize,
+}
+
+/// A bounded map from content keys to values with least-recently-used
 /// eviction.
 #[derive(Debug, Clone)]
 pub struct LruCache<V> {
     capacity: usize,
-    tick: u64,
-    entries: BTreeMap<CacheKey, (u64, V)>,
+    /// Key → slab index. A `BTreeMap`, so [`LruCache::keys`] walks in
+    /// key order.
+    index: BTreeMap<CacheKey, usize>,
+    slots: Vec<Slot<V>>,
+    /// Slab indices freed by [`LruCache::remove`].
+    free: Vec<usize>,
+    /// Most recently touched slot.
+    head: usize,
+    /// Least recently touched slot: the next victim.
+    tail: usize,
 }
 
 impl<V> LruCache<V> {
@@ -34,8 +59,11 @@ impl<V> LruCache<V> {
         assert!(capacity > 0, "cache capacity must be positive");
         LruCache {
             capacity,
-            tick: 0,
-            entries: BTreeMap::new(),
+            index: BTreeMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
         }
     }
 
@@ -46,27 +74,25 @@ impl<V> LruCache<V> {
 
     /// Current entry count.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// True when the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Looks `key` up, refreshing its recency on a hit.
     pub fn get(&mut self, key: &CacheKey) -> Option<&V> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(key).map(|slot| {
-            slot.0 = tick;
-            &slot.1
-        })
+        let i = *self.index.get(key)?;
+        self.touch(i);
+        self.slots[i].value.as_ref()
     }
 
     /// Peeks at `key` without refreshing recency (diagnostics only).
     pub fn peek(&self, key: &CacheKey) -> Option<&V> {
-        self.entries.get(key).map(|slot| &slot.1)
+        let i = *self.index.get(key)?;
+        self.slots[i].value.as_ref()
     }
 
     /// Mutable peek without refreshing recency. This is the chaos
@@ -74,43 +100,89 @@ impl<V> LruCache<V> {
     /// disturb the recency trajectory, or detection would perturb the
     /// very determinism the campaign gates on.
     pub fn peek_mut(&mut self, key: &CacheKey) -> Option<&mut V> {
-        self.entries.get_mut(key).map(|slot| &mut slot.1)
+        let i = *self.index.get(key)?;
+        self.slots[i].value.as_mut()
     }
 
     /// Removes `key`, returning its value. Quarantine path: a cached
     /// entry whose checksum fails verification is removed so the next
     /// request recomputes it as a miss.
     pub fn remove(&mut self, key: &CacheKey) -> Option<V> {
-        self.entries.remove(key).map(|(_, v)| v)
+        let i = self.index.remove(key)?;
+        self.unlink(i);
+        self.free.push(i);
+        self.slots[i].value.take()
     }
 
     /// Inserts (or replaces) `key`, evicting the least-recently-used
     /// entry if the cache is full. Returns how many entries were
     /// evicted (0 or 1).
     pub fn insert(&mut self, key: CacheKey, value: V) -> usize {
-        self.tick += 1;
-        let replacing = self.entries.contains_key(&key);
-        let mut evicted = 0;
-        if !replacing && self.entries.len() == self.capacity {
-            // Smallest (tick, key): the stalest entry, key order
-            // breaking the (impossible under one tick per touch, but
-            // belt-and-braces) tie deterministically.
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(k, (t, _))| (*t, **k))
-                .map(|(k, _)| *k)
-                .expect("full cache is non-empty");
-            self.entries.remove(&victim);
-            evicted = 1;
+        if let Some(&i) = self.index.get(&key) {
+            self.slots[i].value = Some(value);
+            self.touch(i);
+            return 0;
         }
-        self.entries.insert(key, (self.tick, value));
+        let slot = Slot {
+            key,
+            value: Some(value),
+            newer: NIL,
+            older: NIL,
+        };
+        let (i, evicted) = if self.index.len() == self.capacity {
+            // Full: the tail is the victim, and its slot is reused.
+            let victim = self.tail;
+            self.unlink(victim);
+            self.index.remove(&self.slots[victim].key);
+            self.slots[victim] = slot;
+            (victim, 1)
+        } else if let Some(i) = self.free.pop() {
+            self.slots[i] = slot;
+            (i, 0)
+        } else {
+            self.slots.push(slot);
+            (self.slots.len() - 1, 0)
+        };
+        self.index.insert(key, i);
+        self.push_head(i);
         evicted
     }
 
     /// The cached keys in key order (diagnostics / tests).
     pub fn keys(&self) -> impl Iterator<Item = &CacheKey> {
-        self.entries.keys()
+        self.index.keys()
+    }
+
+    /// Moves linked slot `i` to the head of the recency list.
+    fn touch(&mut self, i: usize) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_head(i);
+        }
+    }
+
+    /// Detaches slot `i` from the recency list.
+    fn unlink(&mut self, i: usize) {
+        let (newer, older) = (self.slots[i].newer, self.slots[i].older);
+        match newer {
+            NIL => self.head = older,
+            n => self.slots[n].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            o => self.slots[o].newer = newer,
+        }
+    }
+
+    /// Links detached slot `i` in as the most recently touched.
+    fn push_head(&mut self, i: usize) {
+        self.slots[i].newer = NIL;
+        self.slots[i].older = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.slots[h].newer = i,
+        }
+        self.head = i;
     }
 }
 

@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use timber_resilience::{
-    run_hardened, scan_log, HardenedSpec, JournalWriter, RetryPolicy, TrialJob,
+    run_hardened, visit_log, HardenedSpec, JournalWriter, RetryPolicy, TrialJob,
 };
 use timber_telemetry::{ServiceCounter, ServiceStats};
 
@@ -152,7 +152,10 @@ pub struct BatchOutput {
     pub shutdown: bool,
 }
 
-fn json_str(s: &str) -> String {
+/// `s` as a JSON string literal, quotes and escapes included — the one
+/// helper every hand-assembled response and report line uses to embed
+/// free text (error messages, panic payloads, check details).
+pub fn json_str(s: &str) -> String {
     serde_json::Value::String(s.to_owned()).to_string()
 }
 
@@ -187,23 +190,22 @@ impl Engine {
         let mut stats = ServiceStats::new();
         let mut results = LruCache::new(config.result_capacity);
         if let (Some(path), true) = (&config.journal, config.resume) {
-            if path.exists() {
-                // Last record wins per key, in file order — exactly the
-                // state the journal writer left behind.
-                let (records, scan) = scan_log(path)?;
-                stats.add(ServiceCounter::JournalTornLines, scan.dropped());
-                let mut resumed: BTreeSet<CacheKey> = BTreeSet::new();
-                for (key, sealed) in records {
-                    match CacheKey::from_hex(&key) {
-                        Some(key) if open(&sealed, true).is_ok() => {
-                            resumed.insert(key);
-                            results.insert(key, sealed);
-                        }
-                        _ => stats.bump(ServiceCounter::JournalCorrupt),
-                    }
+            // Records stream from the file straight into the cache in
+            // file order, so the last record per key wins — exactly the
+            // state the journal writer left behind — and memory stays
+            // at the cache plus one key per distinct record.
+            let mut resumed: BTreeSet<CacheKey> = BTreeSet::new();
+            let mut corrupt = 0;
+            let scan = visit_log(path, |key, sealed| match CacheKey::from_hex(key) {
+                Some(key) if open(sealed, true).is_ok() => {
+                    resumed.insert(key);
+                    results.insert(key, sealed.to_owned());
                 }
-                stats.add(ServiceCounter::Resumed, resumed.len() as u64);
-            }
+                _ => corrupt += 1,
+            })?;
+            stats.add(ServiceCounter::JournalTornLines, scan.dropped());
+            stats.add(ServiceCounter::JournalCorrupt, corrupt);
+            stats.add(ServiceCounter::Resumed, resumed.len() as u64);
         }
         let journal = match &config.journal {
             Some(path) => Some(JournalWriter::append(path)?),
@@ -615,6 +617,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::content_hash;
 
     fn tiny() -> EngineConfig {
         EngineConfig {
@@ -1002,6 +1005,73 @@ mod tests {
         // Recomputed to the exact uncorrupted bytes, as a miss.
         assert_eq!(again.responses[0].body, cold.responses[0].body);
         assert_eq!(e2.stats().counter(ServiceCounter::Misses), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resume_past_capacity_keeps_the_last_distinct_keys_in_file_order() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("timber-serve-overflow-{}", std::process::id()));
+        let line = |id: u64, seed: u64| format!(r#"{{"id":{id},"design":"rca16","seed":{seed}}}"#);
+        let key = |seed: u64| match parse_request(&line(0, seed), 0) {
+            Ok(Request::Eval { spec, .. }) => spec.key(),
+            other => panic!("expected eval, got {other:?}"),
+        };
+        let body =
+            |seed: u64, version: u32| format!(r#""status":"ok","journal":"{seed}v{version}""#);
+        let record = |seed: u64, version: u32| {
+            format!("{}\t{}\n", key(seed).hex(), seal(&body(seed, version)))
+        };
+        // Ten lines: seeds 0-3, a later record for seed 1, a record for
+        // seed 4 whose seal fails, seeds 5-7, then a torn append.
+        let mut journal: String = [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1)]
+            .iter()
+            .map(|&(seed, version)| record(seed, version))
+            .collect();
+        let rotten = record(4, 0);
+        let at = rotten.find('\t').unwrap() + 1 + SEAL_PREFIX_LEN + 2;
+        journal.push_str(&rotten[..at]);
+        journal.push_str(if &rotten[at..at + 1] == "#" { "@" } else { "#" });
+        journal.push_str(&rotten[at + 1..]);
+        for seed in 5..8 {
+            journal.push_str(&record(seed, 0));
+        }
+        journal.push_str("deadbeef\t{\"tru");
+        std::fs::write(&path, &journal).unwrap();
+
+        let mut cfg = tiny();
+        cfg.result_capacity = 4;
+        cfg.journal = Some(path.clone());
+        cfg.resume = true;
+        let mut e = Engine::new(cfg).unwrap();
+        // Seven distinct keys verified; four fit.
+        assert_eq!(e.stats().counter(ServiceCounter::Resumed), 7);
+        assert_eq!(e.stats().counter(ServiceCounter::JournalCorrupt), 1);
+        assert_eq!(e.stats().counter(ServiceCounter::JournalTornLines), 1);
+        assert_eq!(e.stats().counter(ServiceCounter::Evictions), 0);
+
+        // The survivors are the last four distinct keys by last record
+        // (seed 1's rewrite outlives seeds 0, 2 and 3), least recent first.
+        let survivors = [1, 5, 6, 7];
+        let mut probe = e.results.clone();
+        for (n, &seed) in survivors.iter().enumerate() {
+            assert!(probe.peek(&key(seed)).is_some(), "seed {seed} resumed");
+            assert_eq!(probe.insert(content_hash(&[n as u8]), String::new()), 1);
+            assert!(
+                probe.peek(&key(seed)).is_none(),
+                "victim {n} is seed {seed}"
+            );
+        }
+
+        // All four hit, serving the journal's bytes (the later of seed
+        // 1's two records).
+        let hits: Vec<String> = survivors.iter().map(|&s| line(s, s)).collect();
+        let out = e.process_batch(&hits).unwrap();
+        assert_eq!(e.stats().counter(ServiceCounter::Hits), 4);
+        assert_eq!(e.stats().counter(ServiceCounter::Misses), 0);
+        let served: Vec<&str> = out.responses.iter().map(|r| r.body.as_str()).collect();
+        assert_eq!(served, [body(1, 1), body(5, 0), body(6, 0), body(7, 0)]);
+        assert!(e.results.peek(&key(0)).is_none());
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -13,7 +13,7 @@
 //!   all collapse; distinct values never do).
 //! * [`key`] — the 256-bit splitmix64-sponge content digest of a
 //!   canonical form.
-//! * [`cache`] — deterministic logical-clock LRU, instantiated twice:
+//! * [`cache`] — deterministic constant-time LRU, instantiated twice:
 //!   a *design* tier (compiled netlist + STA arrival quantiles +
 //!   snapped schedule + hold-padding plan) and a *result* tier (full
 //!   response bodies).
@@ -62,7 +62,7 @@ pub mod storm;
 
 pub use cache::LruCache;
 pub use compile::{compile, evaluate, CompiledDesign};
-pub use engine::{Engine, EngineConfig, EvalFault, Response};
+pub use engine::{json_str, Engine, EngineConfig, EvalFault, Response};
 pub use governor::{ServiceGovernor, ServiceGovernorConfig, ServiceLevel, ServiceTransition};
 pub use integrity::{open, payload_crc, seal, SealError, SEAL_PREFIX_LEN};
 pub use key::{content_hash, CacheKey};

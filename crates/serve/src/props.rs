@@ -1,16 +1,22 @@
 //! Property-based tests for the cache layer's load-bearing claims:
 //! canonicalization is injective over distinct specs and stable under
-//! request-field reordering, and a cache hit serves the exact bytes the
-//! cold miss produced — for every scheme in the registry.
+//! request-field reordering, a cache hit serves the exact bytes the
+//! cold miss produced — for every scheme in the registry — and the
+//! recency-list [`LruCache`] evicts exactly what a tick-and-scan LRU
+//! would.
 
 #![cfg(test)]
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use timber_resilience::StormScenario;
 use timber_schemes::SchemeId;
 
+use crate::cache::LruCache;
 use crate::engine::{Engine, EngineConfig};
 use crate::integrity::{open, seal};
+use crate::key::{content_hash, CacheKey};
 use crate::spec::{parse_request, DesignId, EvalSpec, Request};
 
 /// Checking percentages drawn in properties (all valid, all snappable).
@@ -80,6 +86,103 @@ fn request_line(spec: &EvalSpec, order: usize) -> String {
         })
         .collect();
     format!("{{{}}}", picked.join(","))
+}
+
+/// The reference LRU: a logical tick bumped per touch, victim = the
+/// smallest `(tick, key)` pair, found by scanning every entry. Obviously
+/// right and O(capacity) per eviction; [`LruCache`] must match it.
+struct TickLru {
+    capacity: usize,
+    tick: u64,
+    entries: BTreeMap<CacheKey, (u64, u32)>,
+}
+
+impl TickLru {
+    fn new(capacity: usize) -> TickLru {
+        TickLru {
+            capacity,
+            tick: 0,
+            entries: BTreeMap::new(),
+        }
+    }
+
+    fn get(&mut self, key: &CacheKey) -> Option<&u32> {
+        self.tick += 1;
+        let tick = self.tick;
+        self.entries.get_mut(key).map(|slot| {
+            slot.0 = tick;
+            &slot.1
+        })
+    }
+
+    fn peek_mut(&mut self, key: &CacheKey) -> Option<&mut u32> {
+        self.entries.get_mut(key).map(|slot| &mut slot.1)
+    }
+
+    fn remove(&mut self, key: &CacheKey) -> Option<u32> {
+        self.entries.remove(key).map(|(_, v)| v)
+    }
+
+    fn insert(&mut self, key: CacheKey, value: u32) -> usize {
+        self.tick += 1;
+        let mut evicted = 0;
+        if !self.entries.contains_key(&key) && self.entries.len() == self.capacity {
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(k, (t, _))| (*t, **k))
+                .map(|(k, _)| *k)
+                .expect("full cache is non-empty");
+            self.entries.remove(&victim);
+            evicted = 1;
+        }
+        self.entries.insert(key, (self.tick, value));
+        evicted
+    }
+}
+
+/// One cache operation: `(op, key, value)`, op 0 = get, 1 = insert,
+/// 2 = remove, 3 = peek_mut (overwrite in place).
+type CacheOp = (u8, u8, u32);
+
+fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
+    proptest::collection::vec((0u8..4, 0u8..12, any::<u32>()), 0..96)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// O(1) eviction changes nothing observable: driven by the same
+    /// operations, the recency-list cache and the tick-and-scan
+    /// reference agree on every return value, eviction count, length
+    /// and key set, at every step and every small capacity.
+    #[test]
+    fn recency_list_lru_matches_the_tick_scan_reference(
+        capacity in 1usize..=8,
+        ops in cache_ops(),
+    ) {
+        let mut fast: LruCache<u32> = LruCache::new(capacity);
+        let mut reference = TickLru::new(capacity);
+        for (step, (op, k, v)) in ops.into_iter().enumerate() {
+            let key = content_hash(&[k]);
+            match op {
+                0 => prop_assert_eq!(fast.get(&key).copied(), reference.get(&key).copied()),
+                1 => prop_assert_eq!(fast.insert(key, v), reference.insert(key, v)),
+                2 => prop_assert_eq!(fast.remove(&key), reference.remove(&key)),
+                _ => {
+                    let a = fast.peek_mut(&key).map(|x| std::mem::replace(x, v));
+                    let b = reference.peek_mut(&key).map(|x| std::mem::replace(x, v));
+                    prop_assert_eq!(a, b);
+                }
+            }
+            prop_assert_eq!(fast.len(), reference.entries.len(), "len after step {}", step);
+            prop_assert!(
+                fast.keys().eq(reference.entries.keys()),
+                "keys after step {}",
+                step
+            );
+        }
+    }
 }
 
 proptest! {
