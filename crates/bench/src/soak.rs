@@ -73,8 +73,8 @@ pub struct SoakSpec {
     pub inject_panic: usize,
     /// Synthetic hanging trials appended after the real grid.
     pub inject_hang: usize,
-    /// Stop pulling new trials once this many have newly completed —
-    /// the deterministic stand-in for `kill -9` in resume tests.
+    /// Run only the first this-many trials not yet completed, then
+    /// stop — the deterministic stand-in for `kill -9` in resume tests.
     pub stop_after: Option<usize>,
     /// Backoff between trial attempts (`--retry-base` / `--retry-cap`).
     pub retry: RetryPolicy,
@@ -208,8 +208,9 @@ fn jobs(spec: &SoakSpec) -> Vec<TrialJob> {
     }
     for _ in 0..spec.inject_hang {
         jobs.push(Arc::new(|| {
-            // Far past the watchdog; the attempt thread is leaked and
-            // dies with the process.
+            // Far past the watchdog; the executor abandons the attempt,
+            // and its worker exits when the sleep ends (or with the
+            // process).
             std::thread::sleep(Duration::from_secs(600));
             Ok(String::new())
         }));

@@ -14,22 +14,27 @@
 //! aborting the campaign. Completed trials can be checkpointed so a
 //! killed campaign resumes to a byte-identical final report.
 //!
-//! The watchdog cannot kill a hung thread (std offers no safe way);
-//! each attempt therefore runs on a detached thread, and a timed-out
-//! attempt's thread is *leaked* — it keeps running, its eventual result
-//! discarded. That bounds campaign wall-clock without pretending to
-//! cancel arbitrary computation. Hangs are terminal by default — a
-//! deterministic trial that hung once will hang again — but a caller
-//! expecting *transient* stalls (the chaos campaign's injected delays)
-//! can opt into retrying them with [`HardenedSpec::retry_hangs`].
+//! Its workers persist across campaigns: a process-wide idle list of
+//! parked threads, of which each campaign checks out `threads`. A
+//! worker pulls trials itself, runs every attempt inline and publishes
+//! the attempt's deadline in its lane. The calling thread is the only
+//! watchdog: it sleeps until the campaign ends or the earliest deadline
+//! passes. It cannot kill a hung thread (std offers no safe way), so on
+//! expiry it abandons that lane and checks out a replacement worker to
+//! keep `threads` at work; the abandoned thread discards its result and
+//! exits once its job returns. That bounds campaign wall-clock without
+//! pretending to cancel arbitrary computation. Hangs are terminal by
+//! default — a deterministic trial that hung once will hang again — but
+//! a caller expecting *transient* stalls (the chaos campaign's injected
+//! delays) can opt into retrying them with [`HardenedSpec::retry_hangs`].
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use crate::checkpoint::CheckpointWriter;
 use crate::retry::RetryPolicy;
@@ -107,8 +112,8 @@ where
 }
 
 /// One soak trial: produces its canonical single-line JSON payload, or
-/// a deterministic error description. Must be `'static` because a
-/// timed-out attempt's thread outlives the campaign call.
+/// a deterministic error description. Must be `'static` because the
+/// workers that run it outlive the campaign call.
 pub type TrialJob = Arc<dyn Fn() -> Result<String, String> + Send + Sync + 'static>;
 
 /// How a quarantined trial ultimately failed.
@@ -165,16 +170,18 @@ pub struct HardenedSpec {
     /// Retry watchdog timeouts like other transient failures instead of
     /// quarantining on the first one. Off by default: a deterministic
     /// trial that hung once will hang again, and each timed-out attempt
-    /// leaks its thread. Turn on only when stalls are known to be
-    /// transient (fault injection).
+    /// holds a thread until its job returns. Turn on only when stalls
+    /// are known to be transient (fault injection).
     pub retry_hangs: bool,
     /// Payloads of trials already completed in a previous run
     /// (from [`crate::read_checkpoint`]); these are not re-run.
     pub completed: BTreeMap<usize, String>,
     /// Append-only checkpoint log for newly completed trials.
     pub checkpoint: Option<PathBuf>,
-    /// Stop pulling new trials once this many have *newly* completed —
-    /// the deterministic stand-in for `kill -9` in resume tests.
+    /// Run only the first this-many trials not already completed, in
+    /// index order, then stop — the deterministic stand-in for
+    /// `kill -9` in resume tests. Which trials ran does not depend on
+    /// the thread count.
     pub stop_after: Option<usize>,
 }
 
@@ -192,7 +199,8 @@ pub struct HardenedOutcome {
     /// deterministic, since attempt outcomes are (the chaos gate checks
     /// every injected transient fault produced exactly one retry).
     pub retries: u64,
-    /// True if `stop_after` ended the campaign early.
+    /// True if `stop_after` was reached: it was no larger than the
+    /// number of trials left to run.
     pub stopped: bool,
 }
 
@@ -206,74 +214,265 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one attempt of `job` under the watchdog. `Err(())` is a
-/// timeout; the attempt thread is leaked and keeps running detached.
-fn attempt_with_watchdog(
-    job: &TrialJob,
-    timeout: Duration,
-) -> Result<std::thread::Result<Result<String, String>>, ()> {
-    let (tx, rx) = mpsc::channel();
-    let job = Arc::clone(job);
-    std::thread::spawn(move || {
-        let result = catch_unwind(AssertUnwindSafe(|| job()));
-        // The receiver is gone if the watchdog already fired; the
-        // discarded send is exactly the leak the module docs describe.
-        let _ = tx.send(result);
-    });
-    rx.recv_timeout(timeout).map_err(|_| ())
+/// One trial's result: its payload and the attempts consumed, or its
+/// quarantine record.
+type TrialResult = Result<(String, u32), QuarantineEntry>;
+
+/// Longest deadline a lane publishes. A longer watchdog (the CLI takes
+/// any `u64` milliseconds) would overflow `Instant`; this one never
+/// fires in practice.
+const WATCHDOG_CAP: Duration = Duration::from_secs(100 * 365 * 24 * 3600);
+
+/// What a worker's lane is doing, as the watchdog sees it.
+enum Lane {
+    /// Pulling, recording or backing off: nothing to watch.
+    Idle,
+    /// Running `attempt` of `trial`, due by `deadline`.
+    Running {
+        trial: usize,
+        attempt: u32,
+        deadline: Instant,
+    },
+    /// The watchdog gave up on the running attempt: the worker discards
+    /// its result and exits.
+    Abandoned,
 }
 
-/// One worker-owned result slot: the trial's payload and attempts
-/// consumed, or its quarantine record.
-type TrialSlot = Mutex<Option<Result<(String, u32), QuarantineEntry>>>;
+/// One campaign, shared by the calling thread and its workers.
+struct Campaign {
+    spec: HardenedSpec,
+    /// Trials to run, in index order: those not already completed, cut
+    /// at `stop_after`.
+    todo: Vec<usize>,
+    /// Position of the next pull in `todo`.
+    next: AtomicUsize,
+    slots: Vec<Mutex<Option<TrialResult>>>,
+    writer: Option<Mutex<CheckpointWriter>>,
+    /// Set with `io_error` on a checkpoint failure; workers stop pulling.
+    stop: AtomicBool,
+    io_error: Mutex<Option<std::io::Error>>,
+    /// Lanes still pulling; the caller waits on `finished` until it is 0.
+    live: Mutex<usize>,
+    finished: Condvar,
+}
 
-/// Full attempt/retry/quarantine cycle for trial `index`. `Ok` carries
-/// the payload and the attempts consumed (so the caller can account
-/// retries).
-fn run_one_hardened(
-    index: usize,
-    job: &TrialJob,
-    spec: &HardenedSpec,
-) -> Result<(String, u32), QuarantineEntry> {
-    let mut last_detail = String::new();
-    let mut last_kind = FailureKind::Error;
-    for attempt in 1..=spec.max_attempts {
-        match attempt_with_watchdog(job, spec.timeout) {
-            Ok(Ok(Ok(payload))) => return Ok((payload, attempt)),
-            Ok(Ok(Err(e))) => {
-                last_kind = FailureKind::Error;
-                last_detail = e;
-            }
-            Ok(Err(panic_payload)) => {
-                last_kind = FailureKind::Panic;
-                last_detail = panic_message(panic_payload.as_ref());
-            }
-            Err(()) => {
-                if !spec.retry_hangs {
-                    // Hangs are terminal by default: a deterministic
-                    // trial that hung once will hang again, and its
-                    // thread is already leaked.
-                    return Err(QuarantineEntry {
-                        index,
-                        kind: FailureKind::Hang,
-                        attempts: attempt,
-                        detail: format!("exceeded {} ms watchdog", spec.timeout.as_millis()),
-                    });
-                }
-                last_kind = FailureKind::Hang;
-                last_detail = format!("exceeded {} ms watchdog", spec.timeout.as_millis());
-            }
-        }
-        if attempt < spec.max_attempts {
-            std::thread::sleep(spec.retry.backoff(attempt, index as u64));
+/// A lane of work for one worker: the campaign, the lane it publishes
+/// its attempts in, and a hang to retry before it starts pulling.
+struct Task {
+    campaign: Arc<Campaign>,
+    lane: Arc<Mutex<Lane>>,
+    retry: Option<(usize, u32)>,
+}
+
+/// Parked workers, each blocked on its own channel for its next task.
+/// A worker is only pushed here when it finishes a lane, so the list
+/// never holds more workers than were ever in use at once.
+static IDLE: Mutex<Vec<mpsc::Sender<Task>>> = Mutex::new(Vec::new());
+
+/// Hands `task` to a parked worker, or starts one if none is idle.
+fn dispatch(mut task: Task) {
+    let parked = IDLE.lock().expect("idle list lock").pop();
+    if let Some(worker) = parked {
+        match worker.send(task) {
+            Ok(()) => return,
+            // Its thread is gone (it panicked outside an attempt).
+            Err(mpsc::SendError(back)) => task = back,
         }
     }
-    Err(QuarantineEntry {
-        index,
-        kind: last_kind,
-        attempts: spec.max_attempts,
-        detail: last_detail,
-    })
+    std::thread::Builder::new()
+        .name("timber-hardened".to_owned())
+        .spawn(move || worker(task))
+        .expect("spawn a hardened-executor worker");
+}
+
+/// A worker thread's life: run lanes until one is abandoned, parking
+/// between them.
+fn worker(mut task: Task) {
+    let (tx, rx) = mpsc::channel();
+    while let Some(campaign) = run_lane(task) {
+        // Back on the idle list before the caller can see this lane
+        // finish, so the caller's next campaign finds it there.
+        IDLE.lock().expect("idle list lock").push(tx.clone());
+        campaign.finish_lane();
+        // Parked workers hold nothing of a campaign: its jobs (and what
+        // they capture) are freed with the caller's last reference.
+        drop(campaign);
+        task = rx.recv().expect("a worker holds its own sender");
+    }
+}
+
+/// Runs one lane: the retried hang, if any, then pulled trials until
+/// none remain. `None` means the watchdog abandoned the lane.
+fn run_lane(task: Task) -> Option<Arc<Campaign>> {
+    let Task {
+        campaign,
+        lane,
+        mut retry,
+    } = task;
+    while let Some((index, attempt)) = retry.take().or_else(|| campaign.pull().map(|i| (i, 1))) {
+        let result = campaign.run_trial(&lane, index, attempt)?;
+        campaign.record(index, result);
+    }
+    Some(campaign)
+}
+
+impl Campaign {
+    /// The next trial to run, or `None` once `todo` is exhausted or a
+    /// checkpoint write failed.
+    fn pull(&self) -> Option<usize> {
+        if self.stop.load(Ordering::SeqCst) {
+            return None;
+        }
+        self.todo
+            .get(self.next.fetch_add(1, Ordering::SeqCst))
+            .copied()
+    }
+
+    /// When an attempt started at `start` is due.
+    fn deadline(&self, start: Instant) -> Instant {
+        start + self.spec.timeout.min(WATCHDOG_CAP)
+    }
+
+    /// Runs `index` from attempt `first` until it succeeds or exhausts
+    /// its attempts, publishing each attempt on `lane`. `None` means the
+    /// watchdog abandoned the lane mid-attempt.
+    fn run_trial(&self, lane: &Mutex<Lane>, index: usize, first: u32) -> Option<TrialResult> {
+        let spec = &self.spec;
+        let mut last_kind = FailureKind::Error;
+        let mut last_detail = String::new();
+        for attempt in first..=spec.max_attempts {
+            if attempt > 1 {
+                std::thread::sleep(spec.retry.backoff(attempt - 1, index as u64));
+            }
+            *lane.lock().expect("lane lock") = Lane::Running {
+                trial: index,
+                attempt,
+                deadline: self.deadline(Instant::now()),
+            };
+            let result = catch_unwind(AssertUnwindSafe(|| (spec.jobs[index])()));
+            {
+                let mut state = lane.lock().expect("lane lock");
+                if matches!(*state, Lane::Abandoned) {
+                    return None;
+                }
+                *state = Lane::Idle;
+            }
+            match result {
+                Ok(Ok(payload)) => return Some(Ok((payload, attempt))),
+                Ok(Err(e)) => {
+                    last_kind = FailureKind::Error;
+                    last_detail = e;
+                }
+                Err(panic_payload) => {
+                    last_kind = FailureKind::Panic;
+                    last_detail = panic_message(panic_payload.as_ref());
+                }
+            }
+        }
+        Some(Err(QuarantineEntry {
+            index,
+            kind: last_kind,
+            attempts: spec.max_attempts,
+            detail: last_detail,
+        }))
+    }
+
+    /// Stores trial `index`'s result, checkpointing a success.
+    fn record(&self, index: usize, result: TrialResult) {
+        if let (Ok((payload, _)), Some(writer)) = (&result, &self.writer) {
+            if let Err(e) = writer
+                .lock()
+                .expect("checkpoint lock")
+                .record(index, payload)
+            {
+                *self.io_error.lock().expect("io error lock") = Some(e);
+                self.stop.store(true, Ordering::SeqCst);
+            }
+        }
+        *self.slots[index].lock().expect("trial slot lock") = Some(result);
+    }
+
+    fn finish_lane(&self) {
+        let mut live = self.live.lock().expect("live lanes lock");
+        *live -= 1;
+        if *live == 0 {
+            self.finished.notify_one();
+        }
+    }
+
+    /// Checks out a worker for a new lane, which first retries `retry`
+    /// if given.
+    fn start_lane(self: &Arc<Self>, retry: Option<(usize, u32)>) -> Arc<Mutex<Lane>> {
+        let lane = Arc::new(Mutex::new(Lane::Idle));
+        dispatch(Task {
+            campaign: Arc::clone(self),
+            lane: Arc::clone(&lane),
+            retry,
+        });
+        lane
+    }
+
+    /// The watchdog, on the calling thread: sleeps until every lane has
+    /// finished or the earliest running attempt is due, and replaces
+    /// each lane whose attempt overran. It does not wake per trial.
+    fn watch(self: &Arc<Self>, mut lanes: Vec<Arc<Mutex<Lane>>>) {
+        loop {
+            let now = Instant::now();
+            // An attempt that starts after `now` is due after this, so
+            // no deadline published while the caller sleeps is missed.
+            let mut wake = self.deadline(now);
+            for lane in &mut lanes {
+                let mut state = lane.lock().expect("lane lock");
+                let Lane::Running {
+                    trial,
+                    attempt,
+                    deadline,
+                } = *state
+                else {
+                    continue;
+                };
+                if deadline > now {
+                    wake = wake.min(deadline);
+                    continue;
+                }
+                *state = Lane::Abandoned;
+                drop(state);
+                let retry = self.expire(trial, attempt);
+                *lane = self.start_lane(retry);
+            }
+            let live = self.live.lock().expect("live lanes lock");
+            if *live == 0 {
+                return;
+            }
+            let timeout = wake.saturating_duration_since(Instant::now());
+            drop(
+                self.finished
+                    .wait_timeout(live, timeout)
+                    .expect("live lanes lock"),
+            );
+        }
+    }
+
+    /// Settles a trial whose attempt overran: the next attempt of a
+    /// retryable hang (for the replacement lane), or a quarantine.
+    fn expire(&self, trial: usize, attempt: u32) -> Option<(usize, u32)> {
+        let spec = &self.spec;
+        if spec.retry_hangs && attempt < spec.max_attempts {
+            return Some((trial, attempt + 1));
+        }
+        // Hangs are terminal by default: a deterministic trial that
+        // hung once will hang again.
+        self.record(
+            trial,
+            Err(QuarantineEntry {
+                index: trial,
+                kind: FailureKind::Hang,
+                attempts: attempt,
+                detail: format!("exceeded {} ms watchdog", spec.timeout.as_millis()),
+            }),
+        );
+        None
+    }
 }
 
 /// Runs a hardened campaign: work-pull over `spec.jobs`, per-attempt
@@ -283,72 +482,47 @@ fn run_one_hardened(
 /// depend only on the jobs themselves.
 ///
 /// `Err` is returned only for checkpoint I/O failures.
-pub fn run_hardened(spec: HardenedSpec) -> std::io::Result<HardenedOutcome> {
-    let total = spec.jobs.len();
-    let threads = resolve_threads(spec.threads).clamp(1, total.max(1));
+pub fn run_hardened(mut spec: HardenedSpec) -> std::io::Result<HardenedOutcome> {
     assert!(spec.max_attempts >= 1, "at least one attempt per trial");
-
+    let total = spec.jobs.len();
     let mut payloads: Vec<Option<String>> = vec![None; total];
     let mut resumed = 0usize;
-    for (&i, payload) in &spec.completed {
+    for (i, payload) in std::mem::take(&mut spec.completed) {
         if i < total {
-            payloads[i] = Some(payload.clone());
+            payloads[i] = Some(payload);
             resumed += 1;
         }
     }
+    let mut todo: Vec<usize> = (0..total).filter(|&i| payloads[i].is_none()).collect();
+    let stopped = spec.stop_after.is_some_and(|limit| limit <= todo.len());
+    todo.truncate(spec.stop_after.unwrap_or(usize::MAX));
     let writer = match &spec.checkpoint {
         Some(path) => Some(Mutex::new(CheckpointWriter::append(path)?)),
         None => None,
     };
 
-    let slots: Vec<TrialSlot> = (0..total).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let fresh_done = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let stopped_early = AtomicBool::new(false);
-    let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    let done = &spec.completed;
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= total {
-                    return;
-                }
-                if done.contains_key(&i) {
-                    continue;
-                }
-                let outcome = run_one_hardened(i, &spec.jobs[i], &spec);
-                if let Ok((payload, _)) = &outcome {
-                    if let Some(w) = &writer {
-                        if let Err(e) = w.lock().unwrap().record(i, payload) {
-                            *io_error.lock().unwrap() = Some(e);
-                            stop.store(true, Ordering::SeqCst);
-                        }
-                    }
-                }
-                *slots[i].lock().unwrap() = Some(outcome);
-                if let Some(limit) = spec.stop_after {
-                    if fresh_done.fetch_add(1, Ordering::SeqCst) + 1 >= limit {
-                        stopped_early.store(true, Ordering::SeqCst);
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                }
-            });
-        }
+    let threads = resolve_threads(spec.threads).min(todo.len());
+    let campaign = Arc::new(Campaign {
+        slots: (0..total).map(|_| Mutex::new(None)).collect(),
+        spec,
+        todo,
+        next: AtomicUsize::new(0),
+        writer,
+        stop: AtomicBool::new(false),
+        io_error: Mutex::new(None),
+        live: Mutex::new(threads),
+        finished: Condvar::new(),
     });
+    let lanes = (0..threads).map(|_| campaign.start_lane(None)).collect();
+    campaign.watch(lanes);
 
-    if let Some(e) = io_error.into_inner().unwrap() {
+    if let Some(e) = campaign.io_error.lock().expect("io error lock").take() {
         return Err(e);
     }
     let mut quarantined = Vec::new();
     let mut retries: u64 = 0;
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().unwrap() {
+    for (i, slot) in campaign.slots.iter().enumerate() {
+        match slot.lock().expect("trial slot lock").take() {
             Some(Ok((payload, attempts))) => {
                 retries += u64::from(attempts.saturating_sub(1));
                 payloads[i] = Some(payload);
@@ -357,7 +531,7 @@ pub fn run_hardened(spec: HardenedSpec) -> std::io::Result<HardenedOutcome> {
                 retries += u64::from(entry.attempts.saturating_sub(1));
                 quarantined.push(entry);
             }
-            None => {} // resumed, or never pulled because of an early stop
+            None => {} // resumed, or not run because of `stop_after`
         }
     }
     quarantined.sort_by_key(|q| q.index);
@@ -366,7 +540,7 @@ pub fn run_hardened(spec: HardenedSpec) -> std::io::Result<HardenedOutcome> {
         quarantined,
         resumed,
         retries,
-        stopped: stopped_early.into_inner(),
+        stopped,
     })
 }
 
@@ -431,6 +605,11 @@ mod tests {
         for (i, p) in out.payloads.iter().enumerate() {
             assert_eq!(p.as_deref(), Some(format!("{{\"trial\":{i}}}").as_str()));
         }
+        // A watchdog too long for an `Instant` (`--watchdog` takes any
+        // u64 milliseconds) never fires.
+        let mut s = spec((0..10).map(ok_job).collect());
+        s.timeout = Duration::MAX;
+        assert_eq!(run_hardened(s).unwrap().payloads, out.payloads);
     }
 
     #[test]
@@ -583,28 +762,81 @@ mod tests {
 
     #[test]
     fn hardened_is_deterministic_across_thread_counts() {
+        // Fresh jobs per run: persistent panics, a transient error, and a
+        // transient stall past the watchdog that `retry_hangs` retries.
         let make_jobs = || -> Vec<TrialJob> {
             (0..20)
                 .map(|i| {
-                    if i % 7 == 3 {
-                        Arc::new(move || -> Result<String, String> { panic!("bad trial {i}") })
-                            as TrialJob
-                    } else {
-                        ok_job(i)
+                    let tries = Arc::new(AtomicUsize::new(0));
+                    match i {
+                        _ if i % 7 == 3 => {
+                            Arc::new(move || -> Result<String, String> { panic!("bad trial {i}") })
+                                as TrialJob
+                        }
+                        5 => Arc::new(move || {
+                            if tries.fetch_add(1, Ordering::SeqCst) == 0 {
+                                return Err("transient".to_owned());
+                            }
+                            Ok(format!("{{\"trial\":{i}}}"))
+                        }),
+                        8 => Arc::new(move || {
+                            if tries.fetch_add(1, Ordering::SeqCst) == 0 {
+                                std::thread::sleep(Duration::from_secs(1));
+                            }
+                            Ok(format!("{{\"trial\":{i}}}"))
+                        }),
+                        _ => ok_job(i),
                     }
                 })
                 .collect()
         };
+        let summary = |out: &HardenedOutcome| {
+            (
+                out.payloads.clone(),
+                out.quarantined.clone(),
+                out.retries,
+                out.resumed,
+                out.stopped,
+            )
+        };
         let run = |threads: usize| {
             let mut s = spec(make_jobs());
             s.threads = threads;
-            run_hardened(s).unwrap()
+            s.timeout = Duration::from_millis(200);
+            s.retry_hangs = true;
+            s
         };
-        let base = run(1);
+        let campaigns = |threads: usize| {
+            let whole = run_hardened(run(threads)).unwrap();
+            // Stop after 6 fresh trials (0..=5), then resume the rest.
+            let mut path = std::env::temp_dir();
+            path.push(format!(
+                "timber-exec-determinism-{}-{threads}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            let mut first = run(threads);
+            first.checkpoint = Some(path.clone());
+            first.stop_after = Some(6);
+            let stopped = run_hardened(first).unwrap();
+            let mut second = run(threads);
+            second.checkpoint = Some(path.clone());
+            second.completed = crate::read_checkpoint(&path).unwrap();
+            let resumed = run_hardened(second).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(resumed.payloads, whole.payloads, "threads={threads}");
+            [summary(&whole), summary(&stopped), summary(&resumed)]
+        };
+        let base = campaigns(1);
+        // (retries, resumed, stopped): panics 3, 10, 17, the transient
+        // error 5 and the stall 8 each retry once; the stop runs 0..=5;
+        // the resume skips the five of those that succeeded.
+        let counts = |i: usize| (base[i].2, base[i].3, base[i].4);
+        assert_eq!(counts(0), (5, 0, false));
+        assert_eq!(counts(1), (2, 0, true));
+        assert_eq!(counts(2), (4, 5, false));
         for threads in [2, 4, 8] {
-            let out = run(threads);
-            assert_eq!(out.payloads, base.payloads, "threads={threads}");
-            assert_eq!(out.quarantined, base.quarantined, "threads={threads}");
+            assert_eq!(campaigns(threads), base, "threads={threads}");
         }
     }
 

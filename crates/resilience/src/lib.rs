@@ -19,8 +19,9 @@
 //!   the deterministic work-pull scatter discipline shared by the
 //!   Monte-Carlo sweep engine and the conformance campaign
 //!   ([`scatter_strict`]), plus a hardened variant
-//!   ([`run_hardened`]) that isolates every trial with `catch_unwind`,
-//!   enforces a per-trial wall-clock watchdog, retries transient
+//!   ([`run_hardened`]) on persistent pull workers that isolates every
+//!   attempt with `catch_unwind`, enforces a per-attempt wall-clock
+//!   watchdog from the calling thread, retries transient
 //!   failures with bounded deterministic backoff, quarantines
 //!   persistent failures into a ledger instead of aborting the
 //!   campaign, and checkpoints completed trials so a killed campaign

@@ -522,8 +522,8 @@ impl Engine {
                         match fault {
                             Some(EvalFault::Hang) => {
                                 // Sleep well past the watchdog; the
-                                // executor abandons this attempt and the
-                                // detached thread's result is discarded.
+                                // executor abandons this attempt, and its
+                                // worker discards the result and exits.
                                 std::thread::sleep(
                                     watchdog.saturating_mul(40).max(Duration::from_secs(2)),
                                 );
