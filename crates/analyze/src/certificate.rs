@@ -4,7 +4,7 @@
 use serde_json::{json, Value};
 use timber_lint::{DiagCode, Diagnostic, LintReport};
 
-use crate::governor::GovernorAnalysis;
+use crate::governor::{GovernorAnalysis, ServiceAnalysis};
 use crate::interp::ConfigCertificate;
 use crate::soundness::SoundnessReport;
 
@@ -107,6 +107,28 @@ pub fn governor_report(analysis: &GovernorAnalysis) -> LintReport {
                 ),
             )
             .with_hint("a ladder level scales beyond safe_factor"),
+        );
+    }
+    report
+}
+
+/// Lints one service-ladder exploration: a reachable state that zero
+/// demand does not bring back to nominal within its published
+/// `retry_after()` becomes a `TBR053` error.
+pub fn service_report(analysis: &ServiceAnalysis) -> LintReport {
+    let mut report = LintReport::new("service-ladder");
+    if !analysis.proved {
+        report.push(
+            Diagnostic::new(
+                DiagCode::GovernorBoundUnproven,
+                "retry_after",
+                format!(
+                    "a reachable state ({} explored) is not back to nominal within the \
+                     retry_after() batches its level publishes",
+                    analysis.reachable_states
+                ),
+            )
+            .with_hint("retry_after() no longer covers hold_batches per level"),
         );
     }
     report

@@ -1,21 +1,31 @@
-//! Explicit-state reachability of the [`LadderGovernor`] FSM.
+//! Explicit-state reachability of both degradation ladders.
 //!
-//! The governor's behavior inside one evaluation window is determined
-//! entirely by threshold comparisons on the window's flag count, so
-//! three abstract inputs per window — a storm (`escalate_flags`), a
-//! clean window (zero flags) and, when the thresholds leave one, a
-//! dead-zone count strictly between them — cover every transition the
-//! concrete machine can take. The exploration drives the *real*
-//! implementation through its snapshot/restore API over those inputs,
-//! enumerating the whole reachable state set and proving the published
-//! [`recovery_bound`] and ladder-maximum period from structure, not
-//! from sampled runs.
+//! Each ladder decides only by comparing one per-window signal — flags
+//! per estimator window, cold demand per batch — against its escalate
+//! and de-escalate thresholds, so three abstract inputs per window — the
+//! escalate threshold, zero and, when the thresholds leave one, a
+//! dead-zone value strictly between them — cover every transition the
+//! concrete machine can take. One breadth-first search over
+//! `(state, abstract input) → state` enumerates the whole reachable set;
+//! the shared ladder core saturates its own streak counters, so the
+//! states it reports are already the finite bisimulation quotient. Two
+//! certificates sit on that search:
+//!
+//! * [`explore`] drives the *real* [`LadderGovernor`] through its
+//!   snapshot/restore API, proving the published [`recovery_bound`] and
+//!   ladder-maximum period from structure, not from sampled runs;
+//! * [`explore_service`] drives the shared core under the service
+//!   ladder's law (no deadline), proving that from every reachable state
+//!   zero demand reaches nominal within the `retry_after()` batches that
+//!   state's level publishes ([`LadderLaw::recovery_windows`]).
 //!
 //! [`recovery_bound`]: LadderGovernor::recovery_bound
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
+use std::hash::Hash;
 
 use timber_netlist::Picos;
+use timber_resilience::ladder::{LadderCore, LadderLaw, TOP};
 use timber_resilience::{GovernorConfig, GovernorLevel, GovernorState, LadderGovernor};
 
 /// Guard against configuration families with more distinct states than
@@ -23,19 +33,7 @@ use timber_resilience::{GovernorConfig, GovernorLevel, GovernorState, LadderGove
 /// yields an *unproven* (not failed) analysis.
 const STATE_CAP: usize = 4096;
 
-/// Quotients away the unbounded counter growth: `decide()` reads the
-/// window counters only through `>= hold_windows` / `>= deadline_windows`
-/// comparisons and resets them whenever the threshold acts, so
-/// saturating each counter at its threshold is an *exact* bisimulation
-/// quotient — states identified here are behaviorally indistinguishable,
-/// and the quotient makes the reachable set finite.
-fn normalize(config: &GovernorConfig, mut state: GovernorState) -> GovernorState {
-    state.clean_windows = state.clean_windows.min(config.hold_windows);
-    state.dirty_windows = state.dirty_windows.min(config.deadline_windows);
-    state
-}
-
-/// Result of exhaustively exploring one governor configuration.
+/// Result of exhaustively exploring one clock-ladder configuration.
 #[derive(Debug, Clone)]
 pub struct GovernorAnalysis {
     /// Nominal clock period the ladder scales.
@@ -66,91 +64,117 @@ impl GovernorAnalysis {
     }
 }
 
-/// The abstract per-window flag counts that distinguish every
-/// transition of `config`.
-fn abstract_inputs(config: &GovernorConfig) -> Vec<u64> {
-    let mut inputs = vec![config.escalate_flags, 0];
-    let dead = config.deescalate_flags + 1;
-    if dead < config.escalate_flags {
-        inputs.push(dead);
+/// Result of exhaustively exploring the service ladder under one law.
+#[derive(Debug, Clone)]
+pub struct ServiceAnalysis {
+    /// Law explored.
+    pub law: LadderLaw,
+    /// Distinct reachable batch-boundary states.
+    pub reachable_states: usize,
+    /// Worst observed zero-demand batches-to-nominal over every
+    /// reachable state.
+    pub worst_recovery_batches: u64,
+    /// The `retry_after()` the top level publishes, the largest any
+    /// state publishes.
+    pub published_recovery_batches: u64,
+    /// Every reachable state is back at nominal within the
+    /// `retry_after()` its own level publishes.
+    pub proved: bool,
+}
+
+/// The abstract per-window signals that distinguish every transition
+/// of a ladder with these thresholds.
+fn abstract_inputs(escalate: u64, deescalate: u64) -> Vec<u64> {
+    let mut inputs = vec![escalate, 0];
+    if deescalate + 1 < escalate {
+        inputs.push(deescalate + 1);
     }
     inputs
 }
 
-/// Runs the machine restored from `state` through one full window with
-/// `flags` errors landing at the window's first cycle, returning the
-/// successor state and the largest period seen.
-fn step(
-    nominal: Picos,
-    config: GovernorConfig,
-    state: GovernorState,
-    flags: u64,
-) -> (GovernorState, Picos) {
-    let mut g = LadderGovernor::restore(nominal, config, state);
-    let mut max_seen = Picos::ZERO;
-    for cycle in 0..=config.window {
-        let period = g.period_at(cycle);
-        max_seen = max_seen.max(period);
-        if cycle == 0 {
-            for _ in 0..flags {
-                g.flag_error(0);
+/// Every state reachable from `initial` under `inputs`, in
+/// breadth-first order, and whether the search finished within
+/// [`STATE_CAP`].
+fn reachable<S: Copy + Eq + Hash>(
+    initial: S,
+    inputs: &[u64],
+    mut step: impl FnMut(S, u64) -> S,
+) -> (Vec<S>, bool) {
+    let mut seen = HashSet::from([initial]);
+    let mut states = vec![initial];
+    let mut next = 0;
+    while let Some(&state) = states.get(next) {
+        next += 1;
+        for &input in inputs {
+            let succ = step(state, input);
+            if seen.insert(succ) {
+                states.push(succ);
+                if states.len() > STATE_CAP {
+                    return (states, false);
+                }
             }
         }
     }
-    (g.state(), max_seen)
+    (states, true)
 }
 
-/// Exhaustively explores the governor FSM for `(nominal, config)`.
-pub fn explore(nominal: Picos, config: GovernorConfig) -> GovernorAnalysis {
-    let inputs = abstract_inputs(&config);
-    let mut seen: HashSet<GovernorState> = HashSet::new();
-    let mut queue: VecDeque<GovernorState> = VecDeque::new();
-    let initial = normalize(&config, GovernorState::initial());
-    seen.insert(initial);
-    queue.push_back(initial);
-    let mut observed_max_period = Picos::ZERO;
-    let mut capped = false;
-    while let Some(state) = queue.pop_front() {
-        for &flags in &inputs {
-            let (next, max_seen) = step(nominal, config, state, flags);
-            let next = normalize(&config, next);
-            observed_max_period = observed_max_period.max(max_seen);
-            if seen.insert(next) {
-                if seen.len() > STATE_CAP {
-                    capped = true;
-                    queue.clear();
-                    break;
-                }
-                queue.push_back(next);
-            }
-        }
-        if capped {
-            break;
-        }
-    }
+/// The worst recovery over `states`, and whether the search was
+/// complete and every state recovered within its bound (`recover`
+/// returns `None` past it).
+fn worst_recovery<S: Copy>(
+    (states, complete): &(Vec<S>, bool),
+    recover: impl Fn(S) -> Option<u64>,
+) -> (u64, bool) {
+    let recoveries: Vec<_> = states
+        .iter()
+        .filter(|_| *complete)
+        .map(|&s| recover(s))
+        .collect();
+    let worst = recoveries.iter().flatten().max().copied().unwrap_or(0);
+    (worst, *complete && recoveries.iter().all(Option::is_some))
+}
 
-    let published_recovery_bound = LadderGovernor::new(nominal, config).recovery_bound();
-    let max_period = LadderGovernor::new(nominal, config).max_period();
-    let mut worst_recovery_cycles = 0u64;
-    let mut recovery_proved = !capped;
-    if !capped {
-        for &state in &seen {
-            match recovery_from(nominal, config, state, published_recovery_bound) {
-                Some(cycles) => worst_recovery_cycles = worst_recovery_cycles.max(cycles),
-                None => recovery_proved = false,
+/// Exhaustively explores the clock ladder for `(nominal, config)`.
+pub fn explore(nominal: Picos, config: GovernorConfig) -> GovernorAnalysis {
+    let published = LadderGovernor::new(nominal, config).recovery_bound();
+    prove_clock(nominal, config, published)
+}
+
+/// [`explore`], checking recovery against `published_recovery_bound`.
+pub(crate) fn prove_clock(
+    nominal: Picos,
+    config: GovernorConfig,
+    published_recovery_bound: u64,
+) -> GovernorAnalysis {
+    let mut observed_max_period = Picos::ZERO;
+    let search = reachable(
+        GovernorState::initial(),
+        &abstract_inputs(config.escalate_flags, config.deescalate_flags),
+        // One full window from `state`, every flag landing at its
+        // first cycle.
+        |state, flags| {
+            let mut g = LadderGovernor::restore(nominal, config, state);
+            (0..flags).for_each(|_| g.flag_error(0));
+            for cycle in 0..=config.window {
+                observed_max_period = observed_max_period.max(g.period_at(cycle));
             }
-        }
-    }
+            g.state()
+        },
+    );
+    let (worst_recovery_cycles, recovery_proved) = worst_recovery(&search, |state| {
+        recovery_from(nominal, config, state, published_recovery_bound)
+    });
+    let max_period = LadderGovernor::new(nominal, config).max_period();
     GovernorAnalysis {
         nominal,
         config,
-        reachable_states: seen.len(),
+        reachable_states: search.0.len(),
         worst_recovery_cycles,
         published_recovery_bound,
         max_period,
         observed_max_period,
         recovery_proved,
-        period_proved: !capped && observed_max_period <= max_period,
+        period_proved: search.1 && observed_max_period <= max_period,
     }
 }
 
@@ -174,6 +198,47 @@ fn recovery_from(
         return None;
     }
     Some(last_non_nominal.map_or(0, |c| c + 1))
+}
+
+/// Exhaustively explores the service ladder under `law` (its
+/// `ServiceGovernorConfig::law()`).
+pub fn explore_service(law: LadderLaw) -> ServiceAnalysis {
+    prove_service(law, |level| law.recovery_windows(level))
+}
+
+/// [`explore_service`], checking each state's recovery against
+/// `published(level)` batches.
+pub(crate) fn prove_service(law: LadderLaw, published: impl Fn(u8) -> u64) -> ServiceAnalysis {
+    let search = reachable(
+        LadderCore::default(),
+        &abstract_inputs(law.escalate, law.deescalate),
+        |mut core, demand| {
+            core.close_window(&law, demand);
+            core
+        },
+    );
+    let (worst_recovery_batches, proved) = worst_recovery(&search, |core| {
+        batches_to_nominal(&law, core, published(core.level))
+    });
+    ServiceAnalysis {
+        law,
+        reachable_states: search.0.len(),
+        worst_recovery_batches,
+        published_recovery_batches: published(TOP),
+        proved,
+    }
+}
+
+/// Zero-demand batches until `core` is back at nominal, or `None` if it
+/// has not recovered within `bound` batches.
+fn batches_to_nominal(law: &LadderLaw, mut core: LadderCore, bound: u64) -> Option<u64> {
+    for batches in 0..=bound {
+        if core.level == 0 {
+            return Some(batches);
+        }
+        core.close_window(law, 0);
+    }
+    None
 }
 
 #[cfg(test)]
@@ -218,10 +283,48 @@ mod tests {
 
     #[test]
     fn dead_zone_input_only_exists_when_thresholds_leave_one() {
-        let mut c = cfg();
-        assert_eq!(abstract_inputs(&c), vec![3, 0, 1]);
-        c.escalate_flags = 1;
-        assert_eq!(abstract_inputs(&c), vec![1, 0]);
+        assert_eq!(abstract_inputs(3, 0), vec![3, 0, 1]);
+        assert_eq!(abstract_inputs(1, 0), vec![1, 0]);
+    }
+
+    /// The chaos/storm service ladder (`ServiceGovernorConfig::tight()`).
+    const TIGHT: LadderLaw = LadderLaw {
+        escalate: 8,
+        deescalate: 1,
+        hold: 2,
+        deadline: None,
+    };
+
+    #[test]
+    fn service_ladder_is_proved_and_its_bound_is_tight() {
+        let analysis = explore_service(TIGHT);
+        assert!(analysis.proved, "{analysis:?}");
+        // Levels 0..=3, calm streak below hold (or saturated at it at
+        // nominal): 3 + 2 + 2 + 2.
+        assert_eq!(analysis.reachable_states, 9);
+        assert_eq!(analysis.worst_recovery_batches, 6);
+        assert_eq!(analysis.published_recovery_batches, 6);
+    }
+
+    #[test]
+    fn a_clock_bound_one_cycle_below_the_worst_recovery_is_unproven() {
+        for config in [cfg(), GovernorConfig::default()] {
+            let worst = explore(Picos(1000), config).worst_recovery_cycles;
+            assert!(prove_clock(Picos(1000), config, worst).recovery_proved);
+            let sabotaged = prove_clock(Picos(1000), config, worst - 1);
+            assert!(!sabotaged.recovery_proved, "{sabotaged:?}");
+            assert!(!sabotaged.proved());
+        }
+    }
+
+    #[test]
+    fn a_service_bound_one_batch_below_the_worst_recovery_is_unproven() {
+        let worst = explore_service(TIGHT).worst_recovery_batches;
+        assert!(!prove_service(TIGHT, |_| worst - 1).proved);
+        let sabotaged = prove_service(TIGHT, |level| {
+            TIGHT.recovery_windows(level).saturating_sub(1)
+        });
+        assert!(!sabotaged.proved, "{sabotaged:?}");
     }
 
     #[test]

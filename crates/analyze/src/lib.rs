@@ -17,11 +17,14 @@
 //!   of one global worst case. It derives provable worst-case borrow,
 //!   relay-chain length and consolidation budgets for any
 //!   `(c, k_tb, k_ed, schedule)` point, for all eight schemes.
-//! * [`governor`] — explicit-state reachability of the
-//!   `LadderGovernor` FSM over window-granular abstract inputs,
-//!   proving the published `recovery_bound()` and the ladder-maximum
-//!   period from structure, driving the *real* implementation through
-//!   its snapshot/restore API rather than a re-implementation.
+//! * [`governor`] — one explicit-state reachability search over both
+//!   degradation ladders' window-granular abstract inputs. For the
+//!   clock ladder it proves `LadderGovernor`'s published
+//!   `recovery_bound()` and ladder-maximum period, driving the *real*
+//!   implementation through its snapshot/restore API rather than a
+//!   re-implementation; for the service ladder it proves that zero
+//!   demand brings every reachable state back to nominal within its
+//!   published `retry_after()` batches.
 //! * [`soundness`] — a replay harness: the pinned conformance
 //!   workloads (every grid point × scheme × burst shape) run through
 //!   the real pipeline simulator and every dynamic observation is
@@ -42,8 +45,10 @@ pub mod interp;
 mod props;
 pub mod soundness;
 
-pub use certificate::{certificate_json, governor_report, point_report, soundness_report};
+pub use certificate::{
+    certificate_json, governor_report, point_report, service_report, soundness_report,
+};
 pub use domain::Interval;
-pub use governor::{explore, GovernorAnalysis};
+pub use governor::{explore, explore_service, GovernorAnalysis, ServiceAnalysis};
 pub use interp::{certify, AnalysisPoint, BoundSet, ConfigCertificate, FixpointInfo, StageFacts};
 pub use soundness::{hull_of, replay_case, run_soundness, SoundnessReport, Violation};

@@ -1,8 +1,8 @@
 //! Property-based soundness umbrella: random schedules, depths, burst
 //! shapes and seeds — for every scheme, the statically certified bounds
-//! must dominate everything the real simulator does on replay, and the
-//! governor ladder's published bounds must be provable for random
-//! configurations.
+//! must dominate everything the real simulator does on replay, and both
+//! degradation ladders' published bounds must be provable — and their
+//! sabotaged twins unprovable — for random configurations.
 
 #![cfg(test)]
 
@@ -11,10 +11,11 @@ use timber::CheckingPeriod;
 use timber_conformance::campaign::GRID;
 use timber_conformance::{BurstShape, Workload};
 use timber_netlist::Picos;
+use timber_resilience::ladder::LadderLaw;
 use timber_resilience::GovernorConfig;
 use timber_schemes::SchemeId;
 
-use crate::governor::explore;
+use crate::governor::{explore, explore_service, prove_clock, prove_service};
 use crate::soundness::replay_case;
 
 /// Checking percentages drawn from — all inside the valid `(0, 50]`
@@ -57,10 +58,14 @@ proptest! {
         }
     }
 
-    /// For any valid governor configuration, the exhaustive FSM
+    /// For any valid clock-ladder configuration, the exhaustive FSM
     /// exploration must prove both published bounds: every reachable
     /// state recovers to nominal within `recovery_bound()`, and no
-    /// reachable cycle exceeds `max_period()`.
+    /// reachable cycle exceeds `max_period()`. For any service-ladder
+    /// `(escalate, deescalate, hold)`, every reachable state must reach
+    /// nominal within its `retry_after()` batches. A recovery bound one
+    /// unit below the explored worst — one cycle, one batch — must come
+    /// back unproven for both.
     #[test]
     fn governor_ladder_bounds_are_proved_for_random_configs(
         window in 4u64..=32,
@@ -80,5 +85,19 @@ proptest! {
         };
         let analysis = explore(Picos(nominal), config);
         prop_assert!(analysis.proved(), "{analysis:?}");
+        let sabotaged = prove_clock(Picos(nominal), config, analysis.worst_recovery_cycles - 1);
+        prop_assert!(!sabotaged.recovery_proved, "{sabotaged:?}");
+
+        let escalate = escalate + band;
+        let law = LadderLaw {
+            escalate,
+            deescalate: mix(knobs ^ 3) % escalate,
+            hold: 1 + mix(knobs ^ 4) % 6,
+            deadline: None,
+        };
+        let service = explore_service(law);
+        prop_assert!(service.proved, "{service:?}");
+        let worst = service.worst_recovery_batches;
+        prop_assert!(!prove_service(law, |_| worst - 1).proved, "{law:?}");
     }
 }

@@ -10,8 +10,9 @@
 //! critical path, `k` pipeline stages — the certificate must prove the
 //! TIMBER contract under real pressure: borrowing up to exactly the
 //! usable checking period, relay chains up to `k`, ED flags reachable,
-//! and still **no** reachable silent corruption. The governor FSM is
-//! exhaustively explored against its published bounds, and the
+//! and still **no** reachable silent corruption. Both degradation
+//! ladders — the clock governor and the service governor — are
+//! exhaustively explored against their published bounds, and the
 //! soundness harness replays the whole conformance surface asserting no
 //! dynamic observation exceeds a static bound (`--sabotage` seeds the
 //! off-by-one bound the harness must catch).
@@ -19,14 +20,15 @@
 use serde_json::{json, Value};
 use timber::CheckingPeriod;
 use timber_analyze::{
-    certificate_json, certify, explore, governor_report, point_report, run_soundness,
-    soundness_report, AnalysisPoint, ConfigCertificate, GovernorAnalysis, Interval,
-    SoundnessReport,
+    certificate_json, certify, explore, explore_service, governor_report, point_report,
+    run_soundness, service_report, soundness_report, AnalysisPoint, ConfigCertificate,
+    GovernorAnalysis, Interval, ServiceAnalysis, SoundnessReport,
 };
 use timber_lint::{LintReport, ScheduleSpec, Severity};
 use timber_netlist::{Netlist, Picos};
 use timber_resilience::GovernorConfig;
 use timber_schemes::SchemeId;
+use timber_serve::ServiceGovernorConfig;
 use timber_sta::{ClockConstraint, TimingAnalysis};
 
 use crate::lintgate::{shipped_netlists, GATE_CHECKING_PCT};
@@ -40,12 +42,15 @@ pub const GATE_STAGES: usize = 4;
 /// Everything one `repro analyze` run produced.
 #[derive(Debug, Clone)]
 pub struct AnalyzeGate {
-    /// Per-point, governor and soundness lint reports, in that order.
+    /// Per-point, clock-ladder, service-ladder and soundness lint
+    /// reports, in that order.
     pub reports: Vec<LintReport>,
     /// The per-point certificates backing the reports.
     pub certificates: Vec<ConfigCertificate>,
-    /// Governor exploration results (reference and default configs).
+    /// Clock-ladder exploration results (default and reference configs).
     pub governor: Vec<GovernorAnalysis>,
+    /// Service-ladder exploration results (inert default and `tight()`).
+    pub service: Vec<ServiceAnalysis>,
     /// The soundness replay outcome.
     pub soundness: SoundnessReport,
 }
@@ -125,6 +130,15 @@ pub fn governor_configs() -> Vec<(Picos, GovernorConfig)> {
     ]
 }
 
+/// Service-ladder configurations whose `retry_after()` the gate
+/// proves: the inert default and the chaos/storm `tight()` ladder.
+pub fn service_configs() -> Vec<ServiceGovernorConfig> {
+    vec![
+        ServiceGovernorConfig::default(),
+        ServiceGovernorConfig::tight(),
+    ]
+}
+
 /// Runs the whole gate. `sabotage` seeds the off-by-one certificate
 /// bound the soundness harness must detect (the gate's self-test: the
 /// run is then *expected* to fail).
@@ -142,12 +156,19 @@ pub fn run(sabotage: bool) -> AnalyzeGate {
         reports.push(governor_report(&analysis));
         governor.push(analysis);
     }
+    let mut service = Vec::new();
+    for config in service_configs() {
+        let analysis = explore_service(config.law());
+        reports.push(service_report(&analysis));
+        service.push(analysis);
+    }
     let soundness = run_soundness(GATE_STAGES, 64, ANALYZE_SEED, sabotage);
     reports.push(soundness_report(&soundness));
     AnalyzeGate {
         reports,
         certificates,
         governor,
+        service,
         soundness,
     }
 }
@@ -199,6 +220,17 @@ pub fn render(gate: &AnalyzeGate, deny_warn: bool) -> String {
             if g.proved() { "proved" } else { "UNPROVEN" },
         ));
     }
+    for s in &gate.service {
+        out.push_str(&format!(
+            "service[hold={}]: {} reachable state(s), recovery <= {} of {} published batch(es) \
+             — {}\n",
+            s.law.hold,
+            s.reachable_states,
+            s.worst_recovery_batches,
+            s.published_recovery_batches,
+            if s.proved { "proved" } else { "UNPROVEN" },
+        ));
+    }
     out.push_str(&format!(
         "soundness: {} case(s), {} cycle(s) replayed, {} violation(s){}\n",
         gate.soundness.cases,
@@ -238,6 +270,7 @@ pub fn gate_json(gate: &AnalyzeGate, deny_warn: bool) -> String {
                 .iter()
                 .map(|g| {
                     json!({
+                        "ladder": "clock",
                         "window": g.config.window,
                         "reachable_states": g.reachable_states,
                         "worst_recovery_cycles": g.worst_recovery_cycles,
@@ -247,6 +280,16 @@ pub fn gate_json(gate: &AnalyzeGate, deny_warn: bool) -> String {
                         "proved": g.proved(),
                     })
                 })
+                .chain(gate.service.iter().map(|s| {
+                    json!({
+                        "ladder": "service",
+                        "hold_batches": s.law.hold,
+                        "reachable_states": s.reachable_states,
+                        "worst_recovery_batches": s.worst_recovery_batches,
+                        "published_recovery_batches": s.published_recovery_batches,
+                        "proved": s.proved,
+                    })
+                }))
                 .collect(),
         ),
         "soundness": json!({
@@ -278,6 +321,13 @@ mod tests {
         assert!(gate.soundness.pass());
         for g in &gate.governor {
             assert!(g.proved(), "{g:?}");
+        }
+        for s in &gate.service {
+            assert!(s.proved, "{s:?}");
+            assert_eq!(
+                s.worst_recovery_batches, s.published_recovery_batches,
+                "{s:?}"
+            );
         }
     }
 
@@ -321,5 +371,12 @@ mod tests {
             doc["certificates"].as_array().unwrap().len(),
             gate.certificates.len()
         );
+        let ladders = doc["governor"].as_array().unwrap();
+        for ladder in ["clock", "service"] {
+            assert!(
+                ladders.iter().any(|g| g["ladder"] == *ladder),
+                "no {ladder} ladder entry"
+            );
+        }
     }
 }

@@ -46,7 +46,7 @@ macro_rules! contracts {
 contracts! {
     lint_gate_passes_on_shipped_configs: ["lint", "--deny", "warn"] => 0, stdout has ["PASS"];
     analyze_gate_passes_on_shipped_configs: ["analyze", "--deny", "warn"]
-        => 0, stdout has ["PASS", "incorruptible", "proved"];
+        => 0, stdout has ["PASS", "incorruptible", "proved", "service[hold=2]"];
     conform_gate_passes_on_the_pinned_seed: ["conform", "--threads", "4"]
         => 0, stdout has ["PASS", "coverage"];
     tune_golden_frontier_reproduces_byte_identically:
@@ -237,9 +237,18 @@ fn analyze_json_is_a_single_machine_readable_document() {
     assert!(doc["certificates"]
         .as_array()
         .is_some_and(|c| !c.is_empty()));
-    assert!(doc["governor"]
-        .as_array()
-        .is_some_and(|g| g.iter().all(|a| a["proved"] == serde_json::json!(true))));
+    let ladders = doc["governor"].as_array().expect("governor array");
+    assert!(ladders
+        .iter()
+        .all(|a| a["proved"] == serde_json::json!(true)));
+    for ladder in ["clock", "service"] {
+        assert!(
+            ladders
+                .iter()
+                .any(|a| a["ladder"] == serde_json::json!(ladder)),
+            "no {ladder} ladder certificate"
+        );
+    }
     assert_eq!(doc["soundness"]["violations"], serde_json::json!([]));
 }
 

@@ -91,8 +91,9 @@ pub enum DiagCode {
     /// Consolidation latency exceeds the schedule's `k_ed − 1 + 0.5`
     /// cycle budget (certificate-level check).
     CertifiedConsolidationLatency,
-    /// Governor ladder reachability disproved a published bound
-    /// (recovery deadline or ladder-maximum period).
+    /// Ladder reachability disproved a published bound (the clock
+    /// ladder's recovery deadline or maximum period, or the service
+    /// ladder's `retry_after`).
     GovernorBoundUnproven,
     /// Silent corruption reachable at the analyzed operating point.
     CorruptionReachable,

@@ -31,8 +31,8 @@
 //!
 //! Cycles are grouped into fixed windows of `window` cycles. At each
 //! window close, the flag count `F` of the closed window drives one
-//! decision (actuated `latency_cycles` later, the consolidation
-//! budget):
+//! decision of the shared [`ladder`](crate::ladder) core, actuated
+//! `latency_cycles` later (the consolidation budget):
 //!
 //! * `F ≥ escalate_flags` → escalate one level;
 //! * `F ≤ deescalate_flags` → a *clean* window; after `hold_windows`
@@ -55,6 +55,8 @@
 
 use timber_netlist::Picos;
 
+use crate::ladder::{LadderCore, LadderLaw, TOP};
+
 /// One rung of the escalation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GovernorLevel {
@@ -70,7 +72,7 @@ pub enum GovernorLevel {
 
 impl GovernorLevel {
     /// All levels, bottom to top.
-    pub const ALL: [GovernorLevel; 4] = [
+    pub const ALL: [GovernorLevel; TOP as usize + 1] = [
         GovernorLevel::Nominal,
         GovernorLevel::Throttle,
         GovernorLevel::DeepThrottle,
@@ -79,12 +81,7 @@ impl GovernorLevel {
 
     /// Ladder index (0 = nominal … 3 = safe-mode).
     pub fn index(self) -> u8 {
-        match self {
-            GovernorLevel::Nominal => 0,
-            GovernorLevel::Throttle => 1,
-            GovernorLevel::DeepThrottle => 2,
-            GovernorLevel::SafeMode => 3,
-        }
+        self as u8
     }
 
     /// Stable machine-readable name.
@@ -94,22 +91,6 @@ impl GovernorLevel {
             GovernorLevel::Throttle => "throttle",
             GovernorLevel::DeepThrottle => "deep-throttle",
             GovernorLevel::SafeMode => "safe-mode",
-        }
-    }
-
-    fn up(self) -> GovernorLevel {
-        match self {
-            GovernorLevel::Nominal => GovernorLevel::Throttle,
-            GovernorLevel::Throttle => GovernorLevel::DeepThrottle,
-            GovernorLevel::DeepThrottle | GovernorLevel::SafeMode => GovernorLevel::SafeMode,
-        }
-    }
-
-    fn down(self) -> GovernorLevel {
-        match self {
-            GovernorLevel::Nominal | GovernorLevel::Throttle => GovernorLevel::Nominal,
-            GovernorLevel::DeepThrottle => GovernorLevel::Throttle,
-            GovernorLevel::SafeMode => GovernorLevel::DeepThrottle,
         }
     }
 }
@@ -164,21 +145,19 @@ impl Default for GovernorConfig {
 }
 
 impl GovernorConfig {
+    /// The shared ladder law over per-window flag counts.
+    fn law(&self) -> LadderLaw {
+        LadderLaw {
+            escalate: self.escalate_flags,
+            deescalate: self.deescalate_flags,
+            hold: self.hold_windows,
+            deadline: Some(self.deadline_windows),
+        }
+    }
+
     fn validate(&self) {
         assert!(self.window > 0, "estimator window must be positive");
-        assert!(
-            self.escalate_flags > 0,
-            "escalation threshold must be positive"
-        );
-        assert!(
-            self.deescalate_flags < self.escalate_flags,
-            "hysteresis requires deescalate_flags < escalate_flags"
-        );
-        assert!(self.hold_windows > 0, "hold must be at least one window");
-        assert!(
-            self.deadline_windows > 0,
-            "deadline must be at least one window"
-        );
+        self.law().validate();
         assert!(
             self.latency_cycles < self.window,
             "actuation latency must fit inside one window"
@@ -228,10 +207,13 @@ impl LadderTransition {
 /// This is the exact state space an explicit-state reachability check
 /// must enumerate: the ladder level, both hysteresis counters, and any
 /// decision still awaiting actuation (its cycle re-based to the window
-/// start). Per-cycle bookkeeping (`flags_in_window`, `last_cycle`,
-/// lifetime counters) is deliberately excluded — captured *at a window
-/// boundary* it is always zero, which is what makes the reachable set
-/// finite. `timber-analyze` drives [`LadderGovernor::restore`] +
+/// start). The counters come from the shared ladder core, which
+/// saturates them at their thresholds, so the set of states a governor
+/// can report is finite — the bisimulation quotient, with no
+/// normalization left to the caller. Per-cycle bookkeeping
+/// (`flags_in_window`, `last_cycle`, lifetime counters) is deliberately
+/// excluded — captured *at a window boundary* it is always zero.
+/// `timber-analyze` drives [`LadderGovernor::restore`] +
 /// [`LadderGovernor::state`] to prove the published
 /// [`LadderGovernor::recovery_bound`] from structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -265,15 +247,16 @@ impl GovernorState {
 pub struct LadderGovernor {
     nominal: Picos,
     config: GovernorConfig,
+    /// Level in force: the one [`LadderGovernor::period_at`] reads.
     level: GovernorLevel,
+    /// The decided level and the hysteresis counters; its level runs
+    /// ahead of `level` while a decision awaits actuation.
+    core: LadderCore,
     /// First cycle of the currently open estimator window.
     window_start: u64,
     flags_in_window: u64,
-    clean_windows: u64,
-    /// Consecutive not-clean windows observed at the current level.
-    dirty_windows: u64,
-    /// Decision awaiting actuation: (actuation cycle, target level).
-    pending: Option<(u64, GovernorLevel)>,
+    /// Actuation cycle of the decision `core` holds, if still pending.
+    pending: Option<u64>,
     /// Most recent actuated transition, until the owner collects it.
     transition: Option<LadderTransition>,
     last_cycle: u64,
@@ -297,10 +280,9 @@ impl LadderGovernor {
             nominal,
             config,
             level: GovernorLevel::Nominal,
+            core: LadderCore::default(),
             window_start: 0,
             flags_in_window: 0,
-            clean_windows: 0,
-            dirty_windows: 0,
             pending: None,
             transition: None,
             last_cycle: 0,
@@ -356,9 +338,8 @@ impl LadderGovernor {
     /// then at most three de-escalation steps of `hold_windows` clean
     /// windows each, each actuated `latency_cycles` late.
     pub fn recovery_bound(&self) -> u64 {
-        let steps = (GovernorLevel::ALL.len() - 1) as u64;
-        (steps * self.config.hold_windows + 1) * self.config.window
-            + steps * self.config.latency_cycles
+        (self.config.law().recovery_windows(TOP) + 1) * self.config.window
+            + u64::from(TOP) * self.config.latency_cycles
             + self.config.window
     }
 
@@ -367,10 +348,9 @@ impl LadderGovernor {
     /// actuation, not here).
     pub fn flag_error(&mut self, cycle: u64) {
         debug_assert!(
-            cycle >= self.window_start || cycle >= self.last_cycle,
+            self.window_start <= cycle && cycle <= self.last_cycle,
             "LadderGovernor::flag_error must not run ahead of period_at queries"
         );
-        let _ = cycle;
         self.flags_in_window += 1;
     }
 
@@ -397,7 +377,17 @@ impl LadderGovernor {
         // queries; a jump can only batch flags forward, never back).
         while cycle >= self.window_start + self.config.window {
             let close = self.window_start + self.config.window;
-            self.decide(close);
+            // A decision still pending here means the last query
+            // stopped inside the latency gap and this one jumped past
+            // the next close: that window is skipped, not decided.
+            if self.pending.is_none()
+                && self
+                    .core
+                    .close_window(&self.config.law(), self.flags_in_window)
+                    .is_some()
+            {
+                self.pending = Some(close + self.config.latency_cycles);
+            }
             self.window_start = close;
             self.flags_in_window = 0;
             // Apply a zero-or-short-latency decision that falls inside
@@ -423,13 +413,12 @@ impl LadderGovernor {
     /// flag counter has just been reset; the pending actuation cycle is
     /// re-based relative to the window start.
     pub fn state(&self) -> GovernorState {
+        let decided = GovernorLevel::ALL[usize::from(self.core.level)];
         GovernorState {
             level: self.level,
-            clean_windows: self.clean_windows,
-            dirty_windows: self.dirty_windows,
-            pending: self
-                .pending
-                .map(|(at, to)| (at.saturating_sub(self.window_start), to)),
+            clean_windows: self.core.calm,
+            dirty_windows: self.core.dirty,
+            pending: self.pending.map(|at| (at - self.window_start, decided)),
         }
     }
 
@@ -445,9 +434,12 @@ impl LadderGovernor {
     pub fn restore(nominal: Picos, config: GovernorConfig, state: GovernorState) -> LadderGovernor {
         let mut g = LadderGovernor::new(nominal, config);
         g.level = state.level;
-        g.clean_windows = state.clean_windows;
-        g.dirty_windows = state.dirty_windows;
-        g.pending = state.pending;
+        g.core = LadderCore {
+            level: state.pending.map_or(state.level, |(_, to)| to).index(),
+            calm: state.clean_windows,
+            dirty: state.dirty_windows,
+        };
+        g.pending = state.pending.map(|(at, _)| at);
         g
     }
 
@@ -458,54 +450,15 @@ impl LadderGovernor {
         *self = LadderGovernor::new(nominal, config);
     }
 
-    /// One window-close decision: maps the closed window's flag count
-    /// to at most one pending level change.
-    fn decide(&mut self, close: u64) {
-        let flags = self.flags_in_window;
-        if self.pending.is_some() {
-            // A decision is already in flight (possible only when
-            // latency == window - small and the caller jumped); skip.
-            return;
-        }
-        if flags >= self.config.escalate_flags {
-            self.clean_windows = 0;
-            self.dirty_windows = 0;
-            if self.level != GovernorLevel::SafeMode {
-                self.pending = Some((close + self.config.latency_cycles, self.level.up()));
-            }
-        } else if flags <= self.config.deescalate_flags {
-            self.dirty_windows = 0;
-            self.clean_windows += 1;
-            if self.clean_windows >= self.config.hold_windows
-                && self.level != GovernorLevel::Nominal
-            {
-                self.clean_windows = 0;
-                self.pending = Some((close + self.config.latency_cycles, self.level.down()));
-            }
-        } else {
-            // Hysteresis dead zone: not clean, not storming.
-            self.clean_windows = 0;
-            self.dirty_windows += 1;
-            if self.dirty_windows >= self.config.deadline_windows
-                && self.level != GovernorLevel::Nominal
-                && self.level != GovernorLevel::SafeMode
-            {
-                // Bounded recovery deadline: the level failed to drain
-                // the storm in time; stop lingering and escalate.
-                self.dirty_windows = 0;
-                self.pending = Some((close + self.config.latency_cycles, self.level.up()));
-            }
-        }
-    }
-
     /// Actuates the pending decision if its cycle has arrived.
     fn actuate_until(&mut self, cycle: u64) {
-        let Some((at, to)) = self.pending else { return };
+        let Some(at) = self.pending else { return };
         if cycle < at {
             return;
         }
         self.pending = None;
         let from = self.level;
+        let to = GovernorLevel::ALL[usize::from(self.core.level)];
         if to == from {
             return;
         }
@@ -723,6 +676,38 @@ mod tests {
     }
 
     #[test]
+    fn a_jump_past_a_pending_decision_skips_that_window() {
+        // The query at 10 closes a storm window and leaves its
+        // escalation pending until 12; the next query jumps past the
+        // close at 20, so that storm window is never decided.
+        let mut g = LadderGovernor::new(Picos(1000), cfg());
+        storm(&mut g, 0, 10, 1);
+        let _ = g.period_at(10);
+        for _ in 0..3 {
+            g.flag_error(10);
+        }
+        let _ = g.period_at(25);
+        assert_eq!(g.level(), GovernorLevel::Throttle);
+        assert_eq!(g.take_transition().map(|t| t.cycle), Some(12));
+        assert_eq!(
+            g.state(),
+            GovernorState {
+                level: GovernorLevel::Throttle,
+                ..GovernorState::initial()
+            }
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must not run ahead of period_at queries")]
+    fn a_flag_ahead_of_the_last_query_is_rejected() {
+        let mut g = LadderGovernor::new(Picos(1000), cfg());
+        let _ = g.period_at(0);
+        g.flag_error(100);
+    }
+
+    #[test]
     #[should_panic(expected = "hysteresis")]
     fn inverted_hysteresis_band_is_rejected() {
         let bad = GovernorConfig {
@@ -750,8 +735,5 @@ mod tests {
             assert_eq!(l.index() as usize, i);
         }
         assert_eq!(GovernorLevel::SafeMode.name(), "safe-mode");
-        assert_eq!(GovernorLevel::Nominal.up(), GovernorLevel::Throttle);
-        assert_eq!(GovernorLevel::SafeMode.up(), GovernorLevel::SafeMode);
-        assert_eq!(GovernorLevel::Nominal.down(), GovernorLevel::Nominal);
     }
 }

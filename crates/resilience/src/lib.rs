@@ -12,6 +12,8 @@
 //!   (nominal → throttle → deep-throttle → safe-mode) from a windowed
 //!   flag-rate estimator with hysteresis, a bounded escalation deadline,
 //!   and guaranteed de-escalation back to nominal once flags cease.
+//!   Its control law lives in [`ladder`], the core it shares with
+//!   `timber-serve`'s admission-control `ServiceGovernor`.
 //!   [`storms`] generates the stress environments (droop trains, aging
 //!   ramps, flag-rate spikes) on top of `timber-variability`.
 //!
@@ -36,6 +38,7 @@
 pub mod checkpoint;
 pub mod executor;
 pub mod governor;
+pub mod ladder;
 pub mod retry;
 pub mod storms;
 

@@ -1,4 +1,6 @@
-//! Property-based tests for the escalation-ladder governor.
+//! Property-based tests for the escalation-ladder governor, including
+//! its equivalence to a standalone reference implementation of the
+//! control law (the pre-`ladder`-core decide/actuate logic).
 
 #![cfg(test)]
 
@@ -6,7 +8,9 @@ use proptest::prelude::*;
 
 use timber_netlist::Picos;
 
-use crate::governor::{GovernorConfig, GovernorLevel, LadderGovernor};
+use crate::governor::{
+    GovernorConfig, GovernorLevel, GovernorState, LadderGovernor, LadderTransition,
+};
 
 /// One splitmix64 step, used to unpack several independent small draws
 /// from a single `any::<u64>()` (the vendored proptest subset only
@@ -35,6 +39,157 @@ fn draw_config(window: u64, escalate: u64, band: u64, knobs: u64) -> GovernorCon
 /// (seed, cycle) clears a density threshold.
 fn flags_at(seed: u64, cycle: u64, density_pct: u64) -> bool {
     mix(seed ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % 100 < density_pct
+}
+
+/// The reference clock ladder: the governor as it stood before the
+/// shared ladder core — its own `up`/`down` tables, unbounded streak
+/// counters, and a decision skipped while another is still pending.
+/// [`LadderGovernor`] must match it step for step.
+struct RefLadder {
+    nominal: Picos,
+    config: GovernorConfig,
+    level: GovernorLevel,
+    window_start: u64,
+    flags_in_window: u64,
+    clean_windows: u64,
+    dirty_windows: u64,
+    pending: Option<(u64, GovernorLevel)>,
+    transition: Option<LadderTransition>,
+    last_cycle: u64,
+    escalations: u64,
+    deescalations: u64,
+    safe_mode_entries: u64,
+}
+
+fn up(level: GovernorLevel) -> GovernorLevel {
+    match level {
+        GovernorLevel::Nominal => GovernorLevel::Throttle,
+        GovernorLevel::Throttle => GovernorLevel::DeepThrottle,
+        GovernorLevel::DeepThrottle | GovernorLevel::SafeMode => GovernorLevel::SafeMode,
+    }
+}
+
+fn down(level: GovernorLevel) -> GovernorLevel {
+    match level {
+        GovernorLevel::Nominal | GovernorLevel::Throttle => GovernorLevel::Nominal,
+        GovernorLevel::DeepThrottle => GovernorLevel::Throttle,
+        GovernorLevel::SafeMode => GovernorLevel::DeepThrottle,
+    }
+}
+
+impl RefLadder {
+    fn new(nominal: Picos, config: GovernorConfig) -> RefLadder {
+        RefLadder {
+            nominal,
+            config,
+            level: GovernorLevel::Nominal,
+            window_start: 0,
+            flags_in_window: 0,
+            clean_windows: 0,
+            dirty_windows: 0,
+            pending: None,
+            transition: None,
+            last_cycle: 0,
+            escalations: 0,
+            deescalations: 0,
+            safe_mode_entries: 0,
+        }
+    }
+
+    fn period_of(&self, level: GovernorLevel) -> Picos {
+        let factor = match level {
+            GovernorLevel::Nominal => 0.0,
+            GovernorLevel::Throttle => self.config.throttle_factor,
+            GovernorLevel::DeepThrottle => self.config.deep_factor,
+            GovernorLevel::SafeMode => self.config.safe_factor,
+        };
+        self.nominal.scale(1.0 + factor)
+    }
+
+    fn period_at(&mut self, cycle: u64) -> Picos {
+        self.last_cycle = cycle;
+        while cycle >= self.window_start + self.config.window {
+            let close = self.window_start + self.config.window;
+            self.decide(close);
+            self.window_start = close;
+            self.flags_in_window = 0;
+            self.actuate_until(cycle);
+        }
+        self.actuate_until(cycle);
+        self.period_of(self.level)
+    }
+
+    /// The saturated snapshot the real governor reports.
+    fn state(&self) -> GovernorState {
+        GovernorState {
+            level: self.level,
+            clean_windows: self.clean_windows.min(self.config.hold_windows),
+            dirty_windows: self.dirty_windows.min(self.config.deadline_windows),
+            pending: self
+                .pending
+                .map(|(at, to)| (at.saturating_sub(self.window_start), to)),
+        }
+    }
+
+    fn decide(&mut self, close: u64) {
+        let flags = self.flags_in_window;
+        if self.pending.is_some() {
+            return;
+        }
+        if flags >= self.config.escalate_flags {
+            self.clean_windows = 0;
+            self.dirty_windows = 0;
+            if self.level != GovernorLevel::SafeMode {
+                self.pending = Some((close + self.config.latency_cycles, up(self.level)));
+            }
+        } else if flags <= self.config.deescalate_flags {
+            self.dirty_windows = 0;
+            self.clean_windows += 1;
+            if self.clean_windows >= self.config.hold_windows
+                && self.level != GovernorLevel::Nominal
+            {
+                self.clean_windows = 0;
+                self.pending = Some((close + self.config.latency_cycles, down(self.level)));
+            }
+        } else {
+            self.clean_windows = 0;
+            self.dirty_windows += 1;
+            if self.dirty_windows >= self.config.deadline_windows
+                && self.level != GovernorLevel::Nominal
+                && self.level != GovernorLevel::SafeMode
+            {
+                self.dirty_windows = 0;
+                self.pending = Some((close + self.config.latency_cycles, up(self.level)));
+            }
+        }
+    }
+
+    fn actuate_until(&mut self, cycle: u64) {
+        let Some((at, to)) = self.pending else { return };
+        if cycle < at {
+            return;
+        }
+        self.pending = None;
+        let from = self.level;
+        if to == from {
+            return;
+        }
+        self.level = to;
+        if to > from {
+            self.escalations += 1;
+            if to == GovernorLevel::SafeMode {
+                self.safe_mode_entries += 1;
+            }
+        } else {
+            self.deescalations += 1;
+        }
+        self.transition = Some(LadderTransition {
+            cycle: at,
+            from,
+            to,
+            period: self.period_of(to),
+        });
+    }
 }
 
 proptest! {
@@ -150,5 +305,50 @@ proptest! {
             .filter(|t| t.to == GovernorLevel::SafeMode)
             .count() as u64;
         prop_assert_eq!(safe_entries, g.safe_mode_entries());
+    }
+
+    /// The shared ladder core changes nothing observable: driven by the
+    /// same flags and the same queries — per-cycle runs broken by jumps
+    /// of up to two windows, storms, calm and dead-zone stretches — the
+    /// governor and the reference agree on every period, level,
+    /// transition, lifetime counter and saturated snapshot, at every
+    /// query.
+    #[test]
+    fn governor_matches_the_reference_control_law(
+        window in 4u64..24,
+        escalate in 1u64..5,
+        band in 1u64..4,
+        knobs in any::<u64>(),
+        jump_pct in 0u64..=30,
+        seed in 0u64..1000,
+    ) {
+        let cfg = draw_config(window, escalate, band, knobs);
+        let mut g = LadderGovernor::new(Picos(1000), cfg);
+        let mut reference = RefLadder::new(Picos(1000), cfg);
+        let mut cycle = 0u64;
+        for step in 0..1_500u64 {
+            let r = mix(seed ^ step.wrapping_mul(0xD1B5_4A32_D192_ED03));
+            if r % 100 < jump_pct {
+                cycle += r % (2 * window + 1);
+            } else {
+                cycle += 1;
+            }
+            prop_assert_eq!(g.period_at(cycle), reference.period_at(cycle), "cycle {}", cycle);
+            // The flag density drifts every 64 queries so one run walks
+            // through storms, dead zones and calm.
+            let density = mix(seed ^ (step / 64)) % 101;
+            if flags_at(seed, cycle, density) {
+                for _ in 0..1 + r % 2 {
+                    g.flag_error(cycle);
+                    reference.flags_in_window += 1;
+                }
+            }
+            prop_assert_eq!(g.take_transition(), reference.transition.take(), "cycle {}", cycle);
+            prop_assert_eq!(g.level(), reference.level);
+            prop_assert_eq!(g.escalations(), reference.escalations);
+            prop_assert_eq!(g.deescalations(), reference.deescalations);
+            prop_assert_eq!(g.safe_mode_entries(), reference.safe_mode_entries);
+            prop_assert_eq!(g.state(), reference.state(), "cycle {}", cycle);
+        }
     }
 }

@@ -818,7 +818,6 @@ mod tests {
         cfg.governor = crate::governor::ServiceGovernorConfig {
             escalate_backlog: 1,
             deescalate_backlog: 0,
-            hot_batches: 1,
             hold_batches: 1,
         };
         let mut e = Engine::new(cfg).unwrap();

@@ -3,11 +3,13 @@
 //! The resilience crate's `LadderGovernor` closes the loop on *timing*
 //! error storms: a windowed flag-rate estimator drives a four-level
 //! escalation ladder with hysteresis so the clock degrades gracefully
-//! instead of failing. [`ServiceGovernor`] is the same control shape
-//! lifted one layer up, to the serving daemon itself: the estimator
-//! input is per-batch *cold demand* (distinct uncached keys a batch
-//! asks for, whether admitted or shed) and the actuator is admission
-//! control instead of clock period.
+//! instead of failing. [`ServiceGovernor`] runs the same control law —
+//! the one `timber_resilience::ladder` core both ladders share — one
+//! layer up, on the serving daemon itself: the estimator input is
+//! per-batch *cold demand* (distinct uncached keys a batch asks for,
+//! whether admitted or shed) and the actuator is admission control
+//! instead of clock period, applied at once rather than after a
+//! consolidation latency.
 //!
 //! # The ladder
 //!
@@ -28,12 +30,16 @@
 //! estimator window (= one engine batch) and actuates **at most one**
 //! transition:
 //!
-//! * demand ≥ `escalate_backlog` for `hot_batches` consecutive batches
-//!   → escalate one level;
+//! * demand ≥ `escalate_backlog` → escalate one level;
 //! * demand ≤ `deescalate_backlog` for `hold_batches` consecutive
 //!   batches → de-escalate one level;
-//! * the band between the thresholds is the hysteresis dead zone —
-//!   streaks reset, the level holds.
+//! * the band between the thresholds is the hysteresis dead zone — the
+//!   calm streak resets and the level holds (the service ladder has no
+//!   escalation deadline).
+//!
+//! `timber-analyze` proves, from every reachable state, that batches of
+//! zero demand bring the ladder back to nominal within
+//! [`ServiceGovernor::retry_after`].
 //!
 //! Demand counts *shed* cold keys too: if it only counted admitted
 //! work, escalating to cache-only would zero the signal and the ladder
@@ -43,6 +49,8 @@
 //! Everything is integer state driven by batch contents, so replays
 //! are byte-identical for any thread count — the property the chaos
 //! campaign gates on.
+
+use timber_resilience::ladder::{LadderCore, LadderLaw, TOP};
 
 /// One rung of the service degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -59,7 +67,7 @@ pub enum ServiceLevel {
 
 impl ServiceLevel {
     /// All levels, bottom to top.
-    pub const ALL: [ServiceLevel; 4] = [
+    pub const ALL: [ServiceLevel; TOP as usize + 1] = [
         ServiceLevel::Nominal,
         ServiceLevel::ShedLow,
         ServiceLevel::CacheOnly,
@@ -68,12 +76,7 @@ impl ServiceLevel {
 
     /// Ladder index (0 = nominal … 3 = reject).
     pub fn index(self) -> u8 {
-        match self {
-            ServiceLevel::Nominal => 0,
-            ServiceLevel::ShedLow => 1,
-            ServiceLevel::CacheOnly => 2,
-            ServiceLevel::Reject => 3,
-        }
+        self as u8
     }
 
     /// Stable machine-readable name (used in shed-response bodies).
@@ -100,35 +103,17 @@ impl ServiceLevel {
             ServiceLevel::CacheOnly | ServiceLevel::Reject => false,
         }
     }
-
-    fn up(self) -> ServiceLevel {
-        match self {
-            ServiceLevel::Nominal => ServiceLevel::ShedLow,
-            ServiceLevel::ShedLow => ServiceLevel::CacheOnly,
-            ServiceLevel::CacheOnly | ServiceLevel::Reject => ServiceLevel::Reject,
-        }
-    }
-
-    fn down(self) -> ServiceLevel {
-        match self {
-            ServiceLevel::Nominal | ServiceLevel::ShedLow => ServiceLevel::Nominal,
-            ServiceLevel::CacheOnly => ServiceLevel::ShedLow,
-            ServiceLevel::Reject => ServiceLevel::CacheOnly,
-        }
-    }
 }
 
 /// Tuning of the [`ServiceGovernor`] (all plain scalars, `Copy`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceGovernorConfig {
-    /// Cold demand at or above which a batch counts toward escalation.
+    /// Cold demand at or above which a batch escalates one level.
     pub escalate_backlog: u64,
     /// Cold demand at or below which a batch counts toward
     /// de-escalation (must be `< escalate_backlog`: the hysteresis
     /// band).
     pub deescalate_backlog: u64,
-    /// Consecutive hot batches required to step up one level.
-    pub hot_batches: u64,
     /// Consecutive calm batches required to step down one level.
     pub hold_batches: u64,
 }
@@ -143,7 +128,6 @@ impl Default for ServiceGovernorConfig {
         ServiceGovernorConfig {
             escalate_backlog: u64::MAX,
             deescalate_backlog: 0,
-            hot_batches: 1,
             hold_batches: 1,
         }
     }
@@ -157,24 +141,19 @@ impl ServiceGovernorConfig {
         ServiceGovernorConfig {
             escalate_backlog: 8,
             deescalate_backlog: 1,
-            hot_batches: 1,
             hold_batches: 2,
         }
     }
 
-    fn validate(&self) {
-        assert!(
-            self.deescalate_backlog < self.escalate_backlog,
-            "hysteresis requires deescalate_backlog < escalate_backlog"
-        );
-        assert!(
-            self.hot_batches > 0,
-            "hot streak must be at least one batch"
-        );
-        assert!(
-            self.hold_batches > 0,
-            "hold streak must be at least one batch"
-        );
+    /// The shared ladder law over per-batch cold demand: no deadline,
+    /// so the dead zone holds any level.
+    pub fn law(&self) -> LadderLaw {
+        LadderLaw {
+            escalate: self.escalate_backlog,
+            deescalate: self.deescalate_backlog,
+            hold: self.hold_batches,
+            deadline: None,
+        }
     }
 }
 
@@ -200,9 +179,7 @@ impl ServiceTransition {
 #[derive(Debug, Clone)]
 pub struct ServiceGovernor {
     config: ServiceGovernorConfig,
-    level: ServiceLevel,
-    hot_streak: u64,
-    calm_streak: u64,
+    core: LadderCore,
     escalations: u64,
     deescalations: u64,
 }
@@ -213,14 +190,12 @@ impl ServiceGovernor {
     /// # Panics
     ///
     /// Panics if `config` is inconsistent (inverted hysteresis band or
-    /// a zero streak requirement).
+    /// a zero hold streak).
     pub fn new(config: ServiceGovernorConfig) -> ServiceGovernor {
-        config.validate();
+        config.law().validate();
         ServiceGovernor {
             config,
-            level: ServiceLevel::Nominal,
-            hot_streak: 0,
-            calm_streak: 0,
+            core: LadderCore::default(),
             escalations: 0,
             deescalations: 0,
         }
@@ -233,7 +208,7 @@ impl ServiceGovernor {
 
     /// Current ladder level.
     pub fn level(&self) -> ServiceLevel {
-        self.level
+        ServiceLevel::ALL[usize::from(self.core.level)]
     }
 
     /// Upward transitions actuated so far.
@@ -247,45 +222,26 @@ impl ServiceGovernor {
     }
 
     /// Batches a rejected client should wait before retrying: the
-    /// calm-streak length needed to step below [`ServiceLevel::Reject`],
-    /// assuming demand stops.
+    /// calm batches that walk the current level all the way back to
+    /// [`ServiceLevel::Nominal`] (`hold_batches` per level), assuming
+    /// demand stops.
     pub fn retry_after(&self) -> u64 {
-        self.config.hold_batches * u64::from(self.level.index())
+        self.config.law().recovery_windows(self.core.level)
     }
 
     /// Closes one estimator window with the batch's cold demand
     /// (distinct uncached keys requested, shed ones included) and
     /// actuates at most one transition.
     pub fn observe_batch(&mut self, demand: u64) -> Option<ServiceTransition> {
-        if demand >= self.config.escalate_backlog {
-            self.hot_streak += 1;
-            self.calm_streak = 0;
-        } else if demand <= self.config.deescalate_backlog {
-            self.calm_streak += 1;
-            self.hot_streak = 0;
-        } else {
-            // Hysteresis dead zone: hold the level, reset both streaks.
-            self.hot_streak = 0;
-            self.calm_streak = 0;
-        }
-        let from = self.level;
-        if self.hot_streak >= self.config.hot_batches && self.level != ServiceLevel::Reject {
-            self.hot_streak = 0;
-            self.level = from.up();
+        let from = self.level();
+        self.core.close_window(&self.config.law(), demand)?;
+        let to = self.level();
+        if to > from {
             self.escalations += 1;
-        } else if self.calm_streak >= self.config.hold_batches
-            && self.level != ServiceLevel::Nominal
-        {
-            self.calm_streak = 0;
-            self.level = from.down();
-            self.deescalations += 1;
         } else {
-            return None;
+            self.deescalations += 1;
         }
-        Some(ServiceTransition {
-            from,
-            to: self.level,
-        })
+        Some(ServiceTransition { from, to })
     }
 }
 
@@ -349,7 +305,6 @@ mod tests {
         let cfg = ServiceGovernorConfig {
             escalate_backlog: 8,
             deescalate_backlog: 1,
-            hot_batches: 1,
             hold_batches: 2,
         };
         let mut g = ServiceGovernor::new(cfg);
@@ -367,7 +322,6 @@ mod tests {
         let cfg = ServiceGovernorConfig {
             escalate_backlog: 1,
             deescalate_backlog: 0,
-            hot_batches: 1,
             hold_batches: 1,
         };
         let mut g = ServiceGovernor::new(cfg);
@@ -405,9 +359,6 @@ mod tests {
             assert_eq!(l.index() as usize, i);
         }
         assert_eq!(ServiceLevel::Reject.name(), "reject");
-        assert_eq!(ServiceLevel::Nominal.up(), ServiceLevel::ShedLow);
-        assert_eq!(ServiceLevel::Reject.up(), ServiceLevel::Reject);
-        assert_eq!(ServiceLevel::Nominal.down(), ServiceLevel::Nominal);
     }
 
     #[test]
@@ -416,7 +367,6 @@ mod tests {
         let _ = ServiceGovernor::new(ServiceGovernorConfig {
             escalate_backlog: 2,
             deescalate_backlog: 2,
-            hot_batches: 1,
             hold_batches: 1,
         });
     }

@@ -32,8 +32,8 @@
 //!   recomputed as a miss instead of served.
 //! * [`governor`] — the service-level degradation ladder (nominal →
 //!   shed-low → cache-only → reject) driven by per-batch cold demand
-//!   with hysteresis, mirroring `timber-resilience`'s `LadderGovernor`
-//!   one layer up.
+//!   with hysteresis: `timber-resilience`'s ladder core, shared with
+//!   the clock `LadderGovernor`, actuated one layer up.
 //! * [`server`] — the stdin and Unix-socket transports.
 //! * [`storm`] — the deterministic load generator and its replay gate
 //!   (`repro storm`), which doubles as the chaos client (seeded

@@ -3,7 +3,8 @@
 //! request-field reordering, a cache hit serves the exact bytes the
 //! cold miss produced — for every scheme in the registry — and the
 //! recency-list [`LruCache`] evicts exactly what a tick-and-scan LRU
-//! would.
+//! would, and the [`ServiceGovernor`] on the shared ladder core steps
+//! exactly as its standalone streak-counting reference did.
 
 #![cfg(test)]
 
@@ -15,6 +16,7 @@ use timber_schemes::SchemeId;
 
 use crate::cache::LruCache;
 use crate::engine::{Engine, EngineConfig};
+use crate::governor::{ServiceGovernor, ServiceGovernorConfig, ServiceLevel, ServiceTransition};
 use crate::integrity::{open, seal};
 use crate::key::{content_hash, CacheKey};
 use crate::spec::{parse_request, DesignId, EvalSpec, Request};
@@ -181,6 +183,110 @@ proptest! {
                 "keys after step {}",
                 step
             );
+        }
+    }
+}
+
+/// The reference service ladder: the governor as it stood before the
+/// shared ladder core — its own `up`/`down` tables and unbounded hot and
+/// calm streaks, with a hot streak of one batch (the only value any
+/// config ever set). [`ServiceGovernor`] must match it step for step.
+struct RefService {
+    config: ServiceGovernorConfig,
+    level: ServiceLevel,
+    hot_streak: u64,
+    calm_streak: u64,
+    escalations: u64,
+    deescalations: u64,
+}
+
+impl RefService {
+    const HOT_BATCHES: u64 = 1;
+
+    fn new(config: ServiceGovernorConfig) -> RefService {
+        RefService {
+            config,
+            level: ServiceLevel::Nominal,
+            hot_streak: 0,
+            calm_streak: 0,
+            escalations: 0,
+            deescalations: 0,
+        }
+    }
+
+    fn retry_after(&self) -> u64 {
+        self.config.hold_batches * u64::from(self.level.index())
+    }
+
+    fn observe_batch(&mut self, demand: u64) -> Option<ServiceTransition> {
+        if demand >= self.config.escalate_backlog {
+            self.hot_streak += 1;
+            self.calm_streak = 0;
+        } else if demand <= self.config.deescalate_backlog {
+            self.calm_streak += 1;
+            self.hot_streak = 0;
+        } else {
+            self.hot_streak = 0;
+            self.calm_streak = 0;
+        }
+        let from = self.level;
+        if self.hot_streak >= Self::HOT_BATCHES && self.level != ServiceLevel::Reject {
+            self.hot_streak = 0;
+            self.level = match from {
+                ServiceLevel::Nominal => ServiceLevel::ShedLow,
+                ServiceLevel::ShedLow => ServiceLevel::CacheOnly,
+                ServiceLevel::CacheOnly | ServiceLevel::Reject => ServiceLevel::Reject,
+            };
+            self.escalations += 1;
+        } else if self.calm_streak >= self.config.hold_batches
+            && self.level != ServiceLevel::Nominal
+        {
+            self.calm_streak = 0;
+            self.level = match from {
+                ServiceLevel::Nominal | ServiceLevel::ShedLow => ServiceLevel::Nominal,
+                ServiceLevel::CacheOnly => ServiceLevel::ShedLow,
+                ServiceLevel::Reject => ServiceLevel::CacheOnly,
+            };
+            self.deescalations += 1;
+        } else {
+            return None;
+        }
+        Some(ServiceTransition {
+            from,
+            to: self.level,
+        })
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The shared ladder core changes nothing observable: for any valid
+    /// config and any demand stream, the governor and the reference
+    /// return the same transitions and agree on level, counters and
+    /// `retry_after` after every batch.
+    #[test]
+    fn service_governor_matches_the_reference_control_law(
+        escalate in 1u64..=12,
+        deescalate_pct in 0u64..100,
+        hold in 1u64..=5,
+        demands in proptest::collection::vec(0u64..=24, 0..160),
+    ) {
+        let config = ServiceGovernorConfig {
+            escalate_backlog: escalate,
+            deescalate_backlog: deescalate_pct * escalate / 100,
+            hold_batches: hold,
+        };
+        let mut g = ServiceGovernor::new(config);
+        let mut reference = RefService::new(config);
+        // A third of the draws land on zero demand, so calm streaks
+        // long enough to walk the ladder down are common.
+        for (batch, demand) in demands.into_iter().map(|d| d.saturating_sub(8)).enumerate() {
+            prop_assert_eq!(g.observe_batch(demand), reference.observe_batch(demand), "batch {}", batch);
+            prop_assert_eq!(g.level(), reference.level);
+            prop_assert_eq!(g.escalations(), reference.escalations);
+            prop_assert_eq!(g.deescalations(), reference.deescalations);
+            prop_assert_eq!(g.retry_after(), reference.retry_after());
         }
     }
 }
