@@ -11,7 +11,8 @@
 //!   the telemetry-overhead ratio, the multi-core scaling floor
 //!   (`speedup >= 0.7 x min(threads, cores)`), and the bit-sliced
 //!   batching tier (scalar<->bit-sliced equivalence plus
-//!   `speedup_batched >= 4x` the scalar single-thread throughput).
+//!   `speedup_batched >= 4x` the scalar single-thread throughput, both
+//!   sides timed as the median of the same number of runs).
 //!   Every figure is a ratio of two measurements taken on one machine
 //!   in one process, so CI can gate them hard even on shared runners.
 //! * **Cross-run** (machine-dependent): absolute `cycles_per_second`
@@ -24,12 +25,13 @@ use std::time::Instant;
 use serde_json::{json, Value};
 use timber::CheckingPeriod;
 use timber_batch::{
-    reference, run_batched, BatchConfig, BatchScheme, BatchStageProfile, BatchWorkload, MAX_LANES,
+    reference, run_batched, BatchConfig, BatchRun, BatchScheme, BatchStageProfile, BatchWorkload,
+    MAX_LANES,
 };
 use timber_netlist::Picos;
 use timber_pipeline::PipelineConfig;
 
-use crate::experiments::{self, ClaimsResult, PERIOD, SEED, TRIALS};
+use crate::experiments::{self, PERIOD, SEED, TRIALS};
 use crate::trace::DEFAULT_RING_CAPACITY;
 
 /// Within-run scaling floor: the multi-thread speedup must reach this
@@ -40,6 +42,13 @@ pub const SCALING_FLOOR_FRACTION: f64 = 0.7;
 /// Within-run batching floor: the bit-sliced engine must deliver at
 /// least this multiple of the scalar single-thread cycles/second.
 pub const BATCH_SPEEDUP_FLOOR: f64 = 4.0;
+
+/// Timed repetitions behind each side of the batching ratio: the
+/// scalar single-thread sweep and the bit-sliced engine each report the
+/// median wall clock of this many interleaved runs, so one slow
+/// scheduling window on a shared host cannot decide the
+/// [`BATCH_SPEEDUP_FLOOR`] gate.
+pub const TIMING_REPEATS: usize = 5;
 
 /// Whether `repro bench` runs the bit-sliced batching measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +119,8 @@ pub struct BatchBench {
     pub cycles_per_lane: u64,
     /// Total simulated lane-cycles (`lanes * cycles_per_lane`).
     pub total_cycles: u64,
-    /// Wall-clock of the bit-sliced engine.
+    /// Wall-clock of the bit-sliced engine (median of
+    /// [`TIMING_REPEATS`] runs).
     pub wall_seconds: f64,
     /// Lane-cycles per second of the bit-sliced engine.
     pub cycles_per_second: f64,
@@ -137,7 +147,8 @@ pub struct BenchResult {
     /// Detected core count ([`std::thread::available_parallelism`]),
     /// recorded so the scaling floor can be judged hardware-independently.
     pub cores: usize,
-    /// Single-threaded run.
+    /// Single-threaded run (median wall clock of [`TIMING_REPEATS`]
+    /// runs).
     pub single: BenchRun,
     /// Multi-threaded run (all available cores unless overridden).
     pub multi: BenchRun,
@@ -155,10 +166,16 @@ pub struct BenchResult {
     pub identical: bool,
 }
 
-fn timed(cycles: u64, threads: usize) -> (f64, ClaimsResult) {
+fn timed<T>(run: impl FnOnce() -> T) -> (f64, T) {
     let start = Instant::now();
-    let result = experiments::claims_threaded(cycles, threads);
+    let result = run();
     (start.elapsed().as_secs_f64(), result)
+}
+
+/// The middle of an odd number of wall clocks.
+fn median(mut walls: Vec<f64>) -> f64 {
+    walls.sort_by(f64::total_cmp);
+    walls[walls.len() / 2]
 }
 
 /// The bit-sliced bench workload: the stress stage profiles with the
@@ -183,20 +200,20 @@ fn batch_config() -> BatchConfig {
     }
 }
 
-/// Times the bit-sliced engine and its single-threaded scalar replay
-/// on the identical 64-lane workload and cross-checks bit-identity.
-fn batch_baseline(cycles: u64) -> BatchBench {
-    let config = batch_config();
-    // Match the claims sweep's total simulated volume (two schemes at
-    // `cycles` each) so the wall clocks are comparable.
-    let cycles_per_lane = (2 * cycles / MAX_LANES as u64).max(1);
+/// Per-lane cycles that match the claims sweep's total simulated
+/// volume (two schemes at `cycles` each), so the wall clocks compare.
+fn cycles_per_lane(cycles: u64) -> u64 {
+    (2 * cycles / MAX_LANES as u64).max(1)
+}
+
+/// Completes the bit-sliced measurement from its timed engine runs:
+/// times the single-threaded scalar replay of the identical 64-lane
+/// workload and cross-checks bit-identity.
+fn batch_baseline(config: &BatchConfig, cycles: u64, wall: f64, batched: &BatchRun) -> BatchBench {
+    let cycles_per_lane = cycles_per_lane(cycles);
     let total_cycles = cycles_per_lane * MAX_LANES as u64;
-    let start = Instant::now();
-    let batched = run_batched(&config, cycles_per_lane);
-    let wall = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let scalar = reference::run_scalar_reference(&config, cycles_per_lane, 1);
-    let replay_wall = start.elapsed().as_secs_f64();
+    let (replay_wall, scalar) =
+        timed(|| reference::run_scalar_reference(config, cycles_per_lane, 1));
     BatchBench {
         lanes: MAX_LANES,
         cycles_per_lane,
@@ -205,7 +222,7 @@ fn batch_baseline(cycles: u64) -> BatchBench {
         cycles_per_second: total_cycles as f64 / wall,
         scalar_replay_wall_seconds: replay_wall,
         scalar_replay_cycles_per_second: total_cycles as f64 / replay_wall,
-        identical: batched == scalar,
+        identical: *batched == scalar,
     }
 }
 
@@ -229,15 +246,33 @@ pub fn pipeline_baseline_threaded(cycles: u64, threads: usize, batch: BatchMode)
         0 => cores,
         n => n,
     };
-    let (wall_single, single) = timed(cycles, 1);
-    let (wall_multi, multi) = timed(cycles, multi_threads);
+    // The two sides of the batching ratio, each the median of
+    // `TIMING_REPEATS` runs, interleaved so that a slow window on a
+    // shared host lands on both sides rather than on one.
+    let batch_config = batch.enabled().then(batch_config);
+    let mut single_walls = Vec::with_capacity(TIMING_REPEATS);
+    let mut batched_walls = Vec::with_capacity(TIMING_REPEATS);
+    let mut single = None;
+    let mut batched_run = None;
+    for _ in 0..TIMING_REPEATS {
+        let (wall, result) = timed(|| experiments::claims_threaded(cycles, 1));
+        single_walls.push(wall);
+        single = Some(result);
+        if let Some(config) = &batch_config {
+            let (wall, result) = timed(|| run_batched(config, cycles_per_lane(cycles)));
+            batched_walls.push(wall);
+            batched_run = Some(result);
+        }
+    }
+    let single = single.expect("at least one repetition");
+    let wall_single = median(single_walls);
+    let (wall_multi, multi) = timed(|| experiments::claims_threaded(cycles, multi_threads));
     // Same sweep once more with a recorder attached: the instrumented /
     // no-op ratio is the within-run overhead gate, and the statistics
     // must not change just because telemetry watched.
-    let start = Instant::now();
-    let (traced, _recorders) =
-        experiments::claims_spec(cycles, multi_threads).run_with_telemetry(DEFAULT_RING_CAPACITY);
-    let wall_instrumented = start.elapsed().as_secs_f64();
+    let (wall_instrumented, (traced, _recorders)) = timed(|| {
+        experiments::claims_spec(cycles, multi_threads).run_with_telemetry(DEFAULT_RING_CAPACITY)
+    });
     let instrumented_identical =
         traced.cell(0, 0) == &multi.deferred && traced.cell(1, 0) == &multi.immediate;
     let total_cycles = single.deferred.cycles + single.immediate.cycles;
@@ -247,7 +282,9 @@ pub fn pipeline_baseline_threaded(cycles: u64, threads: usize, batch: BatchMode)
         cycles_per_second: total_cycles as f64 / wall,
     };
     let single_run = run(1, wall_single);
-    let batched = batch.enabled().then(|| batch_baseline(cycles));
+    let batched = batch_config
+        .zip(batched_run)
+        .map(|(config, result)| batch_baseline(&config, cycles, median(batched_walls), &result));
     let speedup_batched = batched
         .as_ref()
         .map(|b| b.cycles_per_second / single_run.cycles_per_second);

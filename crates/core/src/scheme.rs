@@ -112,6 +112,12 @@ impl SequentialScheme for TimberFfScheme {
         self.pending_select.iter_mut().for_each(|s| *s = 0);
         self.last_cycle = None;
     }
+
+    /// On time up to the edge: an on-time capture resets the select
+    /// and relays select 0, whatever the arrival.
+    fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
+        Some(ctx.period)
+    }
 }
 
 /// TIMBER flip-flop scheme for a **DAG** pipeline topology
@@ -261,6 +267,12 @@ impl SequentialScheme for TimberLatchScheme {
         for l in &mut self.latches {
             *l = TimberLatch::new(self.schedule);
         }
+    }
+
+    /// On time up to the edge; an on-time capture leaves the latch
+    /// untouched.
+    fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
+        Some(ctx.period)
     }
 }
 

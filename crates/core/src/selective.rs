@@ -86,6 +86,12 @@ impl SequentialScheme for SelectiveScheme {
     fn reset(&mut self) {
         self.timber.reset();
     }
+
+    /// Both element kinds are on time up to the edge, and the TIMBER
+    /// relay sees the same clean evaluation either way.
+    fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
+        Some(ctx.period)
+    }
 }
 
 #[cfg(test)]

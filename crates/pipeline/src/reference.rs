@@ -42,6 +42,11 @@ impl SequentialScheme for MarginedFlop {
     }
 
     fn reset(&mut self) {}
+
+    /// Stateless, and on time up to the edge.
+    fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
+        Some(ctx.period)
+    }
 }
 
 #[cfg(test)]

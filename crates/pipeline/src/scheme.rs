@@ -114,6 +114,23 @@ pub trait SequentialScheme {
     /// Clears all per-run state.
     fn reset(&mut self);
 
+    /// The latest arrival this scheme provably captures on time in
+    /// this cycle, or `None` (the default): "never skip".
+    ///
+    /// `Some(l)` promises that, at any stage and for any incoming
+    /// borrow, every arrival `≤ l` makes [`evaluate`] return
+    /// [`StageOutcome::Ok`] and leaves the scheme in the same state —
+    /// whichever arrival it was. The pipeline simulator relies on this
+    /// to hand a provably-on-time stage a worst-case stand-in arrival
+    /// instead of deriving the exact one: the outcome, the scheme's
+    /// state and so every later outcome are the same either way.
+    ///
+    /// [`evaluate`]: SequentialScheme::evaluate
+    fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
+        let _ = ctx;
+        None
+    }
+
     /// Static guard band the scheme reserves before the clock edge
     /// (canary-style prediction): usable period = `period -
     /// guard_band`. Defaults to zero.

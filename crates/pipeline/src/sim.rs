@@ -118,25 +118,83 @@ enum DelaySupply<'a> {
     Environment {
         sensitization: &'a mut SensitizationModel,
         variability: &'a mut dyn DelaySource,
+        /// Per-stage [`DelaySource::factor_bound`] for the current
+        /// `run` call's horizon (`None` where the source gives none or
+        /// a non-finite one).
+        bounds: Vec<Option<f64>>,
     },
     Planned(&'a mut dyn DelayRows),
 }
 
 impl DelaySupply<'_> {
+    /// Refreshes the per-stage factor bounds for queries below
+    /// `horizon`.
+    fn prepare(&mut self, horizon: u64) {
+        if let DelaySupply::Environment {
+            variability,
+            bounds,
+            ..
+        } = self
+        {
+            for (s, bound) in bounds.iter_mut().enumerate() {
+                *bound = variability
+                    .factor_bound(s, horizon)
+                    .filter(|b| b.is_finite());
+            }
+        }
+    }
+
     /// Fills one cycle's delay row, preserving the exact legacy
     /// operation order in environment mode (per stage, ascending: one
     /// sensitization sample, then one variability factor) so results
     /// stay bit-identical with the pre-row-based hot loop.
-    fn fill_row(&mut self, cycle: u64, row: &mut [Picos]) {
+    ///
+    /// The environment path skips the exact factor on a stage whose
+    /// worst case, `carry[s] + base.scale(bound)`, is within the
+    /// scheme's [`SequentialScheme::on_time_limit`] for this cycle,
+    /// and fills in that worst case instead. The sensitization sample
+    /// is still drawn, so the stream stays aligned. The stand-in is
+    /// exact in outcome: the true delay is at most the stand-in
+    /// (`scale` is monotone in the factor for a non-negative base),
+    /// both arrivals are within the limit, and the scheme contract
+    /// makes every such arrival `Ok` with the same scheme state; the
+    /// source contract makes the skipped query invisible to later
+    /// ones.
+    fn fill_row(
+        &mut self,
+        scheme: &dyn SequentialScheme,
+        ctx: &CycleContext,
+        carry: &[Picos],
+        row: &mut [Picos],
+    ) {
+        let cycle = ctx.cycle;
         match self {
             DelaySupply::Environment {
                 sensitization,
                 variability,
+                bounds,
             } => {
+                let limit = scheme.on_time_limit(ctx);
                 for (s, slot) in row.iter_mut().enumerate() {
                     let (base, _class) = sensitization.sample(s);
-                    let factor = variability.factor(cycle, s);
-                    *slot = base.scale(factor);
+                    let on_time = match (bounds[s], limit) {
+                        (Some(bound), Some(limit)) if base >= Picos::ZERO => {
+                            let worst = base.scale(bound);
+                            // Checked: a huge bound saturates `scale`
+                            // at `i64::MAX`, and a wrapped sum would
+                            // pass for on time.
+                            carry[s]
+                                .as_ps()
+                                .checked_add(worst.as_ps())
+                                .is_some_and(|arrival| arrival <= limit.as_ps())
+                                .then_some(worst)
+                        }
+                        _ => None,
+                    };
+                    *slot = match on_time {
+                        Some(worst) => worst,
+                        None => base.scale(variability.factor(cycle, s)),
+                    };
                 }
             }
             DelaySupply::Planned(rows) => rows.fill_row(cycle, row),
@@ -353,6 +411,7 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
             DelaySupply::Environment {
                 sensitization,
                 variability,
+                bounds: vec![None; config.stages],
             },
             sink,
         )
@@ -438,6 +497,7 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
         // `record_chain` allocation-free for the whole run.
         stats.reserve_chains(self.config.stages + 1);
         let mut seen_episodes = self.clock.episodes();
+        self.supply.prepare(self.cycle.saturating_add(cycles));
         for _ in 0..cycles {
             let t = self.cycle;
             self.cycle += 1;
@@ -524,7 +584,12 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
             };
             // Row-based cycle step: sample the whole delay row, build
             // the arrival row in one pass, then classify outcomes.
-            self.supply.fill_row(t, &mut self.soa.delay_row);
+            self.supply.fill_row(
+                &*self.scheme,
+                &ctx,
+                &self.soa.carry,
+                &mut self.soa.delay_row,
+            );
             self.soa.begin_cycle();
 
             for s in 0..self.config.stages {
@@ -883,6 +948,106 @@ mod tests {
             max_borrow: Picos(100),
             max_chain: 1, // real chains reach length 2
         }));
+    }
+
+    /// A source with one constant factor that claims `bound` and
+    /// counts the exact queries it answers.
+    struct Counting {
+        factor: f64,
+        bound: Option<f64>,
+        queries: u64,
+    }
+
+    impl DelaySource for Counting {
+        fn factor(&mut self, _cycle: u64, _stage: usize) -> f64 {
+            self.queries += 1;
+            self.factor
+        }
+
+        fn factor_bound(&self, _stage: usize, _horizon: u64) -> Option<f64> {
+            self.bound
+        }
+
+        fn name(&self) -> &str {
+            "counting"
+        }
+    }
+
+    /// [`BorrowAll`] with the on-time limit its `evaluate` honours.
+    #[derive(Debug)]
+    struct LimitedBorrowAll;
+    impl SequentialScheme for LimitedBorrowAll {
+        fn name(&self) -> &str {
+            "limited-borrow-all"
+        }
+        fn evaluate(
+            &mut self,
+            s: usize,
+            arrival: Picos,
+            i: Picos,
+            ctx: &CycleContext,
+        ) -> StageOutcome {
+            BorrowAll.evaluate(s, arrival, i, ctx)
+        }
+        fn reset(&mut self) {}
+        fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
+            Some(ctx.period)
+        }
+    }
+
+    #[test]
+    fn provably_on_time_stages_skip_the_exact_factor() {
+        // Critical paths of 900ps against a 1000ps edge under a bound
+        // of 1.1: every stage of every cycle is on time in the worst
+        // case, so no exact factor is ever needed.
+        let cfg = PipelineConfig::new(4, Picos(1000));
+        let mut scheme = MarginedFlop::new();
+        let mut sens = uniform_sens(4, 900);
+        let mut var = Counting {
+            factor: 1.0,
+            bound: Some(1.1),
+            queries: 0,
+        };
+        let stats = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(2_000);
+        assert_eq!(stats.violations(), 0);
+        assert_eq!(var.queries, 0);
+        // A bound of 1.2 puts the critical path (1080ps) past the edge,
+        // so exactly the cycles that sensitize it ask for the factor.
+        let mut sens = uniform_sens(4, 900);
+        var.bound = Some(1.2);
+        let _ = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(2_000);
+        assert!(var.queries > 0 && var.queries < 2_000, "{}", var.queries);
+    }
+
+    #[test]
+    fn unbounded_sources_never_take_the_fast_path() {
+        // A bound of `f64::MAX` saturates `scale` at `i64::MAX`; with a
+        // carry of ~2.3e18ps a wrapping sum would come out negative and
+        // pass for on time. An infinite bound is no bound at all.
+        for bound in [Some(f64::MAX), Some(f64::INFINITY), Some(f64::NAN), None] {
+            let cfg = PipelineConfig::new(2, Picos(1000));
+            let mut scheme = LimitedBorrowAll;
+            let mut profiles =
+                vec![timber_variability::StagePathProfile::from_critical(Picos(i64::MAX / 4)); 2];
+            for p in &mut profiles {
+                p.p_critical = 1.0;
+                p.p_near = 0.0;
+            }
+            let mut sens = SensitizationModel::new(profiles, 1);
+            let mut var = Counting {
+                factor: 1.0,
+                bound,
+                queries: 0,
+            };
+            let mut sim = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var);
+            let stats = sim.run(50);
+            assert!(
+                sim.carry()[1] > Picos(i64::MAX / 8),
+                "{bound:?}: carry is large"
+            );
+            assert_eq!(stats.masked, 2 * 50, "{bound:?}");
+            assert_eq!(var.queries, 2 * 50, "{bound:?}: every stage is exact");
+        }
     }
 
     #[test]

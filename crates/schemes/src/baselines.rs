@@ -111,6 +111,13 @@ impl SequentialScheme for RazorFf {
     }
 
     fn reset(&mut self) {}
+
+    /// On time up to the edge, less the lower half of the
+    /// metastability aperture (`meta_window = 0` leaves the edge).
+    /// Stateless.
+    fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
+        Some(ctx.period - self.meta_window / 2)
+    }
 }
 
 /// Transition-detector flip-flop (TDTB-style, Bowman DAC 2009 /
@@ -159,6 +166,11 @@ impl SequentialScheme for TransitionDetectorFf {
     }
 
     fn reset(&mut self) {}
+
+    /// Stateless, and on time up to the edge.
+    fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
+        Some(ctx.period)
+    }
 }
 
 /// Canary flip-flop error *prediction* (Sato, ISQED 2007): a canary
@@ -213,6 +225,11 @@ impl SequentialScheme for CanaryFf {
 
     fn reset(&mut self) {}
 
+    /// On time up to the guard band. Stateless.
+    fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
+        Some(ctx.period - self.guard)
+    }
+
     fn guard_band(&self, _nominal_period: Picos) -> Picos {
         self.guard
     }
@@ -265,6 +282,11 @@ impl SequentialScheme for SoftEdgeFf {
     }
 
     fn reset(&mut self) {}
+
+    /// Stateless, and on time up to the edge.
+    fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
+        Some(ctx.period)
+    }
 }
 
 /// Logical error masking with redundant logic (Choudhury & Mohanram,
@@ -328,6 +350,12 @@ impl SequentialScheme for LogicalMasking {
     }
 
     fn reset(&mut self) {}
+
+    /// On time up to the edge; an on-time arrival draws no coverage
+    /// sample, so the RNG state is untouched.
+    fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
+        Some(ctx.period)
+    }
 }
 
 #[cfg(test)]

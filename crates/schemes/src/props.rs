@@ -4,10 +4,13 @@
 
 use proptest::prelude::*;
 
+use timber::{CheckingPeriod, SelectiveScheme};
 use timber_netlist::Picos;
+use timber_pipeline::montecarlo::splitmix64;
 use timber_pipeline::{CycleContext, SequentialScheme, StageOutcome};
 
 use crate::baselines::{CanaryFf, RazorFf, SoftEdgeFf, TransitionDetectorFf};
+use crate::registry::{Registry, SchemeId};
 
 fn ctx(period: i64) -> CycleContext {
     CycleContext {
@@ -101,5 +104,72 @@ proptest! {
         let caught = |o: &StageOutcome| matches!(o, StageOutcome::Detected { .. });
         prop_assert_eq!(caught(&r), caught(&t));
         prop_assert_eq!(r.state_correct(), t.state_correct());
+    }
+}
+
+/// Every scheme with an on-time limit: the eight registry schemes,
+/// Razor with its metastability aperture on, and a selective
+/// TIMBER/conventional mix. `pick` chooses one; `seed` seeds any
+/// internal randomness and the selective mask.
+fn limited_scheme(pick: usize, stages: usize, seed: u64) -> Box<dyn SequentialScheme> {
+    let schedule = CheckingPeriod::new(Picos(1000), 24.0, 1, 2).expect("valid schedule");
+    let registry = Registry::new(schedule, stages);
+    match pick {
+        p if p < SchemeId::ALL.len() => registry.build(SchemeId::ALL[p], seed),
+        8 => Box::new(RazorFf::new(registry.window()).with_metastability(Picos(40), 4)),
+        _ => Box::new(SelectiveScheme::new(
+            schedule,
+            (0..stages)
+                .map(|s| splitmix64(seed, s as u64) & 1 == 1)
+                .collect(),
+        )),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The `on_time_limit` contract: two instances driven through one
+    /// random history (borrows, relays, detections, clock changes), fed
+    /// different arrivals at or below the limit at one step, both
+    /// return `Ok` there and agree on every later outcome.
+    #[test]
+    fn arrivals_within_the_on_time_limit_are_interchangeable(
+        pick in 0usize..10,
+        stages in 1usize..6,
+        seed in any::<u64>(),
+        step in 0usize..120,
+        // One arrival hugs the limit, where a limit set too late shows.
+        slack in (0i64..4, 0i64..400),
+    ) {
+        let mut a = limited_scheme(pick, stages, seed);
+        let mut b = limited_scheme(pick, stages, seed);
+        let cycles = 24u64;
+        let step = step % (cycles as usize * stages);
+        let mut n = 0u64;
+        for cycle in 0..cycles {
+            // Nominal, over-clocked and throttled edges.
+            let period = Picos([1000, 880, 1100, 1200][(splitmix64(seed, n) % 4) as usize]);
+            let ctx = CycleContext { cycle, period, nominal_period: Picos(1000) };
+            for s in 0..stages {
+                n += 1;
+                let draw = splitmix64(seed ^ 0xA11, n);
+                let incoming = Picos((draw >> 32) as i64 % 120);
+                let (oa, ob) = if cycle as usize * stages + s == step {
+                    let limit = a.on_time_limit(&ctx).expect("scheme is limited");
+                    prop_assert_eq!(b.on_time_limit(&ctx), Some(limit));
+                    let oa = a.evaluate(s, limit - Picos(slack.0), incoming, &ctx);
+                    let ob = b.evaluate(s, limit - Picos(slack.1), incoming, &ctx);
+                    prop_assert_eq!(oa, StageOutcome::Ok);
+                    prop_assert_eq!(ob, StageOutcome::Ok);
+                    (oa, ob)
+                } else {
+                    // Arrivals from well on time to past every window.
+                    let arrival = period + Picos((draw % 400) as i64 - 250);
+                    (a.evaluate(s, arrival, incoming, &ctx), b.evaluate(s, arrival, incoming, &ctx))
+                };
+                prop_assert_eq!(oa, ob, "{} cycle {} stage {}", a.name(), cycle, s);
+            }
+        }
     }
 }

@@ -1,0 +1,197 @@
+//! Differential check of the simulator's on-time skip: every run must
+//! come out exactly as it does when the exact variability factor is
+//! computed for every stage of every cycle.
+//!
+//! The exact path is reached through two adapters that forward
+//! everything but hide the contracts the skip relies on —
+//! [`DelaySource::factor_bound`] and
+//! [`SequentialScheme::on_time_limit`] keep their `None` defaults.
+
+use proptest::prelude::*;
+
+use timber_netlist::Picos;
+use timber_pipeline::montecarlo::splitmix64;
+use timber_pipeline::{
+    CycleContext, GovernorConfig, PipelineConfig, PipelineSim, RunStats, SequentialScheme,
+    StageOutcome,
+};
+use timber_resilience::StormScenario;
+use timber_schemes::{Registry, SchemeId};
+use timber_telemetry::{Recorder, RecorderConfig};
+use timber_variability::{
+    CompositeVariability, DelaySource, SensitizationModel, StagePathProfile, VariabilityBuilder,
+};
+
+/// A delay source with its bound hidden.
+struct Exact<'a>(&'a mut dyn DelaySource);
+
+impl DelaySource for Exact<'_> {
+    fn factor(&mut self, cycle: u64, stage: usize) -> f64 {
+        self.0.factor(cycle, stage)
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
+/// A scheme with its on-time limit hidden.
+struct Unlimited<'a>(&'a mut dyn SequentialScheme);
+
+impl SequentialScheme for Unlimited<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn evaluate(
+        &mut self,
+        stage: usize,
+        arrival: Picos,
+        incoming_borrow: Picos,
+        ctx: &CycleContext,
+    ) -> StageOutcome {
+        self.0.evaluate(stage, arrival, incoming_borrow, ctx)
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+
+    fn guard_band(&self, nominal_period: Picos) -> Picos {
+        self.0.guard_band(nominal_period)
+    }
+}
+
+/// One simulated trial, in the shape the serve engine runs.
+#[derive(Debug, Clone, Copy)]
+struct Trial {
+    scheme: SchemeId,
+    /// `None` for the nominal stress, else one storm.
+    storm: Option<StormScenario>,
+    stages: usize,
+    /// Clock period as a per-mille of the critical path: below 1000
+    /// is over-clocked.
+    period_permille: i64,
+    governor: bool,
+    seed: u64,
+}
+
+/// Everything a run leaves behind that the skip could disturb.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    chunks: Vec<RunStats>,
+    carry: Vec<Picos>,
+    chains: Vec<usize>,
+    penalty_remaining: u64,
+    recorder: Recorder,
+}
+
+impl Trial {
+    const CRITICAL: i64 = 1000;
+
+    fn environment(&self) -> (SensitizationModel, CompositeVariability) {
+        let mut profile = StagePathProfile::from_critical(Picos(Self::CRITICAL));
+        // Far denser than the paper's 10⁻³, so short runs see borrows,
+        // relays and detections.
+        profile.p_critical = 0.02;
+        profile.p_near = 0.1;
+        let sens = SensitizationModel::new(vec![profile; self.stages], self.seed ^ 0x5EED);
+        let var = match self.storm {
+            Some(storm) => storm.build(self.stages, self.seed),
+            None => VariabilityBuilder::new(self.seed)
+                .voltage_droop(0.05, 500, 2000.0)
+                .local_jitter(0.005)
+                .build(),
+        };
+        (sens, var)
+    }
+
+    /// Runs the trial in `chunks` successive `run` calls; with `exact`
+    /// set, through the adapters.
+    fn run(&self, chunks: &[u64], exact: bool) -> Outcome {
+        let schedule =
+            timber::CheckingPeriod::new(Picos(Self::CRITICAL), 24.0, 1, 2).expect("valid schedule");
+        let registry = Registry::new(schedule, self.stages);
+        let mut scheme = registry.build(self.scheme, self.seed);
+        let mut unlimited = Unlimited(scheme.as_mut());
+        let scheme: &mut dyn SequentialScheme = if exact { &mut unlimited } else { unlimited.0 };
+        let (mut sens, mut var) = self.environment();
+        let mut hidden = Exact(&mut var);
+        let var: &mut dyn DelaySource = if exact { &mut hidden } else { hidden.0 };
+        let period = Picos(Self::CRITICAL * self.period_permille / 1000);
+        let mut config = PipelineConfig::new(self.stages, period);
+        if self.governor {
+            config.governor = Some(GovernorConfig::default());
+        }
+        let mut recorder =
+            Recorder::new(RecorderConfig::new(self.stages, period).ring_capacity(1 << 16));
+        let mut sim = PipelineSim::with_telemetry(config, scheme, &mut sens, var, &mut recorder);
+        let chunks = chunks.iter().map(|&n| sim.run(n)).collect();
+        let carry = sim.carry().to_vec();
+        let chains = sim.chain_depths().to_vec();
+        let penalty_remaining = sim.penalty_remaining();
+        Outcome {
+            chunks,
+            carry,
+            chains,
+            penalty_remaining,
+            recorder,
+        }
+    }
+
+    /// The un-instrumented run (the serve path) in one call.
+    fn stats(&self, cycles: u64, exact: bool) -> RunStats {
+        let schedule =
+            timber::CheckingPeriod::new(Picos(Self::CRITICAL), 24.0, 1, 2).expect("valid schedule");
+        let mut scheme = Registry::new(schedule, self.stages).build(self.scheme, self.seed);
+        let (mut sens, mut var) = self.environment();
+        let period = Picos(Self::CRITICAL * self.period_permille / 1000);
+        let mut config = PipelineConfig::new(self.stages, period);
+        if self.governor {
+            config.governor = Some(GovernorConfig::default());
+        }
+        if exact {
+            let mut scheme = Unlimited(scheme.as_mut());
+            PipelineSim::new(config, &mut scheme, &mut sens, &mut Exact(&mut var)).run(cycles)
+        } else {
+            PipelineSim::new(config, scheme.as_mut(), &mut sens, &mut var).run(cycles)
+        }
+    }
+}
+
+const STORMS: [Option<StormScenario>; 4] = [
+    None,
+    Some(StormScenario::DroopTrain),
+    Some(StormScenario::AgingRamp),
+    Some(StormScenario::FlagSpikes),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Skipping changes nothing: run statistics (chunk by chunk), the
+    /// final carry, chain and penalty state, and every telemetry
+    /// counter and event.
+    #[test]
+    fn skipping_on_time_stages_changes_nothing(
+        pick in (0usize..8, 0usize..4),
+        stages in 1usize..7,
+        period_permille in 850i64..1250,
+        governor in any::<bool>(),
+        seed in any::<u64>(),
+        cycles in 50u64..1500,
+    ) {
+        let trial = Trial {
+            scheme: SchemeId::ALL[pick.0],
+            storm: STORMS[pick.1],
+            stages,
+            period_permille,
+            governor,
+            seed,
+        };
+        let split = splitmix64(seed, 1) % cycles;
+        let chunks = [split, 0, cycles - split];
+        prop_assert_eq!(trial.run(&chunks, false), trial.run(&chunks, true));
+        prop_assert_eq!(trial.stats(cycles, false), trial.stats(cycles, true));
+    }
+}

@@ -4,15 +4,18 @@
 //! A compile has two halves. Everything that depends only on the
 //! [`DesignId`] — generator netlist, full STA, the guard-banded raw
 //! period, the sensitization profiles and the min-delay (hold)
-//! analysis — is built once per design per process and kept in a
-//! process-wide table. Only the schedule-dependent tail runs per
-//! [`compile`]: snapping the period to the schedule, building the
-//! [`CheckingPeriod`], and the padding plan its checking period forces
-//! (every short path must reach `hold + checking period`, paper §4).
-//! The tail is exact because hold min-arrivals depend only on
-//! `clk_to_q` and `hold`, never on the clock period. So only a compile
-//! for a design this process has already built is cheap; the first
-//! compile of each design still pays the whole build.
+//! analysis — is built once per design per process. A process-wide
+//! table keeps only what the tail reads: the raw period, the profiles,
+//! the flop and net counts, and the min arrival at each flop-D
+//! endpoint; the netlist and the per-net analyses are dropped. Only
+//! the schedule-dependent tail runs per [`compile`]: snapping the
+//! period to the schedule, building the [`CheckingPeriod`], and the
+//! padding its checking period forces (every short path must reach
+//! `hold + checking period`, paper §4). The tail is exact because hold
+//! min-arrivals depend only on `clk_to_q` and `hold`, never on the
+//! clock period. So only a compile for a design this process has
+//! already built is cheap; the first compile of each design still pays
+//! the whole build.
 //!
 //! The [`CompiledDesign`] depends only on the fields in
 //! [`crate::spec::EvalSpec::design_canonical`], so the engine caches it
@@ -32,7 +35,7 @@ use timber::CheckingPeriod;
 use timber_lint::{snap_period, ScheduleSpec};
 use timber_netlist::{
     alu, array_multiplier, kogge_stone_adder, pipelined_datapath, random_dag, ripple_carry_adder,
-    CellLibrary, DatapathSpec, Netlist, Picos, RandomDagSpec,
+    CellLibrary, DatapathSpec, Netlist, Picos, RandomDagSpec, Sink,
 };
 use timber_pipeline::montecarlo::splitmix64;
 use timber_pipeline::{GovernorConfig, PipelineConfig, PipelineSim, RunStats};
@@ -121,15 +124,22 @@ fn quantile_profiles(netlist: &Netlist, sta: &TimingAnalysis<'_>) -> Vec<StagePa
 }
 
 /// The schedule-independent half of a compile, built once per design.
+///
+/// It keeps only what the schedule tail reads: no netlist and no
+/// per-net analysis, just the min arrival at each reachable flop-D
+/// endpoint — all a padding plan needs.
 struct DesignBase {
-    netlist: Netlist,
     /// The design's critical path with a 5% guard band plus setup,
     /// before snapping to a schedule.
     raw_period: Picos,
     profiles: Vec<StagePathProfile>,
-    /// Min arrivals per net: period-independent, so one analysis
-    /// serves every checking period.
-    hold: HoldAnalysis,
+    /// Hold time of the analysis clock.
+    hold: Picos,
+    /// Min arrival at every reachable flop-D endpoint, one entry per
+    /// endpoint in [`HoldAnalysis::padding_plan`]'s order. Min
+    /// arrivals are period-independent, so one list serves every
+    /// checking period.
+    endpoint_arrivals: Vec<Picos>,
     flops: usize,
     nets: usize,
 }
@@ -144,15 +154,44 @@ impl DesignBase {
         } else {
             quantile_profiles(&netlist, &sta)
         };
+        let hold = HoldAnalysis::run(&netlist, &clock);
+        let endpoint_arrivals = netlist
+            .net_ids()
+            .map(|net| (net, hold.min_arrival(net)))
+            .filter(|&(_, arrival)| arrival != Picos::MAX)
+            .flat_map(|(net, arrival)| {
+                netlist
+                    .net(net)
+                    .fanout()
+                    .iter()
+                    .filter(|sink| matches!(sink, Sink::FlopD(_)))
+                    .map(move |_| arrival)
+            })
+            .collect();
         DesignBase {
             // Same period derivation as the lint gate.
             raw_period: sta.worst_arrival().scale(1.05) + Picos(30),
             profiles,
-            hold: HoldAnalysis::run(&netlist, &clock),
+            hold: clock.hold,
+            endpoint_arrivals,
             flops: netlist.flop_ids().count(),
             nets: netlist.net_ids().count(),
-            netlist,
         }
+    }
+
+    /// The padding plan's floor, padded-endpoint count and total
+    /// padding for a checking period — the summary
+    /// [`HoldAnalysis::padding_plan`] would give on the full netlist.
+    fn padding(&self, checking: Picos) -> (Picos, usize, Picos) {
+        let floor = self.hold + checking;
+        let (endpoints, total) = self
+            .endpoint_arrivals
+            .iter()
+            .filter(|&&arrival| arrival < floor)
+            .fold((0, Picos::ZERO), |(n, total), &arrival| {
+                (n + 1, total + (floor - arrival))
+            });
+        (floor, endpoints, total)
     }
 
     /// The process-wide base for an evaluable design, built on first
@@ -192,15 +231,15 @@ pub fn compile(spec: &EvalSpec) -> CompiledDesign {
     let period = snap_period(base.raw_period, &schedule_spec);
     let schedule = CheckingPeriod::new(period, spec.checking_pct, spec.k_tb, spec.k_ed)
         .expect("snapped period admits the validated schedule");
-    let plan = base.hold.padding_plan(&base.netlist, schedule.checking());
+    let (padding_floor, padding_endpoints, padding_total) = base.padding(schedule.checking());
     CompiledDesign {
         design: spec.design,
         period,
         schedule,
         profiles: base.profiles.clone(),
-        padding_floor: plan.floor,
-        padding_endpoints: plan.deficits.len(),
-        padding_total: plan.total_padding,
+        padding_floor,
+        padding_endpoints,
+        padding_total,
         flops: base.flops,
         nets: base.nets,
     }
@@ -270,6 +309,7 @@ pub fn evaluate(compiled: &CompiledDesign, spec: &EvalSpec) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use timber_resilience::StormScenario;
 
     #[test]
     fn every_evaluable_design_compiles() {
@@ -423,5 +463,38 @@ mod tests {
         spec.checking_pct = 30.0;
         let b = compile(&spec);
         assert!(b.schedule.checking() > a.schedule.checking());
+    }
+
+    /// Every `evaluate` body over the design × scheme × storm grid,
+    /// digested. The pinned value was computed before the simulator
+    /// learned to skip exact derating on provably on-time stages, so
+    /// any change to a body — the skip included — fails here.
+    #[test]
+    fn evaluate_bodies_match_the_pinned_digest() {
+        let storms = [
+            None,
+            Some(StormScenario::DroopTrain),
+            Some(StormScenario::AgingRamp),
+            Some(StormScenario::FlagSpikes),
+        ];
+        let mut bodies = String::new();
+        for design in DesignId::EVALUABLE {
+            for scheme in timber_schemes::SchemeId::ALL {
+                for storm in storms {
+                    let spec = EvalSpec {
+                        scheme,
+                        storm,
+                        cycles: 1_500,
+                        ..EvalSpec::defaults(design)
+                    };
+                    bodies.push_str(&evaluate(&compile(&spec), &spec));
+                    bodies.push('\n');
+                }
+            }
+        }
+        assert_eq!(
+            crate::key::content_hash(bodies.as_bytes()).hex(),
+            "14705306ab940d0d1c39f6274eaaff7659e72bb2a96741d160321b5bc9c1ab82"
+        );
     }
 }

@@ -193,16 +193,21 @@ impl Engine {
             // Records stream from the file straight into the cache in
             // file order, so the last record per key wins — exactly the
             // state the journal writer left behind — and memory stays
-            // at the cache plus one key per distinct record.
-            let mut resumed: BTreeSet<CacheKey> = BTreeSet::new();
+            // at the cache plus one key per verified record. The keys
+            // sit in one flat vector, deduplicated after the scan and
+            // freed whole, so no per-key nodes stay resident among the
+            // cache's strings.
+            let mut resumed: Vec<CacheKey> = Vec::new();
             let mut corrupt = 0;
             let scan = visit_log(path, |key, sealed| match CacheKey::from_hex(key) {
                 Some(key) if open(sealed, true).is_ok() => {
-                    resumed.insert(key);
+                    resumed.push(key);
                     results.insert(key, sealed.to_owned());
                 }
                 _ => corrupt += 1,
             })?;
+            resumed.sort_unstable();
+            resumed.dedup();
             stats.add(ServiceCounter::JournalTornLines, scan.dropped());
             stats.add(ServiceCounter::JournalCorrupt, corrupt);
             stats.add(ServiceCounter::Resumed, resumed.len() as u64);

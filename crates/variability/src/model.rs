@@ -27,6 +27,27 @@ pub trait DelaySource {
     /// Derating factor at `cycle` for pipeline `stage`.
     fn factor(&mut self, cycle: u64, stage: usize) -> f64;
 
+    /// A static upper bound on this source's factor at `stage` over
+    /// cycles `0..horizon`, or `None` (the default): "never skip".
+    ///
+    /// `Some(b)` makes two promises, which let the pipeline simulator
+    /// skip the exact factor on a stage whose worst case is on time:
+    ///
+    /// 1. `0 ≤ factor(c, stage) ≤ b` for every `c < horizon` — as
+    ///    rounded `f64`s, not only in exact arithmetic;
+    /// 2. skipping any queries does not change the answer to a later
+    ///    one (counter-mode sources, and stateful ones that catch up
+    ///    on the next query, both qualify).
+    ///
+    /// Each built-in bound follows from the factor's own expression
+    /// with the same operations in the same order: IEEE rounding is
+    /// monotone, so a bound that dominates every operand before
+    /// rounding still dominates after it.
+    fn factor_bound(&self, stage: usize, horizon: u64) -> Option<f64> {
+        let _ = (stage, horizon);
+        None
+    }
+
     /// Short, human-readable source name (for reports).
     fn name(&self) -> &str;
 }
@@ -57,6 +78,11 @@ impl ProcessVariation {
 impl DelaySource for ProcessVariation {
     fn factor(&mut self, _cycle: u64, stage: usize) -> f64 {
         self.factors[stage % self.factors.len()]
+    }
+
+    /// The stage's own static factor.
+    fn factor_bound(&self, stage: usize, _horizon: u64) -> Option<f64> {
+        Some(self.factors[stage % self.factors.len()])
     }
 
     fn name(&self) -> &str {
@@ -161,6 +187,15 @@ impl DelaySource for VoltageDroop {
         self.cached_factor
     }
 
+    /// `(1 + depth/4) + depth`: the ripple is `depth/4` times a sine
+    /// clipped to `[0, 1]`, and the event term is `depth` times
+    /// `exp` of a non-positive argument, at most 1. The event schedule
+    /// catches up on whatever cycle is queried next, so skipped
+    /// queries change nothing.
+    fn factor_bound(&self, _stage: usize, _horizon: u64) -> Option<f64> {
+        Some((1.0 + self.depth / 4.0) + self.depth)
+    }
+
     fn name(&self) -> &str {
         "voltage-droop"
     }
@@ -214,6 +249,11 @@ impl DelaySource for TemperatureDrift {
         self.cached_factor
     }
 
+    /// `1 + amplitude`: the sine is clipped to `[0, 1]`.
+    fn factor_bound(&self, _stage: usize, _horizon: u64) -> Option<f64> {
+        Some(1.0 + self.amplitude)
+    }
+
     fn name(&self) -> &str {
         "temperature"
     }
@@ -237,11 +277,23 @@ impl Aging {
         assert!(per_decade >= 0.0, "per-decade slope must be non-negative");
         Aging { per_decade }
     }
+
+    fn at(&self, cycle: u64) -> f64 {
+        1.0 + self.per_decade * (1.0 + cycle as f64).log10()
+    }
 }
 
 impl DelaySource for Aging {
     fn factor(&mut self, cycle: u64, _stage: usize) -> f64 {
-        1.0 + self.per_decade * (1.0 + cycle as f64).log10()
+        self.at(cycle)
+    }
+
+    /// The factor at `horizon − 1`, one ulp up. The factor grows with
+    /// the cycle only as far as libm's `log10` is monotone, which it
+    /// does not promise; the ulp at 1.x dwarfs `per_decade` times any
+    /// `log10` rounding slip.
+    fn factor_bound(&self, _stage: usize, horizon: u64) -> Option<f64> {
+        Some(self.at(horizon.saturating_sub(1)).next_up())
     }
 
     fn name(&self) -> &str {
@@ -327,6 +379,12 @@ impl DelaySource for LocalJitter {
         (1.0 + self.sigma * z).max(0.5)
     }
 
+    /// `max(1 + 4σ, 0.5)`: the normal draw is clamped to `[-4, 4]`, and
+    /// the source is counter-mode, so skipped queries change nothing.
+    fn factor_bound(&self, _stage: usize, _horizon: u64) -> Option<f64> {
+        Some((1.0 + 4.0 * self.sigma).max(0.5))
+    }
+
     fn name(&self) -> &str {
         "local-jitter"
     }
@@ -369,6 +427,16 @@ impl DelaySource for CompositeVariability {
         self.sources
             .iter_mut()
             .map(|s| s.factor(cycle, stage))
+            .product()
+    }
+
+    /// The product of the sources' bounds, in source order (the same
+    /// fold as [`DelaySource::factor`], so the rounding is monotone
+    /// step by step), or `None` if any source gives `None`.
+    fn factor_bound(&self, stage: usize, horizon: u64) -> Option<f64> {
+        self.sources
+            .iter()
+            .map(|s| s.factor_bound(stage, horizon))
             .product()
     }
 

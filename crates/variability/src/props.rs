@@ -6,7 +6,10 @@ use proptest::prelude::*;
 
 use timber_netlist::Picos;
 
-use crate::model::{Aging, DelaySource, LocalJitter, TemperatureDrift, VariabilityBuilder};
+use crate::model::{
+    Aging, CompositeVariability, DelaySource, LocalJitter, ProcessVariation, TemperatureDrift,
+    VariabilityBuilder, VoltageDroop,
+};
 use crate::sensitization::{SensitizationModel, StagePathProfile};
 
 proptest! {
@@ -86,4 +89,185 @@ proptest! {
             prop_assert!(d <= Picos(crit));
         }
     }
+}
+
+/// Checks `factor ≤ factor_bound` at every stage and every cycle below
+/// `horizon`, querying each cycle's stages in order as the simulator
+/// does.
+fn assert_bounded(src: &mut dyn DelaySource, stages: usize, horizon: u64) {
+    let bounds: Vec<f64> = (0..stages)
+        .map(|s| {
+            src.factor_bound(s, horizon)
+                .expect("built-in sources are bounded")
+        })
+        .collect();
+    for c in 0..horizon {
+        for (s, &bound) in bounds.iter().enumerate() {
+            let f = src.factor(c, s);
+            prop_assert!(
+                (0.0..=bound).contains(&f),
+                "{}: factor {f} outside [0, {bound}] at cycle {c} stage {s}",
+                src.name()
+            );
+        }
+    }
+}
+
+/// Checks promise two of `factor_bound`: an instance that skips the
+/// queries `skip` selects answers every remaining query exactly as one
+/// that saw them all.
+fn assert_skip_invisible(
+    full: &mut dyn DelaySource,
+    sparse: &mut dyn DelaySource,
+    stages: usize,
+    horizon: u64,
+    skip: impl Fn(u64, usize) -> bool,
+) {
+    for c in 0..horizon {
+        for s in 0..stages {
+            let f = full.factor(c, s);
+            if !skip(c, s) {
+                prop_assert_eq!(
+                    sparse.factor(c, s).to_bits(),
+                    f.to_bits(),
+                    "cycle {c} stage {s}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Process variation is bounded by its own static stage factor,
+    /// including where the `0.5` floor clips a wide spread.
+    #[test]
+    fn process_factor_within_bound(
+        stages in 1usize..8,
+        sigma in 0.0f64..0.6,
+        seed in any::<u64>(),
+        horizon in 1u64..500,
+    ) {
+        assert_bounded(&mut ProcessVariation::new(stages, sigma, seed), stages, horizon);
+    }
+
+    /// Droop stays under `(1 + depth/4) + depth` through dense,
+    /// overlapping event trains, and skipping queries (whole cycles or
+    /// single stages) never changes a later answer.
+    #[test]
+    fn droop_factor_within_bound_and_skips_are_invisible(
+        depth in 0.0f64..0.6,
+        resonance in 1u64..600,
+        mean_interval in 1.0f64..400.0,
+        seed in any::<u64>(),
+        horizon in 1u64..3000,
+        stride in 2u64..9,
+    ) {
+        let make = || VoltageDroop::new(depth, resonance, mean_interval, seed);
+        assert_bounded(&mut make(), 3, horizon);
+        assert_skip_invisible(&mut make(), &mut make(), 3, horizon, |c, s| {
+            !(c + s as u64).is_multiple_of(stride)
+        });
+    }
+
+    /// Temperature drift stays under `1 + amplitude`.
+    #[test]
+    fn temperature_factor_within_bound(
+        amplitude in 0.0f64..0.5,
+        period in 1u64..5000,
+        seed in any::<u64>(),
+        horizon in 1u64..3000,
+    ) {
+        assert_bounded(&mut TemperatureDrift::new(amplitude, period, seed), 2, horizon);
+    }
+
+    /// Aging stays under its bound for every cycle below the horizon,
+    /// and near the top of horizons far past any run length.
+    #[test]
+    fn aging_factor_within_bound(
+        per_decade in 0.0f64..0.5,
+        horizon in 1u64..20_000,
+        far in 1u64..(1u64 << 50),
+    ) {
+        let mut aging = Aging::new(per_decade);
+        assert_bounded(&mut aging, 1, horizon);
+        let bound = aging.factor_bound(0, far).expect("bounded");
+        for c in far.saturating_sub(64)..far {
+            let f = aging.factor(c, 0);
+            prop_assert!(f <= bound, "factor {f} > bound {bound} at cycle {c}");
+        }
+    }
+
+    /// Jitter stays under `max(1 + 4σ, 0.5)`, including sigmas wide
+    /// enough for the clamp and the floor to bite, and is counter-mode:
+    /// skipped queries change nothing.
+    #[test]
+    fn jitter_factor_within_bound_and_skips_are_invisible(
+        sigma in 0.0f64..0.4,
+        seed in any::<u64>(),
+        stages in 1usize..8,
+        horizon in 1u64..2000,
+        stride in 2u64..9,
+    ) {
+        assert_bounded(&mut LocalJitter::new(sigma, seed), stages, horizon);
+        assert_skip_invisible(
+            &mut LocalJitter::new(sigma, seed),
+            &mut LocalJitter::new(sigma, seed),
+            stages,
+            horizon,
+            |c, s| (c * 7 + s as u64).is_multiple_of(stride),
+        );
+    }
+
+    /// A composite of every source is bounded by the product of their
+    /// bounds, and skipping queries changes none of its later answers.
+    #[test]
+    fn composite_factor_within_bound_and_skips_are_invisible(
+        seed in any::<u64>(),
+        stages in 1usize..7,
+        depths in (0.0f64..0.3, 0.0f64..0.1, 0.0f64..0.1),
+        horizon in 1u64..1500,
+        stride in 2u64..9,
+    ) {
+        let (droop, jitter, aging) = depths;
+        let make = || {
+            VariabilityBuilder::new(seed)
+                .process(stages, 0.05)
+                .voltage_droop(droop, 48, 60.0)
+                .temperature(0.03, 700)
+                .aging(aging)
+                .local_jitter(jitter)
+                .build()
+        };
+        assert_bounded(&mut make(), stages, horizon);
+        assert_skip_invisible(&mut make(), &mut make(), stages, horizon, |c, s| {
+            !(c + 3 * s as u64).is_multiple_of(stride)
+        });
+    }
+}
+
+/// A source that promises nothing.
+struct Unbounded;
+
+impl DelaySource for Unbounded {
+    fn factor(&mut self, _cycle: u64, _stage: usize) -> f64 {
+        1.0
+    }
+
+    fn name(&self) -> &str {
+        "unbounded"
+    }
+}
+
+#[test]
+fn composite_bound_needs_every_source_bounded() {
+    let bounded = CompositeVariability::new(vec![Box::new(Aging::new(0.01))]);
+    assert!(bounded.factor_bound(0, 100).is_some());
+    let mixed = CompositeVariability::new(vec![Box::new(Aging::new(0.01)), Box::new(Unbounded)]);
+    assert_eq!(mixed.factor_bound(0, 100), None);
+    assert_eq!(
+        CompositeVariability::nominal().factor_bound(3, 100),
+        Some(1.0)
+    );
 }

@@ -1,13 +1,15 @@
 //! Scratch profiling harness: times the hot-path components of one
 //! claims-style trial in isolation so optimisation work targets the
-//! real cost centres. Run with `cargo run --release --example
-//! hotpath_profile`.
+//! real cost centres, then the environment path of a serve-shaped
+//! trial under each stress scenario, with and without the on-time
+//! skip. Run with `cargo run --release --example hotpath_profile`.
 
 use std::time::Instant;
 
 use timber::{CheckingPeriod, TimberFfScheme};
 use timber_netlist::Picos;
-use timber_pipeline::{PipelineConfig, PipelineSim, SequentialScheme};
+use timber_pipeline::{GovernorConfig, PipelineConfig, PipelineSim, SequentialScheme};
+use timber_resilience::StormScenario;
 use timber_variability::{DelaySource, SensitizationModel, VariabilityBuilder};
 
 const CYCLES: u64 = 2_000_000;
@@ -134,4 +136,78 @@ fn main() {
         CYCLES as f64 / td,
         ok
     );
+
+    // (e) the environment path per stress scenario, in the shape of a
+    // serve trial (TIMBER flops, escalation governor): with the
+    // on-time skip, and with the bound hidden so every stage derives
+    // its exact factor.
+    for storm in [
+        None,
+        Some(StormScenario::DroopTrain),
+        Some(StormScenario::AgingRamp),
+        Some(StormScenario::FlagSpikes),
+    ] {
+        let name = storm.map_or("nominal", StormScenario::name);
+        let mut walls = [0.0; 2];
+        let mut exact_share = 0.0;
+        for (wall, hide_bound) in walls.iter_mut().zip([false, true]) {
+            let mut var = Counted {
+                inner: match storm {
+                    Some(storm) => storm.build(STAGES, 42),
+                    None => VariabilityBuilder::new(42)
+                        .voltage_droop(0.05, 500, 2000.0)
+                        .local_jitter(0.005)
+                        .build(),
+                },
+                hide_bound,
+                queries: 0,
+            };
+            let mut scheme = TimberFfScheme::new(sched, STAGES);
+            let mut sens = mk_sens();
+            let mut cfg = PipelineConfig::new(STAGES, PERIOD);
+            cfg.governor = Some(GovernorConfig::default());
+            let t = Instant::now();
+            let _ = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(CYCLES);
+            *wall = t.elapsed().as_secs_f64();
+            if !hide_bound {
+                exact_share = var.queries as f64 / (CYCLES * STAGES as u64) as f64;
+            }
+        }
+        println!(
+            "env {name:<12} {:.3}s  ({:.0} cycles/s; exact {:.0} cycles/s, {:.2}x) \
+             exact stage-cycles {:.2}%",
+            walls[0],
+            CYCLES as f64 / walls[0],
+            CYCLES as f64 / walls[1],
+            walls[1] / walls[0],
+            100.0 * exact_share
+        );
+    }
+}
+
+/// A delay source that counts the exact factors it derives and can
+/// hide its bound, forcing the simulator's exact path.
+struct Counted {
+    inner: timber_variability::CompositeVariability,
+    hide_bound: bool,
+    queries: u64,
+}
+
+impl DelaySource for Counted {
+    fn factor(&mut self, cycle: u64, stage: usize) -> f64 {
+        self.queries += 1;
+        self.inner.factor(cycle, stage)
+    }
+
+    fn factor_bound(&self, stage: usize, horizon: u64) -> Option<f64> {
+        if self.hide_bound {
+            None
+        } else {
+            self.inner.factor_bound(stage, horizon)
+        }
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
 }
