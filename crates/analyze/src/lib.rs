@@ -34,7 +34,7 @@
 //!
 //! [`certificate`] renders everything as lint reports (stable
 //! `TBR050`–`TBR055` codes) and a JSON certificate document; the
-//! `repro analyze` subcommand and the CI `analyze-gate` sit on top.
+//! `repro analyze` subcommand sits on top.
 
 #![warn(missing_docs)]
 

@@ -10,21 +10,14 @@
 
 use timber_conformance::{run_campaign, CampaignReport, CampaignSpec};
 
-/// The pinned base seed the CI gate runs at.
+/// The pinned base seed the gate runs at.
 pub const DEFAULT_SEED: u64 = 7;
 
-/// Runs the campaign: the pinned CI configuration by default, the
-/// larger dispatch-only sweep with `full`. `threads == 0` means all
-/// cores (matching the other `repro` subcommands); the thread count
-/// never changes the report.
+/// Runs the campaign: the pinned configuration by default, the larger
+/// sweep with `full`. `threads == 0` means all cores (matching the
+/// other `repro` subcommands); the thread count never changes the
+/// report.
 pub fn run(seed: u64, full: bool, sabotage: bool, threads: usize) -> CampaignReport {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
     let spec = if full {
         CampaignSpec::full(seed)
     } else {

@@ -30,6 +30,7 @@ use timber_batch::{
 };
 use timber_netlist::Picos;
 use timber_pipeline::PipelineConfig;
+use timber_resilience::resolve_threads;
 
 use crate::experiments::{self, PERIOD, SEED, TRIALS};
 use crate::trace::DEFAULT_RING_CAPACITY;
@@ -239,13 +240,7 @@ pub fn pipeline_baseline(cycles: u64) -> BenchResult {
 /// clamps to [`std::thread::available_parallelism`] (the
 /// single-threaded reference run always uses one worker).
 pub fn pipeline_baseline_threaded(cycles: u64, threads: usize, batch: BatchMode) -> BenchResult {
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let multi_threads = match threads {
-        0 => cores,
-        n => n,
-    };
+    let (cores, multi_threads) = (resolve_threads(0), resolve_threads(threads));
     // The two sides of the batching ratio, each the median of
     // `TIMING_REPEATS` runs, interleaved so that a slow window on a
     // shared host lands on both sides rather than on one.

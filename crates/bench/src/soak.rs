@@ -413,7 +413,7 @@ mod tests {
     fn injected_failures_quarantine_and_still_pass() {
         let mut spec = quick(7);
         spec.inject_panic = 2;
-        spec.inject_hang = 0; // hangs cost a watchdog period; covered by CI
+        spec.inject_hang = 0; // hangs cost a watchdog period; the CLI gate test injects one
         let report = run(&spec).unwrap();
         assert!(report.pass(), "{}", report.render());
         assert_eq!(report.quarantined.len(), 2);

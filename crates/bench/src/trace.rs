@@ -142,12 +142,4 @@ mod tests {
         assert!(summary.contains("cell deferred"), "{summary}");
         assert!(summary.contains("TB0="), "{summary}");
     }
-
-    #[test]
-    fn claims_trace_is_thread_invariant() {
-        let a = trace_experiment("claims", 40_000, 1, 32).unwrap();
-        let b = trace_experiment("claims", 40_000, 8, 32).unwrap();
-        assert_eq!(a.json(), b.json());
-        assert_eq!(a.csv(), b.csv());
-    }
 }

@@ -1,14 +1,53 @@
 //! End-to-end exit-code contract of the `repro` binary: `0` success,
 //! `1` gate findings, `2` usage error — the codes CI and scripts rely
-//! on.
+//! on — and every gate at the pins CI keeps reports from. Each gate
+//! test writes its report into `target/tmp/gate-reports/`.
 
-use std::process::Command;
+use std::io::Write;
+use std::process::{Command, Stdio};
 
 fn repro(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .output()
         .expect("spawn repro")
+}
+
+/// The path of gate report `name` in `target/tmp/gate-reports/`.
+fn gate_report(name: &str) -> String {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("gate-reports");
+    std::fs::create_dir_all(&dir).expect("create the gate report directory");
+    dir.join(name).to_str().unwrap().to_owned()
+}
+
+/// A fresh per-process scratch path for `name`.
+fn scratch(name: &str) -> String {
+    let path = std::env::temp_dir().join(format!("repro-cli-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path.to_str().unwrap().to_owned()
+}
+
+/// One small evaluation request.
+const RCA16: &str = r#"{"id":1,"design":"rca16","trials":1,"cycles":200}"#;
+
+/// Runs one `repro serve` session over stdin, one request per line,
+/// and returns its stdout.
+fn serve(args: &[&str], requests: &[&str]) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("serve")
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn repro serve");
+    let mut stdin = child.stdin.take().unwrap();
+    for request in requests {
+        writeln!(stdin, "{request}").unwrap();
+    }
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    String::from_utf8(out.stdout).unwrap()
 }
 
 /// The committed golden frontier at the repository root, resolved from
@@ -58,17 +97,11 @@ contracts! {
 contracts! {
     analyze_sabotage_fails_with_exit_1: ["analyze", "--sabotage"]
         => 1, stdout has ["FAIL", "sabotage seeded"];
-    chaos_sabotage_is_caught_and_exits_1: ["chaos", "--seed", "42", "--faults", "7", "--sabotage"]
+    chaos_sabotage_is_caught_and_exits_1: ["chaos", "--seed", "42", "--faults", "14", "--sabotage"]
         => 1, stdout has ["FAIL", "checksum-sentinel-caught"];
     tune_sabotage_fails_with_exit_1: ["tune", "--sabotage", "--budget", "12", "--threads", "4"]
         => 1, stderr has ["FAILED", "dominated"];
-    /// With the seeded model-B bug active the gate must fail and print
-    /// a divergence. Ignored by default: the sabotaged campaign
-    /// minimizes every divergence, which takes a while in debug builds.
-    /// CI's conformance-gate job runs it on every push, in its
-    /// "Harness self-test (seeded bug must fail the gate)" step.
-    #[ignore = "slow: minimizes hundreds of divergences; run with -- --ignored"]
-    conform_sabotage_fails_with_exit_1: ["conform", "--sabotage", "--threads", "4"]
+    conform_sabotage_fails_with_exit_1: ["conform", "--threads", "4", "--sabotage"]
         => 1, stdout has ["DIVERGENCE", "FAIL"];
     // A thrashing cache (capacity 1, no in-batch coalescing) fails the
     // hit-rate floor with exit 1, not a crash.
@@ -215,7 +248,7 @@ contracts! {
 
 #[test]
 fn lint_json_is_a_single_machine_readable_document() {
-    let out = repro(&["lint", "--json"]);
+    let out = repro(&["lint", "--json", "--deny", "warn"]);
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
     let doc: serde_json::Value = serde_json::from_str(text.trim()).expect("valid JSON");
@@ -227,8 +260,9 @@ fn lint_json_is_a_single_machine_readable_document() {
 
 #[test]
 fn analyze_json_is_a_single_machine_readable_document() {
-    let out = repro(&["analyze", "--json"]);
+    let out = repro(&["analyze", "--json", "--deny", "warn"]);
     assert!(out.status.success());
+    std::fs::write(gate_report("analyze.json"), &out.stdout).unwrap();
     let text = String::from_utf8(out.stdout).unwrap();
     let doc: serde_json::Value = serde_json::from_str(text.trim()).expect("valid JSON");
     assert_eq!(doc["tool"], serde_json::json!("timber-analyze"));
@@ -241,34 +275,48 @@ fn analyze_json_is_a_single_machine_readable_document() {
     assert!(ladders
         .iter()
         .all(|a| a["proved"] == serde_json::json!(true)));
-    for ladder in ["clock", "service"] {
-        assert!(
-            ladders
-                .iter()
-                .any(|a| a["ladder"] == serde_json::json!(ladder)),
-            "no {ladder} ladder certificate"
-        );
-    }
+    let mut names: Vec<&str> = ladders
+        .iter()
+        .map(|a| a["ladder"].as_str().unwrap())
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names, ["clock", "service"]);
     assert_eq!(doc["soundness"]["violations"], serde_json::json!([]));
 }
 
 #[test]
 fn conform_json_is_a_single_machine_readable_document() {
-    let out = repro(&["conform", "--json", "--threads", "4"]);
-    assert!(out.status.success());
-    let text = String::from_utf8(out.stdout).unwrap();
-    let doc: serde_json::Value = serde_json::from_str(text.trim()).expect("valid JSON");
-    assert_eq!(doc["tool"], serde_json::json!("timber-conformance"));
-    assert_eq!(doc["schema_version"], serde_json::json!(1));
-    assert_eq!(doc["pass"], serde_json::json!(true));
-    assert_eq!(doc["cases_run"], serde_json::json!(640));
-    assert!(doc["coverage"].as_array().is_some_and(|c| !c.is_empty()));
+    // The pinned campaign and the full one (three times the trials).
+    for (args, report, cases) in [
+        (
+            &["conform", "--json", "--threads", "4"][..],
+            "conform.json",
+            640,
+        ),
+        (
+            &["conform", "--json", "--full", "--threads", "4"],
+            "conform_full.json",
+            1920,
+        ),
+    ] {
+        let out = repro(args);
+        assert!(out.status.success());
+        std::fs::write(gate_report(report), &out.stdout).unwrap();
+        let text = String::from_utf8(out.stdout).unwrap();
+        let doc: serde_json::Value = serde_json::from_str(text.trim()).expect("valid JSON");
+        assert_eq!(doc["tool"], serde_json::json!("timber-conformance"));
+        assert_eq!(doc["schema_version"], serde_json::json!(1));
+        assert_eq!(doc["pass"], serde_json::json!(true));
+        assert_eq!(doc["cases_run"], serde_json::json!(cases));
+        assert!(doc["coverage"].as_array().is_some_and(|c| !c.is_empty()));
+    }
 }
 
 #[test]
 fn conform_threads_do_not_change_the_json() {
-    let one = repro(&["conform", "--json", "--threads", "1", "--seed", "11"]);
-    let four = repro(&["conform", "--json", "--threads", "4", "--seed", "11"]);
+    let one = repro(&["conform", "--json", "--threads", "1"]);
+    let four = repro(&["conform", "--json", "--threads", "4"]);
     assert!(one.status.success());
     assert!(four.status.success());
     assert_eq!(one.stdout, four.stdout, "report must be byte-identical");
@@ -279,55 +327,56 @@ fn soak_gate_passes_and_quarantines_exactly_the_injected_failures() {
     let out = repro(&[
         "soak",
         "--json",
-        "--cycles",
-        "400",
-        "--inject-panic",
-        "2",
         "--threads",
         "4",
+        "--inject-panic",
+        "3",
+        "--inject-hang",
+        "1",
     ]);
+    std::fs::write(gate_report("soak.json"), &out.stdout).unwrap();
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(out.status.success(), "{text}");
     let doc: serde_json::Value = serde_json::from_str(text.trim()).expect("valid JSON");
     assert_eq!(doc["tool"], serde_json::json!("timber-soak"));
     assert_eq!(doc["pass"], serde_json::json!(true));
-    assert_eq!(doc["injected"], serde_json::json!(2));
+    assert_eq!(doc["injected"], serde_json::json!(4));
     let quarantined = doc["quarantined"].as_array().expect("ledger");
-    assert_eq!(quarantined.len(), 2, "{text}");
-    for q in quarantined {
-        assert_eq!(q["kind"], serde_json::json!("panic"));
-    }
+    let mut kinds: Vec<&str> = quarantined
+        .iter()
+        .map(|q| q["kind"].as_str().unwrap())
+        .collect();
+    kinds.sort_unstable();
+    assert_eq!(kinds, ["hang", "panic", "panic", "panic"], "{text}");
+    let real = doc["trials"].as_u64().expect("real trial count");
+    assert!(
+        quarantined
+            .iter()
+            .all(|q| q["index"].as_u64().unwrap() >= real),
+        "a real trial was quarantined: {text}"
+    );
 }
 
 #[test]
 fn soak_stop_then_resume_matches_an_uninterrupted_run_byte_for_byte() {
-    let dir = std::env::temp_dir();
-    let ckpt = dir.join(format!("repro-soak-cli-resume-{}", std::process::id()));
-    let ckpt = ckpt.to_str().unwrap();
-    let _ = std::fs::remove_file(ckpt);
-    let common = [
-        "--json",
-        "--cycles",
-        "400",
-        "--seed",
-        "11",
-        "--threads",
-        "4",
-    ];
+    let ckpt = scratch("soak.ckpt");
+    let ckpt = ckpt.as_str();
+    let common = ["soak", "--json", "--threads", "4"];
 
-    let mut first: Vec<&str> = vec!["soak", "--checkpoint", ckpt, "--stop-after", "10"];
-    first.extend_from_slice(&common);
-    let stopped = repro(&first);
+    let stopped = repro(&[&common[..], &["--checkpoint", ckpt, "--stop-after", "10"]].concat());
     assert!(stopped.status.success(), "stopped run must still exit 0");
+    let text = String::from_utf8(stopped.stdout).unwrap();
+    let doc: serde_json::Value = serde_json::from_str(text.trim()).expect("valid JSON");
+    let ran = doc["results"].as_array().expect("results");
+    let ran = ran
+        .iter()
+        .filter(|r| **r != serde_json::Value::Null)
+        .count();
+    assert_eq!(ran, 10, "the stopped run must leave holes after 10 trials");
 
-    let mut second: Vec<&str> = vec!["soak", "--checkpoint", ckpt, "--resume"];
-    second.extend_from_slice(&common);
-    let resumed = repro(&second);
+    let resumed = repro(&[&common[..], &["--checkpoint", ckpt, "--resume"]].concat());
     assert!(resumed.status.success());
-
-    let mut uninterrupted: Vec<&str> = vec!["soak"];
-    uninterrupted.extend_from_slice(&common);
-    let clean = repro(&uninterrupted);
+    let clean = repro(&common);
     assert!(clean.status.success());
     assert_eq!(
         resumed.stdout, clean.stdout,
@@ -338,19 +387,24 @@ fn soak_stop_then_resume_matches_an_uninterrupted_run_byte_for_byte() {
 
 #[test]
 fn storm_campaign_passes_and_replays_byte_identically() {
-    let args = [
+    let out = gate_report("storm.json");
+    let mut args = [
         "storm",
         "--clients",
-        "3",
+        "4",
         "--requests",
-        "24",
+        "64",
         "--poison",
-        "1",
+        "3",
         "--seed",
         "7",
         "--threads",
         "4",
+        "--batch-size",
+        "16",
         "--json",
+        "--out",
+        &out,
     ];
     let a = repro(&args);
     let text = String::from_utf8(a.stdout.clone()).unwrap();
@@ -358,27 +412,39 @@ fn storm_campaign_passes_and_replays_byte_identically() {
     let doc: serde_json::Value = serde_json::from_str(text.trim()).expect("valid JSON");
     assert_eq!(doc["tool"], serde_json::json!("timber-storm"));
     assert_eq!(doc["pass"], serde_json::json!(true));
-    assert_eq!(doc["counters"]["quarantined"], serde_json::json!(1));
+    assert!(doc["hit_rate"].as_f64().unwrap() >= 0.5, "{text}");
+    assert_eq!(doc["counters"]["quarantined"], serde_json::json!(3));
+    for r in doc["responses"].as_array().expect("responses") {
+        let real = r["id"].as_u64().unwrap() < 64;
+        let want = if real { "ok" } else { "quarantined" };
+        assert_eq!(r["status"], serde_json::json!(want), "{r}");
+    }
     // A cold replay in a fresh process with a different thread count
-    // must produce the identical document.
-    let mut replay_args = args;
-    replay_args[10] = "1";
-    let b = repro(&replay_args);
+    // must print the document the first run wrote (`--out` dropped).
+    args[10] = "1";
+    let b = repro(&args[..args.len() - 2]);
     assert!(b.status.success());
-    assert_eq!(a.stdout, b.stdout, "storm report must replay exactly");
+    assert_eq!(
+        std::fs::read(&out).unwrap(),
+        b.stdout,
+        "storm report must replay exactly"
+    );
 }
 
 #[test]
 fn chaos_campaign_accounts_for_every_fault_and_replays_byte_identically() {
-    let args = [
+    let out = gate_report("chaos.json");
+    let mut args = [
         "chaos",
         "--seed",
         "42",
         "--faults",
-        "7",
+        "14",
         "--threads",
         "4",
         "--json",
+        "--out",
+        &out,
     ];
     let a = repro(&args);
     let text = String::from_utf8(a.stdout.clone()).unwrap();
@@ -387,19 +453,29 @@ fn chaos_campaign_accounts_for_every_fault_and_replays_byte_identically() {
     assert_eq!(doc["tool"], serde_json::json!("timber-chaos"));
     assert_eq!(doc["schema_version"], serde_json::json!(1));
     assert_eq!(doc["pass"], serde_json::json!(true));
+    assert_eq!(doc["sabotage"], serde_json::json!(false));
+    let mut injected = 0;
     for entry in doc["taxonomy"].as_array().expect("taxonomy array") {
         assert_eq!(
             entry["injected"], entry["detected"],
             "unaccounted fault kind: {entry}"
         );
+        injected += entry["injected"].as_u64().unwrap();
     }
-    // The same campaign at a different thread count must produce the
-    // identical document.
-    let mut replay_args = args;
-    replay_args[6] = "1";
-    let b = repro(&replay_args);
+    assert_eq!(injected, 14, "{text}");
+    for check in doc["checks"].as_array().expect("checks array") {
+        assert_eq!(check["pass"], serde_json::json!(true), "{check}");
+    }
+    // The same campaign at a different thread count must print the
+    // document the first run wrote (`--out` dropped).
+    args[6] = "1";
+    let b = repro(&args[..args.len() - 2]);
     assert!(b.status.success());
-    assert_eq!(a.stdout, b.stdout, "chaos report must be thread-invariant");
+    assert_eq!(
+        std::fs::read(&out).unwrap(),
+        b.stdout,
+        "chaos report must be thread-invariant"
+    );
 }
 
 #[test]
@@ -440,27 +516,15 @@ fn storm_chaos_client_retries_to_a_fully_served_stream() {
 
 #[test]
 fn serve_answers_a_session_on_stdin_and_honours_shutdown() {
-    use std::io::Write;
-    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["serve", "--batch-size", "4"])
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn repro serve");
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(
-            b"{\"id\":1,\"design\":\"rca16\",\"trials\":1,\"cycles\":200}\n\
-              {\"id\":2,\"design\":\"rca16\",\"trials\":1,\"cycles\":200}\n\
-              {\"id\":3,\"op\":\"stats\"}\n\
-              {\"id\":4,\"op\":\"shutdown\"}\n",
-        )
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8(out.stdout).unwrap();
+    let text = serve(
+        &["--batch-size", "4"],
+        &[
+            RCA16,
+            r#"{"id":2,"design":"rca16","trials":1,"cycles":200}"#,
+            r#"{"id":3,"op":"stats"}"#,
+            r#"{"id":4,"op":"shutdown"}"#,
+        ],
+    );
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 4, "{text}");
     let docs: Vec<serde_json::Value> = lines
@@ -475,6 +539,95 @@ fn serve_answers_a_session_on_stdin_and_honours_shutdown() {
     assert_eq!(counters["misses"], serde_json::json!(1), "{text}");
     assert_eq!(counters["hits"], serde_json::json!(1), "{text}");
     assert_eq!(docs[3]["shutdown"], serde_json::json!(true));
+}
+
+/// `(resumed, hits, misses)` from a `{"op":"stats"}` response line.
+fn resume_counters(line: &str) -> [u64; 3] {
+    let doc: serde_json::Value = serde_json::from_str(line).expect("valid JSON");
+    ["resumed", "hits", "misses"].map(|k| doc["stats"]["counters"][k].as_u64().expect(k))
+}
+
+#[test]
+fn serve_restarts_warm_from_its_journal_byte_for_byte() {
+    let journal = scratch("serve.journal");
+    let cold = serve(
+        &["--checkpoint", &journal],
+        &[RCA16, r#"{"id":2,"op":"shutdown"}"#],
+    );
+    let warm = serve(
+        &["--checkpoint", &journal, "--resume"],
+        &[
+            RCA16,
+            r#"{"id":2,"op":"stats"}"#,
+            r#"{"id":3,"op":"shutdown"}"#,
+        ],
+    );
+    std::fs::write(gate_report("warm.jsonl"), &warm).unwrap();
+    let warm: Vec<&str> = warm.lines().collect();
+    assert_eq!(cold.lines().next(), Some(warm[0]), "warm answer differs");
+    assert_eq!(resume_counters(warm[1]), [1, 1, 0]);
+    let _ = std::fs::remove_file(&journal);
+
+    // Overflow: three distinct specs journalled through a capacity-2
+    // cache. Resume verifies all three but keeps the last two, so the
+    // first one misses and recomputes the same bytes.
+    let journal = scratch("overflow.journal");
+    let specs: Vec<String> = (1..=3)
+        .map(|seed| {
+            format!(r#"{{"id":{seed},"design":"rca16","trials":1,"cycles":200,"seed":{seed}}}"#)
+        })
+        .collect();
+    let specs: Vec<&str> = specs.iter().map(String::as_str).collect();
+    let cold = serve(
+        &["--capacity", "2", "--checkpoint", &journal],
+        &[&specs[..], &[r#"{"id":4,"op":"shutdown"}"#]].concat(),
+    );
+    let warm = serve(
+        &["--capacity", "2", "--checkpoint", &journal, "--resume"],
+        &[
+            &specs[..],
+            &[r#"{"id":4,"op":"stats"}"#, r#"{"id":5,"op":"shutdown"}"#],
+        ]
+        .concat(),
+    );
+    std::fs::write(gate_report("overflow-warm.jsonl"), &warm).unwrap();
+    let warm: Vec<&str> = warm.lines().collect();
+    let cold: Vec<&str> = cold.lines().collect();
+    assert_eq!(cold[..3], warm[..3], "overflow answers differ");
+    assert_eq!(resume_counters(warm[3]), [3, 2, 1]);
+    let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn trace_claims_is_thread_invariant() {
+    // Both runs at once: each takes seconds in a debug build.
+    let runs = ["1", "8"].map(|threads| {
+        let json = scratch(&format!("trace-t{threads}.json"));
+        let child = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args([
+                "trace",
+                "claims",
+                "--threads",
+                threads,
+                "--telemetry",
+                &json,
+            ])
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("spawn repro trace");
+        (json, child)
+    });
+    let [one, eight] = runs.map(|(json, mut child)| {
+        assert!(child.wait().unwrap().success());
+        let csv = json.replace(".json", ".csv");
+        [json, csv].map(|path| {
+            let bytes = std::fs::read(&path).expect("trace written");
+            let _ = std::fs::remove_file(&path);
+            bytes
+        })
+    });
+    assert_eq!(one[0], eight[0], "JSON trace must be byte-identical");
+    assert_eq!(one[1], eight[1], "CSV trace must be byte-identical");
 }
 
 #[test]
@@ -495,6 +648,7 @@ fn tune_gate_passes_and_reports_anchors_in_band() {
 fn tune_json_is_a_single_machine_readable_document() {
     let out = repro(&["tune", "--json", "--budget", "12", "--threads", "4"]);
     assert!(out.status.success());
+    std::fs::write(gate_report("tune_small.json"), &out.stdout).unwrap();
     let text = String::from_utf8(out.stdout).unwrap();
     let doc: serde_json::Value = serde_json::from_str(text.trim()).expect("valid JSON");
     assert_eq!(doc["tool"], serde_json::json!("repro tune"));
@@ -524,15 +678,13 @@ fn tune_threads_do_not_change_the_json() {
 
 #[test]
 fn tune_out_writes_the_stdout_document_with_a_trailing_newline() {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("repro-tune-cli-out-{}.json", std::process::id()));
-    let path = path.to_str().unwrap();
-    let out = repro(&["tune", "--json", "--budget", "12", "--out", path]);
+    let path = scratch("tune-out.json");
+    let out = repro(&["tune", "--json", "--budget", "12", "--out", &path]);
     assert!(out.status.success());
-    let written = std::fs::read(path).expect("artifact written");
+    let written = std::fs::read(&path).expect("artifact written");
     assert_eq!(written, out.stdout, "--out must mirror stdout");
     assert!(written.ends_with(b"\n"));
-    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -541,10 +693,9 @@ fn tune_frontier_check_detects_a_single_tampered_byte() {
     let needle = "\"energy_per_instr\": 1.0";
     assert!(golden.contains(needle), "golden format changed");
     let tampered = golden.replacen(needle, "\"energy_per_instr\": 9.0", 1);
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("repro-tune-cli-drift-{}.json", std::process::id()));
+    let path = scratch("tune-drift.json");
     std::fs::write(&path, tampered).unwrap();
-    let out = repro(&["tune", "--frontier-check", path.to_str().unwrap()]);
+    let out = repro(&["tune", "--frontier-check", &path]);
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("drifted"), "{err}");

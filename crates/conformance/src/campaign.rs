@@ -58,7 +58,7 @@ pub struct CampaignSpec {
     pub cycles: usize,
     /// Independent workloads per (grid, scheme, shape) cell.
     pub trials: usize,
-    /// Worker threads (results are identical for any value ≥ 1).
+    /// Worker threads, 0 = all cores (never changes the results).
     pub threads: usize,
     /// Activates the seeded model-B bug (harness self-test).
     pub sabotage: bool,
@@ -78,8 +78,7 @@ impl CampaignSpec {
         }
     }
 
-    /// The larger dispatch-only campaign (three times the trials, twice
-    /// the cycles).
+    /// The larger campaign (three times the trials, twice the cycles).
     pub fn full(base_seed: u64) -> CampaignSpec {
         CampaignSpec {
             base_seed,
@@ -91,10 +90,10 @@ impl CampaignSpec {
         }
     }
 
-    /// Worker-thread count to use.
+    /// Worker-thread count to use (0 = all cores).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> CampaignSpec {
-        self.threads = threads.max(1);
+        self.threads = threads;
         self
     }
 
@@ -445,10 +444,9 @@ fn run_case(spec: &CampaignSpec, flat: usize) -> CaseOutcome {
 /// flat order, regardless of thread count — into a report.
 pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
     let cases = spec.cases();
-    let threads = spec.threads.max(1).min(cases.max(1));
     let indices: Vec<usize> = (0..cases).collect();
     let outcomes =
-        timber_resilience::scatter_strict(&indices, threads, &|&flat| run_case(spec, flat));
+        timber_resilience::scatter_strict(&indices, spec.threads, &|&flat| run_case(spec, flat));
 
     let mut report = CampaignReport::new(spec.base_seed, spec.sabotage);
     for outcome in outcomes {

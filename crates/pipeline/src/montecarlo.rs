@@ -226,36 +226,24 @@ impl<'a> SweepSpec<'a> {
         (stats, recorder)
     }
 
-    fn validate(&self) -> (usize, usize) {
+    fn validate(&self) -> usize {
         assert!(!self.schemes.is_empty(), "sweep needs at least one scheme");
         assert!(
             !self.envs.is_empty(),
             "sweep needs at least one environment"
         );
-        let total = self.schemes.len() * self.envs.len() * self.trials;
-        let threads = match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            n => n,
-        }
-        .min(total);
-        (total, threads)
+        self.schemes.len() * self.envs.len() * self.trials
     }
 
-    /// Fans `total` trials out over `threads` workers through the
-    /// shared deterministic scatter and returns the per-trial outputs
-    /// in flat trial order, independent of which worker ran which
-    /// trial. A panicking trial is re-raised deterministically (lowest
-    /// panicking flat index) by [`timber_resilience::scatter_strict`].
-    fn scatter<T: Send>(
-        &self,
-        total: usize,
-        threads: usize,
-        run_one: &(impl Fn(usize) -> T + Sync),
-    ) -> Vec<T> {
+    /// Fans `total` trials out over the spec's workers (0 = all cores)
+    /// through the shared deterministic scatter and returns the
+    /// per-trial outputs in flat trial order, independent of which
+    /// worker ran which trial. A panicking trial is re-raised
+    /// deterministically (lowest panicking flat index) by
+    /// [`timber_resilience::scatter_strict`].
+    fn scatter<T: Send>(&self, total: usize, run_one: &(impl Fn(usize) -> T + Sync)) -> Vec<T> {
         let indices: Vec<usize> = (0..total).collect();
-        timber_resilience::scatter_strict(&indices, threads, &|&flat| run_one(flat))
+        timber_resilience::scatter_strict(&indices, self.threads, &|&flat| run_one(flat))
     }
 
     fn reduce(&self, per_trial: Vec<RunStats>) -> SweepResult {
@@ -280,8 +268,8 @@ impl<'a> SweepSpec<'a> {
     /// Panics if no scheme or no environment was added, or if a worker
     /// thread panics (the panic is propagated).
     pub fn run(&self) -> SweepResult {
-        let (total, threads) = self.validate();
-        let per_trial = self.scatter(total, threads, &|flat| self.run_trial(flat));
+        let total = self.validate();
+        let per_trial = self.scatter(total, &|flat| self.run_trial(flat));
         self.reduce(per_trial)
     }
 
@@ -302,8 +290,8 @@ impl<'a> SweepSpec<'a> {
     ///
     /// Panics as [`SweepSpec::run`] does.
     pub fn run_with_telemetry(&self, ring_capacity: usize) -> (SweepResult, Vec<Recorder>) {
-        let (total, threads) = self.validate();
-        let per_trial = self.scatter(total, threads, &|flat| {
+        let total = self.validate();
+        let per_trial = self.scatter(total, &|flat| {
             self.run_trial_with_telemetry(flat, ring_capacity)
         });
         let cell_count = self.schemes.len() * self.envs.len();
