@@ -12,9 +12,8 @@
 //!
 //! plus per-lane (not per-stage) planes: the recovery-bubble counter
 //! with its `penalty_mask`, the genuine per-lane
-//! [`FrequencyController`] with a `watch_mask` of lanes whose
-//! controller may currently deviate from the nominal period, and the
-//! per-lane tallies.
+//! [`FrequencyController`] with the cycle of its next transition, and
+//! the per-lane tallies.
 //!
 //! A cycle touches dense data only where a mask bit is set, so in the
 //! paper's sparse-error regime the whole step degenerates to: one
@@ -224,18 +223,18 @@ struct Engine {
     workload: BatchWorkload,
     lanes: usize,
     stages: usize,
-    nominal_ps: i64,
     /// Bit `l` set for every live lane.
     all: u64,
     lane_seeds: Vec<u64>,
     clocks: Vec<FrequencyController>,
-    /// Lanes whose controller may deviate from nominal; only these pay
-    /// a per-cycle `period_at` call.
-    watch_mask: u64,
-    /// First cycle at which lane `l`'s controller is guaranteed quiet
-    /// again (no pending actuation, no active slowdown).
-    watch_until: Vec<u64>,
-    /// Current period per lane, in ps (nominal for unwatched lanes).
+    /// Cycle of lane `l`'s next controller transition (`u64::MAX` when
+    /// none is scheduled); `period_at` is called only there.
+    clock_at: Vec<u64>,
+    /// The earliest `clock_at` over all lanes.
+    next_clock: u64,
+    /// Cycle lane `l`'s current slowdown began, while it is slowed.
+    slowed_since: Vec<Option<u64>>,
+    /// Current period per lane, in ps.
     period_ps: Vec<i64>,
     /// Dense per-boundary planes with `u64` occupancy masks
     /// (mask-clear lanes hold zero).
@@ -307,7 +306,6 @@ impl Engine {
             workload: config.workload.clone(),
             lanes,
             stages,
-            nominal_ps: config.pipeline.nominal_period.as_ps(),
             all: if lanes == MAX_LANES {
                 u64::MAX
             } else {
@@ -315,8 +313,9 @@ impl Engine {
             },
             lane_seeds,
             clocks,
-            watch_mask: 0,
-            watch_until: vec![0; lanes],
+            clock_at: vec![u64::MAX; lanes],
+            next_clock: u64::MAX,
+            slowed_since: vec![None; lanes],
             period_ps: vec![config.pipeline.nominal_period.as_ps(); lanes],
             carry: plane_i64(),
             carry_mask: vec![0; stages],
@@ -338,41 +337,52 @@ impl Engine {
         }
     }
 
-    /// Puts lane `l` under clock watch after a flag at cycle `t`: the
-    /// controller must be stepped every cycle until the actuation
-    /// (≤ `t + latency`) and its slowdown window have fully played out
-    /// and the lazily-cleared `slow_until` state has been observed
-    /// once more (hence the `+ 1`).
+    /// Flags lane `l`'s controller at cycle `t` and schedules its next
+    /// transition. The scalar engine has already queried `period_at(t)`
+    /// when the cycle's flags arrive, so a transition due at `t` (zero
+    /// latency) is taken at the next step, exactly as it does.
     #[inline]
     fn flag_lane(&mut self, l: usize, t: u64) {
         self.clocks[l].flag_error(t);
-        self.watch_mask |= 1u64 << l;
-        let until =
-            t + self.pipeline.consolidation_latency_cycles + self.pipeline.slowdown_window + 1;
-        if until > self.watch_until[l] {
-            self.watch_until[l] = until;
+        let at = self.clocks[l]
+            .next_transition()
+            .expect("a flag schedules an actuation");
+        self.clock_at[l] = at;
+        self.next_clock = self.next_clock.min(at);
+    }
+
+    /// Steps lane `l`'s controller at cycle `t`, its transition cycle
+    /// or the first step after it. Slow
+    /// cycles are counted per episode, when the slowdown ends or (in
+    /// [`Engine::finish`]) at the end of the run.
+    fn clock_transition(&mut self, l: usize, t: u64) {
+        let clock = &mut self.clocks[l];
+        self.period_ps[l] = clock.period_at(t).as_ps();
+        match (self.slowed_since[l], clock.is_slowed()) {
+            (None, true) => self.slowed_since[l] = Some(t),
+            (Some(since), false) => {
+                self.tally[l].slow_cycles += t - since;
+                self.slowed_since[l] = None;
+            }
+            _ => {}
         }
+        self.clock_at[l] = clock.next_transition().unwrap_or(u64::MAX);
     }
 
     fn step(&mut self, t: u64) {
-        // 1. Clocks: only watched lanes can deviate from nominal, so
-        // only they pay the controller call (the scalar engine calls
-        // period_at every cycle; skipped calls are behaviourally
-        // equivalent because all controller transitions are
-        // level-triggered `cycle >= threshold` checks).
-        let mut m = self.watch_mask;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let p = self.clocks[l].period_at(t);
-            self.period_ps[l] = p.as_ps();
-            if self.clocks[l].is_slowed() {
-                self.tally[l].slow_cycles += 1;
+        // 1. Clocks: the scalar engine calls period_at every cycle, but
+        // a controller only changes at its transitions (level-triggered
+        // `cycle >= threshold` checks), so each lane is stepped there
+        // alone and a quiet cycle costs one comparison.
+        if t >= self.next_clock {
+            let mut next = u64::MAX;
+            for l in 0..self.lanes {
+                if self.clock_at[l] <= t {
+                    self.clock_transition(l, t);
+                }
+                next = next.min(self.clock_at[l]);
             }
-            if t + 1 >= self.watch_until[l] {
-                self.watch_mask &= !(1u64 << l);
-                self.period_ps[l] = self.nominal_ps;
-            }
+            self.next_clock = next;
         }
 
         // 2. Recovery bubbles: bubbled lanes burn one penalty cycle
@@ -594,6 +604,12 @@ impl Engine {
             .pipeline
             .nominal_period
             .scale(1.0 + self.pipeline.slowdown_factor);
+        // Slowdowns still open at the end count up to the last cycle.
+        for (tally, since) in self.tally.iter_mut().zip(&self.slowed_since) {
+            if let Some(since) = since {
+                tally.slow_cycles += cycles - since;
+            }
+        }
         let mut stats = Vec::with_capacity(self.lanes);
         let mut counters = Vec::with_capacity(self.lanes);
         for (l, tally) in self.tally.into_iter().enumerate() {

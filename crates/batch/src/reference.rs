@@ -164,6 +164,63 @@ mod tests {
         }
     }
 
+    /// The flag-heavy schemes: immediate flagging (`k_tb = 0`, every
+    /// masked violation flags) and the latch.
+    fn flagging_schemes() -> [BatchScheme; 3] {
+        let immediate = CheckingPeriod::new(Picos(1000), 24.0, 0, 2).unwrap();
+        let deferred = CheckingPeriod::deferred_flagging(Picos(1000), 24.0).unwrap();
+        [
+            BatchScheme::TimberFf(immediate),
+            BatchScheme::TimberLatch(immediate),
+            BatchScheme::TimberLatch(deferred),
+        ]
+    }
+
+    #[test]
+    fn flag_heavy_schemes_match_at_one_and_64_lanes() {
+        for scheme in flagging_schemes() {
+            for lanes in [1, 64] {
+                let mut cfg = config(scheme);
+                cfg.lanes = lanes;
+                check_equivalence(&cfg, 3_000, 2).unwrap_or_else(|e| panic!("{lanes} lanes: {e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn slowdowns_open_at_the_last_cycle_match() {
+        // A window longer than the run: every episode is still open at
+        // the end, and every flag after the first actuates during one.
+        for scheme in flagging_schemes() {
+            let mut cfg = config(scheme);
+            cfg.pipeline.slowdown_window = 5_000;
+            check_equivalence(&cfg, 1_200, 2).unwrap();
+            let run = run_batched(&cfg, 1_200);
+            assert!(
+                run.stats.iter().any(|s| s.slowdown_episodes >= 2),
+                "{}: no actuation inside an active episode",
+                scheme.name()
+            );
+            let last = run.stats.iter().map(|s| s.slow_cycles).max().unwrap();
+            assert!(last > 0 && last < 1_200, "{}: {last}", scheme.name());
+        }
+    }
+
+    #[test]
+    fn short_windows_and_latencies_match() {
+        // Actuations landing on, just before and just after an expiry,
+        // including a flag that actuates the cycle after it is raised.
+        for scheme in flagging_schemes() {
+            for (latency, window) in [(0, 1), (0, 3), (1, 1), (2, 2), (3, 1), (5, 8)] {
+                let mut cfg = config(scheme);
+                cfg.pipeline.consolidation_latency_cycles = latency;
+                cfg.pipeline.slowdown_window = window;
+                check_equivalence(&cfg, 1_500, 2)
+                    .unwrap_or_else(|e| panic!("latency {latency}, window {window}: {e}"));
+            }
+        }
+    }
+
     #[test]
     fn pending_bubbles_at_run_end_do_not_diverge() {
         // A heavy detection workload ends mid-penalty with high

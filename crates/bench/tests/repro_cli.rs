@@ -4,13 +4,28 @@
 //! test writes its report into `target/tmp/gate-reports/`.
 
 use std::io::Write;
-use std::process::{Command, Stdio};
+use std::process::{Command, Output, Stdio};
+use std::sync::OnceLock;
 
-fn repro(args: &[&str]) -> std::process::Output {
+fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .output()
         .expect("spawn repro")
+}
+
+/// `conform --json --threads 4`, run once per test binary: the JSON
+/// gate and the thread-invariance test both read it.
+fn conform_json_4() -> &'static Output {
+    static OUT: OnceLock<Output> = OnceLock::new();
+    OUT.get_or_init(|| repro(&["conform", "--json", "--threads", "4"]))
+}
+
+/// `tune --json --budget 12 --threads 4`, run once per test binary:
+/// the JSON gate and the thread-invariance test both read it.
+fn tune_json_4() -> &'static Output {
+    static OUT: OnceLock<Output> = OnceLock::new();
+    OUT.get_or_init(|| repro(&["tune", "--json", "--budget", "12", "--threads", "4"]))
 }
 
 /// The path of gate report `name` in `target/tmp/gate-reports/`.
@@ -288,22 +303,14 @@ fn analyze_json_is_a_single_machine_readable_document() {
 #[test]
 fn conform_json_is_a_single_machine_readable_document() {
     // The pinned campaign and the full one (three times the trials).
-    for (args, report, cases) in [
-        (
-            &["conform", "--json", "--threads", "4"][..],
-            "conform.json",
-            640,
-        ),
-        (
-            &["conform", "--json", "--full", "--threads", "4"],
-            "conform_full.json",
-            1920,
-        ),
+    let full = repro(&["conform", "--json", "--full", "--threads", "4"]);
+    for (out, report, cases) in [
+        (conform_json_4(), "conform.json", 640),
+        (&full, "conform_full.json", 1920),
     ] {
-        let out = repro(args);
         assert!(out.status.success());
         std::fs::write(gate_report(report), &out.stdout).unwrap();
-        let text = String::from_utf8(out.stdout).unwrap();
+        let text = std::str::from_utf8(&out.stdout).unwrap();
         let doc: serde_json::Value = serde_json::from_str(text.trim()).expect("valid JSON");
         assert_eq!(doc["tool"], serde_json::json!("timber-conformance"));
         assert_eq!(doc["schema_version"], serde_json::json!(1));
@@ -316,7 +323,7 @@ fn conform_json_is_a_single_machine_readable_document() {
 #[test]
 fn conform_threads_do_not_change_the_json() {
     let one = repro(&["conform", "--json", "--threads", "1"]);
-    let four = repro(&["conform", "--json", "--threads", "4"]);
+    let four = conform_json_4();
     assert!(one.status.success());
     assert!(four.status.success());
     assert_eq!(one.stdout, four.stdout, "report must be byte-identical");
@@ -646,10 +653,10 @@ fn tune_gate_passes_and_reports_anchors_in_band() {
 
 #[test]
 fn tune_json_is_a_single_machine_readable_document() {
-    let out = repro(&["tune", "--json", "--budget", "12", "--threads", "4"]);
+    let out = tune_json_4();
     assert!(out.status.success());
     std::fs::write(gate_report("tune_small.json"), &out.stdout).unwrap();
-    let text = String::from_utf8(out.stdout).unwrap();
+    let text = std::str::from_utf8(&out.stdout).unwrap();
     let doc: serde_json::Value = serde_json::from_str(text.trim()).expect("valid JSON");
     assert_eq!(doc["tool"], serde_json::json!("repro tune"));
     assert_eq!(doc["schema_version"], serde_json::json!(1));
@@ -670,7 +677,7 @@ fn tune_json_is_a_single_machine_readable_document() {
 #[test]
 fn tune_threads_do_not_change_the_json() {
     let one = repro(&["tune", "--json", "--budget", "12", "--threads", "1"]);
-    let four = repro(&["tune", "--json", "--budget", "12", "--threads", "4"]);
+    let four = tune_json_4();
     assert!(one.status.success());
     assert!(four.status.success());
     assert_eq!(one.stdout, four.stdout, "frontier must be byte-identical");

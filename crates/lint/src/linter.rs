@@ -1,6 +1,8 @@
 //! The lint orchestrator: schedule → structure → timing.
 
-use timber_netlist::Netlist;
+use timber::CheckingPeriod;
+use timber_netlist::{FaninCones, Netlist};
+use timber_sta::TimingAnalysis;
 
 use crate::config::LintConfig;
 use crate::diagnostic::{DiagCode, Diagnostic, LintReport, Severity};
@@ -15,12 +17,64 @@ use crate::timing::check_timing;
 /// the schedule and structure passes produced no errors. In that case a
 /// [`DiagCode::TimingChecksSkipped`] note records the gap — a report
 /// that says nothing about short paths is not claiming they are safe.
+///
+/// The timing rules read a max-delay analysis under
+/// `config.constraint` and every flop's fanin cone; this computes both,
+/// then checks exactly as [`lint_analysed`] does.
 pub fn lint(netlist: &Netlist, config: &LintConfig) -> LintReport {
+    let (mut report, schedule) = check_front(netlist, config);
+    if let Some(schedule) = schedule {
+        match TimingAnalysis::try_run(netlist, &config.constraint) {
+            Ok(sta) => {
+                let cones = FaninCones::new(netlist, sta.topo());
+                check_timing(netlist, config, &schedule, &sta, &cones, &mut report);
+            }
+            Err(_) => report.push(Diagnostic::new(
+                DiagCode::TimingChecksSkipped,
+                "timing",
+                "timing analysis failed; fix structural errors first",
+            )),
+        }
+    }
+    report
+}
+
+/// [`lint`] over analyses the caller already holds: `sta`, run on the
+/// netlist under `config.constraint`, and `cones`, built from that
+/// netlist and `sta.topo()`. The report equals `lint(sta.netlist(),
+/// config)`.
+///
+/// # Panics
+///
+/// Panics if `sta` was run under a constraint other than
+/// `config.constraint`.
+pub fn lint_analysed(
+    config: &LintConfig,
+    sta: &TimingAnalysis<'_>,
+    cones: &FaninCones,
+) -> LintReport {
+    assert_eq!(
+        *sta.constraint(),
+        config.constraint,
+        "the timing analysis must be run under the lint constraint"
+    );
+    let netlist = sta.netlist();
+    let (mut report, schedule) = check_front(netlist, config);
+    if let Some(schedule) = schedule {
+        check_timing(netlist, config, &schedule, sta, cones, &mut report);
+    }
+    report
+}
+
+/// The schedule and structure passes. Returns the schedule when the
+/// timing rules may run; otherwise the report already carries the
+/// [`DiagCode::TimingChecksSkipped`] note.
+fn check_front(netlist: &Netlist, config: &LintConfig) -> (LintReport, Option<CheckingPeriod>) {
     let mut report = LintReport::new(format!("{}@{}", netlist.name(), config.name));
     let schedule = check_schedule(&config.schedule, config.constraint.period, &mut report);
     check_structure(netlist, &mut report);
     match (schedule, report.count(Severity::Error)) {
-        (Some(schedule), 0) => check_timing(netlist, config, &schedule, &mut report),
+        (Some(schedule), 0) => (report, Some(schedule)),
         _ => {
             report.push(Diagnostic::new(
                 DiagCode::TimingChecksSkipped,
@@ -28,9 +82,9 @@ pub fn lint(netlist: &Netlist, config: &LintConfig) -> LintReport {
                 "short-path, relay, and consolidation checks skipped until the \
                  schedule and structural errors above are fixed",
             ));
+            (report, None)
         }
     }
-    report
 }
 
 #[cfg(test)]
@@ -55,6 +109,16 @@ mod tests {
         crate::schedule::snap_period(raw, spec)
     }
 
+    /// `lint`, checked against `lint_analysed` over the same analyses.
+    fn lint_both(nl: &Netlist, cfg: &LintConfig) -> LintReport {
+        let report = lint(nl, cfg);
+        let sta = TimingAnalysis::run(nl, &cfg.constraint);
+        let cones = FaninCones::new(nl, sta.topo());
+        let shared = lint_analysed(cfg, &sta, &cones);
+        assert_eq!(shared.to_json(), report.to_json());
+        report
+    }
+
     fn clean_config(nl: &Netlist) -> LintConfig {
         let spec = ScheduleSpec::deferred(30.0);
         let period = period_for(nl, &spec);
@@ -64,7 +128,7 @@ mod tests {
     #[test]
     fn shipped_style_config_is_clean() {
         let nl = datapath();
-        let report = lint(&nl, &clean_config(&nl));
+        let report = lint_both(&nl, &clean_config(&nl));
         assert_eq!(report.count(Severity::Error), 0, "{}", report.render());
         assert_eq!(report.count(Severity::Warn), 0, "{}", report.render());
         assert!(report.passes(true));
@@ -114,7 +178,7 @@ mod tests {
         let period = period_for(&nl, &spec);
         let cfg = LintConfig::new("nopad", spec, ClockConstraint::with_period(period))
             .with_padding(PaddingPolicy::None);
-        let report = lint(&nl, &cfg);
+        let report = lint_both(&nl, &cfg);
         assert!(!report.passes(false));
         let short = report.with_code(DiagCode::UnpaddedShortPath);
         assert!(!short.is_empty());
@@ -149,7 +213,7 @@ mod tests {
         let period = period_for(&nl, &spec);
         let cfg = LintConfig::new("partial", spec, ClockConstraint::with_period(period))
             .with_replacement(ReplacementPlan::Explicit(vec![FlopId(2)]));
-        let report = lint(&nl, &cfg);
+        let report = lint_both(&nl, &cfg);
         let gaps = report.with_code(DiagCode::RelayCoverageGap);
         assert_eq!(gaps.len(), 1, "{}", report.render());
         assert!(gaps[0].subject.contains("f_end"));
@@ -162,7 +226,7 @@ mod tests {
         let nl = datapath();
         let mut cfg = clean_config(&nl);
         cfg.replacement = ReplacementPlan::Explicit(vec![FlopId(10_000)]);
-        let report = lint(&nl, &cfg);
+        let report = lint_both(&nl, &cfg);
         assert_eq!(report.with_code(DiagCode::UnknownReplacedFlop).len(), 1);
     }
 
@@ -171,7 +235,7 @@ mod tests {
         let nl = datapath();
         let mut cfg = clean_config(&nl);
         cfg.padding = PaddingPolicy::Budget(Picos(1));
-        let report = lint(&nl, &cfg);
+        let report = lint_both(&nl, &cfg);
         // The datapath needs some padding at c=30%; a 1ps budget fails.
         assert_eq!(
             report.with_code(DiagCode::PaddingBudgetExceeded).len(),
@@ -196,7 +260,7 @@ mod tests {
             ScheduleSpec::deferred(10.0),
             ClockConstraint::with_period(Picos(1_000_000)),
         );
-        let report = lint(&nl, &cfg);
+        let report = lint_both(&nl, &cfg);
         assert_eq!(report.with_code(DiagCode::NothingReplaced).len(), 1);
         assert_eq!(report.count(Severity::Error), 0, "{}", report.render());
     }

@@ -32,7 +32,30 @@ fn sink_label(netlist: &Netlist, sink: &Sink) -> String {
 
 /// Recomputes each net's true driver set and flags conflicts
 /// (`TBR041`) and undriven-but-loaded nets (`TBR042`).
+///
+/// Drivers are counted first; the names the diagnostics quote are
+/// formatted only when some net has a conflict or floats.
 fn check_drivers(netlist: &Netlist, report: &mut LintReport) {
+    let mut count = vec![0u32; netlist.net_count()];
+    for &pi in netlist.primary_inputs() {
+        count[pi.0 as usize] += 1;
+    }
+    for inst_id in netlist.instance_ids() {
+        count[netlist.instance(inst_id).output().0 as usize] += 1;
+    }
+    for f in netlist.flop_ids() {
+        count[netlist.flop(f).q().0 as usize] += 1;
+    }
+    let defective = netlist
+        .net_ids()
+        .any(|net_id| match count[net_id.0 as usize] {
+            0 => !netlist.net(net_id).fanout().is_empty(),
+            1 => false,
+            _ => true,
+        });
+    if !defective {
+        return;
+    }
     let mut drivers: Vec<Vec<String>> = vec![Vec::new(); netlist.net_count()];
     for &pi in netlist.primary_inputs() {
         drivers[pi.0 as usize].push("primary input".to_owned());
@@ -108,11 +131,21 @@ fn check_loops(netlist: &Netlist, report: &mut LintReport) {
 /// primary output (`TBR043`).
 fn check_reachability(netlist: &Netlist, report: &mut LintReport) {
     // Which instances drive each net, from the census (the cached
-    // driver field may be stale on defective netlists).
-    let mut inst_driving: Vec<Vec<InstId>> = vec![Vec::new(); netlist.net_count()];
+    // driver field may be stale on defective netlists): net `n`'s
+    // drivers are `inst_driving[start[n]..start[n + 1]]`.
+    let mut start = vec![0usize; netlist.net_count() + 1];
     for inst_id in netlist.instance_ids() {
-        let out = netlist.instance(inst_id).output();
-        inst_driving[out.0 as usize].push(inst_id);
+        start[netlist.instance(inst_id).output().0 as usize + 1] += 1;
+    }
+    for n in 0..netlist.net_count() {
+        start[n + 1] += start[n];
+    }
+    let mut fill = start.clone();
+    let mut inst_driving = vec![InstId(0); netlist.instance_count()];
+    for inst_id in netlist.instance_ids() {
+        let out = netlist.instance(inst_id).output().0 as usize;
+        inst_driving[fill[out]] = inst_id;
+        fill[out] += 1;
     }
 
     // A net is useful when something observable consumes it; walk
@@ -132,7 +165,8 @@ fn check_reachability(netlist: &Netlist, report: &mut LintReport) {
     }
     let mut useful_inst = vec![false; netlist.instance_count()];
     while let Some(net_id) = queue.pop_front() {
-        for &inst_id in &inst_driving[net_id.0 as usize] {
+        let n = net_id.0 as usize;
+        for &inst_id in &inst_driving[start[n]..start[n + 1]] {
             if useful_inst[inst_id.0 as usize] {
                 continue;
             }
@@ -260,6 +294,50 @@ mod tests {
         assert!(diags.iter().all(|d| d.severity == Severity::Warn));
         assert_eq!(report.count(Severity::Error), 0);
     }
+
+    /// One netlist with all four structural defects: a two-inverter
+    /// loop, a doubled driver, a floating pin and dead logic.
+    fn every_defect() -> Netlist {
+        let lib = CellLibrary::standard();
+        let mut b = NetlistBuilder::new("defects", &lib);
+        let a = b.input("a");
+        let c = b.input("b");
+        let x = b.gate("inv", &[a]).unwrap(); // u0, on the loop
+        let y = b.gate("inv", &[x]).unwrap(); // u1, on the loop
+        let q_loop = b.flop("f_loop", y);
+        let z = b.gate("inv", &[c]).unwrap(); // u2
+        let _ = b.gate("buf", &[c]).unwrap(); // u3, doubles u2's driver
+        let q_dd = b.flop("f_dd", z);
+        let w = b.gate("nand2", &[a, c]).unwrap(); // u4, pin 1 floats
+        let q_float = b.flop("f_float", w);
+        let _ = b.gate("buf", &[a]).unwrap(); // u5, read by nothing
+        b.output("o_loop", q_loop);
+        b.output("o_dd", q_dd);
+        b.output("o_float", q_float);
+        b.rewire_input(InstId(0), 0, y);
+        b.rewire_output(InstId(3), z);
+        let dangling = b.floating_net("dangling");
+        b.rewire_input(InstId(4), 1, dangling);
+        b.finish_unchecked()
+    }
+
+    #[test]
+    fn every_defect_in_one_netlist_renders_exactly() {
+        let report = lint_structure(&every_defect());
+        assert_eq!(report.render(), EVERY_DEFECT_REPORT, "{}", report.render());
+    }
+
+    const EVERY_DEFECT_REPORT: &str = r#"-- lint: structure --
+error[TBR041] net "inv_2": 2 drivers contend: instance "u2", instance "u3"
+  hint: every net must have exactly one driver; split or buffer the sources
+error[TBR042] net "dangling": undriven net feeds 1 load(s): instance "u4" pin 1
+  hint: connect the net to a driver or tie it to a constant
+error[TBR040] instance "u1": combinational loop: inv_1 -> inv_0 -> inv_1
+  hint: break the cycle with a flip-flop or remove the feedback arc
+warning[TBR043] instance "u5": output reaches no flip-flop or primary output
+  hint: remove the dead logic or connect its output
+structure: 3 error(s), 1 warning(s), 0 note(s)
+"#;
 
     #[test]
     fn unreachable_cycle_does_not_hang_reachability() {

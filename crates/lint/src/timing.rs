@@ -9,7 +9,7 @@
 use std::collections::HashSet;
 
 use timber::{CheckingPeriod, ConsolidationTree, RelayEstimate};
-use timber_netlist::{fanin_cone, FlopId, Netlist};
+use timber_netlist::{FaninCones, FlopId, Netlist};
 use timber_sta::{classify_flops, HoldAnalysis, PathDistribution, TimingAnalysis};
 
 use crate::config::{LintConfig, PaddingPolicy, ReplacementPlan};
@@ -21,29 +21,27 @@ pub const ENDPOINT_DIAG_CAP: usize = 16;
 
 /// Runs every timing check, appending findings to `report`.
 ///
-/// The caller guarantees the netlist is acyclic (structure checks
-/// passed), so the panicking analysis entry points would be safe — the
-/// `try_` forms are used anyway for defence in depth.
+/// `sta` is the max-delay analysis under `config.constraint` and
+/// `cones` every flop's fanin cone, both of `netlist`. The caller
+/// guarantees the netlist is acyclic (structure checks passed), so the
+/// panicking hold entry point would be safe — the `try_` form is used
+/// anyway for defence in depth.
 pub fn check_timing(
     netlist: &Netlist,
     config: &LintConfig,
     schedule: &CheckingPeriod,
+    sta: &TimingAnalysis<'_>,
+    cones: &FaninCones,
     report: &mut LintReport,
 ) {
     let constraint = &config.constraint;
-    let (sta, hold) = match (
-        TimingAnalysis::try_run(netlist, constraint),
-        HoldAnalysis::try_run(netlist, constraint),
-    ) {
-        (Ok(s), Ok(h)) => (s, h),
-        _ => {
-            report.push(Diagnostic::new(
-                DiagCode::TimingChecksSkipped,
-                "timing",
-                "timing analysis failed; fix structural errors first",
-            ));
-            return;
-        }
+    let Ok(hold) = HoldAnalysis::try_run(netlist, constraint) else {
+        report.push(Diagnostic::new(
+            DiagCode::TimingChecksSkipped,
+            "timing",
+            "timing analysis failed; fix structural errors first",
+        ));
+        return;
     };
 
     check_padding(netlist, config, schedule, &hold, report);
@@ -51,8 +49,8 @@ pub fn check_timing(
     let threshold = constraint
         .period
         .scale(1.0 - config.schedule.checking_pct / 100.0);
-    let classes = classify_flops(&sta, threshold);
-    let replaced = resolve_replacement(netlist, config, &sta, &classes, report);
+    let classes = classify_flops(sta, threshold);
+    let replaced = resolve_replacement(netlist, config, sta, &classes, report);
 
     if replaced.is_empty() {
         report.push(
@@ -67,8 +65,16 @@ pub fn check_timing(
     }
 
     let replaced_set: HashSet<FlopId> = replaced.iter().copied().collect();
-    check_relay_coverage(netlist, &replaced, &replaced_set, &classes, report);
-    check_relay_timing(netlist, config, &replaced, &replaced_set, &classes, report);
+    check_relay_coverage(netlist, cones, &replaced, &replaced_set, &classes, report);
+    check_relay_timing(
+        netlist,
+        config,
+        cones,
+        &replaced,
+        &replaced_set,
+        &classes,
+        report,
+    );
     check_consolidation(config, schedule, replaced.len(), report);
 }
 
@@ -199,6 +205,7 @@ fn check_padding(
 /// arrive unannounced.
 fn check_relay_coverage(
     netlist: &Netlist,
+    cones: &FaninCones,
     replaced: &[FlopId],
     replaced_set: &HashSet<FlopId>,
     classes: &[timber_sta::FlopTimingClass],
@@ -207,7 +214,7 @@ fn check_relay_coverage(
     let mut emitted = 0usize;
     let mut suppressed = 0usize;
     for &f in replaced {
-        for g in fanin_cone(netlist, f) {
+        for g in cones.cone(f) {
             if replaced_set.contains(&g) || !classes[g.0 as usize].starts_and_ends() {
                 continue;
             }
@@ -243,14 +250,15 @@ fn check_relay_coverage(
 fn check_relay_timing(
     netlist: &Netlist,
     config: &LintConfig,
+    cones: &FaninCones,
     replaced: &[FlopId],
     replaced_set: &HashSet<FlopId>,
     classes: &[timber_sta::FlopTimingClass],
     report: &mut LintReport,
 ) {
     for &f in replaced {
-        let sources = fanin_cone(netlist, f)
-            .into_iter()
+        let sources = cones
+            .cone(f)
             .filter(|g| replaced_set.contains(g) && classes[g.0 as usize].starts_and_ends())
             .count();
         let estimate = RelayEstimate::new(sources);

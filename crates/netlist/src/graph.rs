@@ -74,6 +74,9 @@ pub fn topo_order(netlist: &Netlist) -> Result<Vec<InstId>, NetlistError> {
 /// netlist yields an empty vector. Cycles are ordered by their smallest
 /// member instance id, so the report is deterministic.
 pub fn combinational_cycles(netlist: &Netlist) -> Vec<Vec<InstId>> {
+    if is_acyclic(netlist) {
+        return Vec::new();
+    }
     let n = netlist.instance_count();
     let succs = |i: usize| -> Vec<usize> {
         let mut out = Vec::new();
@@ -188,6 +191,42 @@ pub fn combinational_cycles(netlist: &Netlist) -> Vec<Vec<InstId>> {
     cycles
 }
 
+/// Kahn's algorithm over the successor edges Tarjan walks in
+/// [`combinational_cycles`]: true when every instance can be peeled
+/// off in topological order. The common, acyclic case never pays for
+/// Tarjan's per-node successor lists.
+fn is_acyclic(netlist: &Netlist) -> bool {
+    let succs = |i: usize| {
+        netlist
+            .net(netlist.instance(InstId(i as u32)).output())
+            .fanout()
+            .iter()
+            .filter_map(|sink| match *sink {
+                Sink::InstancePin(succ, _) => Some(succ.0 as usize),
+                _ => None,
+            })
+    };
+    let n = netlist.instance_count();
+    let mut indegree = vec![0u32; n];
+    for i in 0..n {
+        for succ in succs(i) {
+            indegree[succ] += 1;
+        }
+    }
+    let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+    let mut peeled = 0;
+    while let Some(i) = ready.pop() {
+        peeled += 1;
+        for succ in succs(i) {
+            indegree[succ] -= 1;
+            if indegree[succ] == 0 {
+                ready.push(succ);
+            }
+        }
+    }
+    peeled == n
+}
+
 /// Output-net names of the instances on a cycle, in cycle order — the
 /// human-readable form [`NetlistError::CombinationalLoop`] carries.
 pub fn cycle_net_names(netlist: &Netlist, cycle: &[InstId]) -> Vec<String> {
@@ -244,6 +283,85 @@ pub fn fanin_cone(netlist: &Netlist, end: FlopId) -> Vec<FlopId> {
     result.sort();
     result.dedup();
     result
+}
+
+/// Every flop's combinational fanin cone, from one topological pass.
+///
+/// Each net carries a bitset of the flops whose Q reaches it without
+/// crossing another flop; an instance's output is the union of its
+/// inputs'. [`FaninCones::cone`] then lists exactly what
+/// [`fanin_cone`] returns for the same flop, without a traversal per
+/// query.
+#[derive(Debug, Clone)]
+pub struct FaninCones {
+    /// `u64` words per bitset.
+    words: usize,
+    /// One bitset per flop, in flop-id order: the cone of its D net.
+    cones: Vec<u64>,
+}
+
+impl FaninCones {
+    /// Runs the pass. `topo` lists the combinational instances fanin
+    /// before fanout, as [`topo_order`] returns them (and as
+    /// `timber_sta::TimingAnalysis::topo` keeps them).
+    pub fn new(netlist: &Netlist, topo: &[InstId]) -> FaninCones {
+        let words = netlist.flop_count().div_ceil(64);
+        let mut nets = vec![0u64; netlist.net_count() * words];
+        for net_id in netlist.net_ids() {
+            if let Some(Driver::FlopQ(f)) = netlist.net(net_id).driver() {
+                let at = net_id.0 as usize * words;
+                nets[at + f.0 as usize / 64] |= 1 << (f.0 % 64);
+            }
+        }
+        let mut union = vec![0u64; words];
+        for &inst_id in topo {
+            let inst = netlist.instance(inst_id);
+            // Only the net's recorded driver feeds it, as in `fanin_cone`.
+            if netlist.net(inst.output()).driver() != Some(Driver::Instance(inst_id)) {
+                continue;
+            }
+            union.fill(0);
+            for &input in inst.inputs() {
+                let at = input.0 as usize * words;
+                for (u, &w) in union.iter_mut().zip(&nets[at..at + words]) {
+                    *u |= w;
+                }
+            }
+            let at = inst.output().0 as usize * words;
+            nets[at..at + words].copy_from_slice(&union);
+        }
+        let mut cones = Vec::with_capacity(netlist.flop_count() * words);
+        for f in netlist.flop_ids() {
+            let at = netlist.flop(f).d().0 as usize * words;
+            cones.extend_from_slice(&nets[at..at + words]);
+        }
+        FaninCones { words, cones }
+    }
+
+    fn bits(&self, end: FlopId) -> &[u64] {
+        let at = end.0 as usize * self.words;
+        &self.cones[at..at + self.words]
+    }
+
+    /// The flops in `end`'s fanin cone, ascending: `fanin_cone(netlist,
+    /// end)` as an iterator.
+    pub fn cone(&self, end: FlopId) -> impl Iterator<Item = FlopId> + '_ {
+        self.bits(end).iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    FlopId(i as u32 * 64 + bit)
+                })
+            })
+        })
+    }
+
+    /// How many flops `end`'s fanin cone holds.
+    pub fn len(&self, end: FlopId) -> usize {
+        self.bits(end).iter().map(|w| w.count_ones() as usize).sum()
+    }
 }
 
 /// The set of flip-flops in the combinational fanout cone of flop
@@ -353,6 +471,42 @@ mod tests {
         assert!(fanin_cone(&nl, FlopId(0)).is_empty());
     }
 
+    /// The one-pass cones against `fanin_cone`, flop by flop.
+    fn assert_cones_match(nl: &Netlist) {
+        let cones = FaninCones::new(nl, &topo_order(nl).unwrap());
+        for f in nl.flop_ids() {
+            let want = fanin_cone(nl, f);
+            assert_eq!(cones.cone(f).collect::<Vec<_>>(), want, "{} {f}", nl.name());
+            assert_eq!(cones.len(f), want.len(), "{} {f}", nl.name());
+        }
+    }
+
+    #[test]
+    fn one_pass_cones_match_fanin_cone_on_every_generator() {
+        use crate::arith::{alu, array_multiplier, kogge_stone_adder};
+        use crate::gen::{pipelined_datapath, random_dag, ripple_carry_adder};
+        use crate::gen::{DatapathSpec, RandomDagSpec};
+        let lib = CellLibrary::standard();
+        assert_cones_match(&two_stage());
+        assert_cones_match(&ripple_carry_adder(&lib, 16).unwrap());
+        assert_cones_match(&kogge_stone_adder(&lib, 16).unwrap());
+        assert_cones_match(&array_multiplier(&lib, 8).unwrap());
+        assert_cones_match(&alu(&lib, 8).unwrap());
+        let dag = RandomDagSpec {
+            inputs: 70,
+            outputs: 12,
+            gates: 200,
+            depth_bias: 0.6,
+            seed: 3,
+        };
+        assert_cones_match(&random_dag(&lib, &dag).unwrap());
+        // Four banks of 40 bits: cones span several 64-bit words.
+        let spec = DatapathSpec::uniform(3, 40, 120, 0.7, 17);
+        let nl = pipelined_datapath(&lib, &spec).unwrap();
+        assert!(nl.flop_count() > 128);
+        assert_cones_match(&nl);
+    }
+
     #[test]
     fn fanout_cone_stops_at_flops() {
         let nl = two_stage();
@@ -414,7 +568,9 @@ mod tests {
     #[test]
     fn acyclic_netlist_has_no_cycles() {
         let nl = two_stage();
+        assert!(is_acyclic(&nl));
         assert!(combinational_cycles(&nl).is_empty());
+        assert!(!is_acyclic(&looped()));
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub use eval::Evaluator;
 pub use gen::{pipelined_datapath, random_dag, ripple_carry_adder, DatapathSpec, RandomDagSpec};
 pub use graph::{
     combinational_cycles, cycle_net_names, fanin_cone, fanout_cone, levelize, topo_order,
+    FaninCones,
 };
 pub use logic::LogicFn;
 pub use netlist::{

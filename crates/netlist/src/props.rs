@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use crate::cell::CellLibrary;
 use crate::eval::Evaluator;
 use crate::gen::{random_dag, RandomDagSpec};
-use crate::graph::{fanin_cone, levelize, topo_order};
+use crate::graph::{fanin_cone, levelize, topo_order, FaninCones};
 use crate::logic::LogicFn;
 use crate::units::Picos;
 
@@ -90,6 +90,25 @@ proptest! {
                 prop_assert!(fwd.contains(&f),
                     "cone member {g} must reach {f} forward");
             }
+        }
+    }
+
+    /// The one-pass cones list exactly `fanin_cone`'s flops, for any
+    /// random DAG, including ones wider than a 64-bit word.
+    #[test]
+    fn one_pass_cones_equal_fanin_cone(
+        seed in 0u64..1000,
+        inputs in 1usize..100,
+        outputs in 1usize..40,
+        gates in 10usize..150,
+    ) {
+        let lib = CellLibrary::standard();
+        let nl = random_dag(&lib, &RandomDagSpec {
+            inputs, outputs, gates, depth_bias: 0.6, seed,
+        }).unwrap();
+        let cones = FaninCones::new(&nl, &topo_order(&nl).unwrap());
+        for f in nl.flop_ids() {
+            prop_assert_eq!(cones.cone(f).collect::<Vec<_>>(), fanin_cone(&nl, f));
         }
     }
 

@@ -121,6 +121,19 @@ impl FrequencyController {
         }
     }
 
+    /// The next cycle at which [`FrequencyController::period_at`]
+    /// changes this controller's state — the pending actuation or the
+    /// end of the active slowdown, whichever comes first — or `None`
+    /// when neither is scheduled. Every transition is a level-triggered
+    /// `cycle >= threshold` check, so between transitions `period_at`
+    /// returns the same period and a caller may skip those queries.
+    pub fn next_transition(&self) -> Option<u64> {
+        match (self.pending_until, self.slow_until) {
+            (Some(actuate), Some(until)) => Some(actuate.min(until)),
+            (actuate, until) => actuate.or(until),
+        }
+    }
+
     /// True while the clock is currently slowed.
     pub fn is_slowed(&self) -> bool {
         self.slow_until.is_some()
@@ -242,6 +255,59 @@ mod tests {
         assert_eq!(c.period_at(61), Picos(1100));
         assert_eq!(c.period_at(62), Picos(1000));
         assert!(!c.is_slowed());
+    }
+
+    #[test]
+    fn next_transition_names_the_actuation_then_the_expiry() {
+        let mut c = FrequencyController::new(Picos(1000), 0.1, 50, 2);
+        assert_eq!(c.next_transition(), None);
+        c.flag_error(10);
+        assert_eq!(c.next_transition(), Some(12));
+        // Nothing changes before the actuation.
+        assert_eq!(c.period_at(11), Picos(1000));
+        assert_eq!(c.next_transition(), Some(12));
+        assert_eq!(c.period_at(12), Picos(1100));
+        assert_eq!(c.next_transition(), Some(62));
+        // A flag mid-episode actuates before the expiry and pushes it
+        // out; the actuation is the next transition.
+        c.flag_error(20);
+        assert_eq!(c.next_transition(), Some(22));
+        assert_eq!(c.period_at(22), Picos(1100));
+        assert_eq!(c.next_transition(), Some(72));
+        assert_eq!(c.period_at(72), Picos(1000));
+        assert_eq!(c.next_transition(), None);
+        assert_eq!(c.episodes(), 2);
+    }
+
+    #[test]
+    fn stepping_only_at_transitions_matches_stepping_every_cycle() {
+        // Flags at fixed cycles, some inside episodes, some with the
+        // actuation landing on the expiry cycle.
+        let flags = [3u64, 5, 40, 52, 53, 120, 171, 300];
+        for latency in [0, 1, 2, 5] {
+            let mut every = FrequencyController::new(Picos(1000), 0.25, 50, latency);
+            let mut lazy = every.clone();
+            let (mut slow_every, mut slow_lazy) = (0u64, 0u64);
+            let mut lazy_period = Picos(1000);
+            let mut at = u64::MAX;
+            for t in 0..400 {
+                let p = every.period_at(t);
+                slow_every += u64::from(every.is_slowed());
+                if t >= at {
+                    lazy_period = lazy.period_at(t);
+                    at = lazy.next_transition().unwrap_or(u64::MAX);
+                }
+                slow_lazy += u64::from(lazy.is_slowed());
+                assert_eq!(lazy_period, p, "latency {latency}, cycle {t}");
+                if flags.contains(&t) {
+                    every.flag_error(t);
+                    lazy.flag_error(t);
+                    at = lazy.next_transition().unwrap();
+                }
+            }
+            assert_eq!(slow_lazy, slow_every, "latency {latency}");
+            assert_eq!(lazy.episodes(), every.episodes(), "latency {latency}");
+        }
     }
 
     #[test]

@@ -31,8 +31,8 @@ use timber::CheckingPeriod;
 use timber_analyze::{certify, AnalysisPoint, Interval};
 use timber_batch::workload::splitmix64;
 use timber_batch::{run_batched, BatchConfig, BatchScheme, BatchStageProfile, BatchWorkload};
-use timber_lint::{lint, snap_period, LintConfig, ReplacementPlan};
-use timber_netlist::{fanin_cone, FlopId, Netlist, Picos};
+use timber_lint::{lint_analysed, snap_period, LintConfig, ReplacementPlan};
+use timber_netlist::{FaninCones, FlopId, Netlist, Picos};
 use timber_pipeline::{PipelineConfig, RunStats};
 use timber_power::{PowerParams, ProcessorOverheads, ReplacementStats};
 use timber_proc::{endpoint_weight, weighted_cut};
@@ -159,6 +159,23 @@ pub fn workload_set(
     c_pct: f64,
     target: f64,
 ) -> Vec<FlopId> {
+    workload_set_in(
+        netlist,
+        sta,
+        &FaninCones::new(netlist, sta.topo()),
+        c_pct,
+        target,
+    )
+}
+
+/// [`workload_set`] over fanin cones the caller already holds.
+fn workload_set_in(
+    netlist: &Netlist,
+    sta: &TimingAnalysis<'_>,
+    cones: &FaninCones,
+    c_pct: f64,
+    target: f64,
+) -> Vec<FlopId> {
     let period = sta.constraint().period;
     let threshold = period.scale(1.0 - c_pct / 100.0);
     let classes: Vec<FlopTimingClass> = classify_flops(sta, threshold);
@@ -166,15 +183,16 @@ pub fn workload_set(
     if full.is_empty() {
         return full;
     }
-    let cones: Vec<(FlopId, Vec<FlopId>)> =
-        full.iter().map(|&f| (f, fanin_cone(netlist, f))).collect();
-    let max_cone = cones.iter().map(|(_, c)| c.len()).max().unwrap_or(1);
-    let weights: Vec<(usize, f64)> = cones
+    let max_cone = full.iter().map(|&f| cones.len(f)).max().unwrap_or(1);
+    let weights: Vec<(usize, f64)> = full
         .iter()
-        .map(|(f, cone)| {
-            let arrival = sta.arrival(netlist.flop(*f).d());
+        .map(|&f| {
+            let arrival = sta.arrival(netlist.flop(f).d());
             let excess = (arrival.0 - threshold.0) as f64 / period.0 as f64;
-            (f.0 as usize, endpoint_weight(excess, cone.len(), max_cone))
+            (
+                f.0 as usize,
+                endpoint_weight(excess, cones.len(f), max_cone),
+            )
         })
         .collect();
     let mut kept: Vec<FlopId> = weighted_cut(&weights, target)
@@ -186,7 +204,7 @@ pub fn workload_set(
     loop {
         let mut added = Vec::new();
         for &f in &kept {
-            for g in fanin_cone(netlist, f) {
+            for g in cones.cone(f) {
                 if classes[g.0 as usize].starts_and_ends()
                     && !kept.contains(&g)
                     && !added.contains(&g)
@@ -202,6 +220,36 @@ pub fn workload_set(
     }
     kept.sort_unstable();
     kept
+}
+
+/// The candidate's replacement set, from its seeding strategy, and the
+/// lint configuration declaring it. `sta` runs under the candidate's
+/// operating point and `cones` comes from its topological order.
+fn replacement_plan(
+    spec: &CandidateSpec,
+    sta: &TimingAnalysis<'_>,
+    cones: &FaninCones,
+) -> (Vec<FlopId>, LintConfig) {
+    let netlist = sta.netlist();
+    let (replaced, plan) = match spec.seeding {
+        Seeding::TopC => (
+            PathDistribution::replacement_set(sta, netlist, spec.c_pct()),
+            ReplacementPlan::TopC,
+        ),
+        Seeding::Workload { target_pct } => {
+            let set = workload_set_in(
+                netlist,
+                sta,
+                cones,
+                spec.c_pct(),
+                f64::from(target_pct) / 100.0,
+            );
+            (set.clone(), ReplacementPlan::Explicit(set))
+        }
+    };
+    let config =
+        LintConfig::new(spec.id(), spec.schedule_spec(), *sta.constraint()).with_replacement(plan);
+    (replaced, config)
 }
 
 /// Runs the storm battery for any batch scheme and sums the per-lane
@@ -248,29 +296,16 @@ pub fn storm_score(
 /// Evaluates one candidate: operating point → lint → certificate →
 /// power → storms → objectives.
 pub fn evaluate(ctx: &DesignContext, spec: &CandidateSpec, user_seed: u64) -> Evaluation {
-    let sched = spec.schedule_spec();
     let schedule = operating_point(spec, ctx.raw_critical);
     let constraint = ClockConstraint::with_period(schedule.period());
+    // One max-delay analysis and one cone pass, read by seeding, lint
+    // and power alike.
     let sta = TimingAnalysis::run(&ctx.netlist, &constraint);
-
-    // Replacement plan from the seeding strategy.
-    let replaced: Vec<FlopId> = match spec.seeding {
-        Seeding::TopC => PathDistribution::replacement_set(&sta, &ctx.netlist, spec.c_pct()),
-        Seeding::Workload { target_pct } => workload_set(
-            &ctx.netlist,
-            &sta,
-            spec.c_pct(),
-            f64::from(target_pct) / 100.0,
-        ),
-    };
-    let plan = match spec.seeding {
-        Seeding::TopC => ReplacementPlan::TopC,
-        Seeding::Workload { .. } => ReplacementPlan::Explicit(replaced.clone()),
-    };
+    let cones = FaninCones::new(&ctx.netlist, sta.topo());
+    let (replaced, config) = replacement_plan(spec, &sta, &cones);
 
     // Feasibility: the linter must find no errors.
-    let config = LintConfig::new(spec.id(), sched, constraint).with_replacement(plan);
-    let report = lint(&ctx.netlist, &config);
+    let report = lint_analysed(&config, &sta, &cones);
     let codes = report.error_codes();
     if !codes.is_empty() {
         return Evaluation {
@@ -299,8 +334,8 @@ pub fn evaluate(ctx: &DesignContext, spec: &CandidateSpec, user_seed: u64) -> Ev
     let relay_sources: Vec<usize> = replaced
         .iter()
         .map(|&f| {
-            fanin_cone(&ctx.netlist, f)
-                .into_iter()
+            cones
+                .cone(f)
                 .filter(|g| replaced.contains(g) && classes[g.0 as usize].starts_and_ends())
                 .count()
         })
@@ -390,6 +425,7 @@ pub fn evaluate(ctx: &DesignContext, spec: &CandidateSpec, user_seed: u64) -> Ev
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::space::enumerate;
 
     fn anchor(i: usize) -> CandidateSpec {
         CandidateSpec::anchors(DesignId::Rca16)[i]
@@ -418,6 +454,47 @@ mod tests {
                 }
                 ref other => panic!("anchor {i} not scored: {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn one_pass_cones_match_fanin_cone_on_both_designs() {
+        for design in DesignId::ALL {
+            let ctx = DesignContext::compile(design);
+            let nl = &ctx.netlist;
+            let cones = FaninCones::new(nl, &timber_netlist::topo_order(nl).unwrap());
+            for f in nl.flop_ids() {
+                let want = timber_netlist::fanin_cone(nl, f);
+                assert_eq!(cones.cone(f).collect::<Vec<_>>(), want, "{design:?} {f}");
+            }
+        }
+    }
+
+    #[test]
+    fn shared_analysis_lint_equals_standalone_lint_on_the_whole_space() {
+        let contexts: Vec<DesignContext> = DesignId::ALL
+            .iter()
+            .map(|&d| DesignContext::compile(d))
+            .collect();
+        let space = enumerate();
+        for ctx in &contexts {
+            assert!(space.iter().any(|spec| spec.design == ctx.design));
+        }
+        for spec in &space {
+            let ctx = contexts.iter().find(|c| c.design == spec.design).unwrap();
+            let schedule = operating_point(spec, ctx.raw_critical);
+            let sta = TimingAnalysis::run(
+                &ctx.netlist,
+                &ClockConstraint::with_period(schedule.period()),
+            );
+            let cones = FaninCones::new(&ctx.netlist, sta.topo());
+            let (_, config) = replacement_plan(spec, &sta, &cones);
+            assert_eq!(
+                lint_analysed(&config, &sta, &cones).to_json(),
+                timber_lint::lint(&ctx.netlist, &config).to_json(),
+                "{}",
+                spec.id()
+            );
         }
     }
 
