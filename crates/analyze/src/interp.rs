@@ -31,7 +31,7 @@
 use timber::CheckingPeriod;
 use timber_netlist::Picos;
 use timber_pipeline::PipelineConfig;
-use timber_schemes::{Registry, SchemeId};
+use timber_schemes::{CaptureLaw, Registry, SchemeId};
 
 use crate::domain::Interval;
 
@@ -273,11 +273,24 @@ fn pass(point: &AnalysisPoint, st: &mut AbsState, facts: &mut [StageFacts]) -> b
     let interval = sched.interval();
     let k = sched.k() as usize;
     let k_tb = sched.k_tb();
-    let usable = sched.usable_checking();
-    let reg = Registry::new(sched, point.stages);
-    let det_window = reg.window();
-    let soft_window = reg.soft_window();
-    let tb_window = interval * i64::from(k_tb);
+    let law = Registry::new(sched, point.stages)
+        .coverage(point.coverage)
+        .law(point.scheme);
+    // How far past the edge each law's capture survives, as a mask or
+    // a detection (the FF's at full select; below it, its capacity
+    // follows the relayed depth).
+    let capacity = match law {
+        CaptureLaw::TimberFf(s) | CaptureLaw::TimberLatch(s) => s.usable_checking(),
+        CaptureLaw::Razor { window, .. }
+        | CaptureLaw::TransitionDetector { window }
+        | CaptureLaw::SoftEdge { window } => window,
+        CaptureLaw::LogicalMasking { margin, .. } => margin,
+        CaptureLaw::Canary { .. } | CaptureLaw::Conventional => Picos::ZERO,
+    };
+    let coverage = match law {
+        CaptureLaw::LogicalMasking { coverage, .. } => coverage,
+        _ => 1.0,
+    };
     let mut changed = false;
 
     for (s, slot) in facts.iter_mut().enumerate() {
@@ -288,8 +301,8 @@ fn pass(point: &AnalysisPoint, st: &mut AbsState, facts: &mut [StageFacts]) -> b
             ..StageFacts::default()
         };
 
-        match point.scheme {
-            SchemeId::TimberFf => {
+        match law {
+            CaptureLaw::TimberFf(_) => {
                 let max_depth = (0..=k).rev().find(|&d| st.depths[s][d]).unwrap_or(0);
                 f.carry_in = Interval::new(Picos::ZERO, interval * max_depth as i64);
                 f.select_in = max_depth.min(k - 1) as u8;
@@ -326,33 +339,27 @@ fn pass(point: &AnalysisPoint, st: &mut AbsState, facts: &mut [StageFacts]) -> b
                     }
                 }
             }
-            SchemeId::TimberLatch | SchemeId::SoftEdgeFf | SchemeId::LogicalMasking => {
-                let capacity = match point.scheme {
-                    SchemeId::TimberLatch => usable,
-                    SchemeId::SoftEdgeFf => soft_window,
-                    _ => det_window, // logical-masking margin = full checking
-                };
+            CaptureLaw::TimberLatch(_)
+            | CaptureLaw::SoftEdge { .. }
+            | CaptureLaw::LogicalMasking { .. } => {
                 let carry = st.carry[s];
                 f.carry_in = carry;
                 let arrival = carry + hull;
                 let over_hi = arrival.hi() - p;
                 if over_hi > Picos::ZERO {
                     f.can_violate = true;
-                    f.can_corrupt = over_hi > capacity
-                        || (point.scheme == SchemeId::LogicalMasking && point.coverage < 1.0);
-                    let coverage_ok =
-                        point.scheme != SchemeId::LogicalMasking || point.coverage > 0.0;
-                    if arrival.lo() <= p + capacity && coverage_ok {
+                    f.can_corrupt = over_hi > capacity || coverage < 1.0;
+                    if arrival.lo() <= p + capacity && coverage > 0.0 {
                         f.can_mask = true;
-                        f.borrow_out = match point.scheme {
+                        f.borrow_out = match law {
+                            // Logical masking absorbs without borrowing.
+                            CaptureLaw::LogicalMasking { .. } => Picos::ZERO,
                             // Continuous borrowing hands on the actual
                             // overshoot, clamped to the capacity.
-                            SchemeId::TimberLatch | SchemeId::SoftEdgeFf => over_hi.min(capacity),
-                            // Logical masking absorbs without borrowing.
-                            _ => Picos::ZERO,
+                            _ => over_hi.min(capacity),
                         };
-                        if point.scheme == SchemeId::TimberLatch && over_hi > tb_window {
-                            f.can_flag = true;
+                        if let CaptureLaw::TimberLatch(schedule) = law {
+                            f.can_flag = over_hi > schedule.tb_window();
                         }
                         if s + 1 < point.stages {
                             let grown =
@@ -365,14 +372,14 @@ fn pass(point: &AnalysisPoint, st: &mut AbsState, facts: &mut [StageFacts]) -> b
                     }
                 }
             }
-            SchemeId::RazorFf | SchemeId::TransitionDetectorFf => {
+            CaptureLaw::Razor { .. } | CaptureLaw::TransitionDetector { .. } => {
                 // Detection: never masks, never carries; corruption
                 // escapes past the speculation window.
                 let over_hi = hull.hi() - p;
                 f.can_violate = over_hi > Picos::ZERO;
-                f.can_corrupt = over_hi > det_window;
+                f.can_corrupt = over_hi > capacity;
             }
-            SchemeId::CanaryFf | SchemeId::ConventionalFf => {
+            CaptureLaw::Canary { .. } | CaptureLaw::Conventional => {
                 // Prediction fires before the edge; anything past the
                 // edge is a silent escape for both.
                 let over_hi = hull.hi() - p;

@@ -22,7 +22,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use timber_pipeline::{FrequencyController, PipelineConfig, RunStats};
+use timber_netlist::Picos;
+use timber_pipeline::{FrequencyController, PipelineConfig, RunStats, StageOutcome};
 use timber_telemetry::Counter;
 
 use crate::scheme::BatchScheme;
@@ -55,8 +56,9 @@ impl BatchConfig {
     /// Panics if `lanes` is outside `1..=64`, the workload covers
     /// fewer stages than the pipeline, a closed-loop governor is
     /// configured, the energy weights are not the default 1.0 (the
-    /// engine folds energy into a closed form), or the scheme
-    /// parameters are invalid.
+    /// engine folds energy into a closed form), the scheme parameters
+    /// are invalid, or the law is one the engine does not model (Razor
+    /// with a metastability aperture).
     pub fn validate(&self) {
         assert!(
             (1..=MAX_LANES).contains(&self.lanes),
@@ -76,6 +78,13 @@ impl BatchConfig {
             "the bit-sliced engine requires unit energy weights"
         );
         self.scheme.validate();
+        if let BatchScheme::Razor { meta_window, .. } = self.scheme {
+            assert!(
+                meta_window == Picos::ZERO,
+                "the bit-sliced engine does not model the {} metastability aperture",
+                self.scheme.id().name()
+            );
+        }
     }
 }
 
@@ -125,66 +134,6 @@ impl BatchRun {
     }
 }
 
-/// Decision rule of a scheme, pre-lowered to integer picoseconds.
-#[derive(Debug, Clone, Copy)]
-enum Rule {
-    Margined,
-    /// Razor replay and TDTB stall share the decision shape; both
-    /// cost `penalty` bubbles.
-    Detector {
-        window: i64,
-        penalty: u64,
-    },
-    Canary,
-    SoftEdge {
-        window: i64,
-    },
-    Logical {
-        coverage: f64,
-        margin: i64,
-    },
-    TimberFf {
-        interval: i64,
-        k: u8,
-        k_tb: u8,
-    },
-    TimberLatch {
-        window: i64,
-        tb_window: i64,
-    },
-}
-
-impl Rule {
-    fn lower(scheme: &BatchScheme) -> Rule {
-        match *scheme {
-            BatchScheme::Conventional => Rule::Margined,
-            BatchScheme::Razor { window } | BatchScheme::TransitionDetector { window } => {
-                Rule::Detector {
-                    window: window.as_ps(),
-                    penalty: 1,
-                }
-            }
-            BatchScheme::Canary { .. } => Rule::Canary,
-            BatchScheme::SoftEdge { window } => Rule::SoftEdge {
-                window: window.as_ps(),
-            },
-            BatchScheme::LogicalMasking { coverage, margin } => Rule::Logical {
-                coverage,
-                margin: margin.as_ps(),
-            },
-            BatchScheme::TimberFf(sched) => Rule::TimberFf {
-                interval: sched.interval().as_ps(),
-                k: sched.k(),
-                k_tb: sched.k_tb(),
-            },
-            BatchScheme::TimberLatch(sched) => Rule::TimberLatch {
-                window: sched.usable_checking().as_ps(),
-                tb_window: sched.interval().as_ps() * i64::from(sched.k_tb()),
-            },
-        }
-    }
-}
-
 /// Per-lane event tallies accumulated during the run.
 #[derive(Debug, Clone, Default)]
 struct LaneTally {
@@ -218,8 +167,7 @@ impl LaneTally {
 /// once up front.
 struct Engine {
     pipeline: PipelineConfig,
-    rule: Rule,
-    guard: i64,
+    law: BatchScheme,
     workload: BatchWorkload,
     lanes: usize,
     stages: usize,
@@ -236,6 +184,9 @@ struct Engine {
     slowed_since: Vec<Option<u64>>,
     /// Current period per lane, in ps.
     period_ps: Vec<i64>,
+    /// The law's on-time limit at each lane's current period, in ps:
+    /// a later arrival is a violation.
+    limit_ps: Vec<i64>,
     /// Dense per-boundary planes with `u64` occupancy masks
     /// (mask-clear lanes hold zero).
     carry: Vec<Vec<i64>>,
@@ -246,7 +197,7 @@ struct Engine {
     next_carry_mask: Vec<u64>,
     next_chain: Vec<Vec<u32>>,
     next_chain_mask: Vec<u64>,
-    /// TIMBER relay planes (allocated but untouched for other rules).
+    /// TIMBER relay planes (allocated but untouched for other laws).
     select: Vec<Vec<u8>>,
     select_mask: Vec<u64>,
     pending: Vec<Vec<u8>>,
@@ -276,9 +227,9 @@ impl Engine {
         config.validate();
         let stages = config.pipeline.stages;
         let lanes = config.lanes;
-        let rule = Rule::lower(&config.scheme);
+        let law = config.scheme;
         let lane_seeds: Vec<u64> = (0..lanes).map(|l| config.workload.lane_seed(l)).collect();
-        let rngs = if matches!(rule, Rule::Logical { .. }) {
+        let rngs = if matches!(law, BatchScheme::LogicalMasking { .. }) {
             lane_seeds
                 .iter()
                 .map(|&s| StdRng::seed_from_u64(s))
@@ -301,8 +252,7 @@ impl Engine {
         let plane_u8 = || vec![vec![0u8; lanes]; stages];
         Engine {
             pipeline: config.pipeline,
-            rule,
-            guard: config.scheme.guard_ps(),
+            law,
             workload: config.workload.clone(),
             lanes,
             stages,
@@ -317,6 +267,7 @@ impl Engine {
             next_clock: u64::MAX,
             slowed_since: vec![None; lanes],
             period_ps: vec![config.pipeline.nominal_period.as_ps(); lanes],
+            limit_ps: vec![law.on_time_limit(config.pipeline.nominal_period).as_ps(); lanes],
             carry: plane_i64(),
             carry_mask: vec![0; stages],
             chain: plane_u32(),
@@ -357,7 +308,9 @@ impl Engine {
     /// [`Engine::finish`]) at the end of the run.
     fn clock_transition(&mut self, l: usize, t: u64) {
         let clock = &mut self.clocks[l];
-        self.period_ps[l] = clock.period_at(t).as_ps();
+        let period = clock.period_at(t);
+        self.period_ps[l] = period.as_ps();
+        self.limit_ps[l] = self.law.on_time_limit(period).as_ps();
         match (self.slowed_since[l], clock.is_slowed()) {
             (None, true) => self.slowed_since[l] = Some(t),
             (Some(since), false) => {
@@ -404,7 +357,7 @@ impl Engine {
         // cycle the scalar scheme latches pending selects into the
         // flops and clears them; bubbled lanes skip it exactly like
         // they skip evaluation.
-        if matches!(self.rule, Rule::TimberFf { .. }) {
+        if matches!(self.law, BatchScheme::TimberFf(_)) {
             for s in 0..self.stages {
                 let roll = (self.pending_mask[s] | self.select_mask[s]) & active;
                 for_lanes(roll, |l| {
@@ -430,7 +383,7 @@ impl Engine {
                     .as_ps();
                 let a = carry_row[l] + delay;
                 *arr = a;
-                violation |= u64::from(a + self.guard > self.period_ps[l]) << l;
+                violation |= u64::from(a > self.limit_ps[l]) << l;
             }
             // Attention: violating lanes plus lanes whose inherited
             // chain must be recorded as it dies.
@@ -465,92 +418,27 @@ impl Engine {
     /// outcome handling of `PipelineSim::run` statement for statement.
     fn eval_lane(&mut self, s: usize, l: usize, t: u64, violated: bool) {
         let chain_depth = self.chain[s][l] as usize;
-        if !violated {
-            // On-time capture: an inherited chain dies here.
-            if chain_depth > 0 {
-                self.tally[l].record_chain(chain_depth);
-            }
-            return;
-        }
-        let period = self.period_ps[l];
-        let overshoot = self.arrivals[l] - period;
-        enum Outcome {
-            Masked { borrowed: i64, flagged: bool },
-            Detected { penalty: u64 },
-            Predicted,
-            Corrupted,
-        }
-        let outcome = match self.rule {
-            Rule::Margined => Outcome::Corrupted,
-            Rule::Detector { window, penalty } => {
-                if overshoot <= window {
-                    Outcome::Detected { penalty }
-                } else {
-                    Outcome::Corrupted
-                }
-            }
-            Rule::Canary => {
-                // Violation here means "inside the guard band or
-                // late"; before the edge it is a prediction.
-                if overshoot <= 0 {
-                    Outcome::Predicted
-                } else {
-                    Outcome::Corrupted
-                }
-            }
-            Rule::SoftEdge { window } => {
-                if overshoot <= window {
-                    Outcome::Masked {
-                        borrowed: overshoot,
-                        flagged: false,
-                    }
-                } else {
-                    Outcome::Corrupted
-                }
-            }
-            Rule::Logical { coverage, margin } => {
-                if overshoot <= margin && self.rngs[l].gen_bool(coverage) {
-                    Outcome::Masked {
-                        borrowed: 0,
-                        flagged: false,
-                    }
-                } else {
-                    Outcome::Corrupted
-                }
-            }
-            Rule::TimberLatch { window, tb_window } => {
-                if overshoot <= window {
-                    Outcome::Masked {
-                        borrowed: overshoot,
-                        flagged: overshoot > tb_window,
-                    }
-                } else {
-                    Outcome::Corrupted
-                }
-            }
-            Rule::TimberFf { interval, k, k_tb } => {
-                let select = self.select[s][l];
-                let delta = interval * (i64::from(select) + 1);
-                if overshoot <= delta {
-                    let units = select + 1;
-                    if s + 1 < self.stages {
-                        // Relay: downstream select input for the next
-                        // cycle (single writer per slot in a linear
-                        // pipeline; the slot was cleared at roll).
-                        self.pending[s + 1][l] = units.min(k - 1);
-                        self.pending_mask[s + 1] |= 1u64 << l;
-                    }
-                    Outcome::Masked {
-                        borrowed: delta,
-                        flagged: units > k_tb,
-                    }
-                } else {
-                    Outcome::Corrupted
-                }
-            }
+        let select = self.select[s][l];
+        let outcome = if violated {
+            let law = self.law;
+            let rng = &mut self.rngs;
+            law.decide(
+                Picos(self.arrivals[l]),
+                Picos(self.period_ps[l]),
+                select,
+                |coverage| rng[l].gen_bool(coverage),
+            )
+        } else {
+            StageOutcome::Ok
         };
         match outcome {
-            Outcome::Masked { borrowed, flagged } => {
+            StageOutcome::Ok => {
+                // On-time capture: an inherited chain dies here.
+                if chain_depth > 0 {
+                    self.tally[l].record_chain(chain_depth);
+                }
+            }
+            StageOutcome::Masked { borrowed, flagged } => {
                 self.tally[l].masked += 1;
                 let len = chain_depth + 1;
                 if chain_depth > 0 {
@@ -562,7 +450,14 @@ impl Engine {
                     self.flag_lane(l, t);
                 }
                 if s + 1 < self.stages {
-                    self.next_carry[s + 1][l] = borrowed;
+                    if let BatchScheme::TimberFf(schedule) = self.law {
+                        // Relay: downstream select input for the next
+                        // cycle (single writer per slot in a linear
+                        // pipeline; the slot was cleared at roll).
+                        self.pending[s + 1][l] = (select + 1).min(schedule.k() - 1);
+                        self.pending_mask[s + 1] |= 1u64 << l;
+                    }
+                    self.next_carry[s + 1][l] = borrowed.as_ps();
                     self.next_carry_mask[s + 1] |= 1u64 << l;
                     self.next_chain[s + 1][l] = len as u32;
                     self.next_chain_mask[s + 1] |= 1u64 << l;
@@ -570,13 +465,13 @@ impl Engine {
                     self.tally[l].record_chain(len);
                 }
             }
-            Outcome::Detected { penalty } => {
+            StageOutcome::Detected { recovery } => {
                 self.tally[l].detected += 1;
                 self.tally[l].record_chain(chain_depth + 1);
-                self.penalty[l] += penalty;
+                self.penalty[l] += u64::from(recovery.penalty_cycles());
                 self.penalty_mask |= 1u64 << l;
             }
-            Outcome::Predicted => {
+            StageOutcome::Predicted => {
                 self.tally[l].predicted += 1;
                 if chain_depth > 0 {
                     self.tally[l].record_chain(chain_depth);
@@ -584,7 +479,7 @@ impl Engine {
                 self.tally[l].throttle_requests += 1;
                 self.flag_lane(l, t);
             }
-            Outcome::Corrupted => {
+            StageOutcome::Corrupted => {
                 self.tally[l].corrupted += 1;
                 self.tally[l].record_chain(chain_depth + 1);
             }
@@ -673,7 +568,6 @@ mod tests {
     use super::*;
     use crate::workload::BatchStageProfile;
     use timber::CheckingPeriod;
-    use timber_netlist::Picos;
     use timber_variability::StagePathProfile;
 
     fn stress_profiles(stages: usize, critical: i64) -> Vec<BatchStageProfile> {
@@ -732,7 +626,15 @@ mod tests {
 
     #[test]
     fn detector_penalties_cost_instructions() {
-        let cfg = config(BatchScheme::Razor { window: Picos(200) }, 16, 1040);
+        let cfg = config(
+            BatchScheme::Razor {
+                window: Picos(200),
+                meta_window: Picos::ZERO,
+                meta_penalty: 0,
+            },
+            16,
+            1040,
+        );
         let run = run_batched(&cfg, 5_000);
         let detected: u64 = run.stats.iter().map(|s| s.detected).sum();
         assert!(detected > 0);
@@ -763,6 +665,17 @@ mod tests {
         let mut cfg = config(BatchScheme::Conventional, 4, 900);
         cfg.pipeline.governor = Some(timber_resilience::GovernorConfig::default());
         cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "does not model the razor-ff metastability aperture")]
+    fn razor_metastability_aperture_is_rejected() {
+        let razor = BatchScheme::Razor {
+            window: Picos(200),
+            meta_window: Picos(20),
+            meta_penalty: 4,
+        };
+        config(razor, 4, 900).validate();
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! 2. build the violation bit-plane with one branch-free pass,
 //! 3. fall through instantly when `violation | chain` is all-zero
 //!    (the overwhelmingly common case in the paper's sparse-error
-//!    regime), otherwise service only the set bits.
+//!    regime), otherwise service only the set bits, each decided by
+//!    the scheme's own [`timber_schemes::CaptureLaw`].
 //!
 //! Determinism is preserved *exactly*: the scalar reference engine
 //! replays the identical delay planes through `PipelineSim` (via the
@@ -31,23 +32,27 @@
 //! # Example
 //!
 //! ```
-//! use timber_batch::{BatchConfig, BatchScheme, BatchWorkload, BatchStageProfile};
+//! use timber::CheckingPeriod;
+//! use timber_batch::{BatchConfig, BatchWorkload, BatchStageProfile};
 //! use timber_netlist::Picos;
 //! use timber_pipeline::PipelineConfig;
+//! use timber_schemes::{Registry, SchemeId};
 //! use timber_variability::StagePathProfile;
 //!
 //! let profiles: Vec<BatchStageProfile> = (0..4)
 //!     .map(|_| BatchStageProfile::from_profile(&StagePathProfile::from_critical(Picos(980))))
 //!     .collect();
+//! let schedule = CheckingPeriod::deferred_flagging(Picos(1000), 24.0)?;
 //! let config = BatchConfig {
 //!     pipeline: PipelineConfig::new(4, Picos(1000)),
-//!     scheme: BatchScheme::Conventional,
+//!     scheme: Registry::new(schedule, 4).law(SchemeId::CanaryFf),
 //!     workload: BatchWorkload::new(profiles, 7),
 //!     lanes: 64,
 //! };
 //! let run = timber_batch::run_batched(&config, 10_000);
 //! assert_eq!(run.stats.len(), 64);
 //! timber_batch::reference::check_equivalence(&config, 10_000, 2).unwrap();
+//! # Ok::<(), timber::TimberError>(())
 //! ```
 
 #![warn(missing_docs)]

@@ -1,5 +1,5 @@
 //! Property tests: the bit-sliced engine is bit-identical to the
-//! scalar path for all eight schemes across random `(k_tb, k_ed)`
+//! scalar path for every registered scheme across random `(k_tb, k_ed)`
 //! schedules, stress profiles, lane counts and thread counts.
 
 use proptest::prelude::*;
@@ -12,6 +12,7 @@ use crate::engine::BatchConfig;
 use crate::reference::check_equivalence;
 use crate::scheme::BatchScheme;
 use crate::workload::{BatchStageProfile, BatchWorkload};
+use timber_schemes::{Registry, SchemeId};
 
 const PERIOD: Picos = Picos(1000);
 
@@ -47,17 +48,8 @@ proptest! {
         let (over, p_critical, p_near) = pressure;
         let (seed, lanes, threads, cycles) = shape;
         let sched = CheckingPeriod::new(PERIOD, pct, k_tb, k_ed).unwrap();
-        let schemes = [
-            BatchScheme::TimberFf(sched),
-            BatchScheme::TimberLatch(sched),
-            BatchScheme::Razor { window: sched.checking() },
-            BatchScheme::TransitionDetector { window: sched.checking() },
-            BatchScheme::Canary { guard: Picos(80) },
-            BatchScheme::SoftEdge { window: sched.interval() },
-            BatchScheme::LogicalMasking { coverage: 0.8, margin: sched.checking() },
-            BatchScheme::Conventional,
-        ];
-        for scheme in schemes {
+        let registry = Registry::new(sched, 5);
+        for scheme in SchemeId::ALL.map(|id| registry.law(id)) {
             let config = BatchConfig {
                 pipeline: PipelineConfig::new(5, PERIOD),
                 scheme,

@@ -30,7 +30,7 @@ pub fn run_scalar_reference(config: &BatchConfig, cycles: u64, threads: usize) -
     let per_lane = scatter_strict(&lanes, threads, &|&lane| {
         let mut scheme = config
             .scheme
-            .build_scalar(config.pipeline.stages, config.workload.lane_seed(lane));
+            .build(config.pipeline.stages, config.workload.lane_seed(lane));
         let mut rows = config.workload.lane_rows(lane);
         // Ring capacity 0: counters only, no event storage cost.
         let mut recorder = Recorder::new(
@@ -67,7 +67,7 @@ pub fn check_equivalence(config: &BatchConfig, cycles: u64, threads: usize) -> R
         if batched.stats[lane] != scalar.stats[lane] {
             return Err(format!(
                 "scheme {}: lane {lane} RunStats diverged\n  bit-sliced: {:?}\n  scalar:     {:?}",
-                config.scheme.name(),
+                config.scheme.id().name(),
                 batched.stats[lane],
                 scalar.stats[lane]
             ));
@@ -75,7 +75,7 @@ pub fn check_equivalence(config: &BatchConfig, cycles: u64, threads: usize) -> R
         if batched.counters[lane] != scalar.counters[lane] {
             return Err(format!(
                 "scheme {}: lane {lane} telemetry counters diverged\n  bit-sliced: {:?}\n  scalar:     {:?}",
-                config.scheme.name(),
+                config.scheme.id().name(),
                 batched.counters[lane],
                 scalar.counters[lane]
             ));
@@ -92,6 +92,7 @@ mod tests {
     use timber::CheckingPeriod;
     use timber_netlist::Picos;
     use timber_pipeline::PipelineConfig;
+    use timber_schemes::{Registry, SchemeId};
     use timber_variability::StagePathProfile;
 
     fn stress_workload(stages: usize, critical: i64, seed: u64) -> BatchWorkload {
@@ -119,27 +120,12 @@ mod tests {
     fn all_schemes_match_scalar_reference() {
         let sched = CheckingPeriod::deferred_flagging(Picos(1000), 24.0).unwrap();
         let immediate = CheckingPeriod::immediate_flagging(Picos(1000), 24.0).unwrap();
-        let schemes = [
-            BatchScheme::TimberFf(sched),
-            BatchScheme::TimberFf(immediate),
-            BatchScheme::TimberLatch(sched),
-            BatchScheme::Razor {
-                window: sched.checking(),
-            },
-            BatchScheme::TransitionDetector {
-                window: sched.checking(),
-            },
-            BatchScheme::Canary { guard: Picos(80) },
-            BatchScheme::SoftEdge {
-                window: sched.interval(),
-            },
-            BatchScheme::LogicalMasking {
-                coverage: 0.8,
-                margin: sched.checking(),
-            },
-            BatchScheme::Conventional,
-        ];
-        for scheme in schemes {
+        let registry = Registry::new(sched, 5);
+        let laws = SchemeId::ALL
+            .map(|id| registry.law(id))
+            .into_iter()
+            .chain([BatchScheme::TimberFf(immediate)]);
+        for scheme in laws {
             check_equivalence(&config(scheme), 4_000, 2)
                 .unwrap_or_else(|e| panic!("equivalence failed: {e}"));
         }
@@ -199,10 +185,10 @@ mod tests {
             assert!(
                 run.stats.iter().any(|s| s.slowdown_episodes >= 2),
                 "{}: no actuation inside an active episode",
-                scheme.name()
+                scheme.id().name()
             );
             let last = run.stats.iter().map(|s| s.slow_cycles).max().unwrap();
-            assert!(last > 0 && last < 1_200, "{}: {last}", scheme.name());
+            assert!(last > 0 && last < 1_200, "{}: {last}", scheme.id().name());
         }
     }
 
@@ -225,7 +211,11 @@ mod tests {
     fn pending_bubbles_at_run_end_do_not_diverge() {
         // A heavy detection workload ends mid-penalty with high
         // probability; both engines must account identically.
-        let cfg = config(BatchScheme::Razor { window: Picos(300) });
+        let cfg = config(BatchScheme::Razor {
+            window: Picos(300),
+            meta_window: Picos::ZERO,
+            meta_penalty: 0,
+        });
         check_equivalence(&cfg, 1_001, 3).unwrap();
     }
 }

@@ -1,163 +1,13 @@
-//! The scheme menu of the batcher: every resilience scheme the
-//! architectural comparison sweeps, as plain-data parameters the
-//! bit-sliced engine can evaluate without trait dispatch, plus a
-//! factory for the *real* scalar scheme objects the reference replay
-//! uses.
+//! The scheme menu of the batcher.
 
-use timber::{CheckingPeriod, TimberFfScheme, TimberLatchScheme};
-use timber_netlist::Picos;
-use timber_pipeline::{reference::MarginedFlop, SequentialScheme};
-use timber_schemes::{CanaryFf, LogicalMasking, RazorFf, SoftEdgeFf, TransitionDetectorFf};
-
-/// A resilience scheme, by parameters.
-///
-/// Each variant corresponds to one `SequentialScheme` implementation;
-/// [`BatchScheme::build_scalar`] constructs that implementation, and
-/// the bit-sliced engine evaluates the identical decision rules
-/// in-line. The windows/guards are the caller's choice — the
-/// architectural comparison derives them from the TIMBER schedule
-/// (speculation window = checking period, etc.).
-#[derive(Debug, Clone, Copy)]
-pub enum BatchScheme {
-    /// TIMBER flip-flop with error relaying ([`TimberFfScheme`]).
-    TimberFf(CheckingPeriod),
-    /// TIMBER latch with continuous borrowing ([`TimberLatchScheme`]).
-    TimberLatch(CheckingPeriod),
-    /// Razor-style detection + replay ([`RazorFf`], no metastability
-    /// model).
-    Razor {
-        /// Speculation window after the edge.
-        window: Picos,
-    },
-    /// Transition-detector flop: detection + 1-cycle stall
-    /// ([`TransitionDetectorFf`]).
-    TransitionDetector {
-        /// Detection window after the edge.
-        window: Picos,
-    },
-    /// Canary-flop error prediction ([`CanaryFf`]).
-    Canary {
-        /// Guard band before the edge.
-        guard: Picos,
-    },
-    /// Soft-edge flop: fixed transparency window ([`SoftEdgeFf`]).
-    SoftEdge {
-        /// Transparency window after the edge.
-        window: Picos,
-    },
-    /// Logical error masking with redundant logic ([`LogicalMasking`]).
-    /// The scalar instance is seeded with the lane seed, and the
-    /// engine's per-lane `StdRng` draws in the same conditional order,
-    /// so coverage decisions agree lane for lane.
-    LogicalMasking {
-        /// Fraction of covered critical-path sensitizations.
-        coverage: f64,
-        /// Delay margin up to which covered paths are corrected.
-        margin: Picos,
-    },
-    /// Conventional margined flop — no resilience
-    /// ([`MarginedFlop`]).
-    Conventional,
-}
-
-impl BatchScheme {
-    /// Short scheme name (matches the scalar implementations).
-    pub fn name(&self) -> &'static str {
-        match self {
-            BatchScheme::TimberFf(_) => "timber-ff",
-            BatchScheme::TimberLatch(_) => "timber-latch",
-            BatchScheme::Razor { .. } => "razor-ff",
-            BatchScheme::TransitionDetector { .. } => "transition-detector-ff",
-            BatchScheme::Canary { .. } => "canary-ff",
-            BatchScheme::SoftEdge { .. } => "soft-edge-ff",
-            BatchScheme::LogicalMasking { .. } => "logical-masking",
-            BatchScheme::Conventional => "conventional-ff",
-        }
-    }
-
-    /// Builds the real scalar scheme object for one lane — what the
-    /// reference replay runs through `PipelineSim`.
-    pub fn build_scalar(&self, stages: usize, lane_seed: u64) -> Box<dyn SequentialScheme> {
-        match *self {
-            BatchScheme::TimberFf(sched) => Box::new(TimberFfScheme::new(sched, stages)),
-            BatchScheme::TimberLatch(sched) => Box::new(TimberLatchScheme::new(sched, stages)),
-            BatchScheme::Razor { window } => Box::new(RazorFf::new(window)),
-            BatchScheme::TransitionDetector { window } => {
-                Box::new(TransitionDetectorFf::new(window))
-            }
-            BatchScheme::Canary { guard } => Box::new(CanaryFf::new(guard)),
-            BatchScheme::SoftEdge { window } => Box::new(SoftEdgeFf::new(window)),
-            BatchScheme::LogicalMasking { coverage, margin } => {
-                Box::new(LogicalMasking::new(coverage, margin, lane_seed))
-            }
-            BatchScheme::Conventional => Box::new(MarginedFlop::new()),
-        }
-    }
-
-    /// Validates the parameters exactly as the scalar constructors
-    /// would, so engine and reference agree on what is representable.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive windows/guards/margins or coverage
-    /// outside `[0, 1]`.
-    pub fn validate(&self) {
-        match *self {
-            BatchScheme::TimberFf(_) | BatchScheme::TimberLatch(_) | BatchScheme::Conventional => {}
-            BatchScheme::Razor { window } | BatchScheme::TransitionDetector { window } => {
-                assert!(window > Picos::ZERO, "detection window must be positive");
-            }
-            BatchScheme::Canary { guard } => {
-                assert!(guard > Picos::ZERO, "guard band must be positive");
-            }
-            BatchScheme::SoftEdge { window } => {
-                assert!(window > Picos::ZERO, "transparency window must be positive");
-            }
-            BatchScheme::LogicalMasking { coverage, margin } => {
-                assert!((0.0..=1.0).contains(&coverage), "coverage in [0,1]");
-                assert!(margin > Picos::ZERO, "margin must be positive");
-            }
-        }
-    }
-
-    /// The guard band reserved before the edge (non-zero only for the
-    /// canary flop); arrivals inside it count as violations.
-    pub(crate) fn guard_ps(&self) -> i64 {
-        match *self {
-            BatchScheme::Canary { guard } => guard.as_ps(),
-            _ => 0,
-        }
-    }
-}
+/// The engine's name for a [`CaptureLaw`](timber_schemes::CaptureLaw):
+/// it evaluates the scalar schemes' own law in-line, lane by lane.
+pub use timber_schemes::CaptureLaw as BatchScheme;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sched() -> CheckingPeriod {
-        CheckingPeriod::new(Picos(1000), 12.0, 1, 2).unwrap()
-    }
-
-    #[test]
-    fn names_match_scalar_objects() {
-        let cases = [
-            BatchScheme::TimberFf(sched()),
-            BatchScheme::TimberLatch(sched()),
-            BatchScheme::Razor { window: Picos(100) },
-            BatchScheme::TransitionDetector { window: Picos(100) },
-            BatchScheme::Canary { guard: Picos(80) },
-            BatchScheme::SoftEdge { window: Picos(40) },
-            BatchScheme::LogicalMasking {
-                coverage: 0.8,
-                margin: Picos(120),
-            },
-            BatchScheme::Conventional,
-        ];
-        for scheme in cases {
-            let scalar = scheme.build_scalar(3, 7);
-            assert_eq!(scalar.name(), scheme.name());
-        }
-    }
+    use timber_netlist::Picos;
 
     #[test]
     #[should_panic(expected = "guard band must be positive")]

@@ -6,7 +6,7 @@
 use timber::{validate_flipflop, validate_latch, CheckingPeriod, TimberFfScheme};
 use timber_netlist::Picos;
 use timber_pipeline::{Environment, PipelineConfig, RunStats, SequentialScheme, SweepSpec};
-use timber_schemes::{MarginedFlop, RazorFf};
+use timber_schemes::{CaptureLaw, MarginedFlop};
 use timber_variability::{SensitizationModel, VariabilityBuilder};
 
 use crate::experiments::{PERIOD, SEED, TRIALS};
@@ -200,11 +200,17 @@ pub fn ablation_metastability(cycles: u64) -> MetastabilityResult {
 /// (`0` = all available cores).
 pub fn ablation_metastability_threaded(cycles: u64, threads: usize) -> MetastabilityResult {
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid");
-    let window = sched.checking();
+    let razor = |meta_window, meta_penalty| CaptureLaw::Razor {
+        window: sched.checking(),
+        meta_window,
+        meta_penalty,
+    };
     let result = SweepSpec::new(SEED, per_trial(cycles), TRIALS)
-        .scheme("razor-ideal", move |_| Box::new(RazorFf::new(window)))
-        .scheme("razor-meta", move |_| {
-            Box::new(RazorFf::new(window).with_metastability(Picos(20), 4))
+        .scheme("razor-ideal", move |p| {
+            razor(Picos::ZERO, 0).build(STAGES, p.seed)
+        })
+        .scheme("razor-meta", move |p| {
+            razor(Picos(20), 4).build(STAGES, p.seed)
         })
         .scheme("timber-ff", move |_| {
             Box::new(TimberFfScheme::new(sched, STAGES))

@@ -2,7 +2,7 @@
 
 use timber::{
     circuit::{two_stage_ff_demo, two_stage_latch_demo},
-    CheckingPeriod, TimberFfScheme, TimberLatchScheme,
+    CheckingPeriod, TimberFfScheme,
 };
 use timber_netlist::Picos;
 use timber_pipeline::{
@@ -10,10 +10,7 @@ use timber_pipeline::{
 };
 use timber_power::{fig8_table, Fig8Point, PowerParams};
 use timber_proc::{calibration, structural, PerfPoint, ProcessorModel};
-use timber_schemes::{
-    render_table1, CanaryFf, LogicalMasking, MarginedFlop, RazorFf, SoftEdgeFf,
-    TransitionDetectorFf,
-};
+use timber_schemes::{render_table1, Registry, SchemeId};
 use timber_variability::{
     CompositeVariability, SensitizationModel, StagePathProfile, VariabilityBuilder,
 };
@@ -438,47 +435,12 @@ pub fn compare(cycles: u64) -> Vec<CompareRow> {
 /// stress environments.
 pub fn compare_threaded(cycles: u64, threads: usize) -> Vec<CompareRow> {
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid schedule");
-    let window = sched.checking();
-    type Factory = Box<dyn Fn(&TrialPoint) -> Box<dyn SequentialScheme> + Sync>;
-    let factories: Vec<(&str, Factory)> = vec![
-        (
-            "timber-ff",
-            Box::new(move |_| Box::new(TimberFfScheme::new(sched, 5))),
-        ),
-        (
-            "timber-latch",
-            Box::new(move |_| Box::new(TimberLatchScheme::new(sched, 5))),
-        ),
-        (
-            "razor-ff",
-            Box::new(move |_| Box::new(RazorFf::new(window))),
-        ),
-        (
-            "transition-detector-ff",
-            Box::new(move |_| Box::new(TransitionDetectorFf::new(window))),
-        ),
-        (
-            "canary-ff",
-            Box::new(|_| Box::new(CanaryFf::new(Picos(80)))),
-        ),
-        (
-            "soft-edge-ff",
-            Box::new(move |_| Box::new(SoftEdgeFf::new(sched.interval()))),
-        ),
-        (
-            "logical-masking",
-            Box::new(move |p: &TrialPoint| Box::new(LogicalMasking::new(0.8, window, p.seed))),
-        ),
-        (
-            "conventional-ff",
-            Box::new(|_| Box::new(MarginedFlop::new())),
-        ),
-    ];
+    let registry = Registry::new(sched, 5);
     let mut spec = SweepSpec::new(SEED, per_trial(cycles), TRIALS)
         .env("stress", |p| stress_environment(5, p.seed))
         .threads(threads);
-    for (name, factory) in &factories {
-        spec = spec.scheme(name, factory);
+    for id in SchemeId::ALL {
+        spec = spec.scheme(id.name(), move |p| registry.build(id, p.seed));
     }
     let result = spec.run();
     result

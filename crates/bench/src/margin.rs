@@ -9,10 +9,10 @@
 //! *nominal* arrival and let the resilience hardware absorb the
 //! dynamic-variability tail.
 
-use timber::{CheckingPeriod, TimberFfScheme, TimberLatchScheme};
+use timber::CheckingPeriod;
 use timber_netlist::Picos;
-use timber_pipeline::{Environment, PipelineConfig, RunStats, SequentialScheme, SweepSpec};
-use timber_schemes::{CanaryFf, MarginedFlop, RazorFf};
+use timber_pipeline::{Environment, PipelineConfig, RunStats, SweepSpec};
+use timber_schemes::{Registry, SchemeId};
 use timber_variability::{SensitizationModel, VariabilityBuilder};
 
 use crate::experiments::{SEED, TRIALS};
@@ -22,30 +22,15 @@ const STAGES: usize = 5;
 /// reported.
 const NOMINAL: Picos = Picos(1100);
 
-/// Builds a scheme for a candidate period. The TIMBER schedules scale
-/// with the period (the checking period is a fraction of the clock),
-/// as do Razor's speculation window and the canary guard band.
-fn make_scheme(name: &str, period: Picos) -> Box<dyn SequentialScheme> {
-    match name {
-        "timber-ff" => Box::new(TimberFfScheme::new(
-            CheckingPeriod::deferred_flagging(period, 24.0).expect("valid"),
-            STAGES,
-        )),
-        "timber-latch" => Box::new(TimberLatchScheme::new(
-            CheckingPeriod::deferred_flagging(period, 24.0).expect("valid"),
-            STAGES,
-        )),
-        "razor-ff" => Box::new(RazorFf::new(period.scale(0.24))),
-        "canary-ff" => Box::new(CanaryFf::new(period.scale(0.08))),
-        "conventional-ff" => Box::new(MarginedFlop::new()),
-        other => panic!("unknown scheme {other}"),
-    }
-}
-
-fn run_at(name: &str, period: Picos, cycles: u64, threads: usize) -> RunStats {
+fn run_at(id: SchemeId, period: Picos, cycles: u64, threads: usize) -> RunStats {
+    // The schedule scales with the period (the checking period is a
+    // fraction of the clock), and with it Razor's speculation window
+    // and the canary guard band.
+    let schedule = CheckingPeriod::deferred_flagging(period, 24.0).expect("valid");
+    let registry = Registry::new(schedule, STAGES);
     let per_trial = (cycles / TRIALS as u64).max(1);
     SweepSpec::new(SEED, per_trial, TRIALS)
-        .scheme(name, move |_| make_scheme(name, period))
+        .scheme(id.name(), move |p| registry.build(id, p.seed))
         .env("margin-stress", move |p| Environment {
             config: PipelineConfig::new(STAGES, period),
             sensitization: SensitizationModel::uniform(STAGES, Picos(970), p.seed ^ 0x5EED),
@@ -89,37 +74,37 @@ pub fn margin_recovery(cycles: u64) -> Vec<MarginRow> {
 /// sweep results are thread-count invariant.
 pub fn margin_recovery_threaded(cycles: u64, threads: usize) -> Vec<MarginRow> {
     let schemes = [
-        "conventional-ff",
-        "canary-ff",
-        "razor-ff",
-        "timber-ff",
-        "timber-latch",
+        SchemeId::ConventionalFf,
+        SchemeId::CanaryFf,
+        SchemeId::RazorFf,
+        SchemeId::TimberFf,
+        SchemeId::TimberLatch,
     ];
     let mut rows: Vec<MarginRow> = schemes
         .iter()
-        .map(|&name| {
+        .map(|&id| {
             // Binary search the smallest period with zero corruption.
             let (mut lo, mut hi) = (Picos(850), NOMINAL);
-            debug_assert!(run_at(name, hi, cycles, threads).corrupted == 0);
+            debug_assert!(run_at(id, hi, cycles, threads).corrupted == 0);
             while hi - lo > Picos(2) {
                 let mid = (lo + hi) / 2;
-                if run_at(name, mid, cycles, threads).corrupted == 0 {
+                if run_at(id, mid, cycles, threads).corrupted == 0 {
                     hi = mid;
                 } else {
                     lo = mid;
                 }
             }
             MarginRow {
-                name: name.to_owned(),
+                name: id.name().to_owned(),
                 min_safe_period: hi,
                 margin_vs_conventional_pct: 0.0, // filled below
-                stats: run_at(name, hi, cycles, threads),
+                stats: run_at(id, hi, cycles, threads),
             }
         })
         .collect();
     let conventional = rows
         .iter()
-        .find(|r| r.name == "conventional-ff")
+        .find(|r| r.name == SchemeId::ConventionalFf.name())
         .map(|r| r.min_safe_period)
         .expect("baseline present");
     for r in &mut rows {

@@ -163,27 +163,42 @@ impl TimberFlipFlop {
     /// The select input resets to 0 on a clean capture, mirroring the
     /// relay rule "if no error occurs, the select output is 00".
     pub fn capture(&mut self, arrival: Picos, period: Picos) -> CaptureOutcome {
-        if arrival <= period {
-            self.select = 0;
-            return CaptureOutcome::OnTime;
-        }
-        if !self.enabled {
+        if !self.enabled && arrival > period {
             return CaptureOutcome::Escaped {
                 overshoot: arrival - period,
             };
         }
-        let delta = self.sampling_delay();
+        let out = TimberFlipFlop::resolve(&self.schedule, self.select, arrival, period);
+        if out == CaptureOutcome::OnTime {
+            self.select = 0;
+        }
+        out
+    }
+
+    /// The capture arithmetic of an enabled cell whose select input is
+    /// `select`, as a pure function: [`capture`](Self::capture) applies
+    /// it to the cell's own state, and the 64-lane batch engine to its
+    /// select planes.
+    #[inline]
+    pub fn resolve(
+        schedule: &CheckingPeriod,
+        select: u8,
+        arrival: Picos,
+        period: Picos,
+    ) -> CaptureOutcome {
         let overshoot = arrival - period;
+        if overshoot <= Picos::ZERO {
+            return CaptureOutcome::OnTime;
+        }
+        let delta = schedule.interval() * (i64::from(select) + 1);
         if overshoot <= delta {
-            let units = self.select + 1;
-            // Flag when any borrowed interval lies in the ED region.
-            let flagged = units > self.schedule.k_tb();
-            let select_out = (self.select + 1).min(self.schedule.k() - 1);
+            let units = select + 1;
             CaptureOutcome::Masked {
                 units,
                 borrowed: delta,
-                flagged,
-                select_out,
+                // Flag when any borrowed interval lies in the ED region.
+                flagged: units > schedule.k_tb(),
+                select_out: units.min(schedule.k() - 1),
             }
         } else {
             CaptureOutcome::Escaped {

@@ -68,10 +68,9 @@ impl TimberLatch {
         self.enabled
     }
 
-    /// Duration of the master's transparency window (the TB region):
-    /// `k_tb` intervals.
+    /// Duration of the master's transparency window (the TB region).
     pub fn tb_window(&self) -> Picos {
-        self.schedule.interval() * i64::from(self.schedule.k_tb())
+        self.schedule.tb_window()
     }
 
     /// Duration of the slave's transparency window: the usable checking
@@ -87,28 +86,37 @@ impl TimberLatch {
     /// whole intervals the violation spans (rounded up) and
     /// `select_out` is always 0 because the latch needs no relay.
     pub fn capture(&mut self, arrival: Picos, period: Picos) -> CaptureOutcome {
-        if arrival <= period {
-            return CaptureOutcome::OnTime;
-        }
-        if !self.enabled {
+        if !self.enabled && arrival > period {
             return CaptureOutcome::Escaped {
                 overshoot: arrival - period,
             };
         }
+        TimberLatch::resolve(&self.schedule, arrival, period)
+    }
+
+    /// The capture arithmetic of an enabled latch as a pure function,
+    /// shared by [`capture`](Self::capture) and the 64-lane batch
+    /// engine.
+    #[inline]
+    pub fn resolve(schedule: &CheckingPeriod, arrival: Picos, period: Picos) -> CaptureOutcome {
         let overshoot = arrival - period;
-        if overshoot <= self.checking_window() {
-            let interval = self.schedule.interval().as_ps().max(1);
+        if overshoot <= Picos::ZERO {
+            return CaptureOutcome::OnTime;
+        }
+        let window = schedule.usable_checking();
+        if overshoot <= window {
+            let interval = schedule.interval().as_ps().max(1);
             // Signed div_ceil is unstable; both operands are positive.
             let units = ((overshoot.as_ps() + interval - 1) / interval) as u8;
             CaptureOutcome::Masked {
                 units,
                 borrowed: overshoot, // continuous borrowing
-                flagged: overshoot > self.tb_window(),
+                flagged: overshoot > schedule.tb_window(),
                 select_out: 0,
             }
         } else {
             CaptureOutcome::Escaped {
-                overshoot: overshoot - self.checking_window(),
+                overshoot: overshoot - window,
             }
         }
     }

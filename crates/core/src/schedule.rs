@@ -154,6 +154,12 @@ impl CheckingPeriod {
         self.interval * i64::from(self.k())
     }
 
+    /// The TB region `k_tb × interval`: a borrow reaching past it is
+    /// flagged to the central error control unit.
+    pub fn tb_window(&self) -> Picos {
+        self.interval * i64::from(self.k_tb)
+    }
+
     /// Number of TB intervals.
     pub fn k_tb(&self) -> u8 {
         self.k_tb

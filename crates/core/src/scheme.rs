@@ -10,13 +10,15 @@ use crate::latch::TimberLatch;
 use crate::relay::ErrorRelay;
 use crate::schedule::CheckingPeriod;
 
-fn to_stage_outcome(out: CaptureOutcome) -> StageOutcome {
-    match out {
-        CaptureOutcome::OnTime => StageOutcome::Ok,
-        CaptureOutcome::Masked {
-            borrowed, flagged, ..
-        } => StageOutcome::Masked { borrowed, flagged },
-        CaptureOutcome::Escaped { .. } => StageOutcome::Corrupted,
+impl From<CaptureOutcome> for StageOutcome {
+    fn from(out: CaptureOutcome) -> StageOutcome {
+        match out {
+            CaptureOutcome::OnTime => StageOutcome::Ok,
+            CaptureOutcome::Masked {
+                borrowed, flagged, ..
+            } => StageOutcome::Masked { borrowed, flagged },
+            CaptureOutcome::Escaped { .. } => StageOutcome::Corrupted,
+        }
     }
 }
 
@@ -102,7 +104,7 @@ impl SequentialScheme for TimberFfScheme {
             let slot = &mut self.pending_select[stage + 1];
             *slot = self.relay.consolidate(&[*slot, sel_out]);
         }
-        to_stage_outcome(out)
+        out.into()
     }
 
     fn reset(&mut self) {
@@ -208,7 +210,7 @@ impl SequentialScheme for TimberDagScheme {
             CaptureOutcome::Masked { .. } => self.relay.select_output(true, select_in),
             _ => 0,
         };
-        to_stage_outcome(out)
+        out.into()
     }
 
     fn reset(&mut self) {
@@ -260,7 +262,7 @@ impl SequentialScheme for TimberLatchScheme {
         _incoming_borrow: Picos,
         ctx: &CycleContext,
     ) -> StageOutcome {
-        to_stage_outcome(self.latches[stage].capture(arrival, ctx.period))
+        self.latches[stage].capture(arrival, ctx.period).into()
     }
 
     fn reset(&mut self) {

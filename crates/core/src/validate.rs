@@ -201,7 +201,7 @@ pub fn validate_flipflop(
 fn run_latch_case(schedule: &CheckingPeriod, violation: Picos) -> CircuitObservation {
     let period = schedule.period();
     let spec = TimberLatchSpec {
-        tb_window: schedule.interval() * i64::from(schedule.k_tb()),
+        tb_window: schedule.tb_window(),
         checking_window: schedule.checking(),
         latch_delay: Picos(4),
     };

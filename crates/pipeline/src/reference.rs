@@ -84,10 +84,4 @@ mod tests {
             StageOutcome::Corrupted
         );
     }
-
-    #[test]
-    fn has_no_guard_band() {
-        let f = MarginedFlop::new();
-        assert_eq!(f.guard_band(Picos(1000)), Picos::ZERO);
-    }
 }

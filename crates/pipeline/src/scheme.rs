@@ -130,14 +130,6 @@ pub trait SequentialScheme {
         let _ = ctx;
         None
     }
-
-    /// Static guard band the scheme reserves before the clock edge
-    /// (canary-style prediction): usable period = `period -
-    /// guard_band`. Defaults to zero.
-    fn guard_band(&self, nominal_period: Picos) -> Picos {
-        let _ = nominal_period;
-        Picos::ZERO
-    }
 }
 
 #[cfg(test)]

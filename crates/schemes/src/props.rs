@@ -9,8 +9,17 @@ use timber_netlist::Picos;
 use timber_pipeline::montecarlo::splitmix64;
 use timber_pipeline::{CycleContext, SequentialScheme, StageOutcome};
 
-use crate::baselines::{CanaryFf, RazorFf, SoftEdgeFf, TransitionDetectorFf};
+use crate::law::CaptureLaw;
 use crate::registry::{Registry, SchemeId};
+
+fn razor(window: i64, meta_window: i64, meta_penalty: u32) -> Box<dyn SequentialScheme> {
+    CaptureLaw::Razor {
+        window: Picos(window),
+        meta_window: Picos(meta_window),
+        meta_penalty,
+    }
+    .build(1, 0)
+}
 
 fn ctx(period: i64) -> CycleContext {
     CycleContext {
@@ -32,7 +41,7 @@ proptest! {
         meta in 0i64..40,
         arrival_off in -600i64..900,
     ) {
-        let mut r = RazorFf::new(Picos(window)).with_metastability(Picos(meta), 3);
+        let mut r = razor(window, meta, 3);
         let arrival = Picos(period + arrival_off);
         let out = r.evaluate(0, arrival, Picos::ZERO, &ctx(period));
         let half = meta / 2;
@@ -55,7 +64,7 @@ proptest! {
         guard in 20i64..200,
         arrival_off in -600i64..300,
     ) {
-        let mut c = CanaryFf::new(Picos(guard));
+        let mut c = CaptureLaw::Canary { guard: Picos(guard) }.build(1, 0);
         let arrival = Picos(period + arrival_off);
         let out = c.evaluate(0, arrival, Picos::ZERO, &ctx(period));
         if arrival_off + guard <= 0 {
@@ -65,7 +74,7 @@ proptest! {
         } else {
             prop_assert_eq!(out, StageOutcome::Corrupted);
         }
-        prop_assert_eq!(c.guard_band(Picos(period)), Picos(guard));
+        prop_assert_eq!(c.on_time_limit(&ctx(period)), Some(Picos(period - guard)));
     }
 
     /// Soft-edge masking is continuous: the borrowed time equals the
@@ -76,7 +85,7 @@ proptest! {
         window in 10i64..200,
         overshoot in 1i64..400,
     ) {
-        let mut s = SoftEdgeFf::new(Picos(window));
+        let mut s = CaptureLaw::SoftEdge { window: Picos(window) }.build(1, 0);
         let out = s.evaluate(0, Picos(period + overshoot), Picos::ZERO, &ctx(period));
         if overshoot <= window {
             prop_assert_eq!(out, StageOutcome::Masked {
@@ -96,8 +105,8 @@ proptest! {
         window in 50i64..300,
         arrival_off in -300i64..600,
     ) {
-        let mut razor = RazorFf::new(Picos(window));
-        let mut tdtb = TransitionDetectorFf::new(Picos(window));
+        let mut razor = razor(window, 0, 0);
+        let mut tdtb = CaptureLaw::TransitionDetector { window: Picos(window) }.build(1, 0);
         let arrival = Picos(period + arrival_off);
         let r = razor.evaluate(0, arrival, Picos::ZERO, &ctx(period));
         let t = tdtb.evaluate(0, arrival, Picos::ZERO, &ctx(period));
@@ -116,7 +125,12 @@ fn limited_scheme(pick: usize, stages: usize, seed: u64) -> Box<dyn SequentialSc
     let registry = Registry::new(schedule, stages);
     match pick {
         p if p < SchemeId::ALL.len() => registry.build(SchemeId::ALL[p], seed),
-        8 => Box::new(RazorFf::new(registry.window()).with_metastability(Picos(40), 4)),
+        8 => CaptureLaw::Razor {
+            window: schedule.checking(),
+            meta_window: Picos(40),
+            meta_penalty: 4,
+        }
+        .build(stages, seed),
         _ => Box::new(SelectiveScheme::new(
             schedule,
             (0..stages)

@@ -1,20 +1,19 @@
 //! The canonical scheme registry: one stable identifier per implemented
 //! resilience technique, plus a factory that derives every technique's
-//! parameters from a single [`CheckingPeriod`] the way the experiments
-//! do (Razor window = the checking period, canary guard = 8% of the
-//! clock, soft-edge transparency = one borrow interval).
+//! [`CaptureLaw`] from a single [`CheckingPeriod`] the way the
+//! experiments do (Razor window = the checking period, canary guard =
+//! 8% of the clock, soft-edge transparency = one borrow interval).
 //!
 //! The registry exists so cross-cutting subsystems — the conformance
 //! oracle, the bench experiments, future fuzzers — enumerate *the same*
 //! eight design points instead of each hand-rolling its own list that
 //! silently drifts.
 
-use timber::{CheckingPeriod, TimberFfScheme, TimberLatchScheme};
+use timber::CheckingPeriod;
 use timber_netlist::Picos;
-use timber_pipeline::reference::MarginedFlop;
 use timber_pipeline::SequentialScheme;
 
-use crate::baselines::{CanaryFf, LogicalMasking, RazorFf, SoftEdgeFf, TransitionDetectorFf};
+use crate::law::CaptureLaw;
 
 /// Stable identifier of one implemented resilience technique.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,18 +70,6 @@ impl SchemeId {
         SchemeId::ALL.into_iter().find(|id| id.name() == name)
     }
 
-    /// True when the scheme can mask violations by borrowing time
-    /// (produces `StageOutcome::Masked`).
-    pub fn is_masking(self) -> bool {
-        matches!(
-            self,
-            SchemeId::TimberFf
-                | SchemeId::TimberLatch
-                | SchemeId::SoftEdgeFf
-                | SchemeId::LogicalMasking
-        )
-    }
-
     /// True when the scheme recovers through pipeline bubbles
     /// (produces `StageOutcome::Detected`), which shifts the cycle
     /// numbering of everything downstream of a detection.
@@ -136,43 +123,45 @@ impl Registry {
         &self.schedule
     }
 
-    /// Detection/masking window shared by Razor, the transition
-    /// detector and logical masking: the full checking period.
-    pub fn window(&self) -> Picos {
-        self.schedule.checking()
-    }
-
-    /// Canary guard band: 8% of the clock period (the experiments'
-    /// derivation in `timber-bench`'s margin sweep).
-    pub fn guard(&self) -> Picos {
-        self.schedule.period().scale(0.08)
-    }
-
-    /// Soft-edge transparency window: one borrow interval.
-    pub fn soft_window(&self) -> Picos {
-        self.schedule.interval()
+    /// The law of scheme `id` with its parameters derived from the
+    /// schedule: Razor, the transition detector and logical masking
+    /// act over the full checking period, the canary guards 8% of the
+    /// clock, and the soft edge is transparent for one borrow interval.
+    pub fn law(&self, id: SchemeId) -> CaptureLaw {
+        let window = self.schedule.checking();
+        match id {
+            SchemeId::TimberFf => CaptureLaw::TimberFf(self.schedule),
+            SchemeId::TimberLatch => CaptureLaw::TimberLatch(self.schedule),
+            SchemeId::RazorFf => CaptureLaw::Razor {
+                window,
+                meta_window: Picos::ZERO,
+                meta_penalty: 0,
+            },
+            SchemeId::TransitionDetectorFf => CaptureLaw::TransitionDetector { window },
+            SchemeId::CanaryFf => CaptureLaw::Canary {
+                guard: self.schedule.period().scale(0.08),
+            },
+            SchemeId::SoftEdgeFf => CaptureLaw::SoftEdge {
+                window: self.schedule.interval(),
+            },
+            SchemeId::LogicalMasking => CaptureLaw::LogicalMasking {
+                coverage: self.coverage,
+                margin: window,
+            },
+            SchemeId::ConventionalFf => CaptureLaw::Conventional,
+        }
     }
 
     /// Builds the scheme, seeding any internal randomness with `seed`.
     pub fn build(&self, id: SchemeId, seed: u64) -> Box<dyn SequentialScheme> {
-        match id {
-            SchemeId::TimberFf => Box::new(TimberFfScheme::new(self.schedule, self.stages)),
-            SchemeId::TimberLatch => Box::new(TimberLatchScheme::new(self.schedule, self.stages)),
-            SchemeId::RazorFf => Box::new(RazorFf::new(self.window())),
-            SchemeId::TransitionDetectorFf => Box::new(TransitionDetectorFf::new(self.window())),
-            SchemeId::CanaryFf => Box::new(CanaryFf::new(self.guard())),
-            SchemeId::SoftEdgeFf => Box::new(SoftEdgeFf::new(self.soft_window())),
-            SchemeId::LogicalMasking => {
-                Box::new(LogicalMasking::new(self.coverage, self.window(), seed))
-            }
-            SchemeId::ConventionalFf => Box::new(MarginedFlop::new()),
-        }
+        self.law(id).build(self.stages, seed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use timber_pipeline::StageOutcome;
 
     fn sched() -> CheckingPeriod {
         CheckingPeriod::new(Picos(1000), 24.0, 1, 2).unwrap()
@@ -200,15 +189,46 @@ mod tests {
     #[test]
     fn derived_parameters_follow_the_schedule() {
         let reg = Registry::new(sched(), 4);
-        assert_eq!(reg.window(), Picos(240));
-        assert_eq!(reg.guard(), Picos(80));
-        assert_eq!(reg.soft_window(), Picos(80));
+        assert_eq!(
+            reg.law(SchemeId::RazorFf),
+            CaptureLaw::Razor {
+                window: Picos(240),
+                meta_window: Picos::ZERO,
+                meta_penalty: 0,
+            }
+        );
+        assert_eq!(
+            reg.law(SchemeId::CanaryFf),
+            CaptureLaw::Canary { guard: Picos(80) }
+        );
+        assert_eq!(
+            reg.law(SchemeId::SoftEdgeFf),
+            CaptureLaw::SoftEdge { window: Picos(80) }
+        );
+        for id in SchemeId::ALL {
+            assert_eq!(reg.law(id).id(), id);
+        }
     }
 
     #[test]
     fn masking_and_detection_partitions_are_disjoint() {
+        // Sweep arrivals from well on time to past every window: a
+        // detection scheme never masks, and only detection schemes
+        // detect.
+        let reg = Registry::new(sched(), 4);
         for id in SchemeId::ALL {
-            assert!(!(id.is_masking() && id.is_detection()), "{id:?}");
+            let law = reg.law(id);
+            let outcomes: Vec<StageOutcome> = (800..1400)
+                .map(|a| law.decide(Picos(a), Picos(1000), 0, |_| true))
+                .collect();
+            let masks = outcomes
+                .iter()
+                .any(|o| matches!(o, StageOutcome::Masked { .. }));
+            let detects = outcomes
+                .iter()
+                .any(|o| matches!(o, StageOutcome::Detected { .. }));
+            assert!(!(masks && detects), "{id:?}");
+            assert_eq!(detects, id.is_detection(), "{id:?}");
         }
     }
 

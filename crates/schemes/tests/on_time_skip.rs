@@ -56,10 +56,6 @@ impl SequentialScheme for Unlimited<'_> {
     fn reset(&mut self) {
         self.0.reset();
     }
-
-    fn guard_band(&self, nominal_period: Picos) -> Picos {
-        self.0.guard_band(nominal_period)
-    }
 }
 
 /// One simulated trial, in the shape the serve engine runs.

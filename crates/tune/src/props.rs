@@ -34,7 +34,11 @@ fn all_schemes(schedule: CheckingPeriod) -> [BatchScheme; 8] {
     [
         BatchScheme::TimberFf(schedule),
         BatchScheme::TimberLatch(schedule),
-        BatchScheme::Razor { window: w },
+        BatchScheme::Razor {
+            window: w,
+            meta_window: Picos::ZERO,
+            meta_penalty: 0,
+        },
         BatchScheme::TransitionDetector { window: w },
         BatchScheme::Canary { guard: w },
         BatchScheme::SoftEdge { window: w },

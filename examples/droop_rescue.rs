@@ -9,11 +9,10 @@
 //!
 //! Run with: `cargo run --release --example droop_rescue`
 
-use timber_repro::core::scheme::{TimberFfScheme, TimberLatchScheme};
 use timber_repro::core::CheckingPeriod;
 use timber_repro::netlist::Picos;
 use timber_repro::pipeline::{PipelineConfig, PipelineSim, SequentialScheme};
-use timber_repro::schemes::{CanaryFf, MarginedFlop, RazorFf};
+use timber_repro::schemes::{Registry, SchemeId};
 use timber_repro::variability::{SensitizationModel, VariabilityBuilder};
 
 const PERIOD: Picos = Picos(1000);
@@ -35,13 +34,15 @@ fn run(scheme: &mut dyn SequentialScheme) -> timber_repro::pipeline::RunStats {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schedule = CheckingPeriod::deferred_flagging(PERIOD, 24.0)?;
-    let mut schemes: Vec<Box<dyn SequentialScheme>> = vec![
-        Box::new(MarginedFlop::new()),
-        Box::new(RazorFf::new(schedule.checking())),
-        Box::new(CanaryFf::new(Picos(80))),
-        Box::new(TimberFfScheme::new(schedule, STAGES)),
-        Box::new(TimberLatchScheme::new(schedule, STAGES)),
-    ];
+    let registry = Registry::new(schedule, STAGES);
+    let mut schemes = [
+        SchemeId::ConventionalFf,
+        SchemeId::RazorFf,
+        SchemeId::CanaryFf,
+        SchemeId::TimberFf,
+        SchemeId::TimberLatch,
+    ]
+    .map(|id| registry.build(id, SEED));
 
     println!(
         "{CYCLES} cycles at {PERIOD} with critical paths at 97% of the cycle, under 5% droop:\n"

@@ -147,28 +147,14 @@ proptest! {
     /// instrumentation observes the pipeline, it never re-derives it.
     #[test]
     fn telemetry_counters_match_stats_for_every_scheme(seed in 0u64..1000) {
-        use timber_repro::core::{TimberFfScheme, TimberLatchScheme};
-        use timber_repro::pipeline::{Environment, PipelineConfig, SequentialScheme, SweepSpec, TrialPoint};
-        use timber_repro::schemes::{
-            CanaryFf, LogicalMasking, MarginedFlop, RazorFf, SoftEdgeFf, TransitionDetectorFf,
-        };
+        use timber_repro::pipeline::{Environment, PipelineConfig, SweepSpec};
+        use timber_repro::schemes::{Registry, SchemeId};
         use timber_repro::telemetry::Counter;
         use timber_repro::variability::{SensitizationModel, VariabilityBuilder};
 
         let period = Picos(1000);
         let sched = CheckingPeriod::deferred_flagging(period, 24.0).unwrap();
-        let window = sched.checking();
-        type Factory = Box<dyn Fn(&TrialPoint) -> Box<dyn SequentialScheme> + Sync>;
-        let factories: Vec<(&str, Factory)> = vec![
-            ("timber-ff", Box::new(move |_| Box::new(TimberFfScheme::new(sched, 4)))),
-            ("timber-latch", Box::new(move |_| Box::new(TimberLatchScheme::new(sched, 4)))),
-            ("razor-ff", Box::new(move |_| Box::new(RazorFf::new(window)))),
-            ("transition-detector-ff", Box::new(move |_| Box::new(TransitionDetectorFf::new(window)))),
-            ("canary-ff", Box::new(|_| Box::new(CanaryFf::new(Picos(80))))),
-            ("soft-edge-ff", Box::new(move |_| Box::new(SoftEdgeFf::new(sched.interval())))),
-            ("logical-masking", Box::new(move |p: &TrialPoint| Box::new(LogicalMasking::new(0.8, window, p.seed)))),
-            ("conventional-ff", Box::new(|_| Box::new(MarginedFlop::new()))),
-        ];
+        let registry = Registry::new(sched, 4);
         let mut spec = SweepSpec::new(seed, 4_000, 2)
             .env("stress", move |p| Environment {
                 config: PipelineConfig::new(4, period),
@@ -181,14 +167,14 @@ proptest! {
                 ),
             })
             .threads(2);
-        for (name, factory) in &factories {
-            spec = spec.scheme(name, factory);
+        for id in SchemeId::ALL {
+            spec = spec.scheme(id.name(), move |p| registry.build(id, p.seed));
         }
         let (result, recorders) = spec.run_with_telemetry(64);
-        prop_assert_eq!(recorders.len(), factories.len());
+        prop_assert_eq!(recorders.len(), SchemeId::ALL.len());
         for (i, rec) in recorders.iter().enumerate() {
             let cell = result.cell(i, 0);
-            let name = &factories[i].0;
+            let name = SchemeId::ALL[i].name();
             prop_assert_eq!(rec.counter(Counter::Cycles), cell.cycles, "{}: cycles", name);
             prop_assert_eq!(rec.counter(Counter::Masked), cell.masked, "{}: masked", name);
             prop_assert_eq!(rec.counter(Counter::Flagged), cell.flagged, "{}: flagged", name);
