@@ -17,8 +17,8 @@
 //!
 //! A cycle touches dense data only where a mask bit is set, so in the
 //! paper's sparse-error regime the whole step degenerates to: one
-//! branch-free delay/violation pass per stage and a single `u64`
-//! test.
+//! branch-free delay/violation pass per stage (none at all for a stage
+//! that cannot be late) and a single `u64` test.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -187,6 +187,10 @@ struct Engine {
     /// The law's on-time limit at each lane's current period, in ps:
     /// a later arrival is a violation.
     limit_ps: Vec<i64>,
+    /// The smallest `limit_ps` over all lanes.
+    min_limit: i64,
+    /// Each stage's largest possible delay, in ps.
+    ceiling: Vec<i64>,
     /// Dense per-boundary planes with `u64` occupancy masks
     /// (mask-clear lanes hold zero).
     carry: Vec<Vec<i64>>,
@@ -210,6 +214,8 @@ struct Engine {
     tally: Vec<LaneTally>,
     /// Scratch arrival row for the current stage.
     arrivals: Vec<i64>,
+    /// Rows skipped as provably on time.
+    skipped_rows: u64,
 }
 
 /// Calls `f(l)` for every set bit of `mask`, ascending.
@@ -247,6 +253,7 @@ impl Engine {
                 )
             })
             .collect();
+        let limit = law.on_time_limit(config.pipeline.nominal_period).as_ps();
         let plane_i64 = || vec![vec![0i64; lanes]; stages];
         let plane_u32 = || vec![vec![0u32; lanes]; stages];
         let plane_u8 = || vec![vec![0u8; lanes]; stages];
@@ -267,7 +274,12 @@ impl Engine {
             next_clock: u64::MAX,
             slowed_since: vec![None; lanes],
             period_ps: vec![config.pipeline.nominal_period.as_ps(); lanes],
-            limit_ps: vec![law.on_time_limit(config.pipeline.nominal_period).as_ps(); lanes],
+            limit_ps: vec![limit; lanes],
+            min_limit: limit,
+            ceiling: config.workload.profiles()[..stages]
+                .iter()
+                .map(|p| p.max_delay().as_ps())
+                .collect(),
             carry: plane_i64(),
             carry_mask: vec![0; stages],
             chain: plane_u32(),
@@ -285,6 +297,7 @@ impl Engine {
             penalty_mask: 0,
             tally: vec![LaneTally::default(); lanes],
             arrivals: vec![0; lanes],
+            skipped_rows: 0,
         }
     }
 
@@ -336,6 +349,7 @@ impl Engine {
                 next = next.min(self.clock_at[l]);
             }
             self.next_clock = next;
+            self.min_limit = self.limit_ps.iter().copied().min().unwrap_or(i64::MAX);
         }
 
         // 2. Recovery bubbles: bubbled lanes burn one penalty cycle
@@ -373,6 +387,18 @@ impl Engine {
         // 4. Stage sweep: one branch-free delay/arrival/violation pass
         // per stage, then service only the attention lanes.
         for s in 0..self.stages {
+            // A row that cannot be late: no active lane carries borrowed
+            // time into the stage and its worst delay meets every lane's
+            // limit. Every arrival is on time, so no draw is read (a
+            // counter-mode draw that is skipped shifts no later one) and
+            // only the chains dying here are retired (DESIGN.md §12.3).
+            if self.carry_mask[s] & active == 0 && self.ceiling[s] <= self.min_limit {
+                for_lanes(self.chain_mask[s] & active, |l| {
+                    self.eval_lane(s, l, t, false);
+                });
+                self.skipped_rows += 1;
+                continue;
+            }
             let profile = self.workload.profiles()[s];
             let key = crate::workload::row_key(t, s);
             let carry_row = &self.carry[s];
@@ -556,11 +582,18 @@ impl Engine {
 ///
 /// Panics if the configuration fails [`BatchConfig::validate`].
 pub fn run_batched(config: &BatchConfig, cycles: u64) -> BatchRun {
+    run_counted(config, cycles).0
+}
+
+/// [`run_batched`], also returning how many rows (stage × cycle) the
+/// engine skipped as provably on time.
+pub(crate) fn run_counted(config: &BatchConfig, cycles: u64) -> (BatchRun, u64) {
     let mut engine = Engine::new(config);
     for t in 0..cycles {
         engine.step(t);
     }
-    engine.finish(cycles)
+    let skipped = engine.skipped_rows;
+    (engine.finish(cycles), skipped)
 }
 
 #[cfg(test)]
@@ -650,6 +683,47 @@ mod tests {
             let run = run_batched(&cfg, 500);
             assert_eq!(run.stats.len(), lanes);
         }
+    }
+
+    #[test]
+    fn a_row_whose_worst_delay_meets_the_limit_exactly_is_skipped() {
+        // Every draw is the critical delay, equal to the period: an
+        // arrival at the limit is on time, so no row can be late.
+        let mut p = StagePathProfile::from_critical(Picos(1000));
+        p.p_critical = 1.0;
+        p.p_near = 0.0;
+        let cfg = BatchConfig {
+            pipeline: PipelineConfig::new(4, Picos(1000)),
+            scheme: BatchScheme::Conventional,
+            workload: BatchWorkload::new(vec![BatchStageProfile::from_profile(&p); 4], 3),
+            lanes: 8,
+        };
+        let (run, skipped) = run_counted(&cfg, 300);
+        assert_eq!(skipped, 4 * 300);
+        assert!(run.stats.iter().all(|s| s.violations() == 0));
+        crate::reference::check_equivalence(&cfg, 300, 1).unwrap();
+    }
+
+    #[test]
+    fn carried_time_keeps_a_fast_stage_live() {
+        // Stage 0 can be late and TIMBER masks it, handing borrowed
+        // time to stage 1, whose own worst delay is on time: its rows
+        // with a carry must be drawn, the rest may be skipped.
+        let sched = CheckingPeriod::new(Picos(1000), 30.0, 1, 2).unwrap();
+        let mut late = StagePathProfile::from_critical(Picos(1060));
+        late.p_critical = 0.3;
+        let fast = StagePathProfile::from_critical(Picos(990));
+        let profiles = [late, fast].map(|p| BatchStageProfile::from_profile(&p));
+        let cfg = BatchConfig {
+            pipeline: PipelineConfig::new(2, Picos(1000)),
+            scheme: BatchScheme::TimberFf(sched),
+            workload: BatchWorkload::new(profiles.to_vec(), 11),
+            lanes: 4,
+        };
+        let (run, skipped) = run_counted(&cfg, 2_000);
+        assert!(run.stats.iter().map(|s| s.masked).sum::<u64>() > 0);
+        assert!(skipped > 0, "stage 1 rows without a carry are skipped");
+        crate::reference::check_equivalence(&cfg, 2_000, 1).unwrap();
     }
 
     #[test]

@@ -32,6 +32,32 @@ fn workload(stages: usize, over: i64, p_critical: f64, p_near: f64, seed: u64) -
     BatchWorkload::new(profiles, seed)
 }
 
+/// A workload whose stage criticals straddle `limit`: stage 0 stays
+/// on time (its rows are provably on time), stage 1 is late at the
+/// nominal period but on time once slowed (its rows turn skippable only
+/// while every lane is slowed), and the rest take `offsets` around the
+/// limit, so rows fed borrowed time sit next to rows that cannot be
+/// late.
+fn straddling(
+    limit: i64,
+    offsets: &[i64],
+    p_critical: f64,
+    p_near: f64,
+    seed: u64,
+) -> BatchWorkload {
+    let profiles = [-30, 40]
+        .iter()
+        .chain(offsets)
+        .map(|&off| {
+            let mut p = StagePathProfile::from_critical(Picos(limit + off));
+            p.p_critical = p_critical;
+            p.p_near = p_near;
+            BatchStageProfile::from_profile(&p)
+        })
+        .collect();
+    BatchWorkload::new(profiles, seed)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -57,6 +83,43 @@ proptest! {
                 lanes,
             };
             check_equivalence(&config, cycles, threads)
+                .unwrap_or_else(|e| panic!("equivalence failed: {e}"));
+        }
+    }
+
+    /// The on-time row skip is invisible: with criticals straddling
+    /// each law's limit and short slowdowns moving the limits, every
+    /// law stays bit-identical to the scalar replay, and the engine
+    /// skips some rows but not all.
+    #[test]
+    fn skipping_rows_that_cannot_be_late_is_invisible(
+        schedule in (0u8..=2, 1u8..=2, 10.0f64..30.0),
+        offsets in proptest::collection::vec(-60i64..=140, 3..4),
+        pressure in (0.02f64..0.3, 0.05f64..0.3),
+        clock in (0.05f64..0.2, 5u64..=60),
+        shape in (any::<u64>(), 1usize..=16, 200u64..=500),
+    ) {
+        let (k_tb, k_ed, pct) = schedule;
+        let (p_critical, p_near) = pressure;
+        let (slowdown_factor, slowdown_window) = clock;
+        let (seed, lanes, cycles) = shape;
+        let sched = CheckingPeriod::new(PERIOD, pct, k_tb, k_ed).unwrap();
+        let registry = Registry::new(sched, 5);
+        for scheme in SchemeId::ALL.map(|id| registry.law(id)) {
+            let limit = scheme.on_time_limit(PERIOD).as_ps();
+            let mut pipeline = PipelineConfig::new(5, PERIOD);
+            pipeline.slowdown_factor = slowdown_factor;
+            pipeline.slowdown_window = slowdown_window;
+            let config = BatchConfig {
+                pipeline,
+                scheme,
+                workload: straddling(limit, &offsets, p_critical, p_near, seed),
+                lanes,
+            };
+            let (_, skipped) = crate::engine::run_counted(&config, cycles);
+            prop_assert!(skipped > 0, "stage 0 is on time from cycle 0");
+            prop_assert!(skipped < 5 * cycles, "stage 1 is late at the nominal period");
+            check_equivalence(&config, cycles, 1)
                 .unwrap_or_else(|e| panic!("equivalence failed: {e}"));
         }
     }

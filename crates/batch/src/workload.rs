@@ -108,6 +108,16 @@ impl BatchStageProfile {
         }
     }
 
+    /// The largest delay [`BatchStageProfile::delay`] can return: the
+    /// critical delay, or the typical band's top when a degenerate
+    /// profile puts that higher.
+    pub fn max_delay(&self) -> Picos {
+        Picos(
+            self.critical
+                .max(self.typ_lo + i64::from(self.typ_span) - 1),
+        )
+    }
+
     /// Maps one 64-bit draw to a delay. Branch-light and integer-only;
     /// identical on every engine that consumes the same draw.
     #[inline]
@@ -211,6 +221,21 @@ mod tests {
             let d = q.delay(splitmix64(i)).as_ps();
             assert!(d >= 325, "below typical floor: {d}");
             assert!(d <= 1000, "above critical: {d}");
+        }
+    }
+
+    #[test]
+    fn max_delay_bounds_every_draw() {
+        let mut flat = profile();
+        flat.typical = Picos(1000);
+        flat.near_critical = Picos(1000);
+        for p in [profile(), flat] {
+            let q = BatchStageProfile::from_profile(&p);
+            let top = (0..10_000u64)
+                .map(|i| q.delay(splitmix64(i)))
+                .max()
+                .unwrap();
+            assert_eq!(top, q.max_delay(), "{p:?}");
         }
     }
 

@@ -75,10 +75,14 @@ impl DelayCalculator for LibraryDelays {
 pub struct TimingAnalysis<'nl> {
     netlist: &'nl Netlist,
     constraint: ClockConstraint,
-    /// Max-delay for every instance arc, indexed by instance then pin.
-    /// Cached so path enumeration sees exactly the delays the arrival
-    /// times were computed with, even for stochastic calculators.
-    arc_delays: Vec<Vec<Picos>>,
+    /// Max-delay for every instance arc, flat: instance `i`'s arcs sit
+    /// at `arc_start[i]..arc_start[i + 1]`, in pin order. Cached so path
+    /// enumeration sees exactly the delays the arrival times were
+    /// computed with, even for stochastic calculators.
+    arc_delays: Vec<Picos>,
+    /// Offset of each instance's first arc in `arc_delays`, plus the
+    /// total arc count at the end.
+    arc_start: Vec<u32>,
     /// Max arrival time at each net.
     arrival: Vec<Picos>,
     /// Max remaining delay from each net to any timing endpoint.
@@ -147,15 +151,15 @@ impl<'nl> TimingAnalysis<'nl> {
         let mut arrival = vec![Picos::ZERO; n];
         let mut critical_pin = vec![None; n];
 
-        // Snapshot arc delays once.
-        let arc_delays: Vec<Vec<Picos>> = netlist
-            .instance_ids()
-            .map(|inst_id| {
-                (0..netlist.instance(inst_id).inputs().len())
-                    .map(|pin| delays.max_arc_delay(netlist, inst_id, pin))
-                    .collect()
-            })
-            .collect();
+        // Snapshot arc delays once, into one flat buffer.
+        let mut arc_start = Vec::with_capacity(netlist.instance_count() + 1);
+        let mut arc_delays = Vec::new();
+        for inst_id in netlist.instance_ids() {
+            arc_start.push(arc_delays.len() as u32);
+            let pins = netlist.instance(inst_id).inputs().len();
+            arc_delays.extend((0..pins).map(|pin| delays.max_arc_delay(netlist, inst_id, pin)));
+        }
+        arc_start.push(arc_delays.len() as u32);
 
         // Startpoint arrivals.
         for net_id in netlist.net_ids() {
@@ -169,6 +173,7 @@ impl<'nl> TimingAnalysis<'nl> {
         // Forward propagation.
         for &inst_id in &topo {
             let inst = netlist.instance(inst_id);
+            let arcs = &arc_delays[arc_start[inst_id.0 as usize] as usize..];
             let mut best = Picos::MIN;
             let mut best_pin = None;
             for (pin, &input) in inst.inputs().iter().enumerate() {
@@ -176,7 +181,7 @@ impl<'nl> TimingAnalysis<'nl> {
                 if in_arr == Picos::MIN {
                     continue;
                 }
-                let t = in_arr + arc_delays[inst_id.0 as usize][pin];
+                let t = in_arr + arcs[pin];
                 if t > best {
                     best = t;
                     best_pin = Some(pin);
@@ -206,8 +211,9 @@ impl<'nl> TimingAnalysis<'nl> {
             if out_down == Picos::MIN {
                 continue;
             }
+            let arcs = &arc_delays[arc_start[inst_id.0 as usize] as usize..];
             for (pin, &input) in inst.inputs().iter().enumerate() {
-                let through = out_down + arc_delays[inst_id.0 as usize][pin];
+                let through = out_down + arcs[pin];
                 let slot = &mut downstream[input.0 as usize];
                 if through > *slot {
                     *slot = through;
@@ -219,6 +225,7 @@ impl<'nl> TimingAnalysis<'nl> {
             netlist,
             constraint: *constraint,
             arc_delays,
+            arc_start,
             arrival,
             downstream,
             critical_pin,
@@ -233,7 +240,9 @@ impl<'nl> TimingAnalysis<'nl> {
 
     /// Cached max-delay of an instance arc as used by this analysis.
     pub fn arc_delay(&self, inst: InstId, pin: usize) -> Picos {
-        self.arc_delays[inst.0 as usize][pin]
+        let start = self.arc_start[inst.0 as usize] as usize;
+        let end = self.arc_start[inst.0 as usize + 1] as usize;
+        self.arc_delays[start..end][pin]
     }
 
     /// The constraint the analysis was run against.

@@ -29,7 +29,8 @@ pub enum TuneCounter {
     CertRejected,
     /// Candidates that survived every filter and carry objectives.
     Scored,
-    /// Total Monte-Carlo lane-cycles spent scoring coverage.
+    /// Monte-Carlo lane-cycles the storm batteries ran, each battery
+    /// counted once however many candidates share it.
     StormLaneCycles,
     /// Points on the emitted Pareto frontiers (all designs).
     FrontierPoints,

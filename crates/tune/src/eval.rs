@@ -293,9 +293,23 @@ pub fn storm_score(
     total
 }
 
-/// Evaluates one candidate: operating point → lint → certificate →
-/// power → storms → objectives.
-pub fn evaluate(ctx: &DesignContext, spec: &CandidateSpec, user_seed: u64) -> Evaluation {
+/// A candidate that passed lint and the certificate: everything its
+/// objectives need except its storm totals.
+#[derive(Debug)]
+pub(crate) struct Feasible {
+    pub(crate) spec: CandidateSpec,
+    replaced: usize,
+    total_flops: usize,
+    power_pct: f64,
+    /// Violation mass of the replaced top-c% endpoints.
+    kept_mass: f64,
+    /// Violation mass of the top-c% endpoints the seeding dropped.
+    dropped_mass: f64,
+}
+
+/// Operating point → lint → certificate → power: `Err` carries the
+/// rejected evaluation, `Ok` the candidate ready for its storms.
+pub(crate) fn screen(ctx: &DesignContext, spec: &CandidateSpec) -> Result<Feasible, Evaluation> {
     let schedule = operating_point(spec, ctx.raw_critical);
     let constraint = ClockConstraint::with_period(schedule.period());
     // One max-delay analysis and one cone pass, read by seeding, lint
@@ -308,10 +322,10 @@ pub fn evaluate(ctx: &DesignContext, spec: &CandidateSpec, user_seed: u64) -> Ev
     let report = lint_analysed(&config, &sta, &cones);
     let codes = report.error_codes();
     if !codes.is_empty() {
-        return Evaluation {
+        return Err(Evaluation {
             spec: *spec,
             outcome: Outcome::LintRejected(codes.iter().map(|c| (*c).to_owned()).collect()),
-        };
+        });
     }
 
     // Safety: the abstract-interpretation certificate must prove the
@@ -321,10 +335,10 @@ pub fn evaluate(ctx: &DesignContext, spec: &CandidateSpec, user_seed: u64) -> Ev
     let point = AnalysisPoint::new(spec.id(), SchemeId::TimberFf, schedule, vec![hull; stages]);
     let cert = certify(&point);
     if !cert.is_safe() {
-        return Evaluation {
+        return Err(Evaluation {
             spec: *spec,
             outcome: Outcome::CertRejected,
-        };
+        });
     }
 
     // Static cost: the netlist-derived replacement statistics through
@@ -356,18 +370,6 @@ pub fn evaluate(ctx: &DesignContext, spec: &CandidateSpec, user_seed: u64) -> Ev
         schedule.k(),
         &PowerParams::default(),
     );
-    let power_pct = overheads.ff_power_overhead_pct();
-
-    // Dynamic coverage: the storm battery on the TIMBER-FF scheme.
-    let totals = storm_score(
-        schedule.period(),
-        stages,
-        &BatchScheme::TimberFf(schedule),
-        ctx.raw_critical,
-        spec.content_seed(user_seed),
-        STORM_CYCLES,
-        STORM_LANES,
-    );
 
     // Analytic violation mass on unprotected top-c% endpoints: the
     // storms model the protected critical core, so dropped endpoints
@@ -381,44 +383,80 @@ pub fn evaluate(ctx: &DesignContext, spec: &CandidateSpec, user_seed: u64) -> Ev
             })
             .sum()
     };
-    let kept_mass = mass(&replaced);
     let dropped: Vec<FlopId> = full
         .iter()
         .copied()
         .filter(|f| !replaced.contains(f))
         .collect();
-    let dropped_mass = mass(&dropped);
+    Ok(Feasible {
+        spec: *spec,
+        replaced: replaced.len(),
+        total_flops: ctx.netlist.flop_count(),
+        power_pct: overheads.ff_power_overhead_pct(),
+        kept_mass: mass(&replaced),
+        dropped_mass: mass(&dropped),
+    })
+}
 
-    let violations = totals.masked + totals.detected + totals.predicted + totals.corrupted;
-    let unprotected = if kept_mass > 0.0 {
-        violations as f64 * (dropped_mass / kept_mass)
-    } else {
-        0.0
-    };
-    let instr = totals.instructions.max(1) as f64;
-    let denom = violations as f64 + unprotected;
-    let objectives = Objectives {
-        energy_per_instr: totals.energy / instr * (1.0 + power_pct / 100.0),
-        miss_rate: if denom > 0.0 {
-            (totals.corrupted as f64 + unprotected) / denom
+/// Dynamic coverage: the storm battery on the TIMBER-FF scheme at
+/// `spec`'s operating point. It reads no seeding, so every candidate
+/// with the same [`CandidateSpec::storm_key`] gets the same totals.
+pub(crate) fn storm_battery(ctx: &DesignContext, spec: &CandidateSpec, user_seed: u64) -> RunStats {
+    let schedule = operating_point(spec, ctx.raw_critical);
+    storm_score(
+        schedule.period(),
+        schedule.k() as usize,
+        &BatchScheme::TimberFf(schedule),
+        ctx.raw_critical,
+        spec.content_seed(user_seed),
+        STORM_CYCLES,
+        STORM_LANES,
+    )
+}
+
+impl Feasible {
+    /// Scores the candidate from its storm battery's totals.
+    pub(crate) fn score(&self, totals: &RunStats) -> Evaluation {
+        let violations = totals.masked + totals.detected + totals.predicted + totals.corrupted;
+        let unprotected = if self.kept_mass > 0.0 {
+            violations as f64 * (self.dropped_mass / self.kept_mass)
         } else {
             0.0
-        },
-        ns_per_instr: totals.wall_time.0 as f64 / 1000.0 / instr,
-    };
-    Evaluation {
-        spec: *spec,
-        outcome: Outcome::Scored(
-            objectives,
-            ScoreDetail {
-                replaced: replaced.len(),
-                total_flops: ctx.netlist.flop_count(),
-                power_overhead_pct: power_pct,
-                lane_cycles: totals.cycles,
-                violations,
-                corrupted: totals.corrupted,
+        };
+        let instr = totals.instructions.max(1) as f64;
+        let denom = violations as f64 + unprotected;
+        let objectives = Objectives {
+            energy_per_instr: totals.energy / instr * (1.0 + self.power_pct / 100.0),
+            miss_rate: if denom > 0.0 {
+                (totals.corrupted as f64 + unprotected) / denom
+            } else {
+                0.0
             },
-        ),
+            ns_per_instr: totals.wall_time.0 as f64 / 1000.0 / instr,
+        };
+        Evaluation {
+            spec: self.spec,
+            outcome: Outcome::Scored(
+                objectives,
+                ScoreDetail {
+                    replaced: self.replaced,
+                    total_flops: self.total_flops,
+                    power_overhead_pct: self.power_pct,
+                    lane_cycles: totals.cycles,
+                    violations,
+                    corrupted: totals.corrupted,
+                },
+            ),
+        }
+    }
+}
+
+/// Evaluates one candidate: operating point → lint → certificate →
+/// power → storms → objectives.
+pub fn evaluate(ctx: &DesignContext, spec: &CandidateSpec, user_seed: u64) -> Evaluation {
+    match screen(ctx, spec) {
+        Ok(feasible) => feasible.score(&storm_battery(ctx, spec, user_seed)),
+        Err(rejected) => rejected,
     }
 }
 

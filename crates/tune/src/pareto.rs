@@ -37,12 +37,13 @@ pub fn frontier(points: &[[f64; 3]]) -> Vec<usize> {
 
 /// Sabotage hook for the `--sabotage` self-test: leaks a defect into a
 /// computed frontier. Prefers leaking the first *dominated* evaluated
-/// position (a minimality violation); when every evaluated point is
-/// already on the frontier, duplicates the first member instead (a
-/// uniqueness violation). Either defect must trip
-/// [`violations`] and fail the run.
+/// position (a minimality violation); when no evaluated point is
+/// dominated (points off the frontier only duplicate members),
+/// duplicates the first member instead (a uniqueness violation).
+/// Either defect must trip [`violations`] and fail the run.
 pub fn leak(points: &[[f64; 3]], front: &mut Vec<usize>) {
-    if let Some(dominated) = (0..points.len()).find(|i| !front.contains(i)) {
+    let dominated = |i: usize| points.iter().any(|q| dominates(q, &points[i]));
+    if let Some(dominated) = (0..points.len()).find(|&i| dominated(i)) {
         front.push(dominated);
         front.sort_unstable();
     } else if let Some(&first) = front.first() {
@@ -127,11 +128,27 @@ mod tests {
     }
 
     #[test]
+    fn leak_prefers_a_dominated_point_over_a_collapsed_duplicate() {
+        // Position 1 duplicates A and is off the frontier without being
+        // dominated; position 2 is dominated, and that is the leak.
+        let pts = [A, A, B, C];
+        let mut front = frontier(&pts);
+        assert_eq!(front, vec![0, 3]);
+        leak(&pts, &mut front);
+        assert_eq!(front, vec![0, 2, 3]);
+        let v = violations(&pts, &front);
+        assert!(v.iter().any(|m| m.contains("dominated")), "{v:?}");
+        assert!(!v.iter().any(|m| m.contains("identical")), "{v:?}");
+    }
+
+    #[test]
     fn leak_falls_back_to_duplication() {
-        let pts = [A, C];
+        // Position 2 is off the frontier only as a collapsed duplicate.
+        let pts = [A, C, A];
         let mut front = frontier(&pts);
         assert_eq!(front.len(), 2, "nothing dominated");
         leak(&pts, &mut front);
+        assert_eq!(front, vec![0, 1, 0], "the first member is duplicated");
         let v = violations(&pts, &front);
         assert!(v.iter().any(|m| m.contains("identical")), "{v:?}");
     }

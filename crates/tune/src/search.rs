@@ -1,5 +1,6 @@
-//! The closed-loop search: enumerate → evaluate (hardened scatter) →
-//! frontier → anchor check → self-validation.
+//! The closed-loop search: enumerate → screen → one storm battery per
+//! operating point → score (each a hardened scatter) → frontier →
+//! anchor check → self-validation.
 //!
 //! Candidates are dispatched through `timber-resilience`'s
 //! `scatter_strict`, which returns results in submission order
@@ -9,10 +10,13 @@
 
 use std::collections::BTreeMap;
 
+use timber_pipeline::RunStats;
 use timber_resilience::scatter_strict;
 use timber_telemetry::{TuneCounter, TuneStats};
 
-use crate::eval::{evaluate, DesignContext, Evaluation, Objectives, Outcome, ScoreDetail};
+use crate::eval::{
+    screen, storm_battery, DesignContext, Evaluation, Objectives, Outcome, ScoreDetail,
+};
 use crate::pareto;
 use crate::space::{enumerate, CandidateSpec, DesignId};
 
@@ -167,6 +171,48 @@ impl TuneReport {
     }
 }
 
+/// Evaluates `candidates` exactly as [`evaluate`](crate::evaluate)
+/// would, with one storm battery per operating point instead of one
+/// per candidate; also returns the lane-cycles the batteries ran.
+///
+/// Every candidate is screened first, then one battery runs for each
+/// operating point the survivors reach, in first-appearance order, and
+/// each survivor is scored from its point's battery. Each phase is a
+/// `scatter_strict` returning in submission order, so no worker waits
+/// on another's battery and the result is the same at any thread count.
+fn evaluate_all(
+    contexts: &BTreeMap<DesignId, DesignContext>,
+    candidates: &[CandidateSpec],
+    seed: u64,
+    threads: usize,
+) -> (Vec<Evaluation>, u64) {
+    let screened = scatter_strict(candidates, threads, &|c: &CandidateSpec| {
+        screen(&contexts[&c.design], c)
+    });
+    let mut points: Vec<CandidateSpec> = Vec::new();
+    for feasible in screened.iter().flatten() {
+        let key = feasible.spec.storm_key();
+        if !points.contains(&key) {
+            points.push(key);
+        }
+    }
+    let batteries: Vec<RunStats> = scatter_strict(&points, threads, &|p: &CandidateSpec| {
+        storm_battery(&contexts[&p.design], p, seed)
+    });
+    let evals = screened
+        .into_iter()
+        .map(|screened| match screened {
+            Ok(feasible) => {
+                let key = feasible.spec.storm_key();
+                let at = points.iter().position(|p| *p == key).expect("battery ran");
+                feasible.score(&batteries[at])
+            }
+            Err(rejected) => rejected,
+        })
+        .collect();
+    (evals, batteries.iter().map(|b| b.cycles).sum())
+}
+
 /// Runs the search.
 pub fn tune(spec: &TuneSpec) -> TuneReport {
     let mut stats = TuneStats::new();
@@ -182,10 +228,8 @@ pub fn tune(spec: &TuneSpec) -> TuneReport {
         .map(|&d| (d, DesignContext::compile(d)))
         .collect();
 
-    let seed = spec.seed;
-    let evals: Vec<Evaluation> = scatter_strict(&budgeted, spec.threads, &|c: &CandidateSpec| {
-        evaluate(&contexts[&c.design], c, seed)
-    });
+    let (evals, lane_cycles) = evaluate_all(&contexts, &budgeted, spec.seed, spec.threads);
+    stats.add(TuneCounter::StormLaneCycles, lane_cycles);
     stats.add(TuneCounter::Evaluated, evals.len() as u64);
 
     // Sequential aggregation, per design in fixed order.
@@ -204,7 +248,6 @@ pub fn tune(spec: &TuneSpec) -> TuneReport {
             match &e.outcome {
                 Outcome::Scored(objectives, detail) => {
                     stats.add(TuneCounter::Scored, 1);
-                    stats.add(TuneCounter::StormLaneCycles, detail.lane_cycles);
                     report.scored.push(ScoredPoint {
                         spec: e.spec,
                         objectives: *objectives,
@@ -271,6 +314,8 @@ pub fn tune(spec: &TuneSpec) -> TuneReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{evaluate, STORM_CYCLES, STORM_INTENSITIES, STORM_LANES};
+    use crate::space::Seeding;
 
     fn small(budget: usize) -> TuneSpec {
         TuneSpec {
@@ -304,6 +349,83 @@ mod tests {
         assert_eq!(one.designs, four.designs);
         assert_eq!(one.anchors, four.anchors);
         assert_eq!(one.stats, four.stats);
+    }
+
+    #[test]
+    fn seeding_variants_share_one_battery_per_search() {
+        let report = tune(&small(40));
+        let mut points = BTreeMap::new();
+        for d in &report.designs {
+            for p in &d.scored {
+                // Seeding variants of one operating point see the same
+                // storms: identical violation and corruption totals.
+                let totals = (
+                    p.detail.violations,
+                    p.detail.corrupted,
+                    p.detail.lane_cycles,
+                );
+                let first = *points.entry(p.spec.storm_key()).or_insert(totals);
+                assert_eq!(first, totals, "{}", p.spec.id());
+            }
+        }
+        assert!(
+            points.len() < report.stats.get(TuneCounter::Scored) as usize,
+            "some operating point is scored under several seedings"
+        );
+        // Each battery ran once: the counter holds one battery per point.
+        let battery = STORM_INTENSITIES.len() as u64 * STORM_LANES as u64 * STORM_CYCLES;
+        assert_eq!(
+            report.stats.get(TuneCounter::StormLaneCycles),
+            points.len() as u64 * battery
+        );
+    }
+
+    #[test]
+    fn shared_batteries_score_every_candidate_like_evaluate() {
+        // Points that differ in one schedule field only, each under
+        // every seeding, so a battery shared across a field it reads
+        // shows up as a score that `evaluate` does not give.
+        let contexts: BTreeMap<DesignId, DesignContext> = DesignId::ALL
+            .iter()
+            .map(|&d| (d, DesignContext::compile(d)))
+            .collect();
+        let mut candidates = Vec::new();
+        for design in DesignId::ALL {
+            for (c_pct_x10, k_tb, k_ed, relay_increment) in [
+                (300, 1, 2, 1),
+                (300, 1, 3, 1),
+                (300, 2, 2, 1),
+                (300, 2, 2, 2),
+                (200, 1, 2, 1),
+            ] {
+                for seeding in [
+                    Seeding::TopC,
+                    Seeding::Workload { target_pct: 60 },
+                    Seeding::Workload { target_pct: 85 },
+                ] {
+                    candidates.push(CandidateSpec {
+                        design,
+                        c_pct_x10,
+                        k_tb,
+                        k_ed,
+                        relay_increment,
+                        seeding,
+                    });
+                }
+            }
+        }
+        let (evals, lane_cycles) = evaluate_all(&contexts, &candidates, 42, 3);
+        for (spec, shared) in candidates.iter().zip(&evals) {
+            let alone = evaluate(&contexts[&spec.design], spec, 42);
+            assert!(
+                matches!(alone.outcome, Outcome::Scored(..)),
+                "{}",
+                spec.id()
+            );
+            assert_eq!(*shared, alone, "{}", spec.id());
+        }
+        let battery = STORM_INTENSITIES.len() as u64 * STORM_LANES as u64 * STORM_CYCLES;
+        assert_eq!(lane_cycles, candidates.len() as u64 / 3 * battery);
     }
 
     #[test]

@@ -118,10 +118,16 @@ impl CandidateSpec {
         )
     }
 
-    /// Per-candidate RNG seed: a `splitmix64` chain over the *content*
-    /// of the spec (not its enumeration index), mixed with the user
-    /// seed. Changing the budget therefore never changes any
-    /// candidate's simulated objectives — only which candidates run.
+    /// The candidate's storm seed: a `splitmix64` chain over the
+    /// *content* of its operating point (design, `c`, `k_tb`, `k_ed`,
+    /// δ; never its enumeration index), mixed with the user seed.
+    /// Changing the budget therefore never changes any candidate's
+    /// simulated objectives, only which candidates run.
+    ///
+    /// The replacement rule does not enter: the seeding slot folds the
+    /// constant `1`, the top-c% rule's code, so the seeding variants of
+    /// one operating point share one storm battery. Common random
+    /// numbers make their comparison free of Monte-Carlo noise.
     pub fn content_seed(&self, user_seed: u64) -> u64 {
         let mut z = splitmix64(user_seed);
         let fields: [u64; 6] = [
@@ -133,15 +139,22 @@ impl CandidateSpec {
             u64::from(self.k_tb),
             u64::from(self.k_ed),
             u64::from(self.relay_increment),
-            match self.seeding {
-                Seeding::TopC => 1,
-                Seeding::Workload { target_pct } => 100 + u64::from(target_pct),
-            },
+            1,
         ];
         for f in fields {
             z = splitmix64(z ^ f);
         }
         z
+    }
+
+    /// The key of the candidate's storm battery: its operating point,
+    /// as the spec with the top-c% rule. Every field the battery reads
+    /// is there, and the seeding variants of one point share the key.
+    pub fn storm_key(&self) -> CandidateSpec {
+        CandidateSpec {
+            seeding: Seeding::TopC,
+            ..*self
+        }
     }
 
     /// The paper's two case-study anchors for one design: immediate
