@@ -16,8 +16,10 @@
 //! including *all* combinational loops with their full cycle paths),
 //! then — only on clean inputs — the timing rules (`TBR010`–`TBR031`)
 //! built on the same `timber-sta` and `timber` analyses a real
-//! integration plan uses. [`lint_analysed`] runs the same checks over
-//! an STA and fanin cones the caller already holds. The full code →
+//! integration plan uses. [`DesignLint`] is the design-invariant half
+//! (structure findings and the hold analysis), built once to check
+//! many configurations of one netlist over an STA and fanin cones the
+//! caller already holds; [`lint`] builds one per call. The full code →
 //! invariant table is in `DESIGN.md` §9; the CLI front-end is
 //! `repro lint`.
 //!
@@ -50,7 +52,7 @@ pub mod timing;
 
 pub use config::{LintConfig, PaddingPolicy, ReplacementPlan, ScheduleSpec};
 pub use diagnostic::{reports_json, DiagCode, Diagnostic, LintReport, Severity};
-pub use linter::{lint, lint_analysed};
+pub use linter::{lint, DesignLint};
 pub use schedule::snap_period;
 
 #[cfg(test)]

@@ -1,8 +1,7 @@
 //! The lint orchestrator: schedule → structure → timing.
 
-use timber::CheckingPeriod;
 use timber_netlist::{FaninCones, Netlist};
-use timber_sta::TimingAnalysis;
+use timber_sta::{ClockConstraint, HoldAnalysis, TimingAnalysis};
 
 use crate::config::LintConfig;
 use crate::diagnostic::{DiagCode, Diagnostic, LintReport, Severity};
@@ -12,78 +11,116 @@ use crate::timing::check_timing;
 
 /// Lints one netlist against one intended TIMBER integration.
 ///
-/// Check order matters: the timing rules assume an acyclic,
-/// single-driven netlist and a buildable schedule, so they only run when
-/// the schedule and structure passes produced no errors. In that case a
-/// [`DiagCode::TimingChecksSkipped`] note records the gap — a report
-/// that says nothing about short paths is not claiming they are safe.
-///
-/// The timing rules read a max-delay analysis under
-/// `config.constraint` and every flop's fanin cone; this computes both,
-/// then checks exactly as [`lint_analysed`] does.
+/// Builds the design's [`DesignLint`], runs a max-delay analysis
+/// under `config.constraint` and builds every flop's fanin cone when
+/// the netlist is acyclic, then checks as [`DesignLint::lint`] does.
 pub fn lint(netlist: &Netlist, config: &LintConfig) -> LintReport {
-    let (mut report, schedule) = check_front(netlist, config);
-    if let Some(schedule) = schedule {
-        match TimingAnalysis::try_run(netlist, &config.constraint) {
-            Ok(sta) => {
-                let cones = FaninCones::new(netlist, sta.topo());
-                check_timing(netlist, config, &schedule, &sta, &cones, &mut report);
-            }
-            Err(_) => report.push(Diagnostic::new(
-                DiagCode::TimingChecksSkipped,
-                "timing",
-                "timing analysis failed; fix structural errors first",
-            )),
+    let design = DesignLint::new(netlist, &config.constraint);
+    let sta = match design.hold {
+        Some(_) => TimingAnalysis::try_run(netlist, &config.constraint).ok(),
+        None => None,
+    };
+    let cones = sta.as_ref().map(|sta| FaninCones::new(netlist, sta.topo()));
+    design.lint(config, sta.as_ref().zip(cones.as_ref()))
+}
+
+/// Lint's design-invariant half: the structure findings and the
+/// min-delay (hold) analysis. Neither reads the schedule or the clock
+/// period, so one `DesignLint` checks any number of configurations of
+/// its netlist.
+#[derive(Debug, Clone)]
+pub struct DesignLint<'nl> {
+    netlist: &'nl Netlist,
+    /// The structure pass's findings, in check order.
+    structure: Vec<Diagnostic>,
+    /// Min arrivals; `None` when the structure pass found an error or
+    /// the netlist is cyclic, so no timing rule can run.
+    hold: Option<HoldAnalysis>,
+}
+
+impl<'nl> DesignLint<'nl> {
+    /// Runs the structure pass and, on a structurally clean netlist,
+    /// the hold analysis under `constraint`'s hold and clk-to-Q times.
+    pub fn new(netlist: &'nl Netlist, constraint: &ClockConstraint) -> DesignLint<'nl> {
+        let mut found = LintReport::default();
+        check_structure(netlist, &mut found);
+        let hold = match found.count(Severity::Error) {
+            0 => HoldAnalysis::try_run(netlist, constraint).ok(),
+            _ => None,
+        };
+        DesignLint {
+            netlist,
+            structure: found.diagnostics,
+            hold,
         }
     }
-    report
-}
 
-/// [`lint`] over analyses the caller already holds: `sta`, run on the
-/// netlist under `config.constraint`, and `cones`, built from that
-/// netlist and `sta.topo()`. The report equals `lint(sta.netlist(),
-/// config)`.
-///
-/// # Panics
-///
-/// Panics if `sta` was run under a constraint other than
-/// `config.constraint`.
-pub fn lint_analysed(
-    config: &LintConfig,
-    sta: &TimingAnalysis<'_>,
-    cones: &FaninCones,
-) -> LintReport {
-    assert_eq!(
-        *sta.constraint(),
-        config.constraint,
-        "the timing analysis must be run under the lint constraint"
-    );
-    let netlist = sta.netlist();
-    let (mut report, schedule) = check_front(netlist, config);
-    if let Some(schedule) = schedule {
-        check_timing(netlist, config, &schedule, sta, cones, &mut report);
-    }
-    report
-}
-
-/// The schedule and structure passes. Returns the schedule when the
-/// timing rules may run; otherwise the report already carries the
-/// [`DiagCode::TimingChecksSkipped`] note.
-fn check_front(netlist: &Netlist, config: &LintConfig) -> (LintReport, Option<CheckingPeriod>) {
-    let mut report = LintReport::new(format!("{}@{}", netlist.name(), config.name));
-    let schedule = check_schedule(&config.schedule, config.constraint.period, &mut report);
-    check_structure(netlist, &mut report);
-    match (schedule, report.count(Severity::Error)) {
-        (Some(schedule), 0) => (report, Some(schedule)),
-        _ => {
+    /// Lints one configuration of the netlist: schedule, then
+    /// structure, then timing.
+    ///
+    /// Check order matters: the timing rules assume an acyclic,
+    /// single-driven netlist and a buildable schedule, so they only run
+    /// when the schedule and structure passes produced no errors. In
+    /// that case a [`DiagCode::TimingChecksSkipped`] note records the
+    /// gap — a report that says nothing about short paths is not
+    /// claiming they are safe.
+    ///
+    /// `timing` is a max-delay analysis of this netlist under
+    /// `config.constraint` and the fanin cones built from its
+    /// topological order; `None` when that analysis could not run,
+    /// which skips the timing rules with a note.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the analysis is of another netlist or was run under a
+    /// constraint other than `config.constraint`, or if the timing
+    /// rules run and `config.constraint` has other hold or clk-to-Q
+    /// times than this `DesignLint` was built with.
+    pub fn lint(
+        &self,
+        config: &LintConfig,
+        timing: Option<(&TimingAnalysis<'_>, &FaninCones)>,
+    ) -> LintReport {
+        if let Some((sta, _)) = timing {
+            assert!(
+                std::ptr::eq(sta.netlist(), self.netlist),
+                "the timing analysis must be of the linted netlist"
+            );
+            assert_eq!(
+                *sta.constraint(),
+                config.constraint,
+                "the timing analysis must be run under the lint constraint"
+            );
+        }
+        let mut report = LintReport::new(format!("{}@{}", self.netlist.name(), config.name));
+        let schedule = check_schedule(&config.schedule, config.constraint.period, &mut report);
+        report.diagnostics.extend(self.structure.iter().cloned());
+        let Some(schedule) = schedule.filter(|_| report.count(Severity::Error) == 0) else {
             report.push(Diagnostic::new(
                 DiagCode::TimingChecksSkipped,
                 "timing",
                 "short-path, relay, and consolidation checks skipped until the \
                  schedule and structural errors above are fixed",
             ));
-            (report, None)
+            return report;
+        };
+        match (timing, &self.hold) {
+            (Some((sta, cones)), Some(hold)) => check_timing(
+                self.netlist,
+                config,
+                &schedule,
+                sta,
+                hold,
+                cones,
+                &mut report,
+            ),
+            _ => report.push(Diagnostic::new(
+                DiagCode::TimingChecksSkipped,
+                "timing",
+                "timing analysis failed; fix structural errors first",
+            )),
         }
+        report
     }
 }
 
@@ -109,12 +146,15 @@ mod tests {
         crate::schedule::snap_period(raw, spec)
     }
 
-    /// `lint`, checked against `lint_analysed` over the same analyses.
+    /// `lint`, checked against a `DesignLint` built under another
+    /// period and an analysis retimed to the lint constraint.
     fn lint_both(nl: &Netlist, cfg: &LintConfig) -> LintReport {
         let report = lint(nl, cfg);
-        let sta = TimingAnalysis::run(nl, &cfg.constraint);
+        let other = ClockConstraint::with_period(cfg.constraint.period * 3);
+        let design = DesignLint::new(nl, &other);
+        let sta = TimingAnalysis::run(nl, &other).retimed(&cfg.constraint);
         let cones = FaninCones::new(nl, sta.topo());
-        let shared = lint_analysed(cfg, &sta, &cones);
+        let shared = design.lint(cfg, Some((&sta, &cones)));
         assert_eq!(shared.to_json(), report.to_json());
         report
     }
@@ -132,6 +172,34 @@ mod tests {
         assert_eq!(report.count(Severity::Error), 0, "{}", report.render());
         assert_eq!(report.count(Severity::Warn), 0, "{}", report.render());
         assert!(report.passes(true));
+    }
+
+    #[test]
+    #[should_panic(expected = "must share the lint constraint's hold and clk-to-Q")]
+    fn design_lint_under_another_hold_time_panics() {
+        let nl = datapath();
+        let cfg = clean_config(&nl);
+        let design = DesignLint::new(
+            &nl,
+            &ClockConstraint {
+                hold: Picos(21),
+                ..cfg.constraint
+            },
+        );
+        let sta = TimingAnalysis::run(&nl, &cfg.constraint);
+        let cones = FaninCones::new(&nl, sta.topo());
+        let _ = design.lint(&cfg, Some((&sta, &cones)));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be run under the lint constraint")]
+    fn design_lint_over_an_analysis_at_another_period_panics() {
+        let nl = datapath();
+        let cfg = clean_config(&nl);
+        let design = DesignLint::new(&nl, &cfg.constraint);
+        let sta = TimingAnalysis::run(&nl, &ClockConstraint::with_period(Picos(100_000)));
+        let cones = FaninCones::new(&nl, sta.topo());
+        let _ = design.lint(&cfg, Some((&sta, &cones)));
     }
 
     #[test]

@@ -327,6 +327,34 @@ mod tests {
         assert_eq!(report.render(), EVERY_DEFECT_REPORT, "{}", report.render());
     }
 
+    /// The structure findings reach `lint()`'s report unchanged, after
+    /// the schedule findings and before the skipped-timing note.
+    #[test]
+    fn every_defect_renders_the_same_through_lint() {
+        let config = crate::LintConfig::new(
+            "deferred20",
+            crate::ScheduleSpec::deferred(20.0),
+            timber_sta::ClockConstraint::with_period(timber_netlist::Picos(1500)),
+        );
+        let report = crate::lint(&every_defect(), &config);
+        let alone = lint_structure(&every_defect()).diagnostics;
+        assert_eq!(report.diagnostics[..alone.len()], alone[..]);
+        assert_eq!(report.render(), EVERY_DEFECT_LINT, "{}", report.render());
+    }
+
+    const EVERY_DEFECT_LINT: &str = r#"-- lint: defects@deferred20 --
+error[TBR041] net "inv_2": 2 drivers contend: instance "u2", instance "u3"
+  hint: every net must have exactly one driver; split or buffer the sources
+error[TBR042] net "dangling": undriven net feeds 1 load(s): instance "u4" pin 1
+  hint: connect the net to a driver or tie it to a constant
+error[TBR040] instance "u1": combinational loop: inv_1 -> inv_0 -> inv_1
+  hint: break the cycle with a flip-flop or remove the feedback arc
+warning[TBR043] instance "u5": output reaches no flip-flop or primary output
+  hint: remove the dead logic or connect its output
+note[TBR090] timing: short-path, relay, and consolidation checks skipped until the schedule and structural errors above are fixed
+defects@deferred20: 3 error(s), 1 warning(s), 1 note(s)
+"#;
+
     const EVERY_DEFECT_REPORT: &str = r#"-- lint: structure --
 error[TBR041] net "inv_2": 2 drivers contend: instance "u2", instance "u3"
   hint: every net must have exactly one driver; split or buffer the sources

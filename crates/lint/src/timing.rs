@@ -21,30 +21,32 @@ pub const ENDPOINT_DIAG_CAP: usize = 16;
 
 /// Runs every timing check, appending findings to `report`.
 ///
-/// `sta` is the max-delay analysis under `config.constraint` and
-/// `cones` every flop's fanin cone, both of `netlist`. The caller
-/// guarantees the netlist is acyclic (structure checks passed), so the
-/// panicking hold entry point would be safe — the `try_` form is used
-/// anyway for defence in depth.
+/// `sta` is the max-delay analysis under `config.constraint`, `hold`
+/// the min-delay analysis and `cones` every flop's fanin cone, all of
+/// `netlist`. The caller guarantees the netlist is acyclic (structure
+/// checks passed).
+///
+/// # Panics
+///
+/// Panics if `hold` was run under other hold or clk-to-Q times than
+/// `config.constraint`'s: its min arrivals and padding floor read them.
 pub fn check_timing(
     netlist: &Netlist,
     config: &LintConfig,
     schedule: &CheckingPeriod,
     sta: &TimingAnalysis<'_>,
+    hold: &HoldAnalysis,
     cones: &FaninCones,
     report: &mut LintReport,
 ) {
     let constraint = &config.constraint;
-    let Ok(hold) = HoldAnalysis::try_run(netlist, constraint) else {
-        report.push(Diagnostic::new(
-            DiagCode::TimingChecksSkipped,
-            "timing",
-            "timing analysis failed; fix structural errors first",
-        ));
-        return;
-    };
+    assert_eq!(
+        (hold.constraint().hold, hold.constraint().clk_to_q),
+        (constraint.hold, constraint.clk_to_q),
+        "the hold analysis must share the lint constraint's hold and clk-to-Q"
+    );
 
-    check_padding(netlist, config, schedule, &hold, report);
+    check_padding(netlist, config, schedule, hold, report);
 
     let threshold = constraint
         .period

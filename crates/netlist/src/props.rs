@@ -9,7 +9,7 @@ use crate::eval::Evaluator;
 use crate::gen::{random_dag, RandomDagSpec};
 use crate::graph::{fanin_cone, levelize, topo_order, FaninCones};
 use crate::logic::LogicFn;
-use crate::units::Picos;
+use crate::units::{round_half_away, Picos};
 
 proptest! {
     /// A truth table survives the from_table -> eval -> rebuild loop.
@@ -127,5 +127,39 @@ proptest! {
         prop_assert_eq!(x + y, y + x);
         prop_assert_eq!(x - y, -(y - x));
         prop_assert_eq!(x.max(y).min(x.min(y)), x.min(y));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `Picos::scale` rounds exactly as `f64::round` does, on delays in
+    /// the simulator's range and on products that saturate.
+    #[test]
+    fn picos_scale_rounds_like_f64_round(
+        small in -1_000_000_000i64..1_000_000_000,
+        any_ps in i64::MIN..i64::MAX,
+        f in -4.0f64..4.0,
+    ) {
+        for ps in [small, any_ps] {
+            prop_assert_eq!(Picos(ps).scale(f), Picos((ps as f64 * f).round() as i64));
+        }
+    }
+
+    /// Every `f64` bit pattern — NaN, infinities, subnormals, huge and
+    /// tiny magnitudes — and every tie `k ± 0.5` below 2⁵² rounds as
+    /// `f64::round` does, as do their neighbouring floats.
+    #[test]
+    fn rounding_matches_f64_round_on_any_bits_and_ties(
+        bits in any::<u64>(),
+        k in -(1i64 << 51)..(1i64 << 51),
+    ) {
+        let tie = k as f64 + 0.5;
+        for x in [f64::from_bits(bits), tie, tie - 1.0] {
+            let bits = x.to_bits();
+            for y in [x, f64::from_bits(bits.wrapping_add(1)), f64::from_bits(bits.wrapping_sub(1))] {
+                prop_assert_eq!(round_half_away(y), y.round() as i64, "{:e}", y);
+            }
+        }
     }
 }

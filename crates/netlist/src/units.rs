@@ -75,7 +75,7 @@ impl Picos {
     /// Panics in debug builds if `factor` is not finite.
     pub fn scale(self, factor: f64) -> Picos {
         debug_assert!(factor.is_finite(), "scale factor must be finite");
-        Picos((self.0 as f64 * factor).round() as i64)
+        Picos(round_half_away(self.0 as f64 * factor))
     }
 
     /// Fraction `self / denom` as `f64`. Returns 0.0 when `denom` is zero.
@@ -103,6 +103,26 @@ impl Picos {
         } else {
             other
         }
+    }
+}
+
+/// `x.round() as i64` (ties away from zero, saturating) without the
+/// libm call `f64::round` compiles to on baseline x86-64.
+///
+/// Below 2⁵² in magnitude, `x - trunc(x)` is exact, so comparing that
+/// fraction against ±0.5 rounds exactly; the comparisons become flag
+/// moves, not branches, because a fraction test mispredicts. From 2⁵²
+/// up every `f64` is an integer, and `round` keeps the saturation and
+/// NaN behaviour of `as`.
+#[inline]
+pub(crate) fn round_half_away(x: f64) -> i64 {
+    const EXACT: f64 = (1u64 << 52) as f64;
+    if x.abs() < EXACT {
+        let t = x as i64;
+        let frac = x - t as f64;
+        t + i64::from(frac >= 0.5) - i64::from(frac <= -0.5)
+    } else {
+        x.round() as i64
     }
 }
 
@@ -234,6 +254,43 @@ impl Sum for Area {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rounding_matches_f64_round_at_ties_and_boundaries() {
+        let exact = (1u64 << 52) as f64;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            -0.49999999999999994,
+            exact - 0.5,
+            exact - 1.5,
+            exact,
+            exact + 1.0,
+            2.0 * exact,
+            9.2e18,
+            9.3e18,
+            i64::MAX as f64,
+            i64::MIN as f64,
+            1e300,
+            -1e300,
+            1e-300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for k in [0i64, 1, 2, 3, 7, 1000, 123_456_789, (1 << 51) - 1] {
+            cases.extend([k as f64 + 0.5, k as f64 - 0.5]);
+        }
+        for x in cases.clone() {
+            // The neighbours on either side of every case.
+            cases.push(f64::from_bits(x.to_bits().wrapping_add(1)));
+            cases.push(f64::from_bits(x.to_bits().wrapping_sub(1)));
+        }
+        for x in cases.iter().flat_map(|&x| [x, -x]) {
+            assert_eq!(round_half_away(x), x.round() as i64, "{x:e}");
+        }
+    }
 
     #[test]
     fn picos_arithmetic() {

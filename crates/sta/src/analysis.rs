@@ -233,6 +233,30 @@ impl<'nl> TimingAnalysis<'nl> {
         })
     }
 
+    /// This analysis under another clock constraint with the same
+    /// clk-to-Q delay.
+    ///
+    /// Arrivals start at 0 (primary inputs) or clk-to-Q (flop Q pins)
+    /// and add cached arc delays, so arrivals, downstream delays and
+    /// critical pins do not depend on the period, setup or hold; only
+    /// the constraint is replaced. The result equals a fresh
+    /// [`TimingAnalysis::run_with`] under `constraint` whenever the
+    /// delay calculator is deterministic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `constraint.clk_to_q` differs from this analysis's.
+    pub fn retimed(&self, constraint: &ClockConstraint) -> TimingAnalysis<'nl> {
+        assert_eq!(
+            constraint.clk_to_q, self.constraint.clk_to_q,
+            "retiming cannot change clk-to-Q: flop arrivals start there"
+        );
+        TimingAnalysis {
+            constraint: *constraint,
+            ..self.clone()
+        }
+    }
+
     /// The design under analysis.
     pub fn netlist(&self) -> &'nl Netlist {
         self.netlist
@@ -393,6 +417,83 @@ mod tests {
             slow.arrival(last) - Picos(40),
             (base.arrival(last) - Picos(40)) * 2
         );
+    }
+
+    /// Every `timber_netlist` generator, including both tune designs
+    /// (`ripple_carry_adder` 16 and `array_multiplier` 8).
+    fn every_generator() -> Vec<Netlist> {
+        use timber_netlist::{
+            alu, array_multiplier, kogge_stone_adder, pipelined_datapath, random_dag,
+            ripple_carry_adder, DatapathSpec, RandomDagSpec,
+        };
+        let lib = CellLibrary::standard();
+        vec![
+            ripple_carry_adder(&lib, 16).unwrap(),
+            array_multiplier(&lib, 8).unwrap(),
+            kogge_stone_adder(&lib, 16).unwrap(),
+            alu(&lib, 8).unwrap(),
+            random_dag(&lib, &RandomDagSpec::default()).unwrap(),
+            pipelined_datapath(&lib, &DatapathSpec::uniform(4, 12, 150, 0.7, 17)).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn retimed_analysis_equals_a_fresh_run_at_every_period() {
+        use crate::endpoints::{classify_flops, PathDistribution};
+        for nl in &every_generator() {
+            let base = TimingAnalysis::run(nl, &ClockConstraint::with_period(Picos(1_000_000)));
+            let critical = base.worst_arrival();
+            for factor in [0.3, 0.6, 0.85, 0.95, 1.0, 1.03, 1.1, 1.5, 4.0] {
+                let clk = ClockConstraint {
+                    setup: Picos(25),
+                    hold: Picos(35),
+                    ..ClockConstraint::with_period(critical.scale(factor))
+                };
+                let fresh = TimingAnalysis::run(nl, &clk);
+                let retimed = base.retimed(&clk);
+                let at = format!("{} at {}", nl.name(), clk.period);
+                assert_eq!(*retimed.constraint(), clk, "{at}");
+                for net in nl.net_ids() {
+                    assert_eq!(retimed.arrival(net), fresh.arrival(net), "{at}");
+                    assert_eq!(retimed.downstream(net), fresh.downstream(net), "{at}");
+                    assert_eq!(retimed.critical_pin(net), fresh.critical_pin(net), "{at}");
+                }
+                for f in nl.flop_ids() {
+                    let d = nl.flop(f).d();
+                    assert_eq!(
+                        retimed.endpoint_slack(retimed.arrival(d)),
+                        fresh.endpoint_slack(fresh.arrival(d)),
+                        "{at}"
+                    );
+                }
+                assert_eq!(retimed.worst_slack(), fresh.worst_slack(), "{at}");
+                assert_eq!(retimed.worst_path(), fresh.worst_path(), "{at}");
+                for c_pct in [10.0, 30.0, 50.0] {
+                    let threshold = clk.period.scale(1.0 - c_pct / 100.0);
+                    assert_eq!(
+                        classify_flops(&retimed, threshold),
+                        classify_flops(&fresh, threshold),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        PathDistribution::replacement_set(&retimed, nl, c_pct),
+                        PathDistribution::replacement_set(&fresh, nl, c_pct),
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "retiming cannot change clk-to-Q")]
+    fn retiming_to_another_clk_to_q_panics() {
+        let (nl, _) = chain(2);
+        let sta = TimingAnalysis::run(&nl, &ClockConstraint::with_period(Picos(1000)));
+        let _ = sta.retimed(&ClockConstraint {
+            clk_to_q: Picos(41),
+            ..ClockConstraint::with_period(Picos(1000))
+        });
     }
 
     #[test]

@@ -100,6 +100,12 @@ impl HoldAnalysis {
         })
     }
 
+    /// The constraint the analysis was run against. Min arrivals read
+    /// only its clk-to-Q, and padding plans only its hold time.
+    pub fn constraint(&self) -> &ClockConstraint {
+        &self.constraint
+    }
+
     /// Min arrival at a net.
     pub fn min_arrival(&self, net: timber_netlist::NetId) -> Picos {
         self.min_arrival[net.0 as usize]

@@ -31,7 +31,7 @@ use timber::CheckingPeriod;
 use timber_analyze::{certify, AnalysisPoint, Interval};
 use timber_batch::workload::splitmix64;
 use timber_batch::{run_batched, BatchConfig, BatchScheme, BatchStageProfile, BatchWorkload};
-use timber_lint::{lint_analysed, snap_period, LintConfig, ReplacementPlan};
+use timber_lint::{snap_period, DesignLint, LintConfig, ReplacementPlan};
 use timber_netlist::{FaninCones, FlopId, Netlist, Picos};
 use timber_pipeline::{PipelineConfig, RunStats};
 use timber_power::{PowerParams, ProcessorOverheads, ReplacementStats};
@@ -293,6 +293,34 @@ pub fn storm_score(
     total
 }
 
+/// The analyses of one design that no candidate's schedule changes: a
+/// max-delay STA (retimed to each candidate's clock), every flop's
+/// fanin cone, and lint's design-invariant half (structure findings
+/// and the hold analysis). A search builds one per design and shares
+/// it read-only across its workers.
+pub(crate) struct DesignAnalyses<'ctx> {
+    ctx: &'ctx DesignContext,
+    sta: TimingAnalysis<'ctx>,
+    cones: FaninCones,
+    lint: DesignLint<'ctx>,
+}
+
+impl<'ctx> DesignAnalyses<'ctx> {
+    /// Runs the analyses on `ctx`'s netlist. Every operating point
+    /// clocks `ClockConstraint::with_period`, so any period serves.
+    pub(crate) fn new(ctx: &'ctx DesignContext) -> DesignAnalyses<'ctx> {
+        let constraint = ClockConstraint::with_period(ctx.raw_critical);
+        let sta = TimingAnalysis::run(&ctx.netlist, &constraint);
+        let cones = FaninCones::new(&ctx.netlist, sta.topo());
+        DesignAnalyses {
+            ctx,
+            lint: DesignLint::new(&ctx.netlist, &constraint),
+            sta,
+            cones,
+        }
+    }
+}
+
 /// A candidate that passed lint and the certificate: everything its
 /// objectives need except its storm totals.
 #[derive(Debug)]
@@ -309,17 +337,22 @@ pub(crate) struct Feasible {
 
 /// Operating point → lint → certificate → power: `Err` carries the
 /// rejected evaluation, `Ok` the candidate ready for its storms.
-pub(crate) fn screen(ctx: &DesignContext, spec: &CandidateSpec) -> Result<Feasible, Evaluation> {
+pub(crate) fn screen(
+    design: &DesignAnalyses<'_>,
+    spec: &CandidateSpec,
+) -> Result<Feasible, Evaluation> {
+    let ctx = design.ctx;
     let schedule = operating_point(spec, ctx.raw_critical);
-    let constraint = ClockConstraint::with_period(schedule.period());
-    // One max-delay analysis and one cone pass, read by seeding, lint
-    // and power alike.
-    let sta = TimingAnalysis::run(&ctx.netlist, &constraint);
-    let cones = FaninCones::new(&ctx.netlist, sta.topo());
-    let (replaced, config) = replacement_plan(spec, &sta, &cones);
+    // The design's STA at the candidate's clock and its cones, read by
+    // seeding, lint and power alike.
+    let sta = design
+        .sta
+        .retimed(&ClockConstraint::with_period(schedule.period()));
+    let cones = &design.cones;
+    let (replaced, config) = replacement_plan(spec, &sta, cones);
 
     // Feasibility: the linter must find no errors.
-    let report = lint_analysed(&config, &sta, &cones);
+    let report = design.lint.lint(&config, Some((&sta, cones)));
     let codes = report.error_codes();
     if !codes.is_empty() {
         return Err(Evaluation {
@@ -452,9 +485,10 @@ impl Feasible {
 }
 
 /// Evaluates one candidate: operating point → lint → certificate →
-/// power → storms → objectives.
+/// power → storms → objectives. Runs the design's analyses for this
+/// one call; a search shares them across its candidates.
 pub fn evaluate(ctx: &DesignContext, spec: &CandidateSpec, user_seed: u64) -> Evaluation {
-    match screen(ctx, spec) {
+    match screen(&DesignAnalyses::new(ctx), spec) {
         Ok(feasible) => feasible.score(&storm_battery(ctx, spec, user_seed)),
         Err(rejected) => rejected,
     }
@@ -514,21 +548,35 @@ mod tests {
             .iter()
             .map(|&d| DesignContext::compile(d))
             .collect();
+        // One set of analyses per design, as a search builds them.
+        let analyses: Vec<DesignAnalyses<'_>> = contexts.iter().map(DesignAnalyses::new).collect();
         let space = enumerate();
         for ctx in &contexts {
             assert!(space.iter().any(|spec| spec.design == ctx.design));
         }
         for spec in &space {
-            let ctx = contexts.iter().find(|c| c.design == spec.design).unwrap();
+            let design = analyses
+                .iter()
+                .find(|a| a.ctx.design == spec.design)
+                .unwrap();
+            let ctx = design.ctx;
             let schedule = operating_point(spec, ctx.raw_critical);
-            let sta = TimingAnalysis::run(
-                &ctx.netlist,
-                &ClockConstraint::with_period(schedule.period()),
-            );
-            let cones = FaninCones::new(&ctx.netlist, sta.topo());
-            let (_, config) = replacement_plan(spec, &sta, &cones);
+            let constraint = ClockConstraint::with_period(schedule.period());
+            let sta = design.sta.retimed(&constraint);
+            let fresh = TimingAnalysis::run(&ctx.netlist, &constraint);
+            let fresh_cones = FaninCones::new(&ctx.netlist, fresh.topo());
+            let (replaced, config) = replacement_plan(spec, &sta, &design.cones);
             assert_eq!(
-                lint_analysed(&config, &sta, &cones).to_json(),
+                replaced,
+                replacement_plan(spec, &fresh, &fresh_cones).0,
+                "{}",
+                spec.id()
+            );
+            assert_eq!(
+                design
+                    .lint
+                    .lint(&config, Some((&sta, &design.cones)))
+                    .to_json(),
                 timber_lint::lint(&ctx.netlist, &config).to_json(),
                 "{}",
                 spec.id()

@@ -15,7 +15,8 @@ use timber_resilience::scatter_strict;
 use timber_telemetry::{TuneCounter, TuneStats};
 
 use crate::eval::{
-    screen, storm_battery, DesignContext, Evaluation, Objectives, Outcome, ScoreDetail,
+    screen, storm_battery, DesignAnalyses, DesignContext, Evaluation, Objectives, Outcome,
+    ScoreDetail,
 };
 use crate::pareto;
 use crate::space::{enumerate, CandidateSpec, DesignId};
@@ -172,22 +173,30 @@ impl TuneReport {
 }
 
 /// Evaluates `candidates` exactly as [`evaluate`](crate::evaluate)
-/// would, with one storm battery per operating point instead of one
-/// per candidate; also returns the lane-cycles the batteries ran.
+/// would, with one set of analyses per design and one storm battery per
+/// operating point instead of one of each per candidate; also returns
+/// the lane-cycles the batteries ran.
 ///
-/// Every candidate is screened first, then one battery runs for each
-/// operating point the survivors reach, in first-appearance order, and
-/// each survivor is scored from its point's battery. Each phase is a
-/// `scatter_strict` returning in submission order, so no worker waits
-/// on another's battery and the result is the same at any thread count.
+/// Each design's analyses (STA, fanin cones, lint's structure pass and
+/// hold analysis) are built once on the calling thread. Then every
+/// candidate is screened through its design's, one battery runs for
+/// each operating point the survivors reach, in first-appearance order,
+/// and each survivor is scored from its point's battery. The screen
+/// and the batteries are each a `scatter_strict` returning in
+/// submission order, so no worker waits on another's battery and the
+/// result is the same at any thread count.
 fn evaluate_all(
     contexts: &BTreeMap<DesignId, DesignContext>,
     candidates: &[CandidateSpec],
     seed: u64,
     threads: usize,
 ) -> (Vec<Evaluation>, u64) {
+    let analyses: BTreeMap<DesignId, DesignAnalyses<'_>> = contexts
+        .iter()
+        .map(|(&d, ctx)| (d, DesignAnalyses::new(ctx)))
+        .collect();
     let screened = scatter_strict(candidates, threads, &|c: &CandidateSpec| {
-        screen(&contexts[&c.design], c)
+        screen(&analyses[&c.design], c)
     });
     let mut points: Vec<CandidateSpec> = Vec::new();
     for feasible in screened.iter().flatten() {
