@@ -15,8 +15,10 @@ use timber_netlist::Picos;
 #[derive(Debug, Clone)]
 pub struct FrequencyController {
     nominal_period: Picos,
-    /// Extra period applied while slowed (e.g. 0.10 = 10% slower clock).
-    slowdown_factor: f64,
+    /// Period in force while slowed: `nominal_period` scaled by
+    /// `1 + slowdown_factor` (e.g. 0.10 = 10% slower clock), computed
+    /// once in [`FrequencyController::new`].
+    slowed_period: Picos,
     /// How long a slowdown episode lasts, in cycles.
     slowdown_window: u64,
     /// Consolidation latency in cycles from flag to actuation.
@@ -52,7 +54,7 @@ impl FrequencyController {
         assert!(slowdown_window > 0, "slowdown window must be positive");
         FrequencyController {
             nominal_period,
-            slowdown_factor,
+            slowed_period: nominal_period.scale(1.0 + slowdown_factor),
             slowdown_window,
             latency_cycles,
             pending_until: None,
@@ -105,7 +107,7 @@ impl FrequencyController {
         }
         if let Some(until) = self.slow_until {
             if cycle < until {
-                return self.nominal_period.scale(1.0 + self.slowdown_factor);
+                return self.slowed_period;
             }
             self.slow_until = None;
         }
@@ -116,7 +118,7 @@ impl FrequencyController {
     /// at `cycle`, with no mutation.
     fn period_readonly(&self, cycle: u64) -> Picos {
         match self.slow_until {
-            Some(until) if cycle < until => self.nominal_period.scale(1.0 + self.slowdown_factor),
+            Some(until) if cycle < until => self.slowed_period,
             _ => self.nominal_period,
         }
     }
@@ -198,6 +200,21 @@ mod tests {
         c.reset();
         assert_eq!(c.period_at(6), Picos(1000));
         assert_eq!(c.episodes(), 0);
+    }
+
+    #[test]
+    fn slowed_period_is_the_scaled_nominal_after_new_and_reset() {
+        for (nominal, factor) in [(997, 0.1005), (1000, 0.1), (813, 0.25), (640, 0.0)] {
+            let slowed = Picos(nominal).scale(1.0 + factor);
+            let mut c = FrequencyController::new(Picos(nominal), factor, 10, 0);
+            c.flag_error(0);
+            assert_eq!(c.period_at(0), slowed, "{nominal}·(1 + {factor})");
+            assert_eq!(c.period_readonly(0), slowed);
+            c.reset();
+            assert_eq!(c.period_at(0), Picos(nominal));
+            c.flag_error(1);
+            assert_eq!(c.period_at(1), slowed, "after reset");
+        }
     }
 
     #[test]

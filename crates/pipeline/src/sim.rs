@@ -149,16 +149,17 @@ impl DelaySupply<'_> {
     /// sensitization sample, then one variability factor) so results
     /// stay bit-identical with the pre-row-based hot loop.
     ///
-    /// The environment path skips the exact factor on a stage whose
-    /// worst case, `carry[s] + base.scale(bound)`, is within the
-    /// scheme's [`SequentialScheme::on_time_limit`] for this cycle,
-    /// and fills in that worst case instead. The sensitization sample
-    /// is still drawn, so the stream stays aligned. The stand-in is
-    /// exact in outcome: the true delay is at most the stand-in
-    /// (`scale` is monotone in the factor for a non-negative base),
-    /// both arrivals are within the limit, and the scheme contract
+    /// The environment path skips the exact factor on a stage that
+    /// [`on_time`] proves on time against the scheme's
+    /// [`SequentialScheme::on_time_limit`] for this cycle: first with
+    /// the run's static [`DelaySource::factor_bound`], then, where that
+    /// fails, with the per-query [`DelaySource::factor_bound_at`]. A
+    /// skipped stage gets the stand-in `limit − carry[s]`, an arrival
+    /// exactly at the limit. The sensitization sample is still drawn,
+    /// so the stream stays aligned. The stand-in is exact in outcome:
+    /// the true arrival is at most the limit, and the scheme contract
     /// makes every such arrival `Ok` with the same scheme state; the
-    /// source contract makes the skipped query invisible to later
+    /// source contracts make the skipped query invisible to later
     /// ones.
     fn fill_row(
         &mut self,
@@ -177,29 +178,42 @@ impl DelaySupply<'_> {
                 let limit = scheme.on_time_limit(ctx);
                 for (s, slot) in row.iter_mut().enumerate() {
                     let (base, _class) = sensitization.sample(s);
-                    let on_time = match (bounds[s], limit) {
-                        (Some(bound), Some(limit)) if base >= Picos::ZERO => {
-                            let worst = base.scale(bound);
-                            // Checked: a huge bound saturates `scale`
-                            // at `i64::MAX`, and a wrapped sum would
-                            // pass for on time.
-                            carry[s]
-                                .as_ps()
-                                .checked_add(worst.as_ps())
-                                .is_some_and(|arrival| arrival <= limit.as_ps())
-                                .then_some(worst)
+                    if let (Some(bound), Some(limit)) = (bounds[s], limit) {
+                        let room = limit.as_ps().saturating_sub(carry[s].as_ps());
+                        if on_time(base, bound, room)
+                            || variability
+                                .factor_bound_at(cycle, s)
+                                .is_some_and(|b| on_time(base, b, room))
+                        {
+                            *slot = Picos(room);
+                            continue;
                         }
-                        _ => None,
-                    };
-                    *slot = match on_time {
-                        Some(worst) => worst,
-                        None => base.scale(variability.factor(cycle, s)),
-                    };
+                    }
+                    *slot = base.scale(variability.factor(cycle, s));
                 }
             }
             DelaySupply::Planned(rows) => rows.fill_row(cycle, row),
         }
     }
+}
+
+/// The simulator's one on-time test: whether
+/// `carry + base.scale(bound) ≤ limit` holds, given the saturated
+/// `room = limit − carry`, decided without rounding the product.
+///
+/// For `base ≥ 0` and `|room| < 2⁵²` it is exact. Round-half-away is
+/// monotone, so `round(x) ≤ room` exactly when `x < room + 0.5`, and
+/// `room + 0.5` is representable in that range. `x` is the product
+/// `Picos::scale` rounds, so a huge one (saturating there at
+/// `i64::MAX`) is as late here as there. Outside that range the
+/// equivalence would rest on how `room + 0.5` rounds, so the test
+/// answers `false` and the caller derives the exact factor.
+#[inline]
+fn on_time(base: Picos, bound: f64, room: i64) -> bool {
+    const EXACT: u64 = 1 << 52;
+    base >= Picos::ZERO
+        && room.unsigned_abs() < EXACT
+        && (base.as_ps() as f64 * bound) < room as f64 + 0.5
 }
 
 impl std::fmt::Debug for DelaySupply<'_> {
@@ -714,6 +728,8 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
     use crate::reference::MarginedFlop;
     use crate::scheme::Recovery;
     use timber_variability::CompositeVariability;
@@ -1047,6 +1063,116 @@ mod tests {
             );
             assert_eq!(stats.masked, 2 * 50, "{bound:?}");
             assert_eq!(var.queries, 2 * 50, "{bound:?}: every stage is exact");
+        }
+    }
+
+    /// The test [`on_time`] replaced: round the worst case, then add
+    /// it to the carry with overflow checked.
+    fn rounded_on_time(base: Picos, bound: f64, carry: Picos, limit: Picos) -> bool {
+        base >= Picos::ZERO
+            && carry
+                .as_ps()
+                .checked_add(base.scale(bound).as_ps())
+                .is_some_and(|arrival| arrival <= limit.as_ps())
+    }
+
+    const EXACT: i64 = 1 << 52;
+
+    #[test]
+    fn on_time_rounds_half_ties_away_from_the_limit() {
+        // 0.5 rounds to 1, 1.5 to 2, 2⁵⁰ + 0.5 to 2⁵⁰ + 1: a tie is
+        // on time only with a picosecond more room.
+        let both = |base: i64, bound: f64, room: i64| {
+            let fast = on_time(Picos(base), bound, room);
+            assert_eq!(
+                fast,
+                rounded_on_time(Picos(base), bound, Picos::ZERO, Picos(room))
+            );
+            fast
+        };
+        for (base, bound, room) in [(1, 0.5, 0), (3, 0.5, 1), ((1 << 51) + 1, 0.5, 1 << 50)] {
+            assert!(!both(base, bound, room), "{base}·{bound} vs {room}");
+            assert!(both(base, bound, room + 1), "{base}·{bound} vs {room} + 1");
+        }
+        // Just below a tie rounds down.
+        assert!(on_time(Picos(1), 0.5f64.next_down(), 0));
+    }
+
+    #[test]
+    fn on_time_at_zero_and_negative_room() {
+        assert!(on_time(Picos::ZERO, 1.3, 0));
+        assert!(on_time(Picos(1), 0.49, 0));
+        assert!(!on_time(Picos(1), 0.5, 0));
+        assert!(!on_time(Picos::ZERO, 1.0, -1));
+        assert!(!on_time(Picos(5), 0.0, -1));
+        assert!(!on_time(Picos(-1), 1.0, 10), "a negative base never skips");
+    }
+
+    #[test]
+    fn on_time_products_past_exact_integers_and_saturation() {
+        // At and above 2⁵² every product is an integer.
+        assert!(!on_time(Picos(EXACT), 1.0, EXACT - 1));
+        assert!(on_time(Picos(EXACT - 2), 1.0, EXACT - 1));
+        // Past 2⁶³ `scale` saturates at `i64::MAX`; no room in range
+        // reaches it, with or without an overflowing carry.
+        let huge = Picos(i64::MAX / 4);
+        for bound in [8.0, 1e300, f64::MAX] {
+            assert!(!on_time(huge, bound, EXACT - 1), "{bound}");
+            assert!(
+                !rounded_on_time(huge, bound, Picos(1), Picos(EXACT)),
+                "{bound}"
+            );
+        }
+        // A non-finite per-query bound proves nothing either.
+        for bound in [f64::INFINITY, f64::NAN] {
+            assert!(!on_time(huge, bound, EXACT - 1), "{bound}");
+            assert!(!on_time(Picos::ZERO, bound, 0), "{bound}");
+        }
+    }
+
+    #[test]
+    fn on_time_falls_through_outside_the_exact_range() {
+        // The rounded test would pass all of these; they are left to
+        // the exact factor all the same.
+        assert!(on_time(Picos::ZERO, 0.0, EXACT - 1));
+        for room in [EXACT, EXACT + 1, i64::MAX] {
+            assert!(!on_time(Picos::ZERO, 0.0, room), "{room}");
+            assert!(rounded_on_time(Picos::ZERO, 0.0, Picos::ZERO, Picos(room)));
+        }
+        for room in [-EXACT, i64::MIN] {
+            assert!(!on_time(Picos::ZERO, 0.0, room), "{room}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Within `|room| < 2⁵²` the threshold test decides exactly as
+        /// the rounded one, ties included (dyadic bounds put products
+        /// on `.5`); everywhere, it never skips a stage the rounded
+        /// test would keep. Each input is drawn from a narrow range
+        /// near the limit or from the whole of its type.
+        #[test]
+        fn on_time_matches_the_rounded_test(
+            pick in (0usize..3, 0usize..3, 0usize..2, 0usize..2),
+            bases in (0i64..1 << 40, 0i64..i64::MAX, -8i64..8),
+            bounds in (0.0f64..4.0, 0u32..64, 0.0f64..1e12),
+            carries in (-(1i64 << 40)..1 << 40, i64::MIN..i64::MAX),
+            deltas in (-2i64..=2, i64::MIN..i64::MAX),
+        ) {
+            let base = Picos([bases.0, bases.1, bases.2][pick.0]);
+            let bound = [bounds.0, f64::from(bounds.1) / 8.0, bounds.2][pick.1];
+            let carry = Picos([carries.0, carries.1][pick.2]);
+            let delta = [deltas.0, deltas.1][pick.3];
+            let worst = base.scale(bound).as_ps();
+            let limit = Picos(carry.as_ps().saturating_add(worst).saturating_add(delta));
+            let room = limit.as_ps().saturating_sub(carry.as_ps());
+            let fast = on_time(base, bound, room);
+            let rounded = rounded_on_time(base, bound, carry, limit);
+            prop_assert!(!fast || rounded, "{base:?}·{bound} carry {carry:?} limit {limit:?}");
+            if room.unsigned_abs() < 1 << 52 {
+                prop_assert_eq!(fast, rounded);
+            }
         }
     }
 

@@ -247,6 +247,10 @@ impl GovernorState {
 pub struct LadderGovernor {
     nominal: Picos,
     config: GovernorConfig,
+    /// The clock period at each level (by [`GovernorLevel::index`]):
+    /// `nominal` scaled by `1 + factor`, computed once in
+    /// [`LadderGovernor::new`] instead of on every cycle.
+    periods: [Picos; TOP as usize + 1],
     /// Level in force: the one [`LadderGovernor::period_at`] reads.
     level: GovernorLevel,
     /// The decided level and the hysteresis counters; its level runs
@@ -279,6 +283,7 @@ impl LadderGovernor {
         LadderGovernor {
             nominal,
             config,
+            periods: GovernorLevel::ALL.map(|l| nominal.scale(1.0 + config.factor(l))),
             level: GovernorLevel::Nominal,
             core: LadderCore::default(),
             window_start: 0,
@@ -325,12 +330,12 @@ impl LadderGovernor {
     /// The ladder maximum: no period [`LadderGovernor::period_at`] ever
     /// returns exceeds this.
     pub fn max_period(&self) -> Picos {
-        self.nominal.scale(1.0 + self.config.safe_factor)
+        self.period_of(GovernorLevel::SafeMode)
     }
 
     /// Period at `level` under this governor's config.
     pub fn period_of(&self, level: GovernorLevel) -> Picos {
-        self.nominal.scale(1.0 + self.config.factor(level))
+        self.periods[usize::from(level.index())]
     }
 
     /// Upper bound, in cycles, on returning to nominal once flags
@@ -637,6 +642,40 @@ mod tests {
         assert_eq!(g.level(), GovernorLevel::Nominal);
         assert_eq!(g.escalations(), 0);
         assert_eq!(g.period_at(0), Picos(1000));
+    }
+
+    #[test]
+    fn period_table_matches_the_scaled_nominal_after_new_restore_and_reset() {
+        // Factors and a nominal whose products land near `.5`, so a
+        // table built any other way would round differently somewhere.
+        let config = GovernorConfig {
+            throttle_factor: 0.1005,
+            deep_factor: 0.2375,
+            safe_factor: 0.5,
+            ..cfg()
+        };
+        let nominal = Picos(997);
+        let check = |g: &LadderGovernor, when: &str| {
+            for level in GovernorLevel::ALL {
+                assert_eq!(
+                    g.period_of(level),
+                    nominal.scale(1.0 + config.factor(level)),
+                    "{when}: {}",
+                    level.name()
+                );
+            }
+            assert_eq!(g.max_period(), nominal.scale(1.0 + config.safe_factor));
+        };
+        let mut g = LadderGovernor::new(nominal, config);
+        check(&g, "new");
+        storm(&mut g, 0, 60, 1);
+        assert!(g.is_slowed());
+        assert_eq!(g.period_at(60), g.period_of(g.level()));
+        let snap = g.state();
+        g.reset();
+        check(&g, "reset");
+        let r = LadderGovernor::restore(nominal, config, snap);
+        check(&r, "restore");
     }
 
     #[test]

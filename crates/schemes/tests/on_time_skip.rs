@@ -5,7 +5,10 @@
 //! The exact path is reached through two adapters that forward
 //! everything but hide the contracts the skip relies on —
 //! [`DelaySource::factor_bound`] and
-//! [`SequentialScheme::on_time_limit`] keep their `None` defaults.
+//! [`SequentialScheme::on_time_limit`] keep their `None` defaults, and
+//! so does [`DelaySource::factor_bound_at`], which defaults to the
+//! static bound. A counting wrapper shows that the skip really fires,
+//! at both of its levels.
 
 use proptest::prelude::*;
 
@@ -32,6 +35,57 @@ impl DelaySource for Exact<'_> {
 
     fn name(&self) -> &str {
         self.0.name()
+    }
+}
+
+/// How a run's stage-cycles reached the delay source.
+#[derive(Debug, Clone, Copy, Default)]
+struct Queries {
+    /// Per-query bounds asked: stage-cycles the static bound did not
+    /// prove on time.
+    bounded: u64,
+    /// Exact factors derived.
+    exact: u64,
+    /// Exact factors derived for the query whose per-query bound was
+    /// just asked: the per-query bound did not prove it on time either.
+    exact_after_bounded: u64,
+}
+
+impl Queries {
+    /// Stage-cycles the per-query bound proved on time.
+    fn decided_per_query(&self) -> u64 {
+        self.bounded - self.exact_after_bounded
+    }
+}
+
+/// A delay source that forwards both bounds and counts the queries.
+struct Counting<'a> {
+    inner: &'a mut dyn DelaySource,
+    queries: Queries,
+    last_bounded: Option<(u64, usize)>,
+}
+
+impl DelaySource for Counting<'_> {
+    fn factor(&mut self, cycle: u64, stage: usize) -> f64 {
+        self.queries.exact += 1;
+        if self.last_bounded.take() == Some((cycle, stage)) {
+            self.queries.exact_after_bounded += 1;
+        }
+        self.inner.factor(cycle, stage)
+    }
+
+    fn factor_bound(&self, stage: usize, horizon: u64) -> Option<f64> {
+        self.inner.factor_bound(stage, horizon)
+    }
+
+    fn factor_bound_at(&mut self, cycle: u64, stage: usize) -> Option<f64> {
+        self.queries.bounded += 1;
+        self.last_bounded = Some((cycle, stage));
+        self.inner.factor_bound_at(cycle, stage)
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
     }
 }
 
@@ -135,23 +189,30 @@ impl Trial {
         }
     }
 
-    /// The un-instrumented run (the serve path) in one call.
-    fn stats(&self, cycles: u64, exact: bool) -> RunStats {
+    /// The un-instrumented run (the serve path) in one call, and how
+    /// its stage-cycles reached the delay source.
+    fn stats(&self, cycles: u64, exact: bool) -> (RunStats, Queries) {
         let schedule =
             timber::CheckingPeriod::new(Picos(Self::CRITICAL), 24.0, 1, 2).expect("valid schedule");
         let mut scheme = Registry::new(schedule, self.stages).build(self.scheme, self.seed);
         let (mut sens, mut var) = self.environment();
+        let mut var = Counting {
+            inner: &mut var,
+            queries: Queries::default(),
+            last_bounded: None,
+        };
         let period = Picos(Self::CRITICAL * self.period_permille / 1000);
         let mut config = PipelineConfig::new(self.stages, period);
         if self.governor {
             config.governor = Some(GovernorConfig::default());
         }
-        if exact {
+        let stats = if exact {
             let mut scheme = Unlimited(scheme.as_mut());
             PipelineSim::new(config, &mut scheme, &mut sens, &mut Exact(&mut var)).run(cycles)
         } else {
             PipelineSim::new(config, scheme.as_mut(), &mut sens, &mut var).run(cycles)
-        }
+        };
+        (stats, var.queries)
     }
 }
 
@@ -188,6 +249,45 @@ proptest! {
         let split = splitmix64(seed, 1) % cycles;
         let chunks = [split, 0, cycles - split];
         prop_assert_eq!(trial.run(&chunks, false), trial.run(&chunks, true));
-        prop_assert_eq!(trial.stats(cycles, false), trial.stats(cycles, true));
+        prop_assert_eq!(trial.stats(cycles, false).0, trial.stats(cycles, true).0);
+    }
+}
+
+/// The skip is not vacuous. On every storm the skipping run derives
+/// the exact factor on strictly fewer stage-cycles than the exact run,
+/// and on the storms whose slow global terms (droop, aging) the static
+/// bound must cover at their worst, the per-query bound proves some
+/// stage-cycles on time that the static bound could not.
+#[test]
+fn both_skip_levels_fire_on_serve_shaped_storms() {
+    for storm in STORMS {
+        let trial = Trial {
+            scheme: SchemeId::TimberFf,
+            storm,
+            stages: 5,
+            period_permille: 1000,
+            governor: true,
+            seed: 7,
+        };
+        let (skipping, fast) = trial.stats(4000, false);
+        let (exact, slow) = trial.stats(4000, true);
+        let name = storm.map_or("nominal", StormScenario::name);
+        assert_eq!(skipping, exact, "{name}");
+        assert_eq!(slow.bounded, 0, "{name}: the exact run asks no bound");
+        assert!(
+            fast.exact < slow.exact,
+            "{name}: {} exact factors against {}",
+            fast.exact,
+            slow.exact
+        );
+        if matches!(
+            storm,
+            Some(StormScenario::DroopTrain | StormScenario::AgingRamp)
+        ) {
+            assert!(
+                fast.decided_per_query() > 0,
+                "{name}: the per-query bound decided nothing ({fast:?})"
+            );
+        }
     }
 }

@@ -48,6 +48,24 @@ pub trait DelaySource {
         None
     }
 
+    /// An upper bound on `factor(cycle, stage)` for this one query, or
+    /// `None`. The default is the static bound over cycles
+    /// `0..=cycle`.
+    ///
+    /// The simulator asks for it only where the static bound exists
+    /// but does not prove a stage on time, and before it derives the
+    /// exact factor, so a source may answer from its cheap part: a
+    /// composite whose slow terms already keep the stage on time never
+    /// pays for its costly ones. `Some(b)` promises
+    /// `0 ≤ factor(cycle, stage) ≤ b` as rounded `f64`s; the query
+    /// follows the same non-decreasing cycle order as
+    /// [`DelaySource::factor`] and changes no answer to a later query
+    /// (promise 2 of [`DelaySource::factor_bound`]), whether or not the
+    /// exact factor of this one is asked for next.
+    fn factor_bound_at(&mut self, cycle: u64, stage: usize) -> Option<f64> {
+        self.factor_bound(stage, cycle.saturating_add(1))
+    }
+
     /// Short, human-readable source name (for reports).
     fn name(&self) -> &str;
 }
@@ -80,7 +98,8 @@ impl DelaySource for ProcessVariation {
         self.factors[stage % self.factors.len()]
     }
 
-    /// The stage's own static factor.
+    /// The stage's own static factor. The per-query bound, which
+    /// defaults to this, is therefore exact too.
     fn factor_bound(&self, stage: usize, _horizon: u64) -> Option<f64> {
         Some(self.factors[stage % self.factors.len()])
     }
@@ -196,6 +215,12 @@ impl DelaySource for VoltageDroop {
         Some((1.0 + self.depth / 4.0) + self.depth)
     }
 
+    /// The exact factor: one evaluation per cycle, cached for the
+    /// cycle's other stages and for the exact query that may follow.
+    fn factor_bound_at(&mut self, cycle: u64, stage: usize) -> Option<f64> {
+        Some(self.factor(cycle, stage))
+    }
+
     fn name(&self) -> &str {
         "voltage-droop"
     }
@@ -254,6 +279,11 @@ impl DelaySource for TemperatureDrift {
         Some(1.0 + self.amplitude)
     }
 
+    /// The exact factor, cached per cycle.
+    fn factor_bound_at(&mut self, cycle: u64, stage: usize) -> Option<f64> {
+        Some(self.factor(cycle, stage))
+    }
+
     fn name(&self) -> &str {
         "temperature"
     }
@@ -264,6 +294,11 @@ impl DelaySource for TemperatureDrift {
 pub struct Aging {
     /// Derating added per decade of cycles.
     per_decade: f64,
+    /// Cycle the cached factor was computed for (`u64::MAX` = none).
+    /// Aging is a pure, stage-independent function of the cycle, so
+    /// per-stage queries within a cycle reuse one `log10`.
+    cached_cycle: u64,
+    cached_factor: f64,
 }
 
 impl Aging {
@@ -275,7 +310,11 @@ impl Aging {
     /// Panics if `per_decade` is negative.
     pub fn new(per_decade: f64) -> Aging {
         assert!(per_decade >= 0.0, "per-decade slope must be non-negative");
-        Aging { per_decade }
+        Aging {
+            per_decade,
+            cached_cycle: u64::MAX,
+            cached_factor: 1.0,
+        }
     }
 
     fn at(&self, cycle: u64) -> f64 {
@@ -285,7 +324,11 @@ impl Aging {
 
 impl DelaySource for Aging {
     fn factor(&mut self, cycle: u64, _stage: usize) -> f64 {
-        self.at(cycle)
+        if cycle != self.cached_cycle {
+            self.cached_cycle = cycle;
+            self.cached_factor = self.at(cycle);
+        }
+        self.cached_factor
     }
 
     /// The factor at `horizon − 1`, one ulp up. The factor grows with
@@ -294,6 +337,11 @@ impl DelaySource for Aging {
     /// `log10` rounding slip.
     fn factor_bound(&self, _stage: usize, horizon: u64) -> Option<f64> {
         Some(self.at(horizon.saturating_sub(1)).next_up())
+    }
+
+    /// The exact factor, cached per cycle.
+    fn factor_bound_at(&mut self, cycle: u64, stage: usize) -> Option<f64> {
+        Some(self.factor(cycle, stage))
     }
 
     fn name(&self) -> &str {
@@ -381,6 +429,8 @@ impl DelaySource for LocalJitter {
 
     /// `max(1 + 4σ, 0.5)`: the normal draw is clamped to `[-4, 4]`, and
     /// the source is counter-mode, so skipped queries change nothing.
+    /// The per-query bound keeps this default: the exact factor costs
+    /// a Box–Muller pair, which is what a skip is meant to save.
     fn factor_bound(&self, _stage: usize, _horizon: u64) -> Option<f64> {
         Some((1.0 + 4.0 * self.sigma).max(0.5))
     }
@@ -437,6 +487,17 @@ impl DelaySource for CompositeVariability {
         self.sources
             .iter()
             .map(|s| s.factor_bound(stage, horizon))
+            .product()
+    }
+
+    /// The product of the sources' per-query bounds, folded in source
+    /// order like [`DelaySource::factor`]: every operand dominates the
+    /// matching factor and none is negative, so each rounded step
+    /// dominates too.
+    fn factor_bound_at(&mut self, cycle: u64, stage: usize) -> Option<f64> {
+        self.sources
+            .iter_mut()
+            .map(|s| s.factor_bound_at(cycle, stage))
             .product()
     }
 

@@ -91,9 +91,9 @@ proptest! {
     }
 }
 
-/// Checks `factor ≤ factor_bound` at every stage and every cycle below
-/// `horizon`, querying each cycle's stages in order as the simulator
-/// does.
+/// Checks `factor ≤ factor_bound_at ≤ factor_bound` at every stage and
+/// every cycle below `horizon`, querying each cycle's stages in order
+/// as the simulator does (the per-query bound first).
 fn assert_bounded(src: &mut dyn DelaySource, stages: usize, horizon: u64) {
     let bounds: Vec<f64> = (0..stages)
         .map(|s| {
@@ -103,10 +103,14 @@ fn assert_bounded(src: &mut dyn DelaySource, stages: usize, horizon: u64) {
         .collect();
     for c in 0..horizon {
         for (s, &bound) in bounds.iter().enumerate() {
+            let at = src
+                .factor_bound_at(c, s)
+                .expect("built-in sources are bounded");
             let f = src.factor(c, s);
             prop_assert!(
-                (0.0..=bound).contains(&f),
-                "{}: factor {f} outside [0, {bound}] at cycle {c} stage {s}",
+                (0.0..=at).contains(&f) && at <= bound,
+                "{}: factor {f} outside [0, {at}] or per-query bound above {bound} \
+                 at cycle {c} stage {s}",
                 src.name()
             );
         }
@@ -115,7 +119,9 @@ fn assert_bounded(src: &mut dyn DelaySource, stages: usize, horizon: u64) {
 
 /// Checks promise two of `factor_bound`: an instance that skips the
 /// queries `skip` selects answers every remaining query exactly as one
-/// that saw them all.
+/// that saw them all. Like the simulator, it asks the per-query bound
+/// before each exact factor, and on the skipped queries of even cycles
+/// (those the per-query bound decides).
 fn assert_skip_invisible(
     full: &mut dyn DelaySource,
     sparse: &mut dyn DelaySource,
@@ -126,6 +132,9 @@ fn assert_skip_invisible(
     for c in 0..horizon {
         for s in 0..stages {
             let f = full.factor(c, s);
+            if !skip(c, s) || c.is_multiple_of(2) {
+                let _ = sparse.factor_bound_at(c, s);
+            }
             if !skip(c, s) {
                 prop_assert_eq!(
                     sparse.factor(c, s).to_bits(),
@@ -264,10 +273,36 @@ impl DelaySource for Unbounded {
 fn composite_bound_needs_every_source_bounded() {
     let bounded = CompositeVariability::new(vec![Box::new(Aging::new(0.01))]);
     assert!(bounded.factor_bound(0, 100).is_some());
-    let mixed = CompositeVariability::new(vec![Box::new(Aging::new(0.01)), Box::new(Unbounded)]);
+    let mut mixed =
+        CompositeVariability::new(vec![Box::new(Aging::new(0.01)), Box::new(Unbounded)]);
     assert_eq!(mixed.factor_bound(0, 100), None);
+    assert_eq!(mixed.factor_bound_at(7, 0), None);
     assert_eq!(
         CompositeVariability::nominal().factor_bound(3, 100),
         Some(1.0)
     );
+    assert_eq!(
+        CompositeVariability::nominal().factor_bound_at(9, 3),
+        Some(1.0)
+    );
+}
+
+#[test]
+fn slow_sources_answer_per_query_exactly_and_jitter_statically() {
+    let mut exact: Vec<Box<dyn DelaySource>> = vec![
+        Box::new(ProcessVariation::new(3, 0.05, 4)),
+        Box::new(VoltageDroop::new(0.2, 48, 60.0, 4)),
+        Box::new(TemperatureDrift::new(0.03, 700, 4)),
+        Box::new(Aging::new(0.06)),
+    ];
+    for src in &mut exact {
+        for c in 0..300 {
+            let at = src.factor_bound_at(c, 1);
+            assert_eq!(at, Some(src.factor(c, 1)), "{} at {c}", src.name());
+        }
+    }
+    let mut jitter = LocalJitter::new(0.05, 4);
+    for c in 0..300 {
+        assert_eq!(jitter.factor_bound_at(c, 1), jitter.factor_bound(1, 1));
+    }
 }

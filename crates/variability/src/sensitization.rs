@@ -82,6 +82,14 @@ pub enum SensitizedClass {
 #[derive(Debug, Clone)]
 pub struct StageDelayModel {
     profile: StagePathProfile,
+    /// `p_critical + p_near`: below it (and at or above `p_critical`)
+    /// a draw sensitizes a near-critical path.
+    p_band: f64,
+    /// Width of the near-critical band `[near_critical, critical)`.
+    near_span: i64,
+    /// Typical paths span `[typical_lo, typical_hi)`.
+    typical_lo: i64,
+    typical_hi: i64,
 }
 
 impl StageDelayModel {
@@ -92,7 +100,14 @@ impl StageDelayModel {
     /// Panics if the profile fails [`StagePathProfile::validate`].
     pub fn new(profile: StagePathProfile) -> StageDelayModel {
         profile.validate();
-        StageDelayModel { profile }
+        let typical_lo = profile.typical.as_ps() / 2;
+        StageDelayModel {
+            profile,
+            p_band: profile.p_critical + profile.p_near,
+            near_span: (profile.critical - profile.near_critical).as_ps(),
+            typical_lo,
+            typical_hi: profile.near_critical.as_ps().max(typical_lo + 1),
+        }
     }
 
     /// The profile driving the sampler.
@@ -101,23 +116,27 @@ impl StageDelayModel {
     }
 
     /// Samples a cycle's base delay and its class.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> (Picos, SensitizedClass) {
         let u: f64 = rng.gen();
         if u < self.profile.p_critical {
             (self.profile.critical, SensitizedClass::Critical)
-        } else if u < self.profile.p_critical + self.profile.p_near {
-            // Near-critical paths span [near_critical, critical).
-            let span = (self.profile.critical - self.profile.near_critical).as_ps();
-            let extra = if span > 0 { rng.gen_range(0..span) } else { 0 };
+        } else if u < self.p_band {
+            let extra = if self.near_span > 0 {
+                rng.gen_range(0..self.near_span)
+            } else {
+                0
+            };
             (
                 self.profile.near_critical + Picos(extra),
                 SensitizedClass::NearCritical,
             )
         } else {
             // Typical paths span [0.5*typical, near_critical).
-            let lo = self.profile.typical.as_ps() / 2;
-            let hi = self.profile.near_critical.as_ps().max(lo + 1);
-            (Picos(rng.gen_range(lo..hi)), SensitizedClass::Typical)
+            (
+                Picos(rng.gen_range(self.typical_lo..self.typical_hi)),
+                SensitizedClass::Typical,
+            )
         }
     }
 }
@@ -163,6 +182,7 @@ impl SensitizationModel {
     }
 
     /// Samples the base delay sensitized at `stage` this cycle.
+    #[inline]
     pub fn sample(&mut self, stage: usize) -> (Picos, SensitizedClass) {
         self.stages[stage].sample(&mut self.rng)
     }

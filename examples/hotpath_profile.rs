@@ -10,6 +10,7 @@ use timber::{CheckingPeriod, TimberFfScheme};
 use timber_netlist::Picos;
 use timber_pipeline::{GovernorConfig, PipelineConfig, PipelineSim, SequentialScheme};
 use timber_resilience::StormScenario;
+use timber_schemes::{Registry, SchemeId};
 use timber_variability::{DelaySource, SensitizationModel, VariabilityBuilder};
 
 const CYCLES: u64 = 2_000_000;
@@ -137,10 +138,38 @@ fn main() {
         ok
     );
 
+    // (d2) every registry scheme behind the trait object the
+    // simulator calls (the baselines are the capture-law adapter),
+    // on the same fixed arrivals, per `evaluate` call; one
+    // `on_time_limit` per cycle as `fill_row` asks it.
+    for id in SchemeId::ALL {
+        let mut scheme = Registry::new(sched, STAGES).build(id, 7);
+        let t = Instant::now();
+        let mut ok = 0u64;
+        for c in 0..CYCLES {
+            let ctx = timber_pipeline::CycleContext {
+                cycle: c,
+                period: PERIOD,
+                nominal_period: PERIOD,
+            };
+            ok += u64::from(scheme.on_time_limit(&ctx).is_some());
+            for s in 0..STAGES {
+                let arr = Picos(600 + ((c as i64 + s as i64) & 63));
+                if scheme.evaluate(s, arr, Picos::ZERO, &ctx) == timber_pipeline::StageOutcome::Ok {
+                    ok += 1;
+                }
+            }
+        }
+        let ns = t.elapsed().as_secs_f64() * 1e9 / (CYCLES * STAGES as u64) as f64;
+        println!("scheme {:<22} {ns:.2} ns/call ok={ok}", id.name());
+    }
+
     // (e) the environment path per stress scenario, in the shape of a
     // serve trial (TIMBER flops, escalation governor): with the
-    // on-time skip, and with the bound hidden so every stage derives
-    // its exact factor.
+    // on-time skip, and with the bounds hidden so every stage derives
+    // its exact factor. The shares say which level decided each
+    // stage-cycle of the skipping run: the static bound, the
+    // per-query bound, or the exact factor.
     for storm in [
         None,
         Some(StormScenario::DroopTrain),
@@ -149,7 +178,7 @@ fn main() {
     ] {
         let name = storm.map_or("nominal", StormScenario::name);
         let mut walls = [0.0; 2];
-        let mut exact_share = 0.0;
+        let mut shares = [0.0; 3];
         for (wall, hide_bound) in walls.iter_mut().zip([false, true]) {
             let mut var = Counted {
                 inner: match storm {
@@ -160,42 +189,54 @@ fn main() {
                         .build(),
                 },
                 hide_bound,
-                queries: 0,
+                bounded: 0,
+                exact: 0,
             };
             let mut scheme = TimberFfScheme::new(sched, STAGES);
             let mut sens = mk_sens();
             let mut cfg = PipelineConfig::new(STAGES, PERIOD);
             cfg.governor = Some(GovernorConfig::default());
             let t = Instant::now();
-            let _ = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(CYCLES);
+            let stats = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(CYCLES);
             *wall = t.elapsed().as_secs_f64();
             if !hide_bound {
-                exact_share = var.queries as f64 / (CYCLES * STAGES as u64) as f64;
+                // Every exact factor follows a per-query bound here:
+                // the scheme has a limit and each source a bound.
+                let rows = (stats.instructions * STAGES as u64) as f64;
+                shares = [
+                    1.0 - var.bounded as f64 / rows,
+                    (var.bounded - var.exact) as f64 / rows,
+                    var.exact as f64 / rows,
+                ];
             }
         }
         println!(
             "env {name:<12} {:.3}s  ({:.0} cycles/s; exact {:.0} cycles/s, {:.2}x) \
-             exact stage-cycles {:.2}%",
+             decided: static {:.2}%, per-query {:.2}%, exact {:.2}%",
             walls[0],
             CYCLES as f64 / walls[0],
             CYCLES as f64 / walls[1],
             walls[1] / walls[0],
-            100.0 * exact_share
+            100.0 * shares[0],
+            100.0 * shares[1],
+            100.0 * shares[2],
         );
     }
 }
 
-/// A delay source that counts the exact factors it derives and can
-/// hide its bound, forcing the simulator's exact path.
+/// A delay source that counts the per-query bounds and exact factors
+/// it answers, and can hide both bounds, forcing the simulator's exact
+/// path.
 struct Counted {
     inner: timber_variability::CompositeVariability,
     hide_bound: bool,
-    queries: u64,
+    bounded: u64,
+    exact: u64,
 }
 
 impl DelaySource for Counted {
     fn factor(&mut self, cycle: u64, stage: usize) -> f64 {
-        self.queries += 1;
+        self.exact += 1;
         self.inner.factor(cycle, stage)
     }
 
@@ -204,6 +245,15 @@ impl DelaySource for Counted {
             None
         } else {
             self.inner.factor_bound(stage, horizon)
+        }
+    }
+
+    fn factor_bound_at(&mut self, cycle: u64, stage: usize) -> Option<f64> {
+        self.bounded += 1;
+        if self.hide_bound {
+            None
+        } else {
+            self.inner.factor_bound_at(cycle, stage)
         }
     }
 
