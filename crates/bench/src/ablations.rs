@@ -261,26 +261,23 @@ pub struct DagResult {
 /// the paper's Fig. 4 rule — masks everything the conventional design
 /// corrupts.
 pub fn ablation_dag(cycles: u64) -> DagResult {
-    use timber::TimberDagScheme;
-    use timber_pipeline::reference::MarginedFlop;
-    use timber_pipeline::{Topology, TopologySim};
+    use timber_pipeline::{PipelineSim, Topology};
 
     let topo = Topology::diamond();
-    let preds: Vec<Vec<usize>> = (0..topo.len()).map(|b| topo.preds(b).to_vec()).collect();
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid");
 
     let run = |scheme: &mut dyn SequentialScheme| {
         let mut env = environment(0.05, SEED);
-        TopologySim::new(
-            Topology::diamond(),
-            PERIOD,
+        PipelineSim::new(
+            PipelineConfig::new(topo.len(), PERIOD),
             scheme,
             &mut env.sensitization,
             env.variability.as_mut(),
         )
+        .on_topology(&topo)
         .run(cycles)
     };
-    let mut dag_scheme = TimberDagScheme::new(sched, preds);
+    let mut dag_scheme = TimberFfScheme::new(sched, topo.len()).on_topology(&topo);
     let mut conventional = MarginedFlop::new();
     DagResult {
         dag_relay: run(&mut dag_scheme),

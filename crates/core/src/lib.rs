@@ -58,7 +58,6 @@ pub mod latch;
 pub mod relay;
 pub mod schedule;
 pub mod scheme;
-pub mod selective;
 pub mod validate;
 
 pub use control::ConsolidationTree;
@@ -69,8 +68,7 @@ pub use gate_level::{compile, lockstep_compare, CompiledDesign, LockstepResult, 
 pub use latch::TimberLatch;
 pub use relay::{ErrorRelay, NetlistRelay, RelayEstimate};
 pub use schedule::{CheckingPeriod, IntervalKind};
-pub use scheme::{TimberDagScheme, TimberFfScheme, TimberLatchScheme};
-pub use selective::SelectiveScheme;
+pub use scheme::{TimberFfScheme, TimberLatchScheme};
 pub use validate::{validate_flipflop, validate_latch, ValidationReport};
 
 #[cfg(test)]

@@ -49,8 +49,8 @@ impl ErrorRelay {
 
 /// Cycle-accurate error-relay propagation over an arbitrary netlist.
 ///
-/// Where [`crate::TimberFfScheme`] models the relay for a linear
-/// pipeline, `NetlistRelay` runs the real rule on real fanin cones: on
+/// Where [`crate::TimberFfScheme`] relays between whole stage
+/// boundaries, `NetlistRelay` runs the rule on real fanin cones: on
 /// each clock cycle, every TIMBER flop publishes its select output
 /// (`select_in + 1` on error, else 0) and every flop's next select
 /// input is the max over the select outputs of the TIMBER flops in its

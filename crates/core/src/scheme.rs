@@ -3,7 +3,7 @@
 //! baseline techniques.
 
 use timber_netlist::Picos;
-use timber_pipeline::{CycleContext, SequentialScheme, StageOutcome};
+use timber_pipeline::{CycleContext, SequentialScheme, StageOutcome, Topology};
 
 use crate::flipflop::{CaptureOutcome, TimberFlipFlop};
 use crate::latch::TimberLatch;
@@ -23,17 +23,19 @@ impl From<CaptureOutcome> for StageOutcome {
 }
 
 /// Pipeline scheme built from [`TimberFlipFlop`]s with error relaying
-/// between consecutive stage boundaries.
+/// along the stage-boundary graph.
 ///
-/// The relay is modelled for a linear pipeline: boundary `s`'s select
-/// output becomes boundary `s+1`'s select input on the next cycle
-/// (matching the combinational relay settling during the remaining half
-/// cycle).
+/// Each boundary's select input on the next cycle is the max over the
+/// select outputs of its predecessors (the paper's Fig. 4 rule),
+/// matching the combinational relay settling during the remaining half
+/// cycle. The graph is a linear chain unless
+/// [`on_topology`](TimberFfScheme::on_topology) gives a DAG.
 #[derive(Debug)]
 pub struct TimberFfScheme {
     schedule: CheckingPeriod,
     relay: ErrorRelay,
     flops: Vec<TimberFlipFlop>,
+    topology: Topology,
     /// Select inputs to apply at the start of the next cycle.
     pending_select: Vec<u8>,
     last_cycle: Option<u64>,
@@ -51,9 +53,27 @@ impl TimberFfScheme {
             schedule,
             relay: ErrorRelay::new(&schedule),
             flops: vec![TimberFlipFlop::new(schedule); stages],
+            topology: Topology::linear(stages),
             pending_select: vec![0; stages],
             last_cycle: None,
         }
+    }
+
+    /// Relays select outputs along `topology`'s edges instead of the
+    /// linear chain. Pass the simulator the same topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `topology` does not have one boundary per flop.
+    #[must_use]
+    pub fn on_topology(mut self, topology: &Topology) -> TimberFfScheme {
+        assert_eq!(
+            topology.len(),
+            self.flops.len(),
+            "topology must have one boundary per stage"
+        );
+        self.topology = topology.clone();
+        self
     }
 
     /// The schedule in force.
@@ -91,18 +111,15 @@ impl SequentialScheme for TimberFfScheme {
     ) -> StageOutcome {
         self.roll_cycle(ctx.cycle);
         let out = self.flops[stage].capture(arrival, ctx.period);
-        // Relay: downstream boundary's next-cycle select input is the
-        // max over its fanin; in the linear pipeline that is just this
-        // boundary's select output.
-        if stage + 1 < self.flops.len() {
-            let sel_out = match out {
-                CaptureOutcome::Masked { .. } => {
-                    self.relay.select_output(true, self.flops[stage].select())
-                }
-                _ => 0,
-            };
-            let slot = &mut self.pending_select[stage + 1];
-            *slot = self.relay.consolidate(&[*slot, sel_out]);
+        // Relay: each successor's next-cycle select input is the max
+        // over its fanin's select outputs. Any other outcome outputs
+        // select 0, which leaves every max unchanged.
+        if let CaptureOutcome::Masked { .. } = out {
+            let sel_out = self.relay.select_output(true, self.flops[stage].select());
+            for &q in self.topology.successors(stage) {
+                let slot = &mut self.pending_select[q];
+                *slot = self.relay.consolidate(&[*slot, sel_out]);
+            }
         }
         out.into()
     }
@@ -119,106 +136,6 @@ impl SequentialScheme for TimberFfScheme {
     /// and relays select 0, whatever the arrival.
     fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
         Some(ctx.period)
-    }
-}
-
-/// TIMBER flip-flop scheme for a **DAG** pipeline topology
-/// (`timber_pipeline::Topology`): the error relay consolidates select
-/// outputs over each boundary's real predecessor set instead of the
-/// linear previous-stage shortcut — the paper's Fig. 4 rule exactly.
-///
-/// Use with `timber_pipeline::TopologySim`, passing the same topology
-/// to both.
-#[derive(Debug)]
-pub struct TimberDagScheme {
-    schedule: CheckingPeriod,
-    relay: ErrorRelay,
-    flops: Vec<TimberFlipFlop>,
-    /// preds[b] = upstream boundaries of b.
-    preds: Vec<Vec<usize>>,
-    /// Select outputs published this cycle.
-    outputs: Vec<u8>,
-    last_cycle: Option<u64>,
-}
-
-impl TimberDagScheme {
-    /// Creates the scheme for a boundary DAG given as predecessor
-    /// lists (indices must be topologically ordered, as in
-    /// `timber_pipeline::Topology`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `preds` is empty or contains a forward edge.
-    pub fn new(schedule: CheckingPeriod, preds: Vec<Vec<usize>>) -> TimberDagScheme {
-        assert!(!preds.is_empty(), "need at least one boundary");
-        for (b, ps) in preds.iter().enumerate() {
-            for &p in ps {
-                assert!(
-                    p < b,
-                    "predecessor {p} of boundary {b} violates topological order"
-                );
-            }
-        }
-        let n = preds.len();
-        TimberDagScheme {
-            schedule,
-            relay: ErrorRelay::new(&schedule),
-            flops: vec![TimberFlipFlop::new(schedule); n],
-            preds,
-            outputs: vec![0; n],
-            last_cycle: None,
-        }
-    }
-
-    /// Current select input at a boundary (diagnostics).
-    pub fn select_at(&self, boundary: usize) -> u8 {
-        self.flops[boundary].select()
-    }
-
-    fn roll_cycle(&mut self, cycle: u64) {
-        if self.last_cycle == Some(cycle) {
-            return;
-        }
-        self.last_cycle = Some(cycle);
-        // Consolidate last cycle's select outputs over each boundary's
-        // fanin set, then clear the outputs for this cycle.
-        for b in 0..self.flops.len() {
-            let outs: Vec<u8> = self.preds[b].iter().map(|&p| self.outputs[p]).collect();
-            let sel = self.relay.consolidate(&outs);
-            self.flops[b].set_select(sel);
-        }
-        self.outputs.iter_mut().for_each(|o| *o = 0);
-    }
-}
-
-impl SequentialScheme for TimberDagScheme {
-    fn name(&self) -> &str {
-        "timber-ff-dag"
-    }
-
-    fn evaluate(
-        &mut self,
-        stage: usize,
-        arrival: Picos,
-        _incoming_borrow: Picos,
-        ctx: &CycleContext,
-    ) -> StageOutcome {
-        self.roll_cycle(ctx.cycle);
-        let select_in = self.flops[stage].select();
-        let out = self.flops[stage].capture(arrival, ctx.period);
-        self.outputs[stage] = match out {
-            CaptureOutcome::Masked { .. } => self.relay.select_output(true, select_in),
-            _ => 0,
-        };
-        out.into()
-    }
-
-    fn reset(&mut self) {
-        for flop in &mut self.flops {
-            *flop = TimberFlipFlop::new(self.schedule);
-        }
-        self.outputs.iter_mut().for_each(|o| *o = 0);
-        self.last_cycle = None;
     }
 }
 
@@ -360,8 +277,7 @@ mod tests {
     #[test]
     fn dag_scheme_consolidates_over_reconvergent_fanin() {
         // Diamond: 0 -> {1, 2} -> 3.
-        let preds = vec![vec![], vec![0], vec![0], vec![1, 2]];
-        let mut s = TimberDagScheme::new(sched(), preds);
+        let mut s = TimberFfScheme::new(sched(), 4).on_topology(&Topology::diamond());
         // Cycle 0: errors at boundaries 1 AND 2.
         let _ = s.evaluate(0, Picos(900), Picos::ZERO, &ctx(0));
         let _ = s.evaluate(1, Picos(1030), Picos::ZERO, &ctx(0));
@@ -384,11 +300,25 @@ mod tests {
     }
 
     #[test]
+    fn dag_relay_follows_edges_not_indices() {
+        // Diamond: an error at boundary 1 raises the select of its
+        // successor 3, not of boundary 2, which merely follows it in
+        // index order.
+        let mut s = TimberFfScheme::new(sched(), 4).on_topology(&Topology::diamond());
+        for (stage, arrival) in [900, 1030, 900, 900].into_iter().enumerate() {
+            let _ = s.evaluate(stage, Picos(arrival), Picos::ZERO, &ctx(0));
+        }
+        let _ = s.evaluate(0, Picos(900), Picos::ZERO, &ctx(1));
+        assert_eq!(s.select_at(2), 0);
+        assert_eq!(s.select_at(3), 1);
+    }
+
+    #[test]
     fn dag_scheme_on_linear_chain_matches_linear_scheme() {
-        // A 3-stage chain expressed as a DAG behaves exactly like
-        // TimberFfScheme over a deterministic event sequence.
-        let preds = vec![vec![], vec![0], vec![1]];
-        let mut dag = TimberDagScheme::new(sched(), preds);
+        // A 3-stage chain given as a topology behaves exactly like the
+        // default linear relay over a deterministic event sequence.
+        let chain = Topology::new(vec![vec![], vec![0], vec![1]]);
+        let mut dag = TimberFfScheme::new(sched(), 3).on_topology(&chain);
         let mut lin = TimberFfScheme::new(sched(), 3);
         let arrivals = [
             [1030i64, 900, 900],
@@ -409,7 +339,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "topological order")]
     fn dag_scheme_rejects_forward_edges() {
-        let _ = TimberDagScheme::new(sched(), vec![vec![1], vec![]]);
+        let _ = TimberFfScheme::new(sched(), 2).on_topology(&Topology::new(vec![vec![1], vec![]]));
+    }
+
+    #[test]
+    #[should_panic(expected = "one boundary per stage")]
+    fn dag_scheme_rejects_a_topology_of_another_size() {
+        let _ = TimberFfScheme::new(sched(), 3).on_topology(&Topology::diamond());
     }
 
     #[test]

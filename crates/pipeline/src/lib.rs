@@ -3,8 +3,9 @@
 //! Cycle-level pipeline simulation for the TIMBER (DATE 2010)
 //! reproduction.
 //!
-//! The simulator models a linear pipeline of combinational stages
-//! separated by sequential elements. Each cycle, every stage sensitizes
+//! The simulator models a pipeline of combinational stages separated
+//! by sequential elements: a linear chain by default, or any boundary
+//! DAG given as a [`Topology`]. Each cycle, every stage sensitizes
 //! a path (from `timber-variability`'s workload model), the path delay
 //! is derated by the dynamic-variability environment, and the stage
 //! boundary's resilience scheme — TIMBER, Razor-style detection,
@@ -57,7 +58,7 @@ pub use scheme::{CycleContext, Recovery, SequentialScheme, StageOutcome};
 pub use sim::{CertifiedBounds, DelayRows, PipelineConfig, PipelineSim};
 pub use stats::RunStats;
 pub use timber_resilience::{GovernorConfig, GovernorLevel};
-pub use topology::{Topology, TopologySim};
+pub use topology::Topology;
 
 #[cfg(test)]
 mod props;

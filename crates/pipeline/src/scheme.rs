@@ -55,8 +55,8 @@ pub enum StageOutcome {
     /// A timing violation occurred and was masked by time borrowing.
     /// The system state remains correct.
     Masked {
-        /// Time borrowed from the next stage: the next stage's data
-        /// launches this much late on the following cycle.
+        /// Time borrowed from the next stage, never negative: the next
+        /// stage's data launches this much late on the following cycle.
         borrowed: Picos,
         /// Whether the error was also flagged to the central error
         /// control unit (TIMBER defers flagging while only TB intervals

@@ -8,6 +8,7 @@ use timber_variability::{DelaySource, SensitizationModel};
 use crate::controller::FrequencyController;
 use crate::scheme::{CycleContext, SequentialScheme, StageOutcome};
 use crate::stats::RunStats;
+use crate::topology::Topology;
 
 /// Statically certified per-run bounds, checked live in debug builds.
 ///
@@ -333,10 +334,22 @@ impl ClockControl {
 /// variability environment.
 ///
 /// Time-borrowing semantics: time borrowed at stage boundary `s` in
-/// cycle `t` delays the data launched into stage `s+1`, so it is added
-/// to the arrival at boundary `s+1` in cycle `t+1`. Borrow falling off
-/// the last boundary is absorbed by write-back slack (the paper's
-/// pipelines end in a register file / memory stage with margin).
+/// cycle `t` delays the data launched into each successor of `s` — on
+/// the default linear chain, stage `s+1` — so it is added to the
+/// arrival there in cycle `t+1`. A boundary fed by several
+/// predecessors ([`PipelineSim::on_topology`]) inherits the largest of
+/// their borrows. Borrow falling off a boundary without successors is
+/// absorbed by write-back slack (the paper's pipelines end in a
+/// register file / memory stage with margin).
+///
+/// Relay chains follow the same edges: a masked violation extends its
+/// boundary's chain by one and hands it to every successor, so chains
+/// continue along every fork and merge by max where paths reconverge.
+/// Each chain is recorded once, where it ends (an on-time capture, a
+/// detection or corruption, a boundary without successors, a safe-mode
+/// flush, or the end of `run`). On a linear chain the weighted
+/// histogram sum equals the masked count; on a DAG each forked path
+/// counts separately.
 ///
 /// The simulator is generic over a [`TelemetrySink`]; the default
 /// [`NoopSink`] compiles away (every instrumentation site is guarded by
@@ -350,6 +363,8 @@ pub struct PipelineSim<'a, S: TelemetrySink = NoopSink> {
     scheme: &'a mut dyn SequentialScheme,
     supply: DelaySupply<'a>,
     clock: ClockControl,
+    /// The boundary graph borrows and chains propagate along.
+    topology: Topology,
     /// Struct-of-arrays boundary state (carry/chain rows, double
     /// buffered) plus the per-cycle delay and arrival rows.
     soa: StageSoa,
@@ -458,11 +473,30 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
             scheme,
             supply,
             clock,
+            topology: Topology::linear(config.stages),
             soa: StageSoa::new(config.stages),
             cycle: 0,
             penalty_remaining: 0,
             sink,
         }
+    }
+
+    /// Runs the pipeline over `topology`'s boundary DAG instead of the
+    /// default linear chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `topology` does not have one boundary per configured
+    /// stage.
+    #[must_use]
+    pub fn on_topology(mut self, topology: &Topology) -> PipelineSim<'a, S> {
+        assert_eq!(
+            topology.len(),
+            self.config.stages,
+            "topology must have one boundary per stage"
+        );
+        self.topology = topology.clone();
+        self
     }
 
     /// The configuration in force.
@@ -473,10 +507,11 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
     /// Borrowed time entering each stage boundary on the *next* cycle —
     /// the architectural carry state left behind by [`PipelineSim::run`].
     ///
-    /// Index `s` is the borrow inherited by boundary `s`; index 0 and
-    /// the final boundary are always zero (nothing borrows into the
-    /// pipeline head, and borrow falling off the tail is absorbed by
-    /// write-back slack). The differential-conformance oracle compares
+    /// Index `s` is the borrow inherited by boundary `s`; a boundary
+    /// without predecessors (index 0 of a linear chain) and the extra
+    /// final index are always zero (nothing borrows into the pipeline
+    /// head, and borrow falling off the tail is absorbed by write-back
+    /// slack). The differential-conformance oracle compares
     /// this against the event-driven model's final state.
     pub fn carry(&self) -> &[Picos] {
         &self.soa.carry
@@ -664,12 +699,16 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
                             stats.flagged += 1;
                             self.clock.flag_error(t);
                         }
-                        if s + 1 < self.config.stages {
-                            self.soa.next_carry[s + 1] = borrowed;
-                            self.soa.next_chain[s + 1] = len;
-                        } else {
+                        let succs = self.topology.successors(s);
+                        if succs.is_empty() {
                             // Chain falls off the pipeline end.
                             stats.record_chain(len);
+                        }
+                        for &q in succs {
+                            let carry = &mut self.soa.next_carry[q];
+                            *carry = (*carry).max(borrowed);
+                            let chain = &mut self.soa.next_chain[q];
+                            *chain = (*chain).max(len);
                         }
                     }
                     StageOutcome::Detected { recovery } => {

@@ -8,23 +8,21 @@
 //! fed by two upstream TIMBER flops must prepare for the worse of
 //! their borrowings.
 //!
-//! [`Topology`] describes the boundary DAG; [`TopologySim`] runs the
-//! same per-cycle evaluation as the linear `PipelineSim` but propagates
-//! borrowed time along DAG edges: time borrowed at boundary `p` in
-//! cycle `t` delays the data launched toward every successor, so each
-//! boundary's incoming borrow in cycle `t+1` is the **max** over its
-//! predecessors' borrows.
-
-use timber_netlist::Picos;
-use timber_variability::{DelaySource, SensitizationModel};
-
-use crate::scheme::{CycleContext, SequentialScheme, StageOutcome};
-use crate::stats::RunStats;
+//! [`Topology`] describes the boundary DAG. `PipelineSim::on_topology`
+//! carries borrowed time and relay chains along its edges, and
+//! `timber::TimberFfScheme::on_topology` relays select outputs along
+//! the same edges.
 
 /// A DAG of stage boundaries in topological index order.
+///
+/// The successor lists are stored flat, so a simulator walks a
+/// boundary's fanout without allocating.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
-    preds: Vec<Vec<usize>>,
+    /// `succs[starts[b]..starts[b + 1]]` are the boundaries that
+    /// boundary `b` launches into, ascending.
+    starts: Vec<usize>,
+    succs: Vec<usize>,
 }
 
 impl Topology {
@@ -37,15 +35,23 @@ impl Topology {
     /// topological order).
     pub fn new(preds: Vec<Vec<usize>>) -> Topology {
         assert!(!preds.is_empty(), "topology needs at least one boundary");
+        let mut edges = Vec::new();
         for (b, ps) in preds.iter().enumerate() {
             for &p in ps {
                 assert!(
                     p < b,
                     "predecessor {p} of boundary {b} violates topological order"
                 );
+                edges.push((p, b));
             }
         }
-        Topology { preds }
+        edges.sort_unstable();
+        Topology {
+            starts: (0..=preds.len())
+                .map(|b| edges.partition_point(|&(p, _)| p < b))
+                .collect(),
+            succs: edges.into_iter().map(|(_, b)| b).collect(),
+        }
     }
 
     /// A linear chain of `n` boundaries (the classic 5-stage pipe).
@@ -55,11 +61,10 @@ impl Topology {
     /// Panics if `n` is zero.
     pub fn linear(n: usize) -> Topology {
         assert!(n > 0, "topology needs at least one boundary");
-        Topology::new(
-            (0..n)
-                .map(|b| if b == 0 { vec![] } else { vec![b - 1] })
-                .collect(),
-        )
+        Topology {
+            starts: (0..=n).map(|b| b.min(n - 1)).collect(),
+            succs: (1..n).collect(),
+        }
     }
 
     /// The canonical reconvergent shape: boundary 0 fans out to 1 and
@@ -71,181 +76,17 @@ impl Topology {
 
     /// Number of boundaries.
     pub fn len(&self) -> usize {
-        self.preds.len()
+        self.starts.len() - 1
     }
 
     /// True when the topology has no boundaries (never constructed).
     pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
+        self.len() == 0
     }
 
-    /// Predecessors of a boundary.
-    pub fn preds(&self, b: usize) -> &[usize] {
-        &self.preds[b]
-    }
-
-    /// Successor lists derived from the predecessor lists.
-    pub fn successors(&self) -> Vec<Vec<usize>> {
-        let mut succs = vec![Vec::new(); self.preds.len()];
-        for (b, ps) in self.preds.iter().enumerate() {
-            for &p in ps {
-                succs[p].push(b);
-            }
-        }
-        succs
-    }
-}
-
-/// Cycle-level simulator over a DAG topology.
-///
-/// Statistics semantics match `PipelineSim` except for the chain
-/// histogram: chains are counted along DAG *paths*, so a borrow that
-/// forks to several successors contributes to every downstream path's
-/// chain. The weighted histogram sum can therefore exceed the
-/// masked-event count on reconvergent topologies (it equals it exactly
-/// on linear chains).
-pub struct TopologySim<'a> {
-    topology: Topology,
-    nominal_period: Picos,
-    scheme: &'a mut dyn SequentialScheme,
-    sensitization: &'a mut SensitizationModel,
-    variability: &'a mut dyn DelaySource,
-    /// Borrow flowing into each boundary this cycle.
-    carry: Vec<Picos>,
-    chain: Vec<usize>,
-    cycle: u64,
-}
-
-impl std::fmt::Debug for TopologySim<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TopologySim")
-            .field("topology", &self.topology)
-            .field("scheme", &self.scheme.name())
-            .field("cycle", &self.cycle)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> TopologySim<'a> {
-    /// Creates a simulator over `topology`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sensitization model covers fewer boundaries than
-    /// the topology.
-    pub fn new(
-        topology: Topology,
-        nominal_period: Picos,
-        scheme: &'a mut dyn SequentialScheme,
-        sensitization: &'a mut SensitizationModel,
-        variability: &'a mut dyn DelaySource,
-    ) -> TopologySim<'a> {
-        assert!(
-            sensitization.stage_count() >= topology.len(),
-            "sensitization model must cover all {} boundaries",
-            topology.len()
-        );
-        let n = topology.len();
-        scheme.reset();
-        TopologySim {
-            topology,
-            nominal_period,
-            scheme,
-            sensitization,
-            variability,
-            carry: vec![Picos::ZERO; n],
-            chain: vec![0; n],
-            cycle: 0,
-        }
-    }
-
-    /// Runs `cycles` cycles and returns the statistics.
-    pub fn run(&mut self, cycles: u64) -> RunStats {
-        let mut stats = RunStats::default();
-        let n = self.topology.len();
-        for _ in 0..cycles {
-            let t = self.cycle;
-            self.cycle += 1;
-            stats.cycles += 1;
-            stats.wall_time += self.nominal_period;
-            stats.energy += 1.0;
-            let ctx = CycleContext {
-                cycle: t,
-                period: self.nominal_period,
-                nominal_period: self.nominal_period,
-            };
-            // Per-boundary borrow/chain produced this cycle.
-            let mut borrowed = vec![Picos::ZERO; n];
-            let mut produced_chain = vec![0usize; n];
-            for b in 0..n {
-                let (base, _) = self.sensitization.sample(b);
-                let factor = self.variability.factor(t, b);
-                let arrival = self.carry[b] + base.scale(factor);
-                let outcome = self.scheme.evaluate(b, arrival, self.carry[b], &ctx);
-                match outcome {
-                    StageOutcome::Ok => {
-                        if self.chain[b] > 0 {
-                            stats.record_chain(self.chain[b]);
-                        }
-                    }
-                    StageOutcome::Masked {
-                        borrowed: amt,
-                        flagged,
-                    } => {
-                        stats.masked += 1;
-                        if flagged {
-                            stats.flagged += 1;
-                        }
-                        borrowed[b] = amt;
-                        produced_chain[b] = self.chain[b] + 1;
-                    }
-                    StageOutcome::Detected { recovery } => {
-                        stats.detected += 1;
-                        stats.record_chain(self.chain[b] + 1);
-                        stats.penalty_cycles += u64::from(recovery.penalty_cycles());
-                    }
-                    StageOutcome::Predicted => {
-                        stats.predicted += 1;
-                    }
-                    StageOutcome::Corrupted => {
-                        stats.corrupted += 1;
-                        stats.record_chain(self.chain[b] + 1);
-                    }
-                }
-            }
-            // Propagate along DAG edges for the next cycle.
-            let mut next_carry = vec![Picos::ZERO; n];
-            let mut next_chain = vec![0usize; n];
-            let mut consumed = vec![false; n];
-            for b in 0..n {
-                for &p in self.topology.preds(b) {
-                    if borrowed[p] > next_carry[b] {
-                        next_carry[b] = borrowed[p];
-                    }
-                    next_chain[b] = next_chain[b].max(produced_chain[p]);
-                    if borrowed[p] > Picos::ZERO {
-                        consumed[p] = true;
-                    }
-                }
-            }
-            // Chains whose borrow was not consumed by any successor
-            // (sink boundaries) fall off the pipeline here; consumed
-            // ones continue via `next_chain` at their successors.
-            for b in 0..n {
-                if produced_chain[b] > 0 && !consumed[b] {
-                    stats.record_chain(produced_chain[b]);
-                }
-            }
-            self.carry = next_carry;
-            self.chain = next_chain;
-            stats.instructions += 1;
-        }
-        for &len in &self.chain {
-            if len > 0 {
-                stats.record_chain(len);
-            }
-        }
-        stats
+    /// The boundaries `b` launches into, ascending; empty for a sink.
+    pub fn successors(&self, b: usize) -> &[usize] {
+        &self.succs[self.starts[b]..self.starts[b + 1]]
     }
 }
 
@@ -253,17 +94,27 @@ impl<'a> TopologySim<'a> {
 mod tests {
     use super::*;
     use crate::reference::MarginedFlop;
-    use timber_variability::CompositeVariability;
+    use crate::scheme::{CycleContext, SequentialScheme, StageOutcome};
+    use crate::sim::{PipelineConfig, PipelineSim};
+    use timber_netlist::Picos;
+    use timber_variability::{CompositeVariability, SensitizationModel, StagePathProfile};
 
     #[test]
     fn topology_constructors_validate() {
         let lin = Topology::linear(5);
         assert_eq!(lin.len(), 5);
-        assert_eq!(lin.preds(0), &[] as &[usize]);
-        assert_eq!(lin.preds(4), &[3]);
+        assert_eq!(lin.successors(0), &[1]);
+        assert_eq!(lin.successors(4), &[] as &[usize]);
+        assert_eq!(
+            lin,
+            Topology::new(vec![vec![], vec![0], vec![1], vec![2], vec![3]])
+        );
+        assert_eq!(Topology::linear(1).successors(0), &[] as &[usize]);
         let d = Topology::diamond();
-        assert_eq!(d.preds(3), &[1, 2]);
-        assert_eq!(d.successors()[0], vec![1, 2]);
+        assert_eq!(d.successors(0), &[1, 2]);
+        assert_eq!(d.successors(1), &[3]);
+        assert_eq!(d.successors(2), &[3]);
+        assert_eq!(d.successors(3), &[] as &[usize]);
         assert!(!d.is_empty());
     }
 
@@ -273,14 +124,30 @@ mod tests {
         let _ = Topology::new(vec![vec![1], vec![]]);
     }
 
+    /// Sensitization forcing each boundary's critical path every cycle.
+    fn forced(criticals: &[i64]) -> SensitizationModel {
+        let profiles = criticals
+            .iter()
+            .map(|&c| {
+                let mut p = StagePathProfile::from_critical(Picos(c));
+                p.p_critical = 1.0;
+                p.p_near = 0.0;
+                p
+            })
+            .collect();
+        SensitizationModel::new(profiles, 1)
+    }
+
     #[test]
     fn nominal_run_is_clean_on_diamond() {
         let topo = Topology::diamond();
         let mut scheme = MarginedFlop::new();
         let mut sens = SensitizationModel::uniform(4, Picos(900), 3);
         let mut var = CompositeVariability::nominal();
-        let stats =
-            TopologySim::new(topo, Picos(1000), &mut scheme, &mut sens, &mut var).run(10_000);
+        let cfg = PipelineConfig::new(4, Picos(1000));
+        let stats = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var)
+            .on_topology(&topo)
+            .run(10_000);
         assert_eq!(stats.corrupted, 0);
         assert_eq!(stats.cycles, 10_000);
         assert_eq!(stats.instructions, 10_000);
@@ -315,29 +182,21 @@ mod tests {
     #[test]
     fn reconvergence_takes_worst_incoming_borrow() {
         // Force the two middle boundaries of the diamond to borrow
-        // different amounts; the sink must inherit the max.
+        // different amounts (critical 1080 and 1040, others safe); the
+        // sink must inherit the max, not the last one written.
         let topo = Topology::diamond();
         let mut scheme = BorrowAll;
-        // Profiles: boundary 1 critical 1040, boundary 2 critical 1080,
-        // others safe; p_critical = 1 to make it deterministic.
-        let mut profiles = vec![
-            timber_variability::StagePathProfile::from_critical(Picos(900)),
-            timber_variability::StagePathProfile::from_critical(Picos(1040)),
-            timber_variability::StagePathProfile::from_critical(Picos(1080)),
-            timber_variability::StagePathProfile::from_critical(Picos(900)),
-        ];
-        for p in &mut profiles {
-            p.p_critical = 1.0;
-            p.p_near = 0.0;
-        }
-        let mut sens = SensitizationModel::new(profiles, 1);
+        let mut sens = forced(&[900, 1080, 1040, 900]);
         let mut var = CompositeVariability::nominal();
-        let mut sim = TopologySim::new(topo, Picos(1000), &mut scheme, &mut sens, &mut var);
+        let cfg = PipelineConfig::new(4, Picos(1000));
+        let mut sim = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).on_topology(&topo);
         let _ = sim.run(1);
-        // After cycle 0: boundaries 1 and 2 borrowed 40 and 80; the
-        // sink's incoming carry must be the max (80).
-        assert_eq!(sim.carry[3], Picos(80));
-        assert_eq!(sim.carry[1], Picos::ZERO, "boundary 0 was clean");
+        // After cycle 0: boundaries 1 and 2 borrowed 80 and 40; the
+        // sink's incoming carry must be the max (80), and both chains
+        // merge into one of depth 1.
+        assert_eq!(sim.carry()[3], Picos(80));
+        assert_eq!(sim.carry()[1], Picos::ZERO, "boundary 0 was clean");
+        assert_eq!(sim.chain_depths()[..4], [0, 0, 0, 1]);
     }
 
     #[test]
@@ -346,15 +205,12 @@ mod tests {
         // borrows every cycle, chains grow along 0 -> {1,2} -> 3.
         let topo = Topology::diamond();
         let mut scheme = BorrowAll;
-        let mut profiles =
-            vec![timber_variability::StagePathProfile::from_critical(Picos(1040)); 4];
-        for p in &mut profiles {
-            p.p_critical = 1.0;
-            p.p_near = 0.0;
-        }
-        let mut sens = SensitizationModel::new(profiles, 1);
+        let mut sens = forced(&[1040; 4]);
         let mut var = CompositeVariability::nominal();
-        let stats = TopologySim::new(topo, Picos(1000), &mut scheme, &mut sens, &mut var).run(50);
+        let cfg = PipelineConfig::new(4, Picos(1000));
+        let stats = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var)
+            .on_topology(&topo)
+            .run(50);
         assert_eq!(stats.masked, 4 * 50);
         // Multi-boundary chains must appear.
         assert!(
@@ -363,5 +219,16 @@ mod tests {
             stats.chain_histogram
         );
         assert_eq!(stats.corrupted, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "one boundary per stage")]
+    fn topology_must_match_the_stage_count() {
+        let mut scheme = MarginedFlop::new();
+        let mut sens = SensitizationModel::uniform(5, Picos(900), 3);
+        let mut var = CompositeVariability::nominal();
+        let cfg = PipelineConfig::new(5, Picos(1000));
+        let _ = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var)
+            .on_topology(&Topology::diamond());
     }
 }

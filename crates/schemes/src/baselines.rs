@@ -214,6 +214,43 @@ mod tests {
     }
 
     #[test]
+    fn logical_masking_chains_on_a_diamond_are_recorded_once() {
+        use timber_pipeline::{PipelineConfig, PipelineSim, Topology};
+        use timber_variability::{CompositeVariability, SensitizationModel, StagePathProfile};
+
+        // Only boundary 1 of the diamond 0 -> {1, 2} -> 3 is late, and
+        // full coverage masks it without borrowing. Each mask starts a
+        // chain that the on-time sink ends the next cycle: one length-1
+        // chain per mask, recorded at the sink and not also where it
+        // started.
+        let profiles = [900, 1040, 900, 900]
+            .map(|c| {
+                let mut p = StagePathProfile::from_critical(Picos(c));
+                p.p_critical = 1.0;
+                p.p_near = 0.0;
+                p
+            })
+            .to_vec();
+        let mut sens = SensitizationModel::new(profiles, 1);
+        let mut var = CompositeVariability::nominal();
+        let mut l = scheme(
+            CaptureLaw::LogicalMasking {
+                coverage: 1.0,
+                margin: Picos(100),
+            },
+            1,
+        );
+        let config = PipelineConfig::new(4, Picos(1000));
+        let mut sim =
+            PipelineSim::new(config, &mut l, &mut sens, &mut var).on_topology(&Topology::diamond());
+        let stats = sim.run(100);
+        assert_eq!(stats.masked, 100);
+        assert_eq!(stats.corrupted, 0);
+        assert_eq!(stats.chain_histogram, vec![100]);
+        assert_eq!(sim.carry()[3], Picos::ZERO, "nothing was borrowed");
+    }
+
+    #[test]
     fn logical_masking_with_zero_coverage_escapes() {
         let mut l = scheme(
             CaptureLaw::LogicalMasking {

@@ -4,10 +4,10 @@
 
 use proptest::prelude::*;
 
-use timber::{CheckingPeriod, SelectiveScheme};
+use timber::{CheckingPeriod, TimberFfScheme};
 use timber_netlist::Picos;
 use timber_pipeline::montecarlo::splitmix64;
-use timber_pipeline::{CycleContext, SequentialScheme, StageOutcome};
+use timber_pipeline::{CycleContext, SequentialScheme, StageOutcome, Topology};
 
 use crate::law::CaptureLaw;
 use crate::registry::{Registry, SchemeId};
@@ -117,9 +117,9 @@ proptest! {
 }
 
 /// Every scheme with an on-time limit: the eight registry schemes,
-/// Razor with its metastability aperture on, and a selective
-/// TIMBER/conventional mix. `pick` chooses one; `seed` seeds any
-/// internal randomness and the selective mask.
+/// Razor with its metastability aperture on, and TIMBER-FF relaying
+/// over a random DAG. `pick` chooses one; `seed` seeds any internal
+/// randomness and the DAG's edges.
 fn limited_scheme(pick: usize, stages: usize, seed: u64) -> Box<dyn SequentialScheme> {
     let schedule = CheckingPeriod::new(Picos(1000), 24.0, 1, 2).expect("valid schedule");
     let registry = Registry::new(schedule, stages);
@@ -131,13 +131,26 @@ fn limited_scheme(pick: usize, stages: usize, seed: u64) -> Box<dyn SequentialSc
             meta_penalty: 4,
         }
         .build(stages, seed),
-        _ => Box::new(SelectiveScheme::new(
-            schedule,
-            (0..stages)
-                .map(|s| splitmix64(seed, s as u64) & 1 == 1)
-                .collect(),
-        )),
+        _ => Box::new(TimberFfScheme::new(schedule, stages).on_topology(&random_dag(stages, seed))),
     }
+}
+
+/// A DAG of `stages` boundaries in which each earlier boundary feeds
+/// each later one with probability ½, drawn from `seed`.
+fn random_dag(stages: usize, seed: u64) -> Topology {
+    let mut n = 0;
+    Topology::new(
+        (0..stages)
+            .map(|b| {
+                (0..b)
+                    .filter(|_| {
+                        n += 1;
+                        splitmix64(seed, n) & 1 == 1
+                    })
+                    .collect()
+            })
+            .collect(),
+    )
 }
 
 proptest! {

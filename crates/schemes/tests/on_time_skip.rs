@@ -12,11 +12,12 @@
 
 use proptest::prelude::*;
 
+use timber::{CheckingPeriod, TimberFfScheme};
 use timber_netlist::Picos;
 use timber_pipeline::montecarlo::splitmix64;
 use timber_pipeline::{
     CycleContext, GovernorConfig, PipelineConfig, PipelineSim, RunStats, SequentialScheme,
-    StageOutcome,
+    StageOutcome, Topology,
 };
 use timber_resilience::StormScenario;
 use timber_schemes::{Registry, SchemeId};
@@ -119,6 +120,9 @@ struct Trial {
     /// `None` for the nominal stress, else one storm.
     storm: Option<StormScenario>,
     stages: usize,
+    /// Run on the diamond DAG (four boundaries) instead of a linear
+    /// chain of `stages`.
+    diamond: bool,
     /// Clock period as a per-mille of the critical path: below 1000
     /// is over-clocked.
     period_permille: i64,
@@ -138,6 +142,35 @@ struct Outcome {
 
 impl Trial {
     const CRITICAL: i64 = 1000;
+
+    fn topology(&self) -> Topology {
+        if self.diamond {
+            Topology::diamond()
+        } else {
+            Topology::linear(self.stages)
+        }
+    }
+
+    /// The trial's scheme; TIMBER-FF relays over the trial's topology.
+    fn scheme(&self) -> Box<dyn SequentialScheme> {
+        let schedule =
+            CheckingPeriod::new(Picos(Self::CRITICAL), 24.0, 1, 2).expect("valid schedule");
+        match self.scheme {
+            SchemeId::TimberFf => {
+                Box::new(TimberFfScheme::new(schedule, self.stages).on_topology(&self.topology()))
+            }
+            id => Registry::new(schedule, self.stages).build(id, self.seed),
+        }
+    }
+
+    fn config(&self) -> PipelineConfig {
+        let period = Picos(Self::CRITICAL * self.period_permille / 1000);
+        let mut config = PipelineConfig::new(self.stages, period);
+        if self.governor {
+            config.governor = Some(GovernorConfig::default());
+        }
+        config
+    }
 
     fn environment(&self) -> (SensitizationModel, CompositeVariability) {
         let mut profile = StagePathProfile::from_critical(Picos(Self::CRITICAL));
@@ -159,23 +192,18 @@ impl Trial {
     /// Runs the trial in `chunks` successive `run` calls; with `exact`
     /// set, through the adapters.
     fn run(&self, chunks: &[u64], exact: bool) -> Outcome {
-        let schedule =
-            timber::CheckingPeriod::new(Picos(Self::CRITICAL), 24.0, 1, 2).expect("valid schedule");
-        let registry = Registry::new(schedule, self.stages);
-        let mut scheme = registry.build(self.scheme, self.seed);
+        let mut scheme = self.scheme();
         let mut unlimited = Unlimited(scheme.as_mut());
         let scheme: &mut dyn SequentialScheme = if exact { &mut unlimited } else { unlimited.0 };
         let (mut sens, mut var) = self.environment();
         let mut hidden = Exact(&mut var);
         let var: &mut dyn DelaySource = if exact { &mut hidden } else { hidden.0 };
-        let period = Picos(Self::CRITICAL * self.period_permille / 1000);
-        let mut config = PipelineConfig::new(self.stages, period);
-        if self.governor {
-            config.governor = Some(GovernorConfig::default());
-        }
-        let mut recorder =
-            Recorder::new(RecorderConfig::new(self.stages, period).ring_capacity(1 << 16));
-        let mut sim = PipelineSim::with_telemetry(config, scheme, &mut sens, var, &mut recorder);
+        let config = self.config();
+        let mut recorder = Recorder::new(
+            RecorderConfig::new(self.stages, config.nominal_period).ring_capacity(1 << 16),
+        );
+        let mut sim = PipelineSim::with_telemetry(config, scheme, &mut sens, var, &mut recorder)
+            .on_topology(&self.topology());
         let chunks = chunks.iter().map(|&n| sim.run(n)).collect();
         let carry = sim.carry().to_vec();
         let chains = sim.chain_depths().to_vec();
@@ -192,25 +220,24 @@ impl Trial {
     /// The un-instrumented run (the serve path) in one call, and how
     /// its stage-cycles reached the delay source.
     fn stats(&self, cycles: u64, exact: bool) -> (RunStats, Queries) {
-        let schedule =
-            timber::CheckingPeriod::new(Picos(Self::CRITICAL), 24.0, 1, 2).expect("valid schedule");
-        let mut scheme = Registry::new(schedule, self.stages).build(self.scheme, self.seed);
+        let mut scheme = self.scheme();
+        let topology = self.topology();
         let (mut sens, mut var) = self.environment();
         let mut var = Counting {
             inner: &mut var,
             queries: Queries::default(),
             last_bounded: None,
         };
-        let period = Picos(Self::CRITICAL * self.period_permille / 1000);
-        let mut config = PipelineConfig::new(self.stages, period);
-        if self.governor {
-            config.governor = Some(GovernorConfig::default());
-        }
+        let config = self.config();
         let stats = if exact {
             let mut scheme = Unlimited(scheme.as_mut());
-            PipelineSim::new(config, &mut scheme, &mut sens, &mut Exact(&mut var)).run(cycles)
+            PipelineSim::new(config, &mut scheme, &mut sens, &mut Exact(&mut var))
+                .on_topology(&topology)
+                .run(cycles)
         } else {
-            PipelineSim::new(config, scheme.as_mut(), &mut sens, &mut var).run(cycles)
+            PipelineSim::new(config, scheme.as_mut(), &mut sens, &mut var)
+                .on_topology(&topology)
+                .run(cycles)
         };
         (stats, var.queries)
     }
@@ -224,15 +251,17 @@ const STORMS: [Option<StormScenario>; 4] = [
 ];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Skipping changes nothing: run statistics (chunk by chunk), the
     /// final carry, chain and penalty state, and every telemetry
-    /// counter and event.
+    /// counter and event, on linear chains and on the diamond.
     #[test]
     fn skipping_on_time_stages_changes_nothing(
         pick in (0usize..8, 0usize..4),
-        stages in 1usize..7,
+        // A chain of 1–6 boundaries, or the diamond (twice the cases
+        // of a chain-only run, so chains keep their coverage).
+        shape in (1usize..7, any::<bool>()),
         period_permille in 850i64..1250,
         governor in any::<bool>(),
         seed in any::<u64>(),
@@ -241,7 +270,8 @@ proptest! {
         let trial = Trial {
             scheme: SchemeId::ALL[pick.0],
             storm: STORMS[pick.1],
-            stages,
+            stages: if shape.1 { 4 } else { shape.0 },
+            diamond: shape.1,
             period_permille,
             governor,
             seed,
@@ -253,41 +283,46 @@ proptest! {
     }
 }
 
-/// The skip is not vacuous. On every storm the skipping run derives
-/// the exact factor on strictly fewer stage-cycles than the exact run,
-/// and on the storms whose slow global terms (droop, aging) the static
-/// bound must cover at their worst, the per-query bound proves some
-/// stage-cycles on time that the static bound could not.
+/// The skip is not vacuous. On every storm, on a linear chain and on
+/// the diamond, the skipping run derives the exact factor on strictly
+/// fewer stage-cycles than the exact run, and on the storms whose slow
+/// global terms (droop, aging) the static bound must cover at their
+/// worst, the per-query bound proves some stage-cycles on time that
+/// the static bound could not.
 #[test]
 fn both_skip_levels_fire_on_serve_shaped_storms() {
-    for storm in STORMS {
-        let trial = Trial {
-            scheme: SchemeId::TimberFf,
-            storm,
-            stages: 5,
-            period_permille: 1000,
-            governor: true,
-            seed: 7,
-        };
-        let (skipping, fast) = trial.stats(4000, false);
-        let (exact, slow) = trial.stats(4000, true);
-        let name = storm.map_or("nominal", StormScenario::name);
-        assert_eq!(skipping, exact, "{name}");
-        assert_eq!(slow.bounded, 0, "{name}: the exact run asks no bound");
-        assert!(
-            fast.exact < slow.exact,
-            "{name}: {} exact factors against {}",
-            fast.exact,
-            slow.exact
-        );
-        if matches!(
-            storm,
-            Some(StormScenario::DroopTrain | StormScenario::AgingRamp)
-        ) {
+    for (stages, diamond) in [(5, false), (4, true)] {
+        for storm in STORMS {
+            let trial = Trial {
+                scheme: SchemeId::TimberFf,
+                storm,
+                stages,
+                diamond,
+                period_permille: 1000,
+                governor: true,
+                seed: 7,
+            };
+            let (skipping, fast) = trial.stats(4000, false);
+            let (exact, slow) = trial.stats(4000, true);
+            let storm_name = storm.map_or("nominal", StormScenario::name);
+            let name = format!("{storm_name} (diamond: {diamond})");
+            assert_eq!(skipping, exact, "{name}");
+            assert_eq!(slow.bounded, 0, "{name}: the exact run asks no bound");
             assert!(
-                fast.decided_per_query() > 0,
-                "{name}: the per-query bound decided nothing ({fast:?})"
+                fast.exact < slow.exact,
+                "{name}: {} exact factors against {}",
+                fast.exact,
+                slow.exact
             );
+            if matches!(
+                storm,
+                Some(StormScenario::DroopTrain | StormScenario::AgingRamp)
+            ) {
+                assert!(
+                    fast.decided_per_query() > 0,
+                    "{name}: the per-query bound decided nothing ({fast:?})"
+                );
+            }
         }
     }
 }

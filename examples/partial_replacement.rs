@@ -2,19 +2,20 @@
 //! them.
 //!
 //! The case study in the paper replaces only flip-flops terminating
-//! top-c% critical paths. This example derives per-stage criticality
-//! from the structural proxy netlist (real STA), places TIMBER
-//! flip-flops only at the boundaries whose bank terminates near-critical
-//! paths, and shows that the partial deployment still masks every
-//! violation — because violations can only originate on the critical
-//! stages in the first place — while avoiding the cost of replacing the
-//! slack-rich boundaries.
+//! top-c% critical paths (§6). This example derives per-stage
+//! criticality from the structural proxy netlist (real STA), picks the
+//! boundaries whose bank terminates near-critical paths, and then runs
+//! TIMBER flip-flops at every boundary with a telemetry recorder
+//! attached. The per-boundary borrow counts show that only the picked
+//! boundaries ever borrow time: a TIMBER flop anywhere else would never
+//! act, so replacing it would be pure overhead.
 //!
 //! Run with: `cargo run --release --example partial_replacement`
 
-use timber_repro::core::{CheckingPeriod, SelectiveScheme, TimberFfScheme};
-use timber_repro::pipeline::{PipelineConfig, PipelineSim, SequentialScheme};
+use timber_repro::core::{CheckingPeriod, TimberFfScheme};
+use timber_repro::pipeline::{PipelineConfig, PipelineSim};
 use timber_repro::proc_model::{structural, PerfPoint};
+use timber_repro::telemetry::{Recorder, RecorderConfig};
 use timber_repro::variability::{SensitizationModel, VariabilityBuilder};
 
 const CYCLES: u64 = 500_000;
@@ -30,60 +31,60 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Criticality rule: replace a boundary when its critical arrival is
     // within 12% of the clock period. The environment below derates by
-    // at most ~8.5%, so boundaries outside that band can never violate
-    // — replacing them would be pure overhead (the paper's rationale
-    // for keying the replacement set to the top-c% endpoints).
+    // at most ~8.5%, so boundaries outside that band can never violate.
     let threshold = period.scale(0.88);
-    let is_timber: Vec<bool> = profiles.iter().map(|p| p.critical >= threshold).collect();
+    let replaced: Vec<bool> = profiles.iter().map(|p| p.critical >= threshold).collect();
     println!(
-        "proxy netlist: {} stages at {period}; replacing {} of {} boundaries \
-         (critical arrivals: {:?})",
-        stages,
-        is_timber.iter().filter(|&&b| b).count(),
-        stages,
-        profiles
-            .iter()
-            .map(|p| p.critical.as_ps())
-            .collect::<Vec<_>>()
+        "proxy netlist: {stages} stages at {period}; the rule replaces {} of {stages} \
+         boundaries",
+        replaced.iter().filter(|&&r| r).count(),
     );
 
-    let run = |scheme: &mut dyn SequentialScheme| {
-        let mut sens = SensitizationModel::new(profiles.clone(), SEED ^ 0x5EED);
-        let mut var = VariabilityBuilder::new(SEED)
-            .voltage_droop(0.05, 500, 2000.0)
-            .local_jitter(0.005)
-            .build();
-        PipelineSim::new(
-            PipelineConfig::new(stages, period),
-            scheme,
-            &mut sens,
-            &mut var,
-        )
-        .run(CYCLES)
-    };
+    let mut sens = SensitizationModel::new(profiles.clone(), SEED ^ 0x5EED);
+    let mut var = VariabilityBuilder::new(SEED)
+        .voltage_droop(0.05, 500, 2000.0)
+        .local_jitter(0.005)
+        .build();
+    let mut scheme = TimberFfScheme::new(schedule, stages);
+    let mut recorder = Recorder::new(RecorderConfig::new(stages, period));
+    let stats = PipelineSim::with_telemetry(
+        PipelineConfig::new(stages, period),
+        &mut scheme,
+        &mut sens,
+        &mut var,
+        &mut recorder,
+    )
+    .run(CYCLES);
 
-    let mut partial = SelectiveScheme::new(schedule, is_timber);
-    let partial_stats = run(&mut partial);
-    let mut full = TimberFfScheme::new(schedule, stages);
-    let full_stats = run(&mut full);
+    println!("\nboundary  critical  replaced  borrows");
+    for (s, (metrics, profile)) in recorder.stages().iter().zip(&profiles).enumerate() {
+        println!(
+            "{s:>8}  {:>8}  {:>8}  {:>7}",
+            profile.critical.as_ps(),
+            if replaced[s] { "yes" } else { "no" },
+            metrics.borrows,
+        );
+    }
+    println!(
+        "\nTIMBER everywhere: masked {}, corrupted {}, IPC {:.4}",
+        stats.masked,
+        stats.corrupted,
+        stats.ipc()
+    );
 
+    for (s, metrics) in recorder.stages().iter().enumerate() {
+        assert!(
+            replaced[s] || metrics.borrows == 0,
+            "boundary {s} is outside the replacement set but borrowed {} times",
+            metrics.borrows
+        );
+    }
+    assert_eq!(stats.corrupted, 0, "TIMBER must mask every violation");
     println!(
-        "partial replacement: masked {}, corrupted {}, IPC {:.4}",
-        partial_stats.masked,
-        partial_stats.corrupted,
-        partial_stats.ipc()
-    );
-    println!(
-        "full replacement:    masked {}, corrupted {}, IPC {:.4}",
-        full_stats.masked,
-        full_stats.corrupted,
-        full_stats.ipc()
-    );
-    println!(
-        "\nBoth deployments mask everything — violations only arise on the\n\
-         critical boundaries — but the partial one replaces fewer flops,\n\
-         which is precisely why the paper keys the replacement set to the\n\
-         top-c% path endpoints."
+        "Every borrow lands on a replaced boundary, so TIMBER flops on the\n\
+         other boundaries would cost area and power and never act: the\n\
+         paper's reason for keying the replacement set to the top-c% path\n\
+         endpoints."
     );
     Ok(())
 }

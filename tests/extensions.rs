@@ -112,21 +112,23 @@ fn timing_report_and_stats_agree_on_design_size() {
 
 #[test]
 fn dag_pipeline_with_dag_relay_masks_reconvergent_errors() {
-    use timber_repro::core::{CheckingPeriod, TimberDagScheme};
-    use timber_repro::pipeline::{Topology, TopologySim};
+    use timber_repro::core::{CheckingPeriod, TimberFfScheme};
+    use timber_repro::pipeline::{PipelineConfig, PipelineSim, Topology};
     use timber_repro::variability::{SensitizationModel, VariabilityBuilder};
 
     let topo = Topology::diamond();
-    let preds: Vec<Vec<usize>> = (0..topo.len()).map(|b| topo.preds(b).to_vec()).collect();
     let period = Picos(1000);
     let schedule = CheckingPeriod::deferred_flagging(period, 24.0).expect("valid");
-    let mut scheme = TimberDagScheme::new(schedule, preds);
+    let mut scheme = TimberFfScheme::new(schedule, topo.len()).on_topology(&topo);
     let mut sens = SensitizationModel::uniform(topo.len(), Picos(970), 5);
     let mut var = VariabilityBuilder::new(5)
         .voltage_droop(0.05, 500, 2000.0)
         .local_jitter(0.005)
         .build();
-    let stats = TopologySim::new(topo, period, &mut scheme, &mut sens, &mut var).run(80_000);
+    let config = PipelineConfig::new(topo.len(), period);
+    let stats = PipelineSim::new(config, &mut scheme, &mut sens, &mut var)
+        .on_topology(&topo)
+        .run(80_000);
     assert!(stats.masked > 0, "stress must produce violations");
     assert_eq!(
         stats.corrupted, 0,
