@@ -11,10 +11,11 @@
 //! is caught deterministically, proving the gate can actually fail.
 
 use timber::CheckingPeriod;
+use timber_conformance::analytical::{critical_only, TraceDelaySource};
 use timber_conformance::campaign::{CHECKING_PCT, GRID, PERIOD};
 use timber_conformance::{BurstShape, Workload};
 use timber_netlist::Picos;
-use timber_pipeline::{CertifiedBounds, DelayRows, PipelineConfig, PipelineSim};
+use timber_pipeline::{CertifiedBounds, PipelineConfig, PipelineSim};
 use timber_schemes::{Registry, SchemeId};
 use timber_telemetry::{Counter, EventKind, TelemetrySink};
 
@@ -47,17 +48,6 @@ impl SoundnessReport {
     /// True when every observation sat inside its certificate.
     pub fn pass(&self) -> bool {
         self.violations.is_empty()
-    }
-}
-
-/// Replayable delay source over a pinned arrival table.
-struct RowTable<'a> {
-    rows: &'a [Vec<Picos>],
-}
-
-impl DelayRows for RowTable<'_> {
-    fn fill_row(&mut self, cycle: u64, row: &mut [Picos]) {
-        row.copy_from_slice(&self.rows[cycle as usize % self.rows.len()]);
     }
 }
 
@@ -126,13 +116,11 @@ pub fn replay_case(
             max_chain: cert.bounds.relay_chain,
         });
     }
-    let mut rows = RowTable { rows: w.arrivals() };
+    let sens = critical_only(stages);
+    let mut var = TraceDelaySource::new(w.arrivals());
     let mut sink = MaxSink::default();
-    let stats = {
-        let mut sim =
-            PipelineSim::planned_with_telemetry(config, built.as_mut(), &mut rows, &mut sink);
-        sim.run(w.cycles() as u64)
-    };
+    let stats = PipelineSim::with_telemetry(config, built.as_mut(), &sens, &mut var, &mut sink)
+        .run(w.cycles() as u64);
 
     let mut violations = Vec::new();
     let mut broke = |what: String| {

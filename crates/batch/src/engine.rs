@@ -25,6 +25,7 @@ use rand::{Rng, SeedableRng};
 use timber_netlist::Picos;
 use timber_pipeline::{FrequencyController, PipelineConfig, RunStats, StageOutcome};
 use timber_telemetry::Counter;
+use timber_variability::{row_key, splitmix64};
 
 use crate::scheme::BatchScheme;
 use crate::workload::BatchWorkload;
@@ -400,13 +401,11 @@ impl Engine {
                 continue;
             }
             let profile = self.workload.profiles()[s];
-            let key = crate::workload::row_key(t, s);
+            let key = row_key(t, s);
             let carry_row = &self.carry[s];
             let mut violation = 0u64;
             for (l, (arr, &seed)) in self.arrivals.iter_mut().zip(&self.lane_seeds).enumerate() {
-                let delay = profile
-                    .delay(crate::workload::splitmix64(seed ^ key))
-                    .as_ps();
+                let delay = profile.delay(splitmix64(seed ^ key, 0)).as_ps();
                 let a = carry_row[l] + delay;
                 *arr = a;
                 violation |= u64::from(a > self.limit_ps[l]) << l;
@@ -599,17 +598,16 @@ pub(crate) fn run_counted(config: &BatchConfig, cycles: u64) -> (BatchRun, u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::BatchStageProfile;
     use timber::CheckingPeriod;
-    use timber_variability::StagePathProfile;
+    use timber_variability::{StageDelayModel, StagePathProfile};
 
-    fn stress_profiles(stages: usize, critical: i64) -> Vec<BatchStageProfile> {
+    fn stress_profiles(stages: usize, critical: i64) -> Vec<StageDelayModel> {
         (0..stages)
             .map(|s| {
                 let mut p = StagePathProfile::from_critical(Picos(critical + 10 * s as i64));
                 p.p_critical = 0.02;
                 p.p_near = 0.2;
-                BatchStageProfile::from_profile(&p)
+                StageDelayModel::new(&p)
             })
             .collect()
     }
@@ -695,7 +693,7 @@ mod tests {
         let cfg = BatchConfig {
             pipeline: PipelineConfig::new(4, Picos(1000)),
             scheme: BatchScheme::Conventional,
-            workload: BatchWorkload::new(vec![BatchStageProfile::from_profile(&p); 4], 3),
+            workload: BatchWorkload::new(vec![StageDelayModel::new(&p); 4], 3),
             lanes: 8,
         };
         let (run, skipped) = run_counted(&cfg, 300);
@@ -713,7 +711,7 @@ mod tests {
         let mut late = StagePathProfile::from_critical(Picos(1060));
         late.p_critical = 0.3;
         let fast = StagePathProfile::from_critical(Picos(990));
-        let profiles = [late, fast].map(|p| BatchStageProfile::from_profile(&p));
+        let profiles = [late, fast].map(|p| StageDelayModel::new(&p));
         let cfg = BatchConfig {
             pipeline: PipelineConfig::new(2, Picos(1000)),
             scheme: BatchScheme::TimberFf(sched),

@@ -21,10 +21,11 @@
 //!    regime), otherwise service only the set bits, each decided by
 //!    the scheme's own [`timber_schemes::CaptureLaw`].
 //!
-//! Determinism is preserved *exactly*: the scalar reference engine
-//! replays the identical delay planes through `PipelineSim` (via the
-//! [`timber_pipeline::DelayRows`] planned supply) with the real scheme
-//! objects, and [`reference::check_equivalence`] asserts per-lane
+//! Determinism is preserved *exactly*: both engines draw from the one
+//! counter-mode [`timber_variability::SensitizationModel`], so the
+//! scalar reference runs each lane through the real `PipelineSim` with
+//! a lane-seeded model and the real scheme objects, and
+//! [`reference::check_equivalence`] asserts per-lane
 //! [`timber_pipeline::RunStats`] and telemetry counters are
 //! bit-identical — the scalar↔bit-sliced gate `repro bench-check`
 //! enforces in CI.
@@ -33,15 +34,13 @@
 //!
 //! ```
 //! use timber::CheckingPeriod;
-//! use timber_batch::{BatchConfig, BatchWorkload, BatchStageProfile};
+//! use timber_batch::{BatchConfig, BatchWorkload};
 //! use timber_netlist::Picos;
 //! use timber_pipeline::PipelineConfig;
 //! use timber_schemes::{Registry, SchemeId};
-//! use timber_variability::StagePathProfile;
+//! use timber_variability::{StageDelayModel, StagePathProfile};
 //!
-//! let profiles: Vec<BatchStageProfile> = (0..4)
-//!     .map(|_| BatchStageProfile::from_profile(&StagePathProfile::from_critical(Picos(980))))
-//!     .collect();
+//! let profiles = vec![StageDelayModel::new(&StagePathProfile::from_critical(Picos(980))); 4];
 //! let schedule = CheckingPeriod::deferred_flagging(Picos(1000), 24.0)?;
 //! let config = BatchConfig {
 //!     pipeline: PipelineConfig::new(4, Picos(1000)),
@@ -64,7 +63,7 @@ pub mod workload;
 
 pub use engine::{run_batched, BatchConfig, BatchRun, MAX_LANES};
 pub use scheme::BatchScheme;
-pub use workload::{BatchStageProfile, BatchWorkload, LaneDelays};
+pub use workload::BatchWorkload;
 
 #[cfg(test)]
 mod props;

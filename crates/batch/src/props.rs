@@ -6,12 +6,12 @@ use proptest::prelude::*;
 use timber::CheckingPeriod;
 use timber_netlist::Picos;
 use timber_pipeline::PipelineConfig;
-use timber_variability::StagePathProfile;
+use timber_variability::{StageDelayModel, StagePathProfile};
 
 use crate::engine::BatchConfig;
 use crate::reference::check_equivalence;
 use crate::scheme::BatchScheme;
-use crate::workload::{BatchStageProfile, BatchWorkload};
+use crate::workload::BatchWorkload;
 use timber_schemes::{Registry, SchemeId};
 
 const PERIOD: Picos = Picos(1000);
@@ -26,7 +26,7 @@ fn workload(stages: usize, over: i64, p_critical: f64, p_near: f64, seed: u64) -
             let mut p = StagePathProfile::from_critical(Picos(critical));
             p.p_critical = p_critical;
             p.p_near = p_near;
-            BatchStageProfile::from_profile(&p)
+            StageDelayModel::new(&p)
         })
         .collect();
     BatchWorkload::new(profiles, seed)
@@ -52,7 +52,7 @@ fn straddling(
             let mut p = StagePathProfile::from_critical(Picos(limit + off));
             p.p_critical = p_critical;
             p.p_near = p_near;
-            BatchStageProfile::from_profile(&p)
+            StageDelayModel::new(&p)
         })
         .collect();
     BatchWorkload::new(profiles, seed)
@@ -133,7 +133,7 @@ proptest! {
         cycles in 100u64..=400,
     ) {
         let profiles = (0..4)
-            .map(|_| BatchStageProfile::from_profile(
+            .map(|_| StageDelayModel::new(
                 &StagePathProfile::from_critical(Picos(880))))
             .collect();
         let config = BatchConfig {

@@ -1,16 +1,18 @@
 //! Scalar reference replay and the scalar↔bit-sliced equivalence gate.
 //!
 //! Every lane of a [`BatchConfig`] is replayed through the real
-//! `PipelineSim` (planned delay supply over the identical counter-mode
-//! delay plane, real scheme objects, real telemetry recorder),
-//! scattered over the shared work-pull executor. The per-lane
-//! `RunStats` and counters must be **bit-identical** to the bit-sliced
-//! engine's — that equality is the batcher's correctness argument, and
+//! `PipelineSim` (a `SensitizationModel` seeded with the lane's seed,
+//! so the identical counter-mode delay plane, in a nominal environment;
+//! real scheme objects, real telemetry recorder), scattered over the
+//! shared work-pull executor. The per-lane `RunStats` and counters
+//! must be **bit-identical** to the bit-sliced engine's — that
+//! equality is the batcher's correctness argument, and
 //! `repro bench-check` enforces it as a hard within-run CI gate.
 
 use timber_pipeline::PipelineSim;
 use timber_resilience::scatter_strict;
 use timber_telemetry::{Counter, Recorder, RecorderConfig};
+use timber_variability::{CompositeVariability, SensitizationModel};
 
 use crate::engine::{run_batched, BatchConfig, BatchRun};
 
@@ -28,19 +30,20 @@ pub fn run_scalar_reference(config: &BatchConfig, cycles: u64, threads: usize) -
     config.validate();
     let lanes: Vec<usize> = (0..config.lanes).collect();
     let per_lane = scatter_strict(&lanes, threads, &|&lane| {
-        let mut scheme = config
-            .scheme
-            .build(config.pipeline.stages, config.workload.lane_seed(lane));
-        let mut rows = config.workload.lane_rows(lane);
+        let seed = config.workload.lane_seed(lane);
+        let mut scheme = config.scheme.build(config.pipeline.stages, seed);
+        let sens = SensitizationModel::from_stages(config.workload.profiles().to_vec(), seed);
+        let mut var = CompositeVariability::nominal();
         // Ring capacity 0: counters only, no event storage cost.
         let mut recorder = Recorder::new(
             RecorderConfig::new(config.pipeline.stages, config.pipeline.nominal_period)
                 .ring_capacity(0),
         );
-        let stats = PipelineSim::planned_with_telemetry(
+        let stats = PipelineSim::with_telemetry(
             config.pipeline,
             scheme.as_mut(),
-            &mut rows,
+            &sens,
+            &mut var,
             &mut recorder,
         )
         .run(cycles);
@@ -88,12 +91,12 @@ pub fn check_equivalence(config: &BatchConfig, cycles: u64, threads: usize) -> R
 mod tests {
     use super::*;
     use crate::scheme::BatchScheme;
-    use crate::workload::{BatchStageProfile, BatchWorkload};
+    use crate::workload::BatchWorkload;
     use timber::CheckingPeriod;
     use timber_netlist::Picos;
     use timber_pipeline::PipelineConfig;
     use timber_schemes::{Registry, SchemeId};
-    use timber_variability::StagePathProfile;
+    use timber_variability::{StageDelayModel, StagePathProfile};
 
     fn stress_workload(stages: usize, critical: i64, seed: u64) -> BatchWorkload {
         let profiles = (0..stages)
@@ -101,7 +104,7 @@ mod tests {
                 let mut p = StagePathProfile::from_critical(Picos(critical + 15 * s as i64));
                 p.p_critical = 0.03;
                 p.p_near = 0.25;
-                BatchStageProfile::from_profile(&p)
+                StageDelayModel::new(&p)
             })
             .collect();
         BatchWorkload::new(profiles, seed)

@@ -65,10 +65,10 @@ fn pipeline_sim_throughput(c: &mut Criterion) {
                     let sched =
                         CheckingPeriod::deferred_flagging(Picos(1000), 24.0).expect("valid");
                     let mut scheme = TimberFfScheme::new(sched, 5);
-                    let mut sens = SensitizationModel::uniform(5, Picos(970), 1);
+                    let sens = SensitizationModel::uniform(5, Picos(970), 1);
                     let mut var = CompositeVariability::nominal();
                     let cfg = PipelineConfig::new(5, Picos(1000));
-                    black_box(PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(cycles))
+                    black_box(PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(cycles))
                 })
             },
         );
@@ -85,10 +85,10 @@ fn pipeline_hot_loop(c: &mut Criterion) {
         b.iter(|| {
             let sched = CheckingPeriod::deferred_flagging(Picos(1000), 24.0).expect("valid");
             let mut scheme = TimberFfScheme::new(sched, 5);
-            let mut sens = timber_bench::experiments::stress_sensitization(5, 2010);
+            let sens = timber_bench::experiments::stress_sensitization(5, 2010);
             let mut var = timber_bench::experiments::stress_variability(2010);
             let cfg = PipelineConfig::new(5, Picos(1000));
-            black_box(PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(CYCLES))
+            black_box(PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(CYCLES))
         })
     });
 }

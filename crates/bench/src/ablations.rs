@@ -271,7 +271,7 @@ pub fn ablation_dag(cycles: u64) -> DagResult {
         PipelineSim::new(
             PipelineConfig::new(topo.len(), PERIOD),
             scheme,
-            &mut env.sensitization,
+            &env.sensitization,
             env.variability.as_mut(),
         )
         .on_topology(&topo)

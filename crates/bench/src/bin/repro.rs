@@ -6,7 +6,7 @@
 //! repro fig1|fig8 [--json]
 //! repro claims|claims-netlist|compare [--json] [--threads N]
 //! repro margin|ablation-schedule|ablation-droop|metastability [--threads N]
-//! repro bench [--json] [--threads N] [--out BENCH.json] [--batch {on,off,auto}]
+//! repro bench [--json] [--threads N] [--out BENCH.json] [--batch {on,off}]
 //! repro trace <claims|claims-netlist> [--telemetry OUT.json] [--threads N]
 //! repro bench-check --fresh FRESH.json [--baseline BASE.json]
 //!                   [--tolerance 0.15] [--max-overhead 0.5]
@@ -40,8 +40,8 @@
 //! any number, only wall-clock time. `bench` times the sweep engine
 //! and writes the baseline to `--out` (default `BENCH_pipeline.json`;
 //! CI writes to a scratch path so the committed baseline is never
-//! clobbered); `--batch {on,off,auto}` controls the bit-sliced 64-lane
-//! batching measurement (default `auto`; `off` records
+//! clobbered); `--batch {on,off}` controls the bit-sliced 64-lane
+//! batching measurement (default `on`; `off` records
 //! `batched: null`). `bench-check` gates a fresh measurement: the
 //! within-run hardware-independent checks (thread-count invariance,
 //! telemetry overhead ratio vs `--max-overhead`, the multi-core
@@ -163,7 +163,7 @@ const FLAGS: &[(&[&str], Option<&str>)] = &[
     (&["retry-base", "retry-cap", "watchdog"], Some("milliseconds")),
     (&["tolerance"], Some("a fraction, e.g. 0.15")),
     (&["max-overhead"], Some("a fraction, e.g. 0.5")),
-    (&["batch"], Some("`on`, `off` or `auto`")),
+    (&["batch"], Some("`on` or `off`")),
     (&["deny"], Some("`warn` or `error`")),
     (&["out", "telemetry", "baseline", "fresh", "frontier-check", "checkpoint"], Some("a file")),
     (&["socket"], Some("a path")),
@@ -462,7 +462,7 @@ fn run_bench(a: &Args) {
     // `--out` keeps CI measurement runs from clobbering the committed
     // baseline the gate compares against.
     let out: String = a.get("out").unwrap_or_else(|| "BENCH_pipeline.json".into());
-    let (threads, batch) = (a.threads(), a.get("batch").unwrap_or(perf::BatchMode::Auto));
+    let (threads, batch) = (a.threads(), a.get("batch").unwrap_or(perf::BatchMode::On));
     // With `--json` the banner goes to stderr so stdout stays a single
     // machine-readable document (CI pipes it to a file).
     if a.on("json") {

@@ -11,10 +11,11 @@
 //!   the telemetry-overhead ratio, the multi-core scaling floor
 //!   (`speedup >= 0.7 x min(threads, cores)`), and the bit-sliced
 //!   batching tier (scalar<->bit-sliced equivalence plus
-//!   `speedup_batched >= 4x` the scalar single-thread throughput, both
-//!   sides timed as the median of the same number of runs).
-//!   Every figure is a ratio of two measurements taken on one machine
-//!   in one process, so CI can gate them hard even on shared runners.
+//!   `speedup_batched >= 4x` the scalar single-thread throughput).
+//!   Every wall clock behind a gated ratio is the median of the same
+//!   number of interleaved runs, and every figure is a ratio of two
+//!   measurements taken on one machine in one process, so CI can gate
+//!   them hard even on shared runners.
 //! * **Cross-run** (machine-dependent): absolute `cycles_per_second`
 //!   against a committed baseline. Meaningful on the machine that wrote
 //!   the baseline; advisory on heterogeneous CI hardware.
@@ -25,12 +26,12 @@ use std::time::Instant;
 use serde_json::{json, Value};
 use timber::CheckingPeriod;
 use timber_batch::{
-    reference, run_batched, BatchConfig, BatchRun, BatchScheme, BatchStageProfile, BatchWorkload,
-    MAX_LANES,
+    reference, run_batched, BatchConfig, BatchRun, BatchScheme, BatchWorkload, MAX_LANES,
 };
 use timber_netlist::Picos;
 use timber_pipeline::PipelineConfig;
 use timber_resilience::resolve_threads;
+use timber_variability::StageDelayModel;
 
 use crate::experiments::{self, PERIOD, SEED, TRIALS};
 use crate::trace::DEFAULT_RING_CAPACITY;
@@ -44,20 +45,17 @@ pub const SCALING_FLOOR_FRACTION: f64 = 0.7;
 /// least this multiple of the scalar single-thread cycles/second.
 pub const BATCH_SPEEDUP_FLOOR: f64 = 4.0;
 
-/// Timed repetitions behind each side of the batching ratio: the
-/// scalar single-thread sweep and the bit-sliced engine each report the
-/// median wall clock of this many interleaved runs, so one slow
-/// scheduling window on a shared host cannot decide the
-/// [`BATCH_SPEEDUP_FLOOR`] gate.
+/// Timed repetitions behind each wall clock of a gated ratio: the
+/// single-thread, multi-thread and instrumented sweeps and the
+/// bit-sliced engine each report the median of this many interleaved
+/// runs, so one slow scheduling window on a shared host cannot decide
+/// a gate.
 pub const TIMING_REPEATS: usize = 5;
 
 /// Whether `repro bench` runs the bit-sliced batching measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchMode {
-    /// Decide automatically (currently always measures; the variant is
-    /// reserved for future size/host heuristics). The default.
-    Auto,
-    /// Always measure the batched path.
+    /// Measure the batched path. The default.
     On,
     /// Skip the batched path; the document records `batched: null`.
     Off,
@@ -75,10 +73,9 @@ impl FromStr for BatchMode {
 
     fn from_str(s: &str) -> Result<BatchMode, String> {
         match s {
-            "auto" => Ok(BatchMode::Auto),
             "on" => Ok(BatchMode::On),
             "off" => Ok(BatchMode::Off),
-            other => Err(format!("expects `on`, `off` or `auto`, got {other:?}")),
+            other => Err(format!("expects `on` or `off`, got {other:?}")),
         }
     }
 }
@@ -103,7 +100,8 @@ pub struct BenchRun {
 pub struct OverheadRun {
     /// Wall-clock of the no-op-sink sweep (the multi-threaded run).
     pub noop_wall_seconds: f64,
-    /// Wall-clock of the recorder-instrumented sweep, same threads.
+    /// Wall-clock of the recorder-instrumented sweep, same threads
+    /// (median of [`TIMING_REPEATS`] runs).
     pub instrumented_wall_seconds: f64,
     /// `instrumented / noop` wall clock; `1.0` means telemetry is free.
     pub ratio: f64,
@@ -151,7 +149,8 @@ pub struct BenchResult {
     /// Single-threaded run (median wall clock of [`TIMING_REPEATS`]
     /// runs).
     pub single: BenchRun,
-    /// Multi-threaded run (all available cores unless overridden).
+    /// Multi-threaded run (all available cores unless overridden;
+    /// median wall clock of [`TIMING_REPEATS`] runs).
     pub multi: BenchRun,
     /// Multi- over single-thread wall-clock speedup.
     pub speedup: f64,
@@ -184,12 +183,12 @@ fn median(mut walls: Vec<f64>) -> f64 {
 /// exercises the masking/relay event path rather than an all-quiet
 /// sweep, on a floor of 1% critical-path sensitization.
 fn batch_config() -> BatchConfig {
-    let profiles: Vec<BatchStageProfile> = experiments::stress_stage_profiles(5, SEED)
+    let profiles: Vec<StageDelayModel> = experiments::stress_stage_profiles(5, SEED)
         .into_iter()
         .map(|mut p| {
             p.critical = Picos(p.critical.as_ps() + 80);
             p.p_critical = p.p_critical.max(0.01);
-            BatchStageProfile::from_profile(&p)
+            StageDelayModel::new(&p)
         })
         .collect();
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid schedule");
@@ -232,7 +231,7 @@ fn batch_baseline(config: &BatchConfig, cycles: u64, wall: f64, batched: &BatchR
 /// thread count did not change a single statistic, and runs the
 /// bit-sliced batching measurement.
 pub fn pipeline_baseline(cycles: u64) -> BenchResult {
-    pipeline_baseline_threaded(cycles, 0, BatchMode::Auto)
+    pipeline_baseline_threaded(cycles, 0, BatchMode::On)
 }
 
 /// [`pipeline_baseline`] with an explicit worker-thread count for the
@@ -241,35 +240,45 @@ pub fn pipeline_baseline(cycles: u64) -> BenchResult {
 /// single-threaded reference run always uses one worker).
 pub fn pipeline_baseline_threaded(cycles: u64, threads: usize, batch: BatchMode) -> BenchResult {
     let (cores, multi_threads) = (resolve_threads(0), resolve_threads(threads));
-    // The two sides of the batching ratio, each the median of
-    // `TIMING_REPEATS` runs, interleaved so that a slow window on a
-    // shared host lands on both sides rather than on one.
+    // Every gated ratio divides medians of `TIMING_REPEATS` runs,
+    // interleaved so that a slow window on a shared host lands on both
+    // sides of a ratio rather than on one.
     let batch_config = batch.enabled().then(batch_config);
     let mut single_walls = Vec::with_capacity(TIMING_REPEATS);
     let mut batched_walls = Vec::with_capacity(TIMING_REPEATS);
+    let mut multi_walls = Vec::with_capacity(TIMING_REPEATS);
+    let mut instrumented_walls = Vec::with_capacity(TIMING_REPEATS);
     let mut single = None;
     let mut batched_run = None;
+    let mut identical = true;
     for _ in 0..TIMING_REPEATS {
-        let (wall, result) = timed(|| experiments::claims_threaded(cycles, 1));
+        let (wall, one) = timed(|| experiments::claims_threaded(cycles, 1));
         single_walls.push(wall);
-        single = Some(result);
         if let Some(config) = &batch_config {
             let (wall, result) = timed(|| run_batched(config, cycles_per_lane(cycles)));
             batched_walls.push(wall);
             batched_run = Some(result);
         }
+        let (wall, multi) = timed(|| experiments::claims_threaded(cycles, multi_threads));
+        multi_walls.push(wall);
+        // Same sweep once more with a recorder attached: the
+        // instrumented / no-op ratio is the within-run overhead gate,
+        // and the statistics must not change just because telemetry
+        // watched.
+        let (wall, (traced, _recorders)) = timed(|| {
+            experiments::claims_spec(cycles, multi_threads)
+                .run_with_telemetry(DEFAULT_RING_CAPACITY)
+        });
+        instrumented_walls.push(wall);
+        identical &= one.deferred == multi.deferred
+            && one.immediate == multi.immediate
+            && traced.cell(0, 0) == &multi.deferred
+            && traced.cell(1, 0) == &multi.immediate;
+        single = Some(one);
     }
     let single = single.expect("at least one repetition");
-    let wall_single = median(single_walls);
-    let (wall_multi, multi) = timed(|| experiments::claims_threaded(cycles, multi_threads));
-    // Same sweep once more with a recorder attached: the instrumented /
-    // no-op ratio is the within-run overhead gate, and the statistics
-    // must not change just because telemetry watched.
-    let (wall_instrumented, (traced, _recorders)) = timed(|| {
-        experiments::claims_spec(cycles, multi_threads).run_with_telemetry(DEFAULT_RING_CAPACITY)
-    });
-    let instrumented_identical =
-        traced.cell(0, 0) == &multi.deferred && traced.cell(1, 0) == &multi.immediate;
+    let (wall_single, wall_multi) = (median(single_walls), median(multi_walls));
+    let wall_instrumented = median(instrumented_walls);
     let total_cycles = single.deferred.cycles + single.immediate.cycles;
     let run = |threads: usize, wall: f64| BenchRun {
         threads,
@@ -298,9 +307,7 @@ pub fn pipeline_baseline_threaded(cycles: u64, threads: usize, batch: BatchMode)
         },
         batched,
         speedup_batched,
-        identical: single.deferred == multi.deferred
-            && single.immediate == multi.immediate
-            && instrumented_identical,
+        identical,
     }
 }
 
@@ -618,8 +625,7 @@ mod tests {
     fn batch_mode_parses_per_the_cli_contract() {
         assert_eq!("on".parse::<BatchMode>().unwrap(), BatchMode::On);
         assert_eq!("off".parse::<BatchMode>().unwrap(), BatchMode::Off);
-        assert_eq!("auto".parse::<BatchMode>().unwrap(), BatchMode::Auto);
-        assert!(BatchMode::Auto.enabled());
+        assert!("auto".parse::<BatchMode>().is_err());
         assert!(BatchMode::On.enabled());
         assert!(!BatchMode::Off.enabled());
         let err = "maybe".parse::<BatchMode>().unwrap_err();

@@ -26,14 +26,13 @@ use std::time::Duration;
 
 use timber::CheckingPeriod;
 use timber_netlist::Picos;
-use timber_pipeline::montecarlo::splitmix64;
 use timber_pipeline::{GovernorConfig, PipelineConfig, PipelineSim};
 use timber_resilience::{
     read_checkpoint_counting, run_hardened, HardenedOutcome, HardenedSpec, QuarantineEntry,
     RetryPolicy, ScanStats, StormScenario, TrialJob,
 };
 use timber_schemes::{Registry, SchemeId};
-use timber_variability::SensitizationModel;
+use timber_variability::{splitmix64, SensitizationModel};
 
 /// The pinned base seed the CI gate runs at.
 pub const DEFAULT_SEED: u64 = 7;
@@ -129,11 +128,11 @@ fn run_trial(flat: usize, seed: u64, cycles: u64) -> Result<String, String> {
         .map_err(|e| format!("trial {flat}: bad schedule: {e}"))?;
     let registry = Registry::new(schedule, STAGES);
     let mut scheme = registry.build(id, seed);
-    let mut sens = SensitizationModel::uniform(STAGES, Picos(940), seed);
+    let sens = SensitizationModel::uniform(STAGES, Picos(940), seed);
     let mut var = storm.build(STAGES, seed);
     let mut config = PipelineConfig::new(STAGES, PERIOD);
     config.governor = Some(GovernorConfig::default());
-    let stats = PipelineSim::new(config, scheme.as_mut(), &mut sens, &mut var).run(cycles);
+    let stats = PipelineSim::new(config, scheme.as_mut(), &sens, &mut var).run(cycles);
 
     // Invariants every trial must satisfy, whatever the storm does.
     if stats.cycles != cycles {

@@ -11,7 +11,6 @@ use std::io;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use timber_pipeline::montecarlo::splitmix64;
 use timber_resilience::RetryPolicy;
 use timber_schemes::SchemeId;
 use timber_serve::{
@@ -19,6 +18,7 @@ use timber_serve::{
     ServiceGovernorConfig, SEAL_PREFIX_LEN,
 };
 use timber_telemetry::ServiceCounter;
+use timber_variability::splitmix64;
 
 use crate::plan::{FaultKind, FaultPlan};
 use crate::ChaosSpec;

@@ -2,7 +2,7 @@
 //! taxonomy, so a `(seed, faults)` pair names one exact campaign —
 //! byte-identical on every machine and for every `--threads`.
 
-use timber_pipeline::montecarlo::splitmix64;
+use timber_variability::splitmix64;
 
 /// The fault taxonomy the campaign can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

@@ -22,9 +22,29 @@ use crate::workload::Workload;
 /// by (a power of two, so the division is exact in `f64`).
 pub const TRACE_BASE: i64 = 1 << 20;
 
-/// Replays a workload's arrival table as derating factors.
-struct TraceDelaySource<'a> {
+/// Replays a workload's arrival table as derating factors. Paired with
+/// [`critical_only`], the simulator's arrival at cycle `t`, stage `s`
+/// is exactly `arrivals[t][s]`.
+#[derive(Debug)]
+pub struct TraceDelaySource<'a> {
     arrivals: &'a [Vec<Picos>],
+}
+
+impl<'a> TraceDelaySource<'a> {
+    /// A source over `arrivals[cycle][stage]`; the run must not go past
+    /// its last row.
+    pub fn new(arrivals: &'a [Vec<Picos>]) -> TraceDelaySource<'a> {
+        TraceDelaySource { arrivals }
+    }
+}
+
+/// The sensitization model of a table replay: every stage always
+/// sensitizes its [`TRACE_BASE`] critical path.
+pub fn critical_only(stages: usize) -> SensitizationModel {
+    let mut profile = StagePathProfile::from_critical(Picos(TRACE_BASE));
+    profile.p_critical = 1.0;
+    profile.p_near = 0.0;
+    SensitizationModel::new(vec![profile; stages], 0)
 }
 
 impl DelaySource for TraceDelaySource<'_> {
@@ -152,20 +172,13 @@ fn run_with_sink<S: TelemetrySink>(
     sink: &mut S,
 ) -> (Vec<Picos>, Vec<usize>) {
     let stages = w.stages();
-    let mut profiles = vec![StagePathProfile::from_critical(Picos(TRACE_BASE)); stages];
-    for p in &mut profiles {
-        p.p_critical = 1.0;
-        p.p_near = 0.0;
-    }
-    let mut sens = SensitizationModel::new(profiles, seed);
-    let mut var = TraceDelaySource {
-        arrivals: w.arrivals(),
-    };
+    let sens = critical_only(stages);
+    let mut var = TraceDelaySource::new(w.arrivals());
     let registry = Registry::new(*w.schedule(), stages).coverage(1.0);
     let mut scheme = registry.build(id, seed);
     let mut config = PipelineConfig::new(stages, w.period());
     config.slowdown_factor = 0.0;
-    let mut sim = PipelineSim::with_telemetry(config, scheme.as_mut(), &mut sens, &mut var, sink);
+    let mut sim = PipelineSim::with_telemetry(config, scheme.as_mut(), &sens, &mut var, sink);
     let _ = sim.run(w.cycles() as u64);
     (sim.carry().to_vec(), sim.chain_depths().to_vec())
 }
@@ -183,9 +196,7 @@ mod tests {
     #[test]
     fn trace_source_reproduces_arrivals_exactly() {
         let w = Workload::generate(sched(), 4, 48, BurstShape::RandomStress, 11);
-        let mut src = TraceDelaySource {
-            arrivals: w.arrivals(),
-        };
+        let mut src = TraceDelaySource::new(w.arrivals());
         for (t, row) in w.arrivals().iter().enumerate() {
             for (s, &a) in row.iter().enumerate() {
                 let f = src.factor(t as u64, s);

@@ -13,8 +13,8 @@
 
 use timber::CheckingPeriod;
 use timber_netlist::Picos;
-use timber_pipeline::montecarlo::splitmix64;
 use timber_schemes::SchemeId;
+use timber_variability::splitmix64;
 
 use crate::analytical::analytical_run;
 use crate::class::{Class, ModelRun};

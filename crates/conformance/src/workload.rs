@@ -11,7 +11,7 @@
 
 use timber::CheckingPeriod;
 use timber_netlist::Picos;
-use timber_pipeline::montecarlo::splitmix64;
+use timber_variability::splitmix64;
 
 /// Shape of the injected timing-error burst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

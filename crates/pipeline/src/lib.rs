@@ -34,9 +34,9 @@
 //!
 //! let config = PipelineConfig::new(5, Picos(1000));
 //! let mut scheme = MarginedFlop::new();
-//! let mut sens = SensitizationModel::uniform(5, Picos(900), 1);
+//! let sens = SensitizationModel::uniform(5, Picos(900), 1);
 //! let mut var = CompositeVariability::nominal();
-//! let mut sim = PipelineSim::new(config, &mut scheme, &mut sens, &mut var);
+//! let mut sim = PipelineSim::new(config, &mut scheme, &sens, &mut var);
 //! let stats = sim.run(10_000);
 //! assert_eq!(stats.cycles, 10_000);
 //! assert_eq!(stats.corrupted, 0); // nominal environment, 10% margin
@@ -55,7 +55,7 @@ pub mod topology;
 pub use controller::FrequencyController;
 pub use montecarlo::{Environment, SweepResult, SweepSpec, TrialPoint};
 pub use scheme::{CycleContext, Recovery, SequentialScheme, StageOutcome};
-pub use sim::{CertifiedBounds, DelayRows, PipelineConfig, PipelineSim};
+pub use sim::{CertifiedBounds, PipelineConfig, PipelineSim};
 pub use stats::RunStats;
 pub use timber_resilience::{GovernorConfig, GovernorLevel};
 pub use topology::Topology;

@@ -26,24 +26,11 @@
 //!   trial.
 
 use timber_telemetry::{Recorder, RecorderConfig};
-use timber_variability::{DelaySource, SensitizationModel};
+use timber_variability::{splitmix64, DelaySource, SensitizationModel};
 
 use crate::scheme::SequentialScheme;
 use crate::sim::{PipelineConfig, PipelineSim};
 use crate::stats::RunStats;
-
-/// SplitMix64: maps `(base, index)` to a well-mixed 64-bit seed.
-///
-/// This is the standard SplitMix64 finalizer applied to the `index`-th
-/// step of the stream starting at `base`. Nearby indices (0, 1, 2, …)
-/// produce statistically independent seeds, which is exactly what the
-/// per-trial seeding needs.
-pub fn splitmix64(base: u64, index: u64) -> u64 {
-    let mut z = base.wrapping_add(index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Coordinates of one trial in the sweep grid, handed to the scheme and
 /// environment factories.
@@ -201,7 +188,7 @@ impl<'a> SweepSpec<'a> {
         PipelineSim::new(
             env.config,
             scheme.as_mut(),
-            &mut env.sensitization,
+            &env.sensitization,
             env.variability.as_mut(),
         )
         .run(self.cycles_per_trial)
@@ -218,7 +205,7 @@ impl<'a> SweepSpec<'a> {
         let stats = PipelineSim::with_telemetry(
             env.config,
             scheme.as_mut(),
-            &mut env.sensitization,
+            &env.sensitization,
             env.variability.as_mut(),
             &mut recorder,
         )
@@ -495,7 +482,7 @@ mod tests {
             let stats = PipelineSim::new(
                 env.config,
                 &mut scheme,
-                &mut env.sensitization,
+                &env.sensitization,
                 env.variability.as_mut(),
             )
             .run(1_000);

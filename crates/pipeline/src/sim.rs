@@ -90,78 +90,48 @@ impl PipelineConfig {
     }
 }
 
-/// Per-cycle supplier of stage combinational delays.
+/// Where a run's per-stage delays come from: the counter-mode
+/// sensitization model, derated by the variability environment.
 ///
-/// The simulator's hot loop is row-based: once per productive cycle it
-/// asks its delay supply to fill one row — `row[s]` is the (already
-/// variability-derated) combinational delay of stage `s` — and then
-/// evaluates the whole row against the scheme. The default supply
-/// samples the [`SensitizationModel`] / [`DelaySource`] environment;
-/// a *planned* supply replays precomputed or counter-mode generated
-/// delays instead, which is what the bit-sliced trial batcher's
-/// scalar-equivalence gate runs against (the same delay plane feeds
-/// both engines, so their statistics must agree bit for bit).
-///
-/// `fill_row` is only called on productive cycles (never during
-/// recovery bubbles), in strictly increasing `cycle` order, so
-/// counter-mode implementations may key on `cycle` directly and
-/// stream-stateful implementations observe the same call sequence the
-/// environment path would.
-pub trait DelayRows {
-    /// Fills `row[s]` with the combinational delay of stage `s` for
-    /// this `cycle`.
-    fn fill_row(&mut self, cycle: u64, row: &mut [Picos]);
-}
-
-/// Where a run's per-stage delays come from: the sampled stochastic
-/// environment, or a planned (replayable) delay source.
-enum DelaySupply<'a> {
-    Environment {
-        sensitization: &'a mut SensitizationModel,
-        variability: &'a mut dyn DelaySource,
-        /// Per-stage [`DelaySource::factor_bound`] for the current
-        /// `run` call's horizon (`None` where the source gives none or
-        /// a non-finite one).
-        bounds: Vec<Option<f64>>,
-    },
-    Planned(&'a mut dyn DelayRows),
+/// The hot loop is row-based: once per productive cycle it fills one
+/// row — `row[s]` is the derated combinational delay of stage `s` —
+/// and then evaluates the whole row against the scheme.
+struct DelaySupply<'a> {
+    sensitization: &'a SensitizationModel,
+    variability: &'a mut dyn DelaySource,
+    /// Per-stage [`DelaySource::factor_bound`] for the current `run`
+    /// call's horizon (`None` where the source gives none or a
+    /// non-finite one).
+    bounds: Vec<Option<f64>>,
 }
 
 impl DelaySupply<'_> {
     /// Refreshes the per-stage factor bounds for queries below
     /// `horizon`.
     fn prepare(&mut self, horizon: u64) {
-        if let DelaySupply::Environment {
-            variability,
-            bounds,
-            ..
-        } = self
-        {
-            for (s, bound) in bounds.iter_mut().enumerate() {
-                *bound = variability
-                    .factor_bound(s, horizon)
-                    .filter(|b| b.is_finite());
-            }
+        for (s, bound) in self.bounds.iter_mut().enumerate() {
+            *bound = self
+                .variability
+                .factor_bound(s, horizon)
+                .filter(|b| b.is_finite());
         }
     }
 
-    /// Fills one cycle's delay row, preserving the exact legacy
-    /// operation order in environment mode (per stage, ascending: one
-    /// sensitization sample, then one variability factor) so results
-    /// stay bit-identical with the pre-row-based hot loop.
+    /// Fills one cycle's delay row. Each stage's base delay is the
+    /// sensitization model's pure `(cycle, stage)` sample; the
+    /// variability source is queried per stage in ascending order, as
+    /// stateful sources expect.
     ///
-    /// The environment path skips the exact factor on a stage that
-    /// [`on_time`] proves on time against the scheme's
-    /// [`SequentialScheme::on_time_limit`] for this cycle: first with
-    /// the run's static [`DelaySource::factor_bound`], then, where that
-    /// fails, with the per-query [`DelaySource::factor_bound_at`]. A
-    /// skipped stage gets the stand-in `limit − carry[s]`, an arrival
-    /// exactly at the limit. The sensitization sample is still drawn,
-    /// so the stream stays aligned. The stand-in is exact in outcome:
-    /// the true arrival is at most the limit, and the scheme contract
-    /// makes every such arrival `Ok` with the same scheme state; the
-    /// source contracts make the skipped query invisible to later
-    /// ones.
+    /// A stage that [`on_time`] proves on time against the scheme's
+    /// [`SequentialScheme::on_time_limit`] for this cycle skips the
+    /// exact factor: first with the run's static
+    /// [`DelaySource::factor_bound`], then, where that fails, with the
+    /// per-query [`DelaySource::factor_bound_at`]. A skipped stage gets
+    /// the stand-in `limit − carry[s]`, an arrival exactly at the
+    /// limit. The stand-in is exact in outcome: the true arrival is at
+    /// most the limit, and the scheme contract makes every such arrival
+    /// `Ok` with the same scheme state; the source contracts make the
+    /// skipped query invisible to later ones.
     fn fill_row(
         &mut self,
         scheme: &dyn SequentialScheme,
@@ -170,30 +140,22 @@ impl DelaySupply<'_> {
         row: &mut [Picos],
     ) {
         let cycle = ctx.cycle;
-        match self {
-            DelaySupply::Environment {
-                sensitization,
-                variability,
-                bounds,
-            } => {
-                let limit = scheme.on_time_limit(ctx);
-                for (s, slot) in row.iter_mut().enumerate() {
-                    let (base, _class) = sensitization.sample(s);
-                    if let (Some(bound), Some(limit)) = (bounds[s], limit) {
-                        let room = limit.as_ps().saturating_sub(carry[s].as_ps());
-                        if on_time(base, bound, room)
-                            || variability
-                                .factor_bound_at(cycle, s)
-                                .is_some_and(|b| on_time(base, b, room))
-                        {
-                            *slot = Picos(room);
-                            continue;
-                        }
-                    }
-                    *slot = base.scale(variability.factor(cycle, s));
+        let limit = scheme.on_time_limit(ctx);
+        for (s, slot) in row.iter_mut().enumerate() {
+            let base = self.sensitization.sample(cycle, s);
+            if let (Some(bound), Some(limit)) = (self.bounds[s], limit) {
+                let room = limit.as_ps().saturating_sub(carry[s].as_ps());
+                if on_time(base, bound, room)
+                    || self
+                        .variability
+                        .factor_bound_at(cycle, s)
+                        .is_some_and(|b| on_time(base, b, room))
+                {
+                    *slot = Picos(room);
+                    continue;
                 }
             }
-            DelaySupply::Planned(rows) => rows.fill_row(cycle, row),
+            *slot = base.scale(self.variability.factor(cycle, s));
         }
     }
 }
@@ -215,15 +177,6 @@ fn on_time(base: Picos, bound: f64, room: i64) -> bool {
     base >= Picos::ZERO
         && room.unsigned_abs() < EXACT
         && (base.as_ps() as f64 * bound) < room as f64 + 0.5
-}
-
-impl std::fmt::Debug for DelaySupply<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DelaySupply::Environment { .. } => f.write_str("DelaySupply::Environment"),
-            DelaySupply::Planned(_) => f.write_str("DelaySupply::Planned"),
-        }
-    }
 }
 
 /// Struct-of-arrays per-boundary state, double-buffered.
@@ -393,24 +346,10 @@ impl<'a> PipelineSim<'a, NoopSink> {
     pub fn new(
         config: PipelineConfig,
         scheme: &'a mut dyn SequentialScheme,
-        sensitization: &'a mut SensitizationModel,
+        sensitization: &'a SensitizationModel,
         variability: &'a mut dyn DelaySource,
     ) -> PipelineSim<'a, NoopSink> {
         PipelineSim::with_telemetry(config, scheme, sensitization, variability, NoopSink)
-    }
-
-    /// Creates an un-instrumented simulator replaying a planned delay
-    /// source instead of sampling the stochastic environment.
-    ///
-    /// This is the scalar reference engine of the bit-sliced trial
-    /// batcher: both engines consume the identical delay rows, so
-    /// their statistics must be bit-identical.
-    pub fn planned(
-        config: PipelineConfig,
-        scheme: &'a mut dyn SequentialScheme,
-        rows: &'a mut dyn DelayRows,
-    ) -> PipelineSim<'a, NoopSink> {
-        PipelineSim::planned_with_telemetry(config, scheme, rows, NoopSink)
     }
 }
 
@@ -425,7 +364,7 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
     pub fn with_telemetry(
         config: PipelineConfig,
         scheme: &'a mut dyn SequentialScheme,
-        sensitization: &'a mut SensitizationModel,
+        sensitization: &'a SensitizationModel,
         variability: &'a mut dyn DelaySource,
         sink: S,
     ) -> PipelineSim<'a, S> {
@@ -434,44 +373,16 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
             "sensitization model must cover all {} stages",
             config.stages
         );
-        PipelineSim::with_supply(
-            config,
-            scheme,
-            DelaySupply::Environment {
-                sensitization,
-                variability,
-                bounds: vec![None; config.stages],
-            },
-            sink,
-        )
-    }
-
-    /// [`PipelineSim::planned`] with a telemetry sink attached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config is invalid (zero stages).
-    pub fn planned_with_telemetry(
-        config: PipelineConfig,
-        scheme: &'a mut dyn SequentialScheme,
-        rows: &'a mut dyn DelayRows,
-        sink: S,
-    ) -> PipelineSim<'a, S> {
-        PipelineSim::with_supply(config, scheme, DelaySupply::Planned(rows), sink)
-    }
-
-    fn with_supply(
-        config: PipelineConfig,
-        scheme: &'a mut dyn SequentialScheme,
-        supply: DelaySupply<'a>,
-        sink: S,
-    ) -> PipelineSim<'a, S> {
         let clock = ClockControl::for_config(&config);
         scheme.reset();
         PipelineSim {
             config,
             scheme,
-            supply,
+            supply: DelaySupply {
+                sensitization,
+                variability,
+                bounds: vec![None; config.stages],
+            },
             clock,
             topology: Topology::linear(config.stages),
             soa: StageSoa::new(config.stages),
@@ -781,9 +692,9 @@ mod tests {
     fn nominal_run_has_no_events() {
         let cfg = PipelineConfig::new(4, Picos(1000));
         let mut scheme = MarginedFlop::new();
-        let mut sens = uniform_sens(4, 900);
+        let sens = uniform_sens(4, 900);
         let mut var = CompositeVariability::nominal();
-        let stats = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(5_000);
+        let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(5_000);
         assert_eq!(stats.cycles, 5_000);
         assert_eq!(stats.instructions, 5_000);
         assert_eq!(stats.violations(), 0);
@@ -797,9 +708,9 @@ mod tests {
         // sensitization corrupts.
         let cfg = PipelineConfig::new(2, Picos(800));
         let mut scheme = MarginedFlop::new();
-        let mut sens = uniform_sens(2, 900);
+        let sens = uniform_sens(2, 900);
         let mut var = CompositeVariability::nominal();
-        let stats = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(100_000);
+        let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(100_000);
         assert!(stats.corrupted > 0, "over-clocked baseline must corrupt");
         assert_eq!(stats.masked, 0);
     }
@@ -833,9 +744,9 @@ mod tests {
     fn detection_costs_bubbles() {
         let cfg = PipelineConfig::new(2, Picos(800));
         let mut scheme = DetectAll;
-        let mut sens = uniform_sens(2, 900);
+        let sens = uniform_sens(2, 900);
         let mut var = CompositeVariability::nominal();
-        let stats = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(100_000);
+        let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(100_000);
         assert!(stats.detected > 0);
         assert_eq!(stats.corrupted, 0);
         assert_eq!(stats.penalty_cycles as i64, stats.detected as i64);
@@ -875,9 +786,9 @@ mod tests {
         // error regime.
         let cfg = PipelineConfig::new(3, Picos(880));
         let mut scheme = BorrowAll;
-        let mut sens = uniform_sens(3, 900);
+        let sens = uniform_sens(3, 900);
         let mut var = CompositeVariability::nominal();
-        let stats = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(100_000);
+        let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(100_000);
         assert!(stats.masked > 0);
         assert_eq!(stats.corrupted, 0);
         assert!((stats.ipc() - 1.0).abs() < 1e-12);
@@ -923,9 +834,9 @@ mod tests {
             p.p_critical = 1.0;
             p.p_near = 0.0;
         }
-        let mut sens = SensitizationModel::new(profiles, 1);
+        let sens = SensitizationModel::new(profiles, 1);
         let mut var = CompositeVariability::nominal();
-        let stats = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(10);
+        let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(10);
         // Stage 0 violates every cycle (850 > 800); stage 1 violates
         // harder with the inherited 50ps and extends each chain to
         // length 2 before it falls off the 2-stage pipeline: histogram
@@ -948,9 +859,9 @@ mod tests {
             p.p_critical = 1.0;
             p.p_near = 0.0;
         }
-        let mut sens = SensitizationModel::new(profiles, 1);
+        let sens = SensitizationModel::new(profiles, 1);
         let mut var = CompositeVariability::nominal();
-        let mut sim = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var);
+        let mut sim = PipelineSim::new(cfg, &mut scheme, &sens, &mut var);
         let _ = sim.run(10);
         assert_eq!(sim.cycles_run(), 10);
         assert_eq!(sim.penalty_remaining(), 0);
@@ -969,9 +880,9 @@ mod tests {
             p.p_critical = 1.0;
             p.p_near = 0.0;
         }
-        let mut sens = SensitizationModel::new(profiles, 1);
+        let sens = SensitizationModel::new(profiles, 1);
         let mut var = CompositeVariability::nominal();
-        PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(10)
+        PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(10)
     }
 
     #[test]
@@ -1057,20 +968,20 @@ mod tests {
         // case, so no exact factor is ever needed.
         let cfg = PipelineConfig::new(4, Picos(1000));
         let mut scheme = MarginedFlop::new();
-        let mut sens = uniform_sens(4, 900);
+        let sens = uniform_sens(4, 900);
         let mut var = Counting {
             factor: 1.0,
             bound: Some(1.1),
             queries: 0,
         };
-        let stats = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(2_000);
+        let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(2_000);
         assert_eq!(stats.violations(), 0);
         assert_eq!(var.queries, 0);
         // A bound of 1.2 puts the critical path (1080ps) past the edge,
         // so exactly the cycles that sensitize it ask for the factor.
-        let mut sens = uniform_sens(4, 900);
+        let sens = uniform_sens(4, 900);
         var.bound = Some(1.2);
-        let _ = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(2_000);
+        let _ = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(2_000);
         assert!(var.queries > 0 && var.queries < 2_000, "{}", var.queries);
     }
 
@@ -1088,13 +999,13 @@ mod tests {
                 p.p_critical = 1.0;
                 p.p_near = 0.0;
             }
-            let mut sens = SensitizationModel::new(profiles, 1);
+            let sens = SensitizationModel::new(profiles, 1);
             let mut var = Counting {
                 factor: 1.0,
                 bound,
                 queries: 0,
             };
-            let mut sim = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var);
+            let mut sim = PipelineSim::new(cfg, &mut scheme, &sens, &mut var);
             let stats = sim.run(50);
             assert!(
                 sim.carry()[1] > Picos(i64::MAX / 8),
@@ -1220,9 +1131,9 @@ mod tests {
     fn sensitization_must_cover_stages() {
         let cfg = PipelineConfig::new(4, Picos(1000));
         let mut scheme = MarginedFlop::new();
-        let mut sens = uniform_sens(2, 900);
+        let sens = uniform_sens(2, 900);
         let mut var = CompositeVariability::nominal();
-        let _ = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var);
+        let _ = PipelineSim::new(cfg, &mut scheme, &sens, &mut var);
     }
 
     #[test]
@@ -1290,9 +1201,9 @@ mod tests {
     fn governor_escalates_under_storm_and_slows_wall_clock() {
         let cfg = storm_config(2);
         let mut scheme = FlagAll;
-        let mut sens = forced_sens(2);
+        let sens = forced_sens(2);
         let mut var = CompositeVariability::nominal();
-        let stats = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(400);
+        let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(400);
         // The ladder must have climbed (episodes counts escalations)…
         assert!(stats.slowdown_episodes >= 3, "{}", stats.slowdown_episodes);
         assert!(stats.slow_cycles > 0);
@@ -1307,9 +1218,9 @@ mod tests {
         let mut cfg = storm_config(3);
         cfg.nominal_period = Picos(1000);
         let mut scheme = FlagAll;
-        let mut sens = uniform_sens(3, 900);
+        let sens = uniform_sens(3, 900);
         let mut var = CompositeVariability::nominal();
-        let stats = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(5_000);
+        let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(5_000);
         assert_eq!(stats.slowdown_episodes, 0);
         assert_eq!(stats.slow_cycles, 0);
         assert_eq!(stats.wall_time, Picos(1000) * 5_000);
@@ -1320,11 +1231,10 @@ mod tests {
         use timber_telemetry::{Recorder, RecorderConfig};
         let cfg = storm_config(2);
         let mut scheme = FlagAll;
-        let mut sens = forced_sens(2);
+        let sens = forced_sens(2);
         let mut var = CompositeVariability::nominal();
         let mut rec = Recorder::new(RecorderConfig::new(2, Picos(800)).ring_capacity(4096));
-        let _ =
-            PipelineSim::with_telemetry(cfg, &mut scheme, &mut sens, &mut var, &mut rec).run(400);
+        let _ = PipelineSim::with_telemetry(cfg, &mut scheme, &sens, &mut var, &mut rec).run(400);
         let escalations = rec.counter(Counter::Escalations);
         let deescalations = rec.counter(Counter::Deescalations);
         let safe_entries = rec.counter(Counter::SafeModeEntries);
@@ -1357,10 +1267,10 @@ mod tests {
         use timber_telemetry::{Recorder, RecorderConfig};
         let cfg = storm_config(2);
         let mut scheme = FlagAll;
-        let mut sens = forced_sens(2);
+        let sens = forced_sens(2);
         let mut var = CompositeVariability::nominal();
         let mut rec = Recorder::new(RecorderConfig::new(2, Picos(800)).ring_capacity(4096));
-        let mut sim = PipelineSim::with_telemetry(cfg, &mut scheme, &mut sens, &mut var, &mut rec);
+        let mut sim = PipelineSim::with_telemetry(cfg, &mut scheme, &sens, &mut var, &mut rec);
         // Run exactly up to the first safe-mode entry by stepping.
         let mut entered = false;
         for _ in 0..600 {

@@ -257,16 +257,11 @@ mod tests {
         // The profiles are usable by the pipeline simulator.
         use timber_pipeline::{PipelineConfig, PipelineSim};
         let period = proxy_period(&nl, PerfPoint::High);
-        let mut sens = timber_variability::SensitizationModel::new(profiles, 9);
+        let sens = timber_variability::SensitizationModel::new(profiles, 9);
         let mut var = timber_variability::CompositeVariability::nominal();
         let mut scheme = timber_pipeline::reference::MarginedFlop::new();
-        let stats = PipelineSim::new(
-            PipelineConfig::new(5, period),
-            &mut scheme,
-            &mut sens,
-            &mut var,
-        )
-        .run(5_000);
+        let stats = PipelineSim::new(PipelineConfig::new(5, period), &mut scheme, &sens, &mut var)
+            .run(5_000);
         assert_eq!(
             stats.corrupted, 0,
             "nominal run at the binned period is safe"

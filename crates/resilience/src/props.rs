@@ -7,19 +7,11 @@
 use proptest::prelude::*;
 
 use timber_netlist::Picos;
+use timber_variability::mix64;
 
 use crate::governor::{
     GovernorConfig, GovernorLevel, GovernorState, LadderGovernor, LadderTransition,
 };
-
-/// One splitmix64 step, used to unpack several independent small draws
-/// from a single `any::<u64>()` (the vendored proptest subset only
-/// composes tuples up to arity six).
-fn mix(z: u64) -> u64 {
-    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A randomly drawn but always-valid governor configuration: `knobs`
 /// is unpacked into hold/deadline/latency.
@@ -28,9 +20,9 @@ fn draw_config(window: u64, escalate: u64, band: u64, knobs: u64) -> GovernorCon
         window,
         escalate_flags: escalate + band, // keeps the hysteresis band open
         deescalate_flags: escalate.saturating_sub(1),
-        hold_windows: 1 + mix(knobs) % 4,
-        deadline_windows: 1 + mix(knobs ^ 1) % 5,
-        latency_cycles: mix(knobs ^ 2) % window,
+        hold_windows: 1 + mix64(knobs) % 4,
+        deadline_windows: 1 + mix64(knobs ^ 1) % 5,
+        latency_cycles: mix64(knobs ^ 2) % window,
         ..GovernorConfig::default()
     }
 }
@@ -38,7 +30,7 @@ fn draw_config(window: u64, escalate: u64, band: u64, knobs: u64) -> GovernorCon
 /// Deterministic per-case flag pattern: flag whenever the mixed hash of
 /// (seed, cycle) clears a density threshold.
 fn flags_at(seed: u64, cycle: u64, density_pct: u64) -> bool {
-    mix(seed ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % 100 < density_pct
+    mix64(seed ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % 100 < density_pct
 }
 
 /// The reference clock ladder: the governor as it stood before the
@@ -236,7 +228,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let cfg = draw_config(window, escalate, band, knobs);
-        let storm_len = 1 + mix(seed ^ 7) % 600;
+        let storm_len = 1 + mix64(seed ^ 7) % 600;
         let mut g = LadderGovernor::new(Picos(1000), cfg);
         for c in 0..storm_len {
             let _ = g.period_at(c);
@@ -327,7 +319,7 @@ proptest! {
         let mut reference = RefLadder::new(Picos(1000), cfg);
         let mut cycle = 0u64;
         for step in 0..1_500u64 {
-            let r = mix(seed ^ step.wrapping_mul(0xD1B5_4A32_D192_ED03));
+            let r = mix64(seed ^ step.wrapping_mul(0xD1B5_4A32_D192_ED03));
             if r % 100 < jump_pct {
                 cycle += r % (2 * window + 1);
             } else {
@@ -336,7 +328,7 @@ proptest! {
             prop_assert_eq!(g.period_at(cycle), reference.period_at(cycle), "cycle {}", cycle);
             // The flag density drifts every 64 queries so one run walks
             // through storms, dead zones and calm.
-            let density = mix(seed ^ (step / 64)) % 101;
+            let density = mix64(seed ^ (step / 64)) % 101;
             if flags_at(seed, cycle, density) {
                 for _ in 0..1 + r % 2 {
                     g.flag_error(cycle);

@@ -11,13 +11,7 @@
 
 use std::time::Duration;
 
-/// One splitmix64 finalizer round (the repository's standard mixer).
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use timber_variability::mix64;
 
 /// Deterministic capped-exponential backoff with seeded jitter.
 ///
@@ -70,8 +64,8 @@ impl RetryPolicy {
             // Derive one draw per (seed, token, attempt): token and
             // attempt land in different mixer rounds so neighbouring
             // tokens don't correlate.
-            mix(
-                mix(self.jitter_seed ^ token.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            mix64(
+                mix64(self.jitter_seed ^ token.wrapping_mul(0x9E37_79B9_7F4A_7C15))
                     ^ u64::from(attempt),
             ) % (span_ns / 2 + 1)
         };

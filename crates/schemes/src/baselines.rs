@@ -231,7 +231,7 @@ mod tests {
                 p
             })
             .to_vec();
-        let mut sens = SensitizationModel::new(profiles, 1);
+        let sens = SensitizationModel::new(profiles, 1);
         let mut var = CompositeVariability::nominal();
         let mut l = scheme(
             CaptureLaw::LogicalMasking {
@@ -242,7 +242,7 @@ mod tests {
         );
         let config = PipelineConfig::new(4, Picos(1000));
         let mut sim =
-            PipelineSim::new(config, &mut l, &mut sens, &mut var).on_topology(&Topology::diamond());
+            PipelineSim::new(config, &mut l, &sens, &mut var).on_topology(&Topology::diamond());
         let stats = sim.run(100);
         assert_eq!(stats.masked, 100);
         assert_eq!(stats.corrupted, 0);

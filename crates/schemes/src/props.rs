@@ -6,8 +6,8 @@ use proptest::prelude::*;
 
 use timber::{CheckingPeriod, TimberFfScheme};
 use timber_netlist::Picos;
-use timber_pipeline::montecarlo::splitmix64;
 use timber_pipeline::{CycleContext, SequentialScheme, StageOutcome, Topology};
+use timber_variability::splitmix64;
 
 use crate::law::CaptureLaw;
 use crate::registry::{Registry, SchemeId};

@@ -14,7 +14,6 @@ use proptest::prelude::*;
 
 use timber::{CheckingPeriod, TimberFfScheme};
 use timber_netlist::Picos;
-use timber_pipeline::montecarlo::splitmix64;
 use timber_pipeline::{
     CycleContext, GovernorConfig, PipelineConfig, PipelineSim, RunStats, SequentialScheme,
     StageOutcome, Topology,
@@ -23,7 +22,8 @@ use timber_resilience::StormScenario;
 use timber_schemes::{Registry, SchemeId};
 use timber_telemetry::{Recorder, RecorderConfig};
 use timber_variability::{
-    CompositeVariability, DelaySource, SensitizationModel, StagePathProfile, VariabilityBuilder,
+    splitmix64, CompositeVariability, DelaySource, SensitizationModel, StagePathProfile,
+    VariabilityBuilder,
 };
 
 /// A delay source with its bound hidden.
@@ -195,14 +195,14 @@ impl Trial {
         let mut scheme = self.scheme();
         let mut unlimited = Unlimited(scheme.as_mut());
         let scheme: &mut dyn SequentialScheme = if exact { &mut unlimited } else { unlimited.0 };
-        let (mut sens, mut var) = self.environment();
+        let (sens, mut var) = self.environment();
         let mut hidden = Exact(&mut var);
         let var: &mut dyn DelaySource = if exact { &mut hidden } else { hidden.0 };
         let config = self.config();
         let mut recorder = Recorder::new(
             RecorderConfig::new(self.stages, config.nominal_period).ring_capacity(1 << 16),
         );
-        let mut sim = PipelineSim::with_telemetry(config, scheme, &mut sens, var, &mut recorder)
+        let mut sim = PipelineSim::with_telemetry(config, scheme, &sens, var, &mut recorder)
             .on_topology(&self.topology());
         let chunks = chunks.iter().map(|&n| sim.run(n)).collect();
         let carry = sim.carry().to_vec();
@@ -222,7 +222,7 @@ impl Trial {
     fn stats(&self, cycles: u64, exact: bool) -> (RunStats, Queries) {
         let mut scheme = self.scheme();
         let topology = self.topology();
-        let (mut sens, mut var) = self.environment();
+        let (sens, mut var) = self.environment();
         let mut var = Counting {
             inner: &mut var,
             queries: Queries::default(),
@@ -231,11 +231,11 @@ impl Trial {
         let config = self.config();
         let stats = if exact {
             let mut scheme = Unlimited(scheme.as_mut());
-            PipelineSim::new(config, &mut scheme, &mut sens, &mut Exact(&mut var))
+            PipelineSim::new(config, &mut scheme, &sens, &mut Exact(&mut var))
                 .on_topology(&topology)
                 .run(cycles)
         } else {
-            PipelineSim::new(config, scheme.as_mut(), &mut sens, &mut var)
+            PipelineSim::new(config, scheme.as_mut(), &sens, &mut var)
                 .on_topology(&topology)
                 .run(cycles)
         };

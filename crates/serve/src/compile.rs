@@ -37,13 +37,12 @@ use timber_netlist::{
     alu, array_multiplier, kogge_stone_adder, pipelined_datapath, random_dag, ripple_carry_adder,
     CellLibrary, DatapathSpec, Netlist, Picos, RandomDagSpec, Sink,
 };
-use timber_pipeline::montecarlo::splitmix64;
 use timber_pipeline::{GovernorConfig, PipelineConfig, PipelineSim, RunStats};
 use timber_proc::structural::{proxy_netlist, stage_profiles_from_netlist};
 use timber_proc::PerfPoint;
 use timber_schemes::Registry;
 use timber_sta::{ClockConstraint, HoldAnalysis, TimingAnalysis};
-use timber_variability::{SensitizationModel, StagePathProfile, VariabilityBuilder};
+use timber_variability::{splitmix64, SensitizationModel, StagePathProfile, VariabilityBuilder};
 
 use crate::spec::{DesignId, EvalSpec};
 
@@ -256,7 +255,7 @@ pub fn evaluate(compiled: &CompiledDesign, spec: &EvalSpec) -> String {
     for trial in 0..spec.trials {
         let seed = splitmix64(spec.seed, trial as u64);
         let mut scheme = registry.build(spec.scheme, seed);
-        let mut sens = SensitizationModel::new(compiled.profiles.clone(), seed ^ 0x5EED);
+        let sens = SensitizationModel::new(compiled.profiles.clone(), seed ^ 0x5EED);
         let mut var = match spec.storm {
             Some(storm) => storm.build(stages, seed),
             // Nominal stress: mild droop plus fast local jitter.
@@ -267,7 +266,7 @@ pub fn evaluate(compiled: &CompiledDesign, spec: &EvalSpec) -> String {
         };
         let mut config = PipelineConfig::new(stages, compiled.period);
         config.governor = Some(GovernorConfig::default());
-        let stats = PipelineSim::new(config, scheme.as_mut(), &mut sens, &mut var).run(spec.cycles);
+        let stats = PipelineSim::new(config, scheme.as_mut(), &sens, &mut var).run(spec.cycles);
         totals.merge(&stats);
     }
     format!(
@@ -466,9 +465,9 @@ mod tests {
     }
 
     /// Every `evaluate` body over the design × scheme × storm grid,
-    /// digested. The pinned value was computed before the simulator
-    /// learned to skip exact derating on provably on-time stages, so
-    /// any change to a body — the skip included — fails here.
+    /// digested. The value was pinned when the scalar simulator moved
+    /// onto the batch engine's counter-mode sensitization draws; any
+    /// change to a body fails here.
     #[test]
     fn evaluate_bodies_match_the_pinned_digest() {
         let storms = [
@@ -494,7 +493,7 @@ mod tests {
         }
         assert_eq!(
             crate::key::content_hash(bodies.as_bytes()).hex(),
-            "14705306ab940d0d1c39f6274eaaff7659e72bb2a96741d160321b5bc9c1ab82"
+            "a980abf1a91fe1562808542e73c2ba5f003edfff8fd4d239241bc142abadabd8"
         );
     }
 }

@@ -14,15 +14,7 @@
 //! burden — the property tests prove distinct specs canonicalize to
 //! distinct strings, and this digest merely addresses those strings.
 
-/// One splitmix64 finalizer round: the avalanche core the sponge mixes
-/// with (identical to `timber_pipeline::montecarlo::splitmix64`'s
-/// finalizer).
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use timber_variability::mix64;
 
 /// A 256-bit content digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -76,11 +68,11 @@ pub fn content_hash(bytes: &[u8]) -> CacheKey {
         // Absorb into one lane, then diffuse across all four so word
         // order matters in every lane.
         let lane = i % 4;
-        lanes[lane] = mix(lanes[lane] ^ w);
+        lanes[lane] = mix64(lanes[lane] ^ w);
         let carry = lanes[lane];
         for (j, l) in lanes.iter_mut().enumerate() {
             if j != lane {
-                *l = mix(*l ^ carry.rotate_left(j as u32 * 17 + 1));
+                *l = mix64(*l ^ carry.rotate_left(j as u32 * 17 + 1));
             }
         }
     }
@@ -88,13 +80,13 @@ pub fn content_hash(bytes: &[u8]) -> CacheKey {
     // different lengths from each other.
     let len = bytes.len() as u64;
     for (j, l) in lanes.iter_mut().enumerate() {
-        *l = mix(*l ^ len.wrapping_add(j as u64));
+        *l = mix64(*l ^ len.wrapping_add(j as u64));
     }
     // Final squeeze rounds.
     for _ in 0..2 {
         let all = lanes[0] ^ lanes[1] ^ lanes[2] ^ lanes[3];
         for l in lanes.iter_mut() {
-            *l = mix(*l ^ all);
+            *l = mix64(*l ^ all);
         }
     }
     CacheKey(lanes)

@@ -30,10 +30,10 @@
 use std::collections::BTreeMap;
 use std::io;
 
-use timber_pipeline::montecarlo::splitmix64;
 use timber_resilience::RetryPolicy;
 use timber_schemes::SchemeId;
 use timber_telemetry::{ServiceCounter, ServiceStats};
+use timber_variability::splitmix64;
 
 use crate::engine::{Engine, EngineConfig, Response};
 use crate::governor::ServiceGovernorConfig;

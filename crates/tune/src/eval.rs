@@ -29,8 +29,7 @@
 
 use timber::CheckingPeriod;
 use timber_analyze::{certify, AnalysisPoint, Interval};
-use timber_batch::workload::splitmix64;
-use timber_batch::{run_batched, BatchConfig, BatchScheme, BatchStageProfile, BatchWorkload};
+use timber_batch::{run_batched, BatchConfig, BatchScheme, BatchWorkload};
 use timber_lint::{snap_period, DesignLint, LintConfig, ReplacementPlan};
 use timber_netlist::{FaninCones, FlopId, Netlist, Picos};
 use timber_pipeline::{PipelineConfig, RunStats};
@@ -40,7 +39,7 @@ use timber_schemes::SchemeId;
 use timber_sta::{
     classify_flops, ClockConstraint, FlopTimingClass, PathDistribution, TimingAnalysis,
 };
-use timber_variability::StagePathProfile;
+use timber_variability::{splitmix64, StageDelayModel, StagePathProfile};
 
 use crate::space::{CandidateSpec, DesignId, Seeding};
 
@@ -267,8 +266,8 @@ pub fn storm_score(
     let mut total = RunStats::default();
     for (i, intensity) in STORM_INTENSITIES.iter().enumerate() {
         let profile = StagePathProfile::from_critical(base_critical.scale(*intensity));
-        let profiles = vec![BatchStageProfile::from_profile(&profile); stages];
-        let workload = BatchWorkload::new(profiles, splitmix64(seed ^ (i as u64 + 1)));
+        let profiles = vec![StageDelayModel::new(&profile); stages];
+        let workload = BatchWorkload::new(profiles, splitmix64(seed ^ (i as u64 + 1), 0));
         let config = BatchConfig {
             pipeline: PipelineConfig::new(stages, period),
             scheme: *scheme,

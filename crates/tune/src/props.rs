@@ -14,17 +14,11 @@ use timber_lint::{lint, LintConfig, ReplacementPlan};
 use timber_netlist::Picos;
 use timber_schemes::SchemeId;
 use timber_sta::{ClockConstraint, PathDistribution, TimingAnalysis};
+use timber_variability::mix64;
 
 use crate::eval::{evaluate, operating_point, storm_score, workload_set, DesignContext, Outcome};
 use crate::pareto::{dominates, frontier};
 use crate::space::{enumerate, DesignId, Seeding};
-
-/// One splitmix64 step for unpacking several draws from one `u64`.
-fn mix(z: u64) -> u64 {
-    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// All eight batch schemes at one TIMBER schedule (the detector-style
 /// windows and guards sized off the schedule's interval, as the
@@ -62,9 +56,9 @@ proptest! {
             .iter()
             .map(|&z| {
                 // Small integer grid so duplicates and dominance both occur.
-                let a = (mix(z) % 5) as f64;
-                let b = (mix(z ^ 1) % 5) as f64;
-                let c = (mix(z ^ 2) % 5) as f64;
+                let a = (mix64(z) % 5) as f64;
+                let b = (mix64(z ^ 1) % 5) as f64;
+                let c = (mix64(z ^ 2) % 5) as f64;
                 [a, b, c]
             })
             .collect();
@@ -95,15 +89,15 @@ proptest! {
     /// feed a frontier that is minimal.
     #[test]
     fn storms_score_all_eight_schemes(z in any::<u64>()) {
-        let design = if mix(z).is_multiple_of(2) { DesignId::Rca16 } else { DesignId::Mul8 };
+        let design = if mix64(z).is_multiple_of(2) { DesignId::Rca16 } else { DesignId::Mul8 };
         let ctx = DesignContext::compile(design);
-        let spec = crate::space::CandidateSpec::anchors(design)[(mix(z ^ 3) % 2) as usize];
+        let spec = crate::space::CandidateSpec::anchors(design)[(mix64(z ^ 3) % 2) as usize];
         let schedule = operating_point(&spec, ctx.raw_critical);
         let stages = schedule.k() as usize;
         let mut vectors = Vec::new();
         for scheme in all_schemes(schedule) {
             let totals = storm_score(
-                schedule.period(), stages, &scheme, ctx.raw_critical, mix(z ^ 5), 64, 8);
+                schedule.period(), stages, &scheme, ctx.raw_critical, mix64(z ^ 5), 64, 8);
             prop_assert!(totals.instructions > 0, "{scheme:?} ran no instructions");
             let instr = totals.instructions as f64;
             let v = [
@@ -133,9 +127,9 @@ proptest! {
     #[test]
     fn scored_candidates_lint_clean_with_valid_certificates(z in any::<u64>()) {
         let all = enumerate();
-        let spec = all[(mix(z) % all.len() as u64) as usize];
+        let spec = all[(mix64(z) % all.len() as u64) as usize];
         let ctx = DesignContext::compile(spec.design);
-        let eval = evaluate(&ctx, &spec, mix(z ^ 7));
+        let eval = evaluate(&ctx, &spec, mix64(z ^ 7));
         if let Outcome::Scored(..) = eval.outcome {
             let schedule = operating_point(&spec, ctx.raw_critical);
             let constraint = ClockConstraint::with_period(schedule.period());

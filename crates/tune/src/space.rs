@@ -9,9 +9,9 @@
 //! sequence and shrinking the budget never reshuffles which candidates
 //! were evaluated (the metamorphic contract the budget tests pin).
 
-use timber_batch::workload::splitmix64;
 use timber_lint::ScheduleSpec;
 use timber_netlist::{array_multiplier, ripple_carry_adder, CellLibrary, Netlist};
+use timber_variability::splitmix64;
 
 /// The netlists the tuner searches over — the golden-corpus pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -129,7 +129,7 @@ impl CandidateSpec {
     /// one operating point share one storm battery. Common random
     /// numbers make their comparison free of Monte-Carlo noise.
     pub fn content_seed(&self, user_seed: u64) -> u64 {
-        let mut z = splitmix64(user_seed);
+        let mut z = splitmix64(user_seed, 0);
         let fields: [u64; 6] = [
             match self.design {
                 DesignId::Rca16 => 1,
@@ -142,7 +142,7 @@ impl CandidateSpec {
             1,
         ];
         for f in fields {
-            z = splitmix64(z ^ f);
+            z = splitmix64(z ^ f, 0);
         }
         z
     }

@@ -39,7 +39,9 @@ pub use model::{
     Aging, CompositeVariability, DelaySource, LocalJitter, ProcessVariation, TemperatureDrift,
     VariabilityBuilder, VoltageDroop,
 };
-pub use sensitization::{SensitizationModel, StageDelayModel, StagePathProfile};
+pub use sensitization::{
+    draw, mix64, row_key, splitmix64, SensitizationModel, StageDelayModel, StagePathProfile, PHI,
+};
 
 #[cfg(test)]
 mod props;

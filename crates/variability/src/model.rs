@@ -18,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::math::box_muller;
+use crate::sensitization::splitmix64;
 
 /// A time- and stage-dependent multiplicative delay derating.
 ///
@@ -382,27 +383,16 @@ impl LocalJitter {
         }
     }
 
-    /// One SplitMix64 step (counter-mode uniform source).
-    #[inline]
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// The Box–Muller pair for a (cycle, stage-pair) key.
     #[inline]
     fn pair_for(&mut self, key: u64) -> (f64, f64) {
         if key == self.cached_key {
             return self.cached_pair;
         }
-        let mut state = key;
         // Uniforms in (0, 1]: offset by one ulp step so ln never sees 0.
         const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-        let u1 = (Self::splitmix(&mut state) >> 11) as f64 * SCALE + SCALE;
-        let u2 = (Self::splitmix(&mut state) >> 11) as f64 * SCALE;
+        let u1 = (splitmix64(key, 0) >> 11) as f64 * SCALE + SCALE;
+        let u2 = (splitmix64(key, 1) >> 11) as f64 * SCALE;
         let r = (-2.0 * u1.ln()).sqrt();
         let (sin, cos) = (std::f64::consts::TAU * u2).sin_cos();
         self.cached_key = key;

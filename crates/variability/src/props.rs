@@ -82,9 +82,9 @@ proptest! {
         let mut profile = StagePathProfile::from_critical(Picos(crit));
         profile.p_critical = p_crit;
         profile.p_near = p_near.min(1.0 - p_crit);
-        let mut m = SensitizationModel::new(vec![profile], seed);
-        for _ in 0..200 {
-            let (d, _) = m.sample(0);
+        let m = SensitizationModel::new(vec![profile], seed);
+        for cycle in 0..200 {
+            let d = m.sample(cycle, 0);
             prop_assert!(d > Picos::ZERO);
             prop_assert!(d <= Picos(crit));
         }

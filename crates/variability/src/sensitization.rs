@@ -8,13 +8,67 @@
 //! sensitizing end-to-end critical paths on *successive* cycles (a
 //! multi-stage error) is negligibly small.
 //!
-//! [`SensitizationModel`] samples, per cycle and stage, which delay
+//! [`SensitizationModel`] decides, per cycle and stage, which delay
 //! class the workload exercises; the pipeline simulator then derates the
 //! sampled base delay with the `model::DelaySource` environment.
+//!
+//! # Counter-mode draws
+//!
+//! Every base delay is a *pure function* of `(seed, cycle, stage)`:
+//! one 64-bit [`draw`] (a [`splitmix64`] mix of the three) mapped
+//! through the stage's quantized, integer-only [`StageDelayModel`].
+//! The model holds no generator state, so a delay can be asked for in
+//! any order, skipped without shifting any later one, and evaluated by
+//! the scalar `PipelineSim` and the 64-lane bit-sliced engine alike:
+//! both read the same delay for the same coordinates, bit for bit.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use timber_netlist::Picos;
+
+/// splitmix64 increment (golden-ratio constant).
+pub const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+/// splitmix64 finalizer multiplier 1.
+const MIX1: u64 = 0xBF58_476D_1CE4_E5B9;
+/// splitmix64 finalizer multiplier 2.
+const MIX2: u64 = 0x94D0_49BB_1331_11EB;
+
+/// The splitmix64 output function alone: a 64-bit avalanche mixer
+/// (the core of the repository's content hashes and jitter draws).
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(MIX1);
+    z = (z ^ (z >> 27)).wrapping_mul(MIX2);
+    z ^ (z >> 31)
+}
+
+/// SplitMix64: maps `(base, index)` to a well-mixed 64-bit value.
+///
+/// This is the standard SplitMix64 output for the `index`-th step of
+/// the stream starting at `base`. Nearby indices (0, 1, 2, …) give
+/// statistically independent values, which is what per-trial seeding
+/// and every counter-mode stream in the repository rely on.
+#[inline]
+pub fn splitmix64(base: u64, index: u64) -> u64 {
+    mix64(base.wrapping_add(index.wrapping_add(1).wrapping_mul(PHI)))
+}
+
+/// The seed-independent half of a draw's counter. A 64-lane sweep
+/// hoists it out of the lane loop, saving two multiplies per lane.
+#[inline]
+pub fn row_key(cycle: u64, stage: usize) -> u64 {
+    cycle.wrapping_mul(MIX1) ^ (stage as u64 + 1).wrapping_mul(MIX2)
+}
+
+/// The one 64-bit draw for `(seed, cycle, stage)`.
+#[inline]
+pub fn draw(seed: u64, cycle: u64, stage: usize) -> u64 {
+    splitmix64(seed ^ row_key(cycle, stage), 0)
+}
+
+/// `(u * span) >> 32`: maps a 32-bit uniform draw onto `[0, span)`.
+#[inline]
+fn scale32(u: u32, span: u32) -> i64 {
+    ((u64::from(u) * u64::from(span)) >> 32) as i64
+}
 
 /// Path-delay classes of one pipeline stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,86 +121,91 @@ impl StagePathProfile {
     }
 }
 
-/// Which class of path a cycle sensitized (exposed for statistics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SensitizedClass {
-    /// The stage's critical path.
-    Critical,
-    /// A near-critical path.
-    NearCritical,
-    /// An ordinary path.
-    Typical,
-}
-
-/// Per-stage sampler of the base (pre-derating) combinational delay.
-#[derive(Debug, Clone)]
+/// A stage's path-delay mixture, quantized for integer-only
+/// counter-mode sampling.
+///
+/// One 64-bit draw is split in two: the low 32 bits classify the cycle
+/// against fixed-point probability cuts (critical, then near-critical,
+/// else typical), and the high 32 bits place it uniformly inside the
+/// class band. Near-critical draws land in `[near_critical, critical)`
+/// and typical draws in `[typical / 2, near_critical)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageDelayModel {
-    profile: StagePathProfile,
-    /// `p_critical + p_near`: below it (and at or above `p_critical`)
-    /// a draw sensitizes a near-critical path.
-    p_band: f64,
-    /// Width of the near-critical band `[near_critical, critical)`.
-    near_span: i64,
-    /// Typical paths span `[typical_lo, typical_hi)`.
-    typical_lo: i64,
-    typical_hi: i64,
+    /// Critical-path delay in ps.
+    critical: i64,
+    /// Lower edge of the near-critical band in ps.
+    near_lo: i64,
+    /// Width of the near-critical band `[near_lo, critical)` in ps.
+    near_span: u32,
+    /// Lower edge of the typical band in ps.
+    typ_lo: i64,
+    /// Width of the typical band in ps (always ≥ 1).
+    typ_span: u32,
+    /// Fixed-point (`p × 2³²`) cut below which a draw is critical;
+    /// `p = 1` maps to 2³², above every 32-bit class word.
+    crit_cut: u64,
+    /// Fixed-point cut below which a draw is critical or near-critical.
+    near_cut: u64,
 }
 
 impl StageDelayModel {
-    /// Creates a sampler for a validated profile.
+    /// Quantizes a sensitization profile.
     ///
     /// # Panics
     ///
     /// Panics if the profile fails [`StagePathProfile::validate`].
-    pub fn new(profile: StagePathProfile) -> StageDelayModel {
+    pub fn new(profile: &StagePathProfile) -> StageDelayModel {
         profile.validate();
-        let typical_lo = profile.typical.as_ps() / 2;
+        let critical = profile.critical.as_ps();
+        let near_lo = profile.near_critical.as_ps();
+        let near_span = (critical - near_lo).max(0) as u32;
+        let typ_lo = profile.typical.as_ps() / 2;
+        let typ_hi = near_lo.max(typ_lo + 1);
+        let typ_span = (typ_hi - typ_lo) as u32;
+        const ONE: f64 = 4_294_967_296.0;
         StageDelayModel {
-            profile,
-            p_band: profile.p_critical + profile.p_near,
-            near_span: (profile.critical - profile.near_critical).as_ps(),
-            typical_lo,
-            typical_hi: profile.near_critical.as_ps().max(typical_lo + 1),
+            critical,
+            near_lo,
+            near_span,
+            typ_lo,
+            typ_span,
+            crit_cut: (profile.p_critical * ONE) as u64,
+            near_cut: ((profile.p_critical + profile.p_near) * ONE) as u64,
         }
     }
 
-    /// The profile driving the sampler.
-    pub fn profile(&self) -> &StagePathProfile {
-        &self.profile
+    /// The largest delay [`StageDelayModel::delay`] can return: the
+    /// critical delay, or the typical band's top when a degenerate
+    /// profile puts that higher.
+    pub fn max_delay(&self) -> Picos {
+        Picos(
+            self.critical
+                .max(self.typ_lo + i64::from(self.typ_span) - 1),
+        )
     }
 
-    /// Samples a cycle's base delay and its class.
+    /// Maps one 64-bit draw to a delay. Branch-light and integer-only,
+    /// so every engine that reads the same draw gets the same delay.
     #[inline]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> (Picos, SensitizedClass) {
-        let u: f64 = rng.gen();
-        if u < self.profile.p_critical {
-            (self.profile.critical, SensitizedClass::Critical)
-        } else if u < self.p_band {
-            let extra = if self.near_span > 0 {
-                rng.gen_range(0..self.near_span)
-            } else {
-                0
-            };
-            (
-                self.profile.near_critical + Picos(extra),
-                SensitizedClass::NearCritical,
-            )
+    pub fn delay(&self, r: u64) -> Picos {
+        let class = r & 0xFFFF_FFFF;
+        let u = (r >> 32) as u32;
+        if class < self.crit_cut {
+            Picos(self.critical)
+        } else if class < self.near_cut {
+            Picos(self.near_lo + scale32(u, self.near_span))
         } else {
-            // Typical paths span [0.5*typical, near_critical).
-            (
-                Picos(rng.gen_range(self.typical_lo..self.typical_hi)),
-                SensitizedClass::Typical,
-            )
+            Picos(self.typ_lo + scale32(u, self.typ_span))
         }
     }
 }
 
 /// Sensitization model for a whole pipeline: one [`StageDelayModel`] per
-/// stage and a seeded RNG.
-#[derive(Debug)]
+/// stage and the seed of its counter-mode stream.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SensitizationModel {
     stages: Vec<StageDelayModel>,
-    rng: StdRng,
+    seed: u64,
 }
 
 impl SensitizationModel {
@@ -156,11 +215,17 @@ impl SensitizationModel {
     ///
     /// Panics if `profiles` is empty or any profile is invalid.
     pub fn new(profiles: Vec<StagePathProfile>, seed: u64) -> SensitizationModel {
-        assert!(!profiles.is_empty(), "need at least one stage profile");
-        SensitizationModel {
-            stages: profiles.into_iter().map(StageDelayModel::new).collect(),
-            rng: StdRng::seed_from_u64(seed),
-        }
+        SensitizationModel::from_stages(profiles.iter().map(StageDelayModel::new).collect(), seed)
+    }
+
+    /// Creates a model from already quantized stage models.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stages` is empty.
+    pub fn from_stages(stages: Vec<StageDelayModel>, seed: u64) -> SensitizationModel {
+        assert!(!stages.is_empty(), "need at least one stage profile");
+        SensitizationModel { stages, seed }
     }
 
     /// A uniform pipeline: every stage shares the same critical delay.
@@ -181,16 +246,30 @@ impl SensitizationModel {
         &self.stages[stage]
     }
 
-    /// Samples the base delay sensitized at `stage` this cycle.
+    /// The base delay sensitized at `stage` in `cycle`.
     #[inline]
-    pub fn sample(&mut self, stage: usize) -> (Picos, SensitizedClass) {
-        self.stages[stage].sample(&mut self.rng)
+    pub fn sample(&self, cycle: u64, stage: usize) -> Picos {
+        self.stages[stage].delay(draw(self.seed, cycle, stage))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Counts each class over `n` cycles of stage 0 of a
+    /// `from_critical(1000)` model: (critical, near-critical, typical).
+    fn class_counts(m: &SensitizationModel, n: u64) -> (usize, usize, usize) {
+        let mut counts = (0, 0, 0);
+        for cycle in 0..n {
+            match m.sample(cycle, 0).as_ps() {
+                1000 => counts.0 += 1,
+                950..=999 => counts.1 += 1,
+                _ => counts.2 += 1,
+            }
+        }
+        counts
+    }
 
     #[test]
     fn profile_from_critical_is_valid() {
@@ -202,11 +281,9 @@ mod tests {
 
     #[test]
     fn critical_sensitization_rate_matches_probability() {
-        let mut m = SensitizationModel::uniform(1, Picos(1000), 7);
+        let m = SensitizationModel::uniform(1, Picos(1000), 7);
         let n = 200_000;
-        let crit = (0..n)
-            .filter(|_| matches!(m.sample(0).1, SensitizedClass::Critical))
-            .count();
+        let (crit, _, _) = class_counts(&m, n);
         let rate = crit as f64 / n as f64;
         assert!(
             (rate - 1e-3).abs() < 4e-4,
@@ -215,11 +292,23 @@ mod tests {
     }
 
     #[test]
+    fn near_critical_sensitization_rate_matches_probability() {
+        let m = SensitizationModel::uniform(1, Picos(1000), 7);
+        let n = 200_000;
+        let (_, near, _) = class_counts(&m, n);
+        let rate = near as f64 / n as f64;
+        assert!(
+            (rate - 1e-2).abs() < 1.5e-3,
+            "near-critical rate {rate} should be near 1e-2"
+        );
+    }
+
+    #[test]
     fn sampled_delays_never_exceed_critical() {
-        let mut m = SensitizationModel::uniform(2, Picos(800), 9);
-        for _ in 0..10_000 {
+        let m = SensitizationModel::uniform(2, Picos(800), 9);
+        for cycle in 0..10_000 {
             for s in 0..2 {
-                let (d, _) = m.sample(s);
+                let d = m.sample(cycle, s);
                 assert!(d <= Picos(800));
                 assert!(d > Picos::ZERO);
             }
@@ -228,27 +317,80 @@ mod tests {
 
     #[test]
     fn class_delay_ranges_are_disjointish() {
-        let mut m = SensitizationModel::uniform(1, Picos(1000), 3);
-        for _ in 0..20_000 {
-            let (d, class) = m.sample(0);
-            match class {
-                SensitizedClass::Critical => assert_eq!(d, Picos(1000)),
-                SensitizedClass::NearCritical => {
-                    assert!(d >= Picos(950) && d < Picos(1000))
-                }
-                SensitizedClass::Typical => assert!(d < Picos(950)),
+        let q = StageDelayModel::new(&StagePathProfile::from_critical(Picos(1000)));
+        for i in 0..20_000u64 {
+            let r = splitmix64(3, i);
+            let d = q.delay(r).as_ps();
+            let class = r & 0xFFFF_FFFF;
+            if class < q.crit_cut {
+                assert_eq!(d, 1000);
+            } else if class < q.near_cut {
+                assert!((950..1000).contains(&d), "near-critical {d}");
+            } else {
+                assert!((325..950).contains(&d), "typical {d}");
             }
         }
     }
 
     #[test]
     fn model_is_seed_deterministic() {
-        let mut a = SensitizationModel::uniform(3, Picos(500), 42);
-        let mut b = SensitizationModel::uniform(3, Picos(500), 42);
-        for _ in 0..1000 {
-            for s in 0..3 {
-                assert_eq!(a.sample(s).0, b.sample(s).0);
+        let a = SensitizationModel::uniform(3, Picos(500), 42);
+        let b = SensitizationModel::uniform(3, Picos(500), 42);
+        let c = SensitizationModel::uniform(3, Picos(500), 43);
+        let row = |m: &SensitizationModel, cycle| (0..3).map(|s| m.sample(cycle, s)).collect();
+        let rows = |m| {
+            (0..1000)
+                .map(|cycle| row(m, cycle))
+                .collect::<Vec<Vec<Picos>>>()
+        };
+        assert_eq!(rows(&a), rows(&b));
+        assert_ne!(rows(&a), rows(&c));
+    }
+
+    #[test]
+    fn samples_are_pure_in_cycle_and_stage() {
+        let m = SensitizationModel::uniform(3, Picos(500), 42);
+        let forward: Vec<Picos> = (0..1000)
+            .flat_map(|c| (0..3).map(move |s| (c, s)))
+            .map(|(c, s)| m.sample(c, s))
+            .collect();
+        // Stage-major, reversed and strided orders read the same values.
+        for s in (0..3).rev() {
+            for c in (0..1000u64).rev() {
+                assert_eq!(m.sample(c, s), forward[c as usize * 3 + s]);
             }
+        }
+        for c in (0..1000u64).step_by(7) {
+            assert_eq!(m.sample(c, 1), forward[c as usize * 3 + 1]);
+        }
+    }
+
+    #[test]
+    fn exact_probability_one_is_always_critical() {
+        let mut p = StagePathProfile::from_critical(Picos(1000));
+        p.p_critical = 1.0;
+        p.p_near = 0.0;
+        let q = StageDelayModel::new(&p);
+        // A class word of u32::MAX is the one a saturating cut misses.
+        assert_eq!(q.delay(u64::from(u32::MAX)), Picos(1000));
+        assert_eq!(q.delay(u64::MAX), Picos(1000));
+    }
+
+    #[test]
+    fn splitmix64_is_pinned() {
+        // The standard SplitMix64 stream from state 0.
+        assert_eq!(splitmix64(0, 0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(0, 1), 0x6E78_9E6A_A1B9_65F4);
+        assert_eq!(splitmix64(0, 2), 0x06C4_5D18_8009_454F);
+        assert_eq!(
+            splitmix64(42, 7),
+            splitmix64(42u64.wrapping_add(7u64.wrapping_mul(PHI)), 0)
+        );
+        // The one-argument form the batch engine once kept: `z + φ`,
+        // then the finalizer.
+        let one_arg = |z: u64| mix64(z.wrapping_add(PHI));
+        for z in [0, 1, 0xDEAD_BEEF, u64::MAX] {
+            assert_eq!(splitmix64(z, 0), one_arg(z));
         }
     }
 

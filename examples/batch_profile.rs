@@ -13,12 +13,10 @@
 use std::time::Instant;
 
 use timber::CheckingPeriod;
-use timber_batch::{
-    run_batched, BatchConfig, BatchRun, BatchScheme, BatchStageProfile, BatchWorkload,
-};
+use timber_batch::{run_batched, BatchConfig, BatchRun, BatchScheme, BatchWorkload};
 use timber_netlist::Picos;
 use timber_pipeline::PipelineConfig;
-use timber_variability::StagePathProfile;
+use timber_variability::{StageDelayModel, StagePathProfile};
 
 const PERIOD: Picos = Picos(1000);
 
@@ -77,7 +75,7 @@ fn stress() -> Vec<BatchConfig> {
             let mut p = StagePathProfile::from_critical(Picos(1050 + 15 * s as i64));
             p.p_critical = 0.03;
             p.p_near = 0.25;
-            BatchStageProfile::from_profile(&p)
+            StageDelayModel::new(&p)
         })
         .collect();
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid");
@@ -102,10 +100,7 @@ fn tune_shaped() -> Vec<BatchConfig> {
             configs.push(BatchConfig {
                 pipeline: PipelineConfig::new(stages, PERIOD),
                 scheme: BatchScheme::TimberFf(sched),
-                workload: BatchWorkload::new(
-                    vec![BatchStageProfile::from_profile(&profile); stages],
-                    seed,
-                ),
+                workload: BatchWorkload::new(vec![StageDelayModel::new(&profile); stages], seed),
                 lanes: 16,
             });
         }

@@ -30,11 +30,11 @@ fn main() {
     // (a) full sim
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid");
     let mut scheme = TimberFfScheme::new(sched, STAGES);
-    let mut sens = mk_sens();
+    let sens = mk_sens();
     let mut var = mk_var();
     let cfg = PipelineConfig::new(STAGES, PERIOD);
     let t = Instant::now();
-    let stats = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(CYCLES);
+    let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(CYCLES);
     let full = t.elapsed().as_secs_f64();
     println!(
         "full sim:       {:.3}s  ({:.0} cycles/s) masked={}",
@@ -44,12 +44,12 @@ fn main() {
     );
 
     // (b) sensitization sampling only
-    let mut sens = mk_sens();
+    let sens = mk_sens();
     let t = Instant::now();
     let mut acc = Picos::ZERO;
-    for _ in 0..CYCLES {
+    for cycle in 0..CYCLES {
         for s in 0..STAGES {
-            acc += sens.sample(s).0;
+            acc += sens.sample(cycle, s);
         }
     }
     let tb = t.elapsed().as_secs_f64();
@@ -193,11 +193,11 @@ fn main() {
                 exact: 0,
             };
             let mut scheme = TimberFfScheme::new(sched, STAGES);
-            let mut sens = mk_sens();
+            let sens = mk_sens();
             let mut cfg = PipelineConfig::new(STAGES, PERIOD);
             cfg.governor = Some(GovernorConfig::default());
             let t = Instant::now();
-            let stats = PipelineSim::new(cfg, &mut scheme, &mut sens, &mut var).run(CYCLES);
+            let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(CYCLES);
             *wall = t.elapsed().as_secs_f64();
             if !hide_bound {
                 // Every exact factor follows a per-query bound here:

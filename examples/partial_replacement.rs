@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         replaced.iter().filter(|&&r| r).count(),
     );
 
-    let mut sens = SensitizationModel::new(profiles.clone(), SEED ^ 0x5EED);
+    let sens = SensitizationModel::new(profiles.clone(), SEED ^ 0x5EED);
     let mut var = VariabilityBuilder::new(SEED)
         .voltage_droop(0.05, 500, 2000.0)
         .local_jitter(0.005)
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = PipelineSim::with_telemetry(
         PipelineConfig::new(stages, period),
         &mut scheme,
-        &mut sens,
+        &sens,
         &mut var,
         &mut recorder,
     )

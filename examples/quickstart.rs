@@ -58,13 +58,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    no throughput loss.
     let stages = 5;
     let mut scheme = TimberFfScheme::new(CheckingPeriod::deferred_flagging(period, 24.0)?, stages);
-    let mut sens = SensitizationModel::uniform(stages, Picos(970), 42);
+    let sens = SensitizationModel::uniform(stages, Picos(970), 42);
     let mut var = VariabilityBuilder::new(42)
         .voltage_droop(0.05, 500, 2000.0)
         .local_jitter(0.005)
         .build();
     let config = PipelineConfig::new(stages, period);
-    let stats = PipelineSim::new(config, &mut scheme, &mut sens, &mut var).run(100_000);
+    let stats = PipelineSim::new(config, &mut scheme, &sens, &mut var).run(100_000);
     println!(
         "pipeline:  {} cycles, {} violations masked ({} flagged), {} corrupted, IPC {:.4}",
         stats.cycles,

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    exact un-instrumented hot loop.
     let schedule = CheckingPeriod::deferred_flagging(PERIOD, 24.0)?;
     let mut scheme = TimberFfScheme::new(schedule, STAGES);
-    let mut sens = SensitizationModel::uniform(STAGES, Picos(970), SEED);
+    let sens = SensitizationModel::uniform(STAGES, Picos(970), SEED);
     let mut var = VariabilityBuilder::new(SEED)
         .voltage_droop(0.06, 400, 1500.0)
         .local_jitter(0.01)
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = PipelineSim::with_telemetry(
         PipelineConfig::new(STAGES, PERIOD),
         &mut scheme,
-        &mut sens,
+        &sens,
         &mut var,
         &mut recorder,
     )

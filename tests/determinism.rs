@@ -14,7 +14,7 @@ fn pipeline_runs_are_reproducible() {
     let run = || {
         let sched = CheckingPeriod::deferred_flagging(Picos(1000), 24.0).expect("valid");
         let mut scheme = TimberFfScheme::new(sched, 4);
-        let mut sens = SensitizationModel::uniform(4, Picos(970), 99);
+        let sens = SensitizationModel::uniform(4, Picos(970), 99);
         let mut var = VariabilityBuilder::new(99)
             .voltage_droop(0.06, 400, 1500.0)
             .local_jitter(0.01)
@@ -22,7 +22,7 @@ fn pipeline_runs_are_reproducible() {
         PipelineSim::new(
             PipelineConfig::new(4, Picos(1000)),
             &mut scheme,
-            &mut sens,
+            &sens,
             &mut var,
         )
         .run(50_000)
