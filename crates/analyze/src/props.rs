@@ -14,6 +14,7 @@ use timber_netlist::Picos;
 use timber_resilience::ladder::LadderLaw;
 use timber_resilience::GovernorConfig;
 use timber_schemes::SchemeId;
+use timber_variability::mix64;
 
 use crate::governor::{explore, explore_service, prove_clock, prove_service};
 use crate::soundness::replay_case;
@@ -21,15 +22,6 @@ use crate::soundness::replay_case;
 /// Checking percentages drawn from — all inside the valid `(0, 50]`
 /// band, so every drawn schedule builds.
 const PCTS: [f64; 6] = [12.0, 18.0, 24.0, 30.0, 36.0, 42.0];
-
-/// One splitmix64 step, used to unpack several independent small draws
-/// from a single `any::<u64>()` (the vendored proptest subset only
-/// composes tuples up to arity six).
-fn mix(z: u64) -> u64 {
-    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -78,9 +70,12 @@ proptest! {
             window,
             escalate_flags: escalate + band, // keeps the hysteresis band open
             deescalate_flags: escalate.saturating_sub(1),
-            hold_windows: 1 + mix(knobs) % 4,
-            deadline_windows: 1 + mix(knobs ^ 1) % 5,
-            latency_cycles: mix(knobs ^ 2) % window,
+            // `mix64` unpacks several independent small draws from one
+            // `any::<u64>()` (the vendored proptest subset only composes
+            // tuples up to arity six).
+            hold_windows: 1 + mix64(knobs) % 4,
+            deadline_windows: 1 + mix64(knobs ^ 1) % 5,
+            latency_cycles: mix64(knobs ^ 2) % window,
             ..GovernorConfig::default()
         };
         let analysis = explore(Picos(nominal), config);
@@ -91,8 +86,8 @@ proptest! {
         let escalate = escalate + band;
         let law = LadderLaw {
             escalate,
-            deescalate: mix(knobs ^ 3) % escalate,
-            hold: 1 + mix(knobs ^ 4) % 6,
+            deescalate: mix64(knobs ^ 3) % escalate,
+            hold: 1 + mix64(knobs ^ 4) % 6,
             deadline: None,
         };
         let service = explore_service(law);

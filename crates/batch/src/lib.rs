@@ -55,13 +55,15 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod engine;
+mod kernel;
 pub mod reference;
 pub mod scheme;
 pub mod workload;
 
-pub use engine::{run_batched, BatchConfig, BatchRun, MAX_LANES};
+pub use engine::{row_kernel, run_batched, BatchConfig, BatchRun, MAX_LANES};
 pub use scheme::BatchScheme;
 pub use workload::BatchWorkload;
 

@@ -6,9 +6,11 @@
 //! * **tune-shaped**: the storms `repro tune` runs, 16 lanes × 400
 //!   cycles of `StagePathProfile::from_critical` stages, at criticals
 //!   that straddle the period: some storms cannot be late at all, some
-//!   are late on their critical draws.
+//!   are late on their critical draws. Enough storms that one timed
+//!   call of the engine takes a few tenths of a second.
 //!
-//! Run with `cargo run --release --example batch_profile`.
+//! It prints which row kernel instance the engine runs (DESIGN.md
+//! §12.2). Run with `cargo run --release --example batch_profile`.
 
 use std::time::Instant;
 
@@ -87,14 +89,14 @@ fn stress() -> Vec<BatchConfig> {
     }]
 }
 
-/// 288 storms of 16 lanes on a 3-interval deferred schedule: four
+/// 5,760 storms of 16 lanes on a 3-interval deferred schedule: four
 /// criticals around the period (0.94× to 1.12×, as tune's operating
-/// points and storm intensities place them) × 72 seeds.
+/// points and storm intensities place them) × 1,440 seeds.
 fn tune_shaped() -> Vec<BatchConfig> {
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 30.0).expect("valid");
     let stages = sched.k() as usize;
     let mut configs = Vec::new();
-    for seed in 0..72u64 {
+    for seed in 0..1_440u64 {
         for critical in [940, 1000, 1060, 1120] {
             let profile = StagePathProfile::from_critical(Picos(critical));
             configs.push(BatchConfig {
@@ -109,6 +111,7 @@ fn tune_shaped() -> Vec<BatchConfig> {
 }
 
 fn main() {
+    println!("row kernel: {}", timber_batch::row_kernel());
     profile("stress (64 lanes)", &stress(), 200_000, 1);
-    profile("tune-shaped (16 lanes)", &tune_shaped(), 400, 7);
+    profile("tune-shaped (16 lanes)", &tune_shaped(), 400, 3);
 }
