@@ -273,7 +273,7 @@ fn pass(point: &AnalysisPoint, st: &mut AbsState, facts: &mut [StageFacts]) -> b
     let interval = sched.interval();
     let k = sched.k() as usize;
     let k_tb = sched.k_tb();
-    let law = Registry::new(sched, point.stages)
+    let law = Registry::new(sched)
         .coverage(point.coverage)
         .law(point.scheme);
     // How far past the edge each law's capture survives, as a mask or

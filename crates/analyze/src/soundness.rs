@@ -104,7 +104,7 @@ pub fn replay_case(
     }
 
     let stages = w.stages();
-    let registry = Registry::new(*w.schedule(), stages).coverage(1.0);
+    let registry = Registry::new(*w.schedule()).coverage(1.0);
     let mut built = registry.build(scheme, seed);
     let mut config = PipelineConfig::new(stages, w.period());
     config.slowdown_factor = 0.0;
@@ -119,7 +119,7 @@ pub fn replay_case(
     let sens = critical_only(stages);
     let mut var = TraceDelaySource::new(w.arrivals());
     let mut sink = MaxSink::default();
-    let stats = PipelineSim::with_telemetry(config, built.as_mut(), &sens, &mut var, &mut sink)
+    let stats = PipelineSim::with_telemetry(config, &mut built, &sens, &mut var, &mut sink)
         .run(w.cycles() as u64);
 
     let mut violations = Vec::new();

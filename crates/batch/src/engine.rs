@@ -481,7 +481,7 @@ impl Engine {
                         // Relay: downstream select input for the next
                         // cycle (single writer per slot in a linear
                         // pipeline; the slot was cleared at roll).
-                        self.pending[s + 1][l] = (select + 1).min(schedule.k() - 1);
+                        self.pending[s + 1][l] = schedule.relayed_select(select);
                         self.pending_mask[s + 1] |= 1u64 << l;
                     }
                     self.next_carry[s + 1][l] = borrowed.as_ps();

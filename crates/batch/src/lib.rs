@@ -44,7 +44,7 @@
 //! let schedule = CheckingPeriod::deferred_flagging(Picos(1000), 24.0)?;
 //! let config = BatchConfig {
 //!     pipeline: PipelineConfig::new(4, Picos(1000)),
-//!     scheme: Registry::new(schedule, 4).law(SchemeId::CanaryFf),
+//!     scheme: Registry::new(schedule).law(SchemeId::CanaryFf),
 //!     workload: BatchWorkload::new(profiles, 7),
 //!     lanes: 64,
 //! };

@@ -151,7 +151,7 @@ proptest! {
         let (over, p_critical, p_near) = pressure;
         let (seed, lanes, threads, cycles) = shape;
         let sched = CheckingPeriod::new(PERIOD, pct, k_tb, k_ed).unwrap();
-        let registry = Registry::new(sched, 5);
+        let registry = Registry::new(sched);
         for scheme in SchemeId::ALL.map(|id| registry.law(id)) {
             let config = BatchConfig {
                 pipeline: PipelineConfig::new(5, PERIOD),
@@ -181,7 +181,7 @@ proptest! {
         let (slowdown_factor, slowdown_window) = clock;
         let (seed, lanes, cycles) = shape;
         let sched = CheckingPeriod::new(PERIOD, pct, k_tb, k_ed).unwrap();
-        let registry = Registry::new(sched, 5);
+        let registry = Registry::new(sched);
         for scheme in SchemeId::ALL.map(|id| registry.law(id)) {
             let limit = scheme.on_time_limit(PERIOD).as_ps();
             let mut pipeline = PipelineConfig::new(5, PERIOD);

@@ -31,7 +31,7 @@ pub fn run_scalar_reference(config: &BatchConfig, cycles: u64, threads: usize) -
     let lanes: Vec<usize> = (0..config.lanes).collect();
     let per_lane = scatter_strict(&lanes, threads, &|&lane| {
         let seed = config.workload.lane_seed(lane);
-        let mut scheme = config.scheme.build(config.pipeline.stages, seed);
+        let mut scheme = config.scheme.build(seed);
         let sens = SensitizationModel::from_stages(config.workload.profiles().to_vec(), seed);
         let mut var = CompositeVariability::nominal();
         // Ring capacity 0: counters only, no event storage cost.
@@ -41,7 +41,7 @@ pub fn run_scalar_reference(config: &BatchConfig, cycles: u64, threads: usize) -
         );
         let stats = PipelineSim::with_telemetry(
             config.pipeline,
-            scheme.as_mut(),
+            &mut scheme,
             &sens,
             &mut var,
             &mut recorder,
@@ -123,7 +123,7 @@ mod tests {
     fn all_schemes_match_scalar_reference() {
         let sched = CheckingPeriod::deferred_flagging(Picos(1000), 24.0).unwrap();
         let immediate = CheckingPeriod::immediate_flagging(Picos(1000), 24.0).unwrap();
-        let registry = Registry::new(sched, 5);
+        let registry = Registry::new(sched);
         let laws = SchemeId::ALL
             .map(|id| registry.law(id))
             .into_iter()

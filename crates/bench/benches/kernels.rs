@@ -5,9 +5,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use timber::{CheckingPeriod, TimberFfScheme};
+use timber::CheckingPeriod;
 use timber_netlist::{pipelined_datapath, CellLibrary, DatapathSpec, Picos};
 use timber_pipeline::{PipelineConfig, PipelineSim};
+use timber_schemes::CaptureLaw;
 use timber_sta::{ClockConstraint, PathQuery, TimingAnalysis};
 use timber_variability::{CompositeVariability, SensitizationModel};
 
@@ -64,7 +65,7 @@ fn pipeline_sim_throughput(c: &mut Criterion) {
                 b.iter(|| {
                     let sched =
                         CheckingPeriod::deferred_flagging(Picos(1000), 24.0).expect("valid");
-                    let mut scheme = TimberFfScheme::new(sched, 5);
+                    let mut scheme = CaptureLaw::TimberFf(sched).build(0);
                     let sens = SensitizationModel::uniform(5, Picos(970), 1);
                     let mut var = CompositeVariability::nominal();
                     let cfg = PipelineConfig::new(5, Picos(1000));
@@ -84,7 +85,7 @@ fn pipeline_hot_loop(c: &mut Criterion) {
     c.bench_function("pipeline_hot_loop", |b| {
         b.iter(|| {
             let sched = CheckingPeriod::deferred_flagging(Picos(1000), 24.0).expect("valid");
-            let mut scheme = TimberFfScheme::new(sched, 5);
+            let mut scheme = CaptureLaw::TimberFf(sched).build(0);
             let sens = timber_bench::experiments::stress_sensitization(5, 2010);
             let mut var = timber_bench::experiments::stress_variability(2010);
             let cfg = PipelineConfig::new(5, Picos(1000));

@@ -3,10 +3,10 @@
 //! severity the checking period can absorb, and Razor's metastability
 //! exposure vs TIMBER's immunity.
 
-use timber::{validate_flipflop, validate_latch, CheckingPeriod, TimberFfScheme};
+use timber::{validate_flipflop, validate_latch, CheckingPeriod};
 use timber_netlist::Picos;
 use timber_pipeline::{Environment, PipelineConfig, RunStats, SequentialScheme, SweepSpec};
-use timber_schemes::{CaptureLaw, MarginedFlop};
+use timber_schemes::CaptureLaw;
 use timber_variability::{SensitizationModel, VariabilityBuilder};
 
 use crate::experiments::{PERIOD, SEED, TRIALS};
@@ -71,7 +71,7 @@ pub fn ablation_schedule_threaded(cycles: u64, threads: usize) -> Vec<ScheduleAb
         .threads(threads);
     for &(c, k_tb, k_ed, sched) in &grid {
         spec = spec.scheme(&format!("c{c}-tb{k_tb}-ed{k_ed}"), move |_| {
-            Box::new(TimberFfScheme::new(sched, STAGES))
+            Box::new(CaptureLaw::TimberFf(sched).build(0))
         });
     }
     let result = spec.run();
@@ -136,9 +136,11 @@ pub fn ablation_droop_threaded(cycles: u64, threads: usize) -> Vec<DroopAblation
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid");
     let mut spec = SweepSpec::new(SEED, per_trial(cycles), TRIALS)
         .scheme("timber-ff", move |_| {
-            Box::new(TimberFfScheme::new(sched, STAGES))
+            Box::new(CaptureLaw::TimberFf(sched).build(0))
         })
-        .scheme("conventional-ff", |_| Box::new(MarginedFlop::new()))
+        .scheme("conventional-ff", |_| {
+            Box::new(CaptureLaw::Conventional.build(0))
+        })
         .threads(threads);
     for depth in DEPTHS {
         spec = spec.env(&format!("droop-{depth}"), move |p| {
@@ -207,13 +209,13 @@ pub fn ablation_metastability_threaded(cycles: u64, threads: usize) -> Metastabi
     };
     let result = SweepSpec::new(SEED, per_trial(cycles), TRIALS)
         .scheme("razor-ideal", move |p| {
-            razor(Picos::ZERO, 0).build(STAGES, p.seed)
+            Box::new(razor(Picos::ZERO, 0).build(p.seed))
         })
         .scheme("razor-meta", move |p| {
-            razor(Picos(20), 4).build(STAGES, p.seed)
+            Box::new(razor(Picos(20), 4).build(p.seed))
         })
         .scheme("timber-ff", move |_| {
-            Box::new(TimberFfScheme::new(sched, STAGES))
+            Box::new(CaptureLaw::TimberFf(sched).build(0))
         })
         .env("droop-5pct", |p| environment(0.05, p.seed))
         .threads(threads)
@@ -277,11 +279,9 @@ pub fn ablation_dag(cycles: u64) -> DagResult {
         .on_topology(&topo)
         .run(cycles)
     };
-    let mut dag_scheme = TimberFfScheme::new(sched, topo.len()).on_topology(&topo);
-    let mut conventional = MarginedFlop::new();
     DagResult {
-        dag_relay: run(&mut dag_scheme),
-        conventional: run(&mut conventional),
+        dag_relay: run(&mut CaptureLaw::TimberFf(sched).build(0)),
+        conventional: run(&mut CaptureLaw::Conventional.build(0)),
     }
 }
 

@@ -27,10 +27,10 @@ fn run_at(id: SchemeId, period: Picos, cycles: u64, threads: usize) -> RunStats 
     // fraction of the clock), and with it Razor's speculation window
     // and the canary guard band.
     let schedule = CheckingPeriod::deferred_flagging(period, 24.0).expect("valid");
-    let registry = Registry::new(schedule, STAGES);
+    let registry = Registry::new(schedule);
     let per_trial = (cycles / TRIALS as u64).max(1);
     SweepSpec::new(SEED, per_trial, TRIALS)
-        .scheme(id.name(), move |p| registry.build(id, p.seed))
+        .scheme(id.name(), move |p| Box::new(registry.build(id, p.seed)))
         .env("margin-stress", move |p| Environment {
             config: PipelineConfig::new(STAGES, period),
             sensitization: SensitizationModel::uniform(STAGES, Picos(970), p.seed ^ 0x5EED),

@@ -126,13 +126,13 @@ fn run_trial(flat: usize, seed: u64, cycles: u64) -> Result<String, String> {
     let (storm, id, trial) = coordinates(flat);
     let schedule = CheckingPeriod::new(PERIOD, CHECKING_PCT, 1, 2)
         .map_err(|e| format!("trial {flat}: bad schedule: {e}"))?;
-    let registry = Registry::new(schedule, STAGES);
+    let registry = Registry::new(schedule);
     let mut scheme = registry.build(id, seed);
     let sens = SensitizationModel::uniform(STAGES, Picos(940), seed);
     let mut var = storm.build(STAGES, seed);
     let mut config = PipelineConfig::new(STAGES, PERIOD);
     config.governor = Some(GovernorConfig::default());
-    let stats = PipelineSim::new(config, scheme.as_mut(), &sens, &mut var).run(cycles);
+    let stats = PipelineSim::new(config, &mut scheme, &sens, &mut var).run(cycles);
 
     // Invariants every trial must satisfy, whatever the storm does.
     if stats.cycles != cycles {

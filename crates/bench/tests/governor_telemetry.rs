@@ -18,7 +18,7 @@ const CYCLES: u64 = 1_500;
 
 fn run_scheme(id: SchemeId, storm: StormScenario, seed: u64) -> (Recorder, u64) {
     let schedule = CheckingPeriod::new(PERIOD, 24.0, 1, 2).expect("valid schedule");
-    let registry = Registry::new(schedule, STAGES);
+    let registry = Registry::new(schedule);
     let mut scheme = registry.build(id, seed);
     let sens = SensitizationModel::uniform(STAGES, Picos(940), seed);
     let mut var = storm.build(STAGES, seed);
@@ -28,7 +28,7 @@ fn run_scheme(id: SchemeId, storm: StormScenario, seed: u64) -> (Recorder, u64) 
     // can be compared against the monotonic counters.
     let mut rec = Recorder::new(RecorderConfig::new(STAGES, PERIOD).ring_capacity(1 << 16));
     let stats =
-        PipelineSim::with_telemetry(config, scheme.as_mut(), &sens, &mut var, &mut rec).run(CYCLES);
+        PipelineSim::with_telemetry(config, &mut scheme, &sens, &mut var, &mut rec).run(CYCLES);
     (rec, stats.slowdown_episodes)
 }
 
@@ -87,7 +87,7 @@ fn escalation_counters_match_ladder_transitions_for_every_scheme() {
 #[test]
 fn quiet_environment_never_escalates_for_any_scheme() {
     let schedule = CheckingPeriod::new(PERIOD, 24.0, 1, 2).expect("valid schedule");
-    let registry = Registry::new(schedule, STAGES);
+    let registry = Registry::new(schedule);
     for id in SchemeId::ALL {
         let mut scheme = registry.build(id, 7);
         // Short paths under nominal variability: nothing ever flags.
@@ -96,8 +96,8 @@ fn quiet_environment_never_escalates_for_any_scheme() {
         let mut config = PipelineConfig::new(STAGES, PERIOD);
         config.governor = Some(GovernorConfig::default());
         let mut rec = Recorder::new(RecorderConfig::new(STAGES, PERIOD).ring_capacity(1024));
-        let _ = PipelineSim::with_telemetry(config, scheme.as_mut(), &sens, &mut var, &mut rec)
-            .run(CYCLES);
+        let _ =
+            PipelineSim::with_telemetry(config, &mut scheme, &sens, &mut var, &mut rec).run(CYCLES);
         assert_eq!(rec.counter(Counter::Escalations), 0, "{}", id.name());
         assert_eq!(rec.counter(Counter::SafeModeEntries), 0, "{}", id.name());
     }

@@ -174,11 +174,11 @@ fn run_with_sink<S: TelemetrySink>(
     let stages = w.stages();
     let sens = critical_only(stages);
     let mut var = TraceDelaySource::new(w.arrivals());
-    let registry = Registry::new(*w.schedule(), stages).coverage(1.0);
+    let registry = Registry::new(*w.schedule()).coverage(1.0);
     let mut scheme = registry.build(id, seed);
     let mut config = PipelineConfig::new(stages, w.period());
     config.slowdown_factor = 0.0;
-    let mut sim = PipelineSim::with_telemetry(config, scheme.as_mut(), &sens, &mut var, sink);
+    let mut sim = PipelineSim::with_telemetry(config, &mut scheme, &sens, &mut var, sink);
     let _ = sim.run(w.cycles() as u64);
     (sim.carry().to_vec(), sim.chain_depths().to_vec())
 }

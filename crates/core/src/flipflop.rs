@@ -198,7 +198,7 @@ impl TimberFlipFlop {
                 borrowed: delta,
                 // Flag when any borrowed interval lies in the ED region.
                 flagged: units > schedule.k_tb(),
-                select_out: units.min(schedule.k() - 1),
+                select_out: schedule.relayed_select(select),
             }
         } else {
             CaptureOutcome::Escaped {

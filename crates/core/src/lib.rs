@@ -17,9 +17,9 @@
 //!   how many extra units to borrow;
 //! * [`TimberLatch`] — the pulse-gated latch pair with *continuous*
 //!   borrowing and no relay logic;
-//! * [`TimberFfScheme`] / [`TimberLatchScheme`] — plug-in
-//!   implementations of `timber_pipeline::SequentialScheme` so the
-//!   architectural simulator can run TIMBER against the baselines;
+//! * a [`CaptureOutcome`] to `timber_pipeline::StageOutcome`
+//!   conversion: `timber-schemes` runs both cells, like every
+//!   baseline, on the architectural simulator as one capture law;
 //! * [`circuit`] — wave-level (transmission-gate / latch) constructions
 //!   of both cells on `timber-wavesim`, used to reproduce the paper's
 //!   SPICE waveform figures (Figs. 5 and 7) and for corner-case
@@ -57,7 +57,7 @@ pub mod gate_level;
 pub mod latch;
 pub mod relay;
 pub mod schedule;
-pub mod scheme;
+mod scheme;
 pub mod validate;
 
 pub use control::ConsolidationTree;
@@ -68,7 +68,6 @@ pub use gate_level::{compile, lockstep_compare, CompiledDesign, LockstepResult, 
 pub use latch::TimberLatch;
 pub use relay::{ErrorRelay, NetlistRelay, RelayEstimate};
 pub use schedule::{CheckingPeriod, IntervalKind};
-pub use scheme::{TimberFfScheme, TimberLatchScheme};
 pub use validate::{validate_flipflop, validate_latch, ValidationReport};
 
 #[cfg(test)]

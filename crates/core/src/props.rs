@@ -5,13 +5,11 @@
 use proptest::prelude::*;
 
 use timber_netlist::Picos;
-use timber_pipeline::{CycleContext, SequentialScheme, StageOutcome};
 
 use crate::flipflop::{CaptureOutcome, TimberFlipFlop};
 use crate::latch::TimberLatch;
 use crate::relay::ErrorRelay;
 use crate::schedule::CheckingPeriod;
-use crate::scheme::TimberFfScheme;
 
 fn any_schedule() -> impl Strategy<Value = CheckingPeriod> {
     (500i64..3000, 1.0f64..45.0, 0u8..3, 1u8..3).prop_map(|(period, c, k_tb, k_ed)| {
@@ -102,56 +100,6 @@ proptest! {
         {
             let tb = schedule.interval() * i64::from(schedule.k_tb());
             prop_assert_eq!(flagged, Picos(overshoot) > tb);
-        }
-    }
-
-    /// The relay guarantee: when every per-stage *base* overshoot stays
-    /// within one interval, a TIMBER FF pipeline can only corrupt after
-    /// a masked chain of at least `k` consecutive stages (where the
-    /// select input saturates). Shorter chains are always masked.
-    ///
-    /// Time-borrow carry-over is applied exactly as in the pipeline
-    /// simulator: a borrow at boundary `s` in cycle `t` arrives at
-    /// boundary `s+1` in cycle `t+1`.
-    #[test]
-    fn corruption_requires_chain_of_at_least_k(
-        seed in 0u64..60,
-        stages in 2usize..6,
-    ) {
-        use rand::{Rng, SeedableRng};
-        let schedule = CheckingPeriod::new(Picos(1000), 24.0, 1, 2).expect("valid");
-        let k = schedule.k() as usize;
-        let interval = schedule.interval().as_ps();
-        let mut scheme = TimberFfScheme::new(schedule, stages);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut carry = vec![Picos::ZERO; stages + 1];
-        let mut chain = vec![0usize; stages + 1];
-        for cycle in 0..500u64 {
-            let ctx = CycleContext {
-                cycle,
-                period: Picos(1000),
-                nominal_period: Picos(1000),
-            };
-            let mut next_carry = vec![Picos::ZERO; stages + 1];
-            let mut next_chain = vec![0usize; stages + 1];
-            for s in 0..stages {
-                // Base delay at most one interval past the period.
-                let base = 1000i64 - rng.gen_range(0i64..200)
-                    + if rng.gen_bool(0.4) { rng.gen_range(0..=interval) } else { 0 };
-                let arrival = carry[s] + Picos(base);
-                let outcome = scheme.evaluate(s, arrival, carry[s], &ctx);
-                if !outcome.state_correct() {
-                    prop_assert!(chain[s] >= k,
-                        "corruption with chain {} < k={k} (seed={seed} cycle={cycle} \
-                         stage={s} arrival={arrival} carry={})", chain[s], carry[s]);
-                } else if let StageOutcome::Masked { borrowed, .. } = outcome {
-                    prop_assert!(borrowed <= schedule.checking());
-                    next_carry[s + 1] = borrowed;
-                    next_chain[s + 1] = chain[s] + 1;
-                }
-            }
-            carry = next_carry;
-            chain = next_chain;
         }
     }
 }

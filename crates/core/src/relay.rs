@@ -20,21 +20,23 @@ use crate::schedule::CheckingPeriod;
 /// Pure relay combinational rules.
 #[derive(Debug, Clone, Copy)]
 pub struct ErrorRelay {
-    k: u8,
+    schedule: CheckingPeriod,
 }
 
 impl ErrorRelay {
-    /// Creates relay logic for a schedule with `k` intervals.
+    /// Creates relay logic for `schedule`.
     pub fn new(schedule: &CheckingPeriod) -> ErrorRelay {
-        ErrorRelay { k: schedule.k() }
+        ErrorRelay {
+            schedule: *schedule,
+        }
     }
 
     /// Select output of one flop given whether it saw an error and its
-    /// current select input. Saturates at `k - 1` (the delayed clock
-    /// cannot reach past the checking period).
+    /// current select input: [`CheckingPeriod::relayed_select`] on an
+    /// error, otherwise 0.
     pub fn select_output(&self, error: bool, select_in: u8) -> u8 {
         if error {
-            (select_in + 1).min(self.k - 1)
+            self.schedule.relayed_select(select_in)
         } else {
             0
         }
@@ -43,13 +45,14 @@ impl ErrorRelay {
     /// Select input of a downstream flop: the max over its fanin cone's
     /// select outputs (zero for an empty cone).
     pub fn consolidate(&self, outputs: &[u8]) -> u8 {
-        outputs.iter().copied().max().unwrap_or(0).min(self.k - 1)
+        let max = outputs.iter().copied().max().unwrap_or(0);
+        max.min(self.schedule.k() - 1)
     }
 }
 
 /// Cycle-accurate error-relay propagation over an arbitrary netlist.
 ///
-/// Where [`crate::TimberFfScheme`] relays between whole stage
+/// Where `timber_schemes::LawScheme` relays between whole stage
 /// boundaries, `NetlistRelay` runs the rule on real fanin cones: on
 /// each clock cycle, every TIMBER flop publishes its select output
 /// (`select_in + 1` on error, else 0) and every flop's next select

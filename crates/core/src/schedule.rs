@@ -222,6 +222,15 @@ impl CheckingPeriod {
         }
     }
 
+    /// The select output a TIMBER flop relays downstream after masking
+    /// an error with select input `select`: one interval more than it
+    /// just borrowed, saturating at `k − 1` because the delayed clock
+    /// cannot reach past the checking period (paper §5.1, Fig. 4).
+    #[inline]
+    pub fn relayed_select(&self, select: u8) -> u8 {
+        (select + 1).min(self.k() - 1)
+    }
+
     /// Number of units that may be borrowed without flagging.
     pub fn silent_units(&self) -> u8 {
         self.k_tb

@@ -10,14 +10,12 @@ use timber_variability::{CompositeVariability, SensitizationModel, StagePathProf
 use crate::reference::MarginedFlop;
 use crate::scheme::{CycleContext, Recovery, SequentialScheme, StageOutcome};
 use crate::sim::{PipelineConfig, PipelineSim};
+use crate::topology::Topology;
 
 /// A scheme that masks every overrun by borrowing the overshoot.
 #[derive(Debug)]
 struct BorrowAll;
 impl SequentialScheme for BorrowAll {
-    fn name(&self) -> &str {
-        "borrow-all"
-    }
     fn evaluate(
         &mut self,
         _s: usize,
@@ -34,16 +32,13 @@ impl SequentialScheme for BorrowAll {
             }
         }
     }
-    fn reset(&mut self) {}
+    fn reset(&mut self, _topology: &Topology) {}
 }
 
 /// A scheme that detects every overrun.
 #[derive(Debug)]
 struct DetectAll(u32);
 impl SequentialScheme for DetectAll {
-    fn name(&self) -> &str {
-        "detect-all"
-    }
     fn evaluate(
         &mut self,
         _s: usize,
@@ -61,7 +56,7 @@ impl SequentialScheme for DetectAll {
             }
         }
     }
-    fn reset(&mut self) {}
+    fn reset(&mut self, _topology: &Topology) {}
 }
 
 fn sens(stages: usize, crit: i64, seed: u64) -> SensitizationModel {

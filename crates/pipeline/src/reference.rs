@@ -8,6 +8,7 @@
 use timber_netlist::Picos;
 
 use crate::scheme::{CycleContext, SequentialScheme, StageOutcome};
+use crate::topology::Topology;
 
 /// Conventional master-slave flip-flop with no resilience support.
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,10 +24,6 @@ impl MarginedFlop {
 }
 
 impl SequentialScheme for MarginedFlop {
-    fn name(&self) -> &str {
-        "conventional-ff"
-    }
-
     fn evaluate(
         &mut self,
         _stage: usize,
@@ -41,7 +38,7 @@ impl SequentialScheme for MarginedFlop {
         }
     }
 
-    fn reset(&mut self) {}
+    fn reset(&mut self, _topology: &Topology) {}
 
     /// Stateless, and on time up to the edge.
     fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {

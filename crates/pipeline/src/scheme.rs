@@ -2,6 +2,8 @@
 
 use timber_netlist::Picos;
 
+use crate::topology::Topology;
+
 /// Per-cycle context handed to a scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CycleContext {
@@ -93,9 +95,6 @@ impl StageOutcome {
 /// the TIMBER flip-flop with its error-relay select inputs) maintain
 /// per-stage state across calls.
 pub trait SequentialScheme {
-    /// Scheme name for reports.
-    fn name(&self) -> &str;
-
     /// Evaluates the data arrival at stage boundary `stage`.
     ///
     /// * `arrival` — when the data stabilises at the boundary, measured
@@ -111,8 +110,12 @@ pub trait SequentialScheme {
         ctx: &CycleContext,
     ) -> StageOutcome;
 
-    /// Clears all per-run state.
-    fn reset(&mut self);
+    /// Clears all per-run state and sizes the scheme for `topology`,
+    /// the boundary graph of the run that follows. The simulator calls
+    /// it when it is built and again when it switches topology, so a
+    /// scheme keeping per-boundary state never holds a shape of its
+    /// own.
+    fn reset(&mut self, topology: &Topology);
 
     /// The latest arrival this scheme provably captures on time in
     /// this cycle, or `None` (the default): "never skip".

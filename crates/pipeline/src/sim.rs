@@ -330,7 +330,6 @@ impl<S: TelemetrySink> std::fmt::Debug for PipelineSim<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PipelineSim")
             .field("config", &self.config)
-            .field("scheme", &self.scheme.name())
             .field("cycle", &self.cycle)
             .finish_non_exhaustive()
     }
@@ -374,7 +373,8 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
             config.stages
         );
         let clock = ClockControl::for_config(&config);
-        scheme.reset();
+        let topology = Topology::linear(config.stages);
+        scheme.reset(&topology);
         PipelineSim {
             config,
             scheme,
@@ -384,7 +384,7 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
                 bounds: vec![None; config.stages],
             },
             clock,
-            topology: Topology::linear(config.stages),
+            topology,
             soa: StageSoa::new(config.stages),
             cycle: 0,
             penalty_remaining: 0,
@@ -393,7 +393,7 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
     }
 
     /// Runs the pipeline over `topology`'s boundary DAG instead of the
-    /// default linear chain.
+    /// default linear chain, resetting the scheme for it.
     ///
     /// # Panics
     ///
@@ -407,6 +407,7 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
             "topology must have one boundary per stage"
         );
         self.topology = topology.clone();
+        self.scheme.reset(topology);
         self
     }
 
@@ -719,9 +720,6 @@ mod tests {
     #[derive(Debug)]
     struct DetectAll;
     impl SequentialScheme for DetectAll {
-        fn name(&self) -> &str {
-            "detect-all"
-        }
         fn evaluate(
             &mut self,
             _stage: usize,
@@ -737,7 +735,7 @@ mod tests {
                 }
             }
         }
-        fn reset(&mut self) {}
+        fn reset(&mut self, _topology: &Topology) {}
     }
 
     #[test]
@@ -757,9 +755,6 @@ mod tests {
     #[derive(Debug)]
     struct BorrowAll;
     impl SequentialScheme for BorrowAll {
-        fn name(&self) -> &str {
-            "borrow-all"
-        }
         fn evaluate(
             &mut self,
             _stage: usize,
@@ -776,7 +771,7 @@ mod tests {
                 }
             }
         }
-        fn reset(&mut self) {}
+        fn reset(&mut self, _topology: &Topology) {}
     }
 
     #[test]
@@ -805,9 +800,6 @@ mod tests {
         #[derive(Debug)]
         struct Fixed;
         impl SequentialScheme for Fixed {
-            fn name(&self) -> &str {
-                "fixed"
-            }
             fn evaluate(
                 &mut self,
                 _s: usize,
@@ -824,7 +816,7 @@ mod tests {
                     }
                 }
             }
-            fn reset(&mut self) {}
+            fn reset(&mut self, _topology: &Topology) {}
         }
         let cfg = PipelineConfig::new(2, Picos(800));
         let mut scheme = Fixed;
@@ -943,9 +935,6 @@ mod tests {
     #[derive(Debug)]
     struct LimitedBorrowAll;
     impl SequentialScheme for LimitedBorrowAll {
-        fn name(&self) -> &str {
-            "limited-borrow-all"
-        }
         fn evaluate(
             &mut self,
             s: usize,
@@ -955,7 +944,7 @@ mod tests {
         ) -> StageOutcome {
             BorrowAll.evaluate(s, arrival, i, ctx)
         }
-        fn reset(&mut self) {}
+        fn reset(&mut self, _topology: &Topology) {}
         fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
             Some(ctx.period)
         }
@@ -1147,9 +1136,6 @@ mod tests {
     #[derive(Debug)]
     struct FlagAll;
     impl SequentialScheme for FlagAll {
-        fn name(&self) -> &str {
-            "flag-all"
-        }
         fn evaluate(
             &mut self,
             _s: usize,
@@ -1166,7 +1152,7 @@ mod tests {
                 }
             }
         }
-        fn reset(&mut self) {}
+        fn reset(&mut self, _topology: &Topology) {}
     }
 
     fn storm_config(stages: usize) -> PipelineConfig {

@@ -9,9 +9,10 @@
 //! their borrowings.
 //!
 //! [`Topology`] describes the boundary DAG. `PipelineSim::on_topology`
-//! carries borrowed time and relay chains along its edges, and
-//! `timber::TimberFfScheme::on_topology` relays select outputs along
-//! the same edges.
+//! carries borrowed time and relay chains along its edges, and hands
+//! the topology to the scheme's `reset`, so the TIMBER flip-flop's
+//! relay (`timber_schemes::LawScheme`) sends select outputs along the
+//! same edges.
 
 /// A DAG of stage boundaries in topological index order.
 ///
@@ -157,9 +158,6 @@ mod tests {
     #[derive(Debug)]
     struct BorrowAll;
     impl SequentialScheme for BorrowAll {
-        fn name(&self) -> &str {
-            "borrow-all"
-        }
         fn evaluate(
             &mut self,
             _s: usize,
@@ -176,7 +174,7 @@ mod tests {
                 }
             }
         }
-        fn reset(&mut self) {}
+        fn reset(&mut self, _topology: &Topology) {}
     }
 
     #[test]

@@ -1,71 +1,15 @@
-//! The scalar adapter behind every baseline technique.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use timber_netlist::Picos;
-use timber_pipeline::{CycleContext, SequentialScheme, StageOutcome};
-
-use crate::law::CaptureLaw;
-
-/// A baseline technique behind the `SequentialScheme` interface: the
-/// law decides every capture, and the adapter owns the coverage RNG
-/// logical masking draws from. Every baseline is stateless apart from
-/// that RNG, which `reset` reseeds.
-#[derive(Debug)]
-pub(crate) struct LawScheme {
-    law: CaptureLaw,
-    seed: u64,
-    rng: StdRng,
-}
-
-impl LawScheme {
-    /// Wraps `law`, seeding its coverage RNG with `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the law fails [`CaptureLaw::validate`].
-    pub(crate) fn new(law: CaptureLaw, seed: u64) -> LawScheme {
-        law.validate();
-        LawScheme {
-            law,
-            seed,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl SequentialScheme for LawScheme {
-    fn name(&self) -> &str {
-        self.law.id().name()
-    }
-
-    fn evaluate(
-        &mut self,
-        _stage: usize,
-        arrival: Picos,
-        _incoming_borrow: Picos,
-        ctx: &CycleContext,
-    ) -> StageOutcome {
-        let rng = &mut self.rng;
-        self.law
-            .decide(arrival, ctx.period, 0, |coverage| rng.gen_bool(coverage))
-    }
-
-    fn reset(&mut self) {
-        self.rng = StdRng::seed_from_u64(self.seed);
-    }
-
-    /// The law's limit; an on-time arrival draws no coverage sample, so
-    /// the RNG state is untouched.
-    fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
-        Some(self.law.on_time_limit(ctx.period))
-    }
-}
+//! The baseline laws on [`LawScheme`](crate::scheme::LawScheme):
+//! Razor, the transition detector, the canary, the soft edge, logical
+//! masking and the conventional flop. The TIMBER cells' tests sit with
+//! the scheme itself.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use timber_pipeline::Recovery;
+    use timber_netlist::Picos;
+    use timber_pipeline::{CycleContext, Recovery, SequentialScheme, StageOutcome, Topology};
+
+    use crate::law::CaptureLaw;
+    use crate::scheme::LawScheme;
 
     fn ctx() -> CycleContext {
         CycleContext {
@@ -76,7 +20,7 @@ mod tests {
     }
 
     fn scheme(law: CaptureLaw, seed: u64) -> LawScheme {
-        LawScheme::new(law, seed)
+        law.build(seed)
     }
 
     fn razor(window: i64, meta_window: i64, meta_penalty: u32) -> LawScheme {
@@ -215,7 +159,7 @@ mod tests {
 
     #[test]
     fn logical_masking_chains_on_a_diamond_are_recorded_once() {
-        use timber_pipeline::{PipelineConfig, PipelineSim, Topology};
+        use timber_pipeline::{PipelineConfig, PipelineSim};
         use timber_variability::{CompositeVariability, SensitizationModel, StagePathProfile};
 
         // Only boundary 1 of the diamond 0 -> {1, 2} -> 3 is late, and
@@ -278,7 +222,7 @@ mod tests {
         };
         let mut l = scheme(law, 7);
         let first = draws(&mut l);
-        l.reset();
+        l.reset(&Topology::linear(1));
         assert_eq!(draws(&mut l), first);
     }
 
@@ -321,9 +265,9 @@ mod tests {
             },
             CaptureLaw::Conventional,
         ];
-        let mut names: Vec<String> = laws
+        let mut names: Vec<&str> = laws
             .iter()
-            .map(|&law| scheme(law, 0).name().to_owned())
+            .map(|&law| scheme(law, 0).law().id().name())
             .collect();
         names.sort();
         names.dedup();

@@ -1,16 +1,15 @@
 //! The capture law of every implemented technique, as plain data.
 //!
 //! A [`CaptureLaw`] holds one scheme's parameters and decides what a
-//! data arrival at a stage boundary does. The scalar schemes
+//! data arrival at a stage boundary does. The scalar scheme
 //! ([`CaptureLaw::build`]), the 64-lane bit-sliced engine in
 //! `timber-batch` and the certifier in `timber-analyze` all read the
 //! same law, so a technique's decision rule is written once.
 
-use timber::{CheckingPeriod, TimberFfScheme, TimberFlipFlop, TimberLatch, TimberLatchScheme};
+use timber::{CheckingPeriod, TimberFlipFlop, TimberLatch};
 use timber_netlist::Picos;
-use timber_pipeline::{Recovery, SequentialScheme, StageOutcome};
+use timber_pipeline::{Recovery, StageOutcome};
 
-use crate::baselines::LawScheme;
 use crate::registry::SchemeId;
 
 /// One technique's capture law and its parameters.
@@ -249,23 +248,6 @@ impl CaptureLaw {
                 }
             }
             CaptureLaw::Conventional => StageOutcome::Corrupted,
-        }
-    }
-
-    /// Builds the scalar scheme for a pipeline with `stages`
-    /// boundaries: the TIMBER cells with their relay and cell state,
-    /// every other law behind one adapter whose coverage RNG is seeded
-    /// with `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the law fails [`validate`](Self::validate) or `stages`
-    /// is zero for a TIMBER law.
-    pub fn build(&self, stages: usize, seed: u64) -> Box<dyn SequentialScheme> {
-        match *self {
-            CaptureLaw::TimberFf(schedule) => Box::new(TimberFfScheme::new(schedule, stages)),
-            CaptureLaw::TimberLatch(schedule) => Box::new(TimberLatchScheme::new(schedule, stages)),
-            law => Box::new(LawScheme::new(law, seed)),
         }
     }
 }

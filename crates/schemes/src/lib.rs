@@ -18,22 +18,21 @@
 //! * [`CaptureLaw::LogicalMasking`] — logical error masking with
 //!   redundant logic (Choudhury DATE 2009): covered critical paths
 //!   produce the correct value early, uncovered ones escape;
-//! * [`CaptureLaw::Conventional`] — the conventional design point
-//!   (`MarginedFlop`, re-exported from `timber-pipeline`, is the
-//!   pipeline crate's own copy of it).
+//! * [`CaptureLaw::Conventional`] — the conventional design point.
 //!
-//! [`CaptureLaw::build`] puts any law behind the
-//! `timber_pipeline::SequentialScheme` interface, and [`Registry`]
-//! derives every law's parameters from one TIMBER schedule.
+//! [`CaptureLaw::build`] puts any law, the two TIMBER cells included,
+//! behind the `timber_pipeline::SequentialScheme` interface as one
+//! [`LawScheme`], and [`Registry`] derives every law's parameters from
+//! one TIMBER schedule.
 //! [`feature_matrix`] reproduces the paper's Table 1 from the
 //! implemented techniques' properties.
 
 #![warn(missing_docs)]
 
-mod baselines;
 pub mod features;
 mod law;
 pub mod registry;
+mod scheme;
 
 pub use features::{
     feature_matrix, render_table1, Category, MarginRecovery, Overhead, TechniqueFeatures,
@@ -41,7 +40,9 @@ pub use features::{
 };
 pub use law::CaptureLaw;
 pub use registry::{Registry, SchemeId};
-pub use timber_pipeline::reference::MarginedFlop;
+pub use scheme::LawScheme;
 
+#[cfg(test)]
+mod baselines;
 #[cfg(test)]
 mod props;

@@ -1,24 +1,25 @@
-//! Property-based tests (proptest) for the baseline schemes.
+//! Property-based tests (proptest) for the capture laws' scheme.
 
 #![cfg(test)]
 
 use proptest::prelude::*;
 
-use timber::{CheckingPeriod, TimberFfScheme};
+use timber::CheckingPeriod;
 use timber_netlist::Picos;
 use timber_pipeline::{CycleContext, SequentialScheme, StageOutcome, Topology};
 use timber_variability::splitmix64;
 
 use crate::law::CaptureLaw;
 use crate::registry::{Registry, SchemeId};
+use crate::scheme::LawScheme;
 
-fn razor(window: i64, meta_window: i64, meta_penalty: u32) -> Box<dyn SequentialScheme> {
+fn razor(window: i64, meta_window: i64, meta_penalty: u32) -> LawScheme {
     CaptureLaw::Razor {
         window: Picos(window),
         meta_window: Picos(meta_window),
         meta_penalty,
     }
-    .build(1, 0)
+    .build(0)
 }
 
 fn ctx(period: i64) -> CycleContext {
@@ -64,7 +65,7 @@ proptest! {
         guard in 20i64..200,
         arrival_off in -600i64..300,
     ) {
-        let mut c = CaptureLaw::Canary { guard: Picos(guard) }.build(1, 0);
+        let mut c = CaptureLaw::Canary { guard: Picos(guard) }.build(0);
         let arrival = Picos(period + arrival_off);
         let out = c.evaluate(0, arrival, Picos::ZERO, &ctx(period));
         if arrival_off + guard <= 0 {
@@ -85,7 +86,7 @@ proptest! {
         window in 10i64..200,
         overshoot in 1i64..400,
     ) {
-        let mut s = CaptureLaw::SoftEdge { window: Picos(window) }.build(1, 0);
+        let mut s = CaptureLaw::SoftEdge { window: Picos(window) }.build(0);
         let out = s.evaluate(0, Picos(period + overshoot), Picos::ZERO, &ctx(period));
         if overshoot <= window {
             prop_assert_eq!(out, StageOutcome::Masked {
@@ -106,7 +107,7 @@ proptest! {
         arrival_off in -300i64..600,
     ) {
         let mut razor = razor(window, 0, 0);
-        let mut tdtb = CaptureLaw::TransitionDetector { window: Picos(window) }.build(1, 0);
+        let mut tdtb = CaptureLaw::TransitionDetector { window: Picos(window) }.build(0);
         let arrival = Picos(period + arrival_off);
         let r = razor.evaluate(0, arrival, Picos::ZERO, &ctx(period));
         let t = tdtb.evaluate(0, arrival, Picos::ZERO, &ctx(period));
@@ -114,25 +115,81 @@ proptest! {
         prop_assert_eq!(caught(&r), caught(&t));
         prop_assert_eq!(r.state_correct(), t.state_correct());
     }
+
+    /// The relay guarantee: when every per-stage *base* overshoot stays
+    /// within one interval, a TIMBER FF pipeline can only corrupt after
+    /// a masked chain of at least `k` consecutive stages (where the
+    /// select input saturates). Shorter chains are always masked.
+    ///
+    /// Time-borrow carry-over is applied exactly as in the pipeline
+    /// simulator: a borrow at boundary `s` in cycle `t` arrives at
+    /// boundary `s+1` in cycle `t+1`.
+    #[test]
+    fn corruption_requires_chain_of_at_least_k(
+        seed in 0u64..60,
+        stages in 2usize..6,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let schedule = CheckingPeriod::new(Picos(1000), 24.0, 1, 2).expect("valid");
+        let k = schedule.k() as usize;
+        let interval = schedule.interval().as_ps();
+        let mut scheme = CaptureLaw::TimberFf(schedule).build(0);
+        scheme.reset(&Topology::linear(stages));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut carry = vec![Picos::ZERO; stages + 1];
+        let mut chain = vec![0usize; stages + 1];
+        for cycle in 0..500u64 {
+            let ctx = CycleContext {
+                cycle,
+                period: Picos(1000),
+                nominal_period: Picos(1000),
+            };
+            let mut next_carry = vec![Picos::ZERO; stages + 1];
+            let mut next_chain = vec![0usize; stages + 1];
+            for s in 0..stages {
+                // Base delay at most one interval past the period.
+                let base = 1000i64 - rng.gen_range(0i64..200)
+                    + if rng.gen_bool(0.4) { rng.gen_range(0..=interval) } else { 0 };
+                let arrival = carry[s] + Picos(base);
+                let outcome = scheme.evaluate(s, arrival, carry[s], &ctx);
+                if !outcome.state_correct() {
+                    prop_assert!(chain[s] >= k,
+                        "corruption with chain {} < k={k} (seed={seed} cycle={cycle} \
+                         stage={s} arrival={arrival} carry={})", chain[s], carry[s]);
+                } else if let StageOutcome::Masked { borrowed, .. } = outcome {
+                    prop_assert!(borrowed <= schedule.checking());
+                    next_carry[s + 1] = borrowed;
+                    next_chain[s + 1] = chain[s] + 1;
+                }
+            }
+            carry = next_carry;
+            chain = next_chain;
+        }
+    }
 }
 
-/// Every scheme with an on-time limit: the eight registry schemes,
-/// Razor with its metastability aperture on, and TIMBER-FF relaying
-/// over a random DAG. `pick` chooses one; `seed` seeds any internal
-/// randomness and the DAG's edges.
-fn limited_scheme(pick: usize, stages: usize, seed: u64) -> Box<dyn SequentialScheme> {
+/// Every scheme with an on-time limit: the eight registry schemes on a
+/// linear pipeline, Razor with its metastability aperture on, and
+/// TIMBER-FF relaying over a random DAG. `pick` chooses one; `seed`
+/// seeds any internal randomness and the DAG's edges.
+fn limited_scheme(pick: usize, stages: usize, seed: u64) -> LawScheme {
     let schedule = CheckingPeriod::new(Picos(1000), 24.0, 1, 2).expect("valid schedule");
-    let registry = Registry::new(schedule, stages);
-    match pick {
-        p if p < SchemeId::ALL.len() => registry.build(SchemeId::ALL[p], seed),
-        8 => CaptureLaw::Razor {
-            window: schedule.checking(),
-            meta_window: Picos(40),
-            meta_penalty: 4,
-        }
-        .build(stages, seed),
-        _ => Box::new(TimberFfScheme::new(schedule, stages).on_topology(&random_dag(stages, seed))),
-    }
+    let registry = Registry::new(schedule);
+    let (law, topology) = match pick {
+        p if p < SchemeId::ALL.len() => (registry.law(SchemeId::ALL[p]), Topology::linear(stages)),
+        8 => (
+            CaptureLaw::Razor {
+                window: schedule.checking(),
+                meta_window: Picos(40),
+                meta_penalty: 4,
+            },
+            Topology::linear(stages),
+        ),
+        _ => (CaptureLaw::TimberFf(schedule), random_dag(stages, seed)),
+    };
+    let mut scheme = law.build(seed);
+    scheme.reset(&topology);
+    scheme
 }
 
 /// A DAG of `stages` boundaries in which each earlier boundary feeds
@@ -195,7 +252,7 @@ proptest! {
                     let arrival = period + Picos((draw % 400) as i64 - 250);
                     (a.evaluate(s, arrival, incoming, &ctx), b.evaluate(s, arrival, incoming, &ctx))
                 };
-                prop_assert_eq!(oa, ob, "{} cycle {} stage {}", a.name(), cycle, s);
+                prop_assert_eq!(oa, ob, "{} cycle {} stage {}", a.law().id().name(), cycle, s);
             }
         }
     }

@@ -11,9 +11,9 @@
 
 use timber::CheckingPeriod;
 use timber_netlist::Picos;
-use timber_pipeline::SequentialScheme;
 
 use crate::law::CaptureLaw;
+use crate::scheme::LawScheme;
 
 /// Stable identifier of one implemented resilience technique.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,8 +50,7 @@ impl SchemeId {
         SchemeId::ConventionalFf,
     ];
 
-    /// The scheme's stable name (matches each implementation's
-    /// `SequentialScheme::name`).
+    /// The scheme's stable name, as reports print it.
     pub fn name(self) -> &'static str {
         match self {
             SchemeId::TimberFf => "timber-ff",
@@ -83,23 +82,15 @@ impl SchemeId {
 #[derive(Debug, Clone, Copy)]
 pub struct Registry {
     schedule: CheckingPeriod,
-    stages: usize,
     coverage: f64,
 }
 
 impl Registry {
-    /// A registry deriving every parameter from `schedule` for a
-    /// pipeline with `stages` boundaries. Logical-masking coverage
-    /// defaults to the experiments' 0.8.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stages` is zero.
-    pub fn new(schedule: CheckingPeriod, stages: usize) -> Registry {
-        assert!(stages > 0, "need at least one stage boundary");
+    /// A registry deriving every parameter from `schedule`.
+    /// Logical-masking coverage defaults to the experiments' 0.8.
+    pub fn new(schedule: CheckingPeriod) -> Registry {
         Registry {
             schedule,
-            stages,
             coverage: 0.8,
         }
     }
@@ -153,8 +144,8 @@ impl Registry {
     }
 
     /// Builds the scheme, seeding any internal randomness with `seed`.
-    pub fn build(&self, id: SchemeId, seed: u64) -> Box<dyn SequentialScheme> {
-        self.law(id).build(self.stages, seed)
+    pub fn build(&self, id: SchemeId, seed: u64) -> LawScheme {
+        self.law(id).build(seed)
     }
 }
 
@@ -178,17 +169,8 @@ mod tests {
     }
 
     #[test]
-    fn built_scheme_names_match_ids() {
-        let reg = Registry::new(sched(), 4);
-        for id in SchemeId::ALL {
-            let scheme = reg.build(id, 7);
-            assert_eq!(scheme.name(), id.name(), "{id:?}");
-        }
-    }
-
-    #[test]
     fn derived_parameters_follow_the_schedule() {
-        let reg = Registry::new(sched(), 4);
+        let reg = Registry::new(sched());
         assert_eq!(
             reg.law(SchemeId::RazorFf),
             CaptureLaw::Razor {
@@ -215,7 +197,7 @@ mod tests {
         // Sweep arrivals from well on time to past every window: a
         // detection scheme never masks, and only detection schemes
         // detect.
-        let reg = Registry::new(sched(), 4);
+        let reg = Registry::new(sched());
         for id in SchemeId::ALL {
             let law = reg.law(id);
             let outcomes: Vec<StageOutcome> = (800..1400)
@@ -235,6 +217,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "coverage in [0,1]")]
     fn coverage_is_validated() {
-        let _ = Registry::new(sched(), 1).coverage(1.5);
+        let _ = Registry::new(sched()).coverage(1.5);
     }
 }

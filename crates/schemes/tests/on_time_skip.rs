@@ -12,14 +12,14 @@
 
 use proptest::prelude::*;
 
-use timber::{CheckingPeriod, TimberFfScheme};
+use timber::CheckingPeriod;
 use timber_netlist::Picos;
 use timber_pipeline::{
     CycleContext, GovernorConfig, PipelineConfig, PipelineSim, RunStats, SequentialScheme,
     StageOutcome, Topology,
 };
 use timber_resilience::StormScenario;
-use timber_schemes::{Registry, SchemeId};
+use timber_schemes::{LawScheme, Registry, SchemeId};
 use timber_telemetry::{Recorder, RecorderConfig};
 use timber_variability::{
     splitmix64, CompositeVariability, DelaySource, SensitizationModel, StagePathProfile,
@@ -94,10 +94,6 @@ impl DelaySource for Counting<'_> {
 struct Unlimited<'a>(&'a mut dyn SequentialScheme);
 
 impl SequentialScheme for Unlimited<'_> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
     fn evaluate(
         &mut self,
         stage: usize,
@@ -108,8 +104,8 @@ impl SequentialScheme for Unlimited<'_> {
         self.0.evaluate(stage, arrival, incoming_borrow, ctx)
     }
 
-    fn reset(&mut self) {
-        self.0.reset();
+    fn reset(&mut self, topology: &Topology) {
+        self.0.reset(topology);
     }
 }
 
@@ -151,16 +147,12 @@ impl Trial {
         }
     }
 
-    /// The trial's scheme; TIMBER-FF relays over the trial's topology.
-    fn scheme(&self) -> Box<dyn SequentialScheme> {
+    /// The trial's scheme; the simulator sizes it for the trial's
+    /// topology, so TIMBER-FF relays over it.
+    fn scheme(&self) -> LawScheme {
         let schedule =
             CheckingPeriod::new(Picos(Self::CRITICAL), 24.0, 1, 2).expect("valid schedule");
-        match self.scheme {
-            SchemeId::TimberFf => {
-                Box::new(TimberFfScheme::new(schedule, self.stages).on_topology(&self.topology()))
-            }
-            id => Registry::new(schedule, self.stages).build(id, self.seed),
-        }
+        Registry::new(schedule).build(self.scheme, self.seed)
     }
 
     fn config(&self) -> PipelineConfig {
@@ -193,7 +185,7 @@ impl Trial {
     /// set, through the adapters.
     fn run(&self, chunks: &[u64], exact: bool) -> Outcome {
         let mut scheme = self.scheme();
-        let mut unlimited = Unlimited(scheme.as_mut());
+        let mut unlimited = Unlimited(&mut scheme);
         let scheme: &mut dyn SequentialScheme = if exact { &mut unlimited } else { unlimited.0 };
         let (sens, mut var) = self.environment();
         let mut hidden = Exact(&mut var);
@@ -230,12 +222,12 @@ impl Trial {
         };
         let config = self.config();
         let stats = if exact {
-            let mut scheme = Unlimited(scheme.as_mut());
+            let mut scheme = Unlimited(&mut scheme);
             PipelineSim::new(config, &mut scheme, &sens, &mut Exact(&mut var))
                 .on_topology(&topology)
                 .run(cycles)
         } else {
-            PipelineSim::new(config, scheme.as_mut(), &sens, &mut var)
+            PipelineSim::new(config, &mut scheme, &sens, &mut var)
                 .on_topology(&topology)
                 .run(cycles)
         };

@@ -250,7 +250,7 @@ pub fn compile(spec: &EvalSpec) -> CompiledDesign {
 /// so the body is byte-identical however the batch was scheduled.
 pub fn evaluate(compiled: &CompiledDesign, spec: &EvalSpec) -> String {
     let stages = compiled.profiles.len();
-    let registry = Registry::new(compiled.schedule, stages);
+    let registry = Registry::new(compiled.schedule);
     let mut totals = RunStats::default();
     for trial in 0..spec.trials {
         let seed = splitmix64(spec.seed, trial as u64);
@@ -266,7 +266,7 @@ pub fn evaluate(compiled: &CompiledDesign, spec: &EvalSpec) -> String {
         };
         let mut config = PipelineConfig::new(stages, compiled.period);
         config.governor = Some(GovernorConfig::default());
-        let stats = PipelineSim::new(config, scheme.as_mut(), &sens, &mut var).run(spec.cycles);
+        let stats = PipelineSim::new(config, &mut scheme, &sens, &mut var).run(spec.cycles);
         totals.merge(&stats);
     }
     format!(

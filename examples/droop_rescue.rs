@@ -34,7 +34,7 @@ fn run(scheme: &mut dyn SequentialScheme) -> timber_repro::pipeline::RunStats {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schedule = CheckingPeriod::deferred_flagging(PERIOD, 24.0)?;
-    let registry = Registry::new(schedule, STAGES);
+    let registry = Registry::new(schedule);
     let mut schemes = [
         SchemeId::ConventionalFf,
         SchemeId::RazorFf,
@@ -52,10 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "scheme", "masked", "detected", "predicted", "corrupted", "IPC", "loss%"
     );
     for scheme in &mut schemes {
-        let stats = run(scheme.as_mut());
+        let stats = run(scheme);
         println!(
             "{:<16} {:>9} {:>9} {:>10} {:>10} {:>8.4} {:>8.4}",
-            scheme.name(),
+            scheme.law().id().name(),
             stats.masked,
             stats.detected,
             stats.predicted,

@@ -6,11 +6,11 @@
 
 use std::time::Instant;
 
-use timber::{CheckingPeriod, TimberFfScheme};
+use timber::CheckingPeriod;
 use timber_netlist::Picos;
-use timber_pipeline::{GovernorConfig, PipelineConfig, PipelineSim, SequentialScheme};
+use timber_pipeline::{GovernorConfig, PipelineConfig, PipelineSim, SequentialScheme, Topology};
 use timber_resilience::StormScenario;
-use timber_schemes::{Registry, SchemeId};
+use timber_schemes::{CaptureLaw, Registry, SchemeId};
 use timber_variability::{DelaySource, SensitizationModel, VariabilityBuilder};
 
 const CYCLES: u64 = 2_000_000;
@@ -29,7 +29,7 @@ fn main() {
 
     // (a) full sim
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid");
-    let mut scheme = TimberFfScheme::new(sched, STAGES);
+    let mut scheme = CaptureLaw::TimberFf(sched).build(0);
     let sens = mk_sens();
     let mut var = mk_var();
     let cfg = PipelineConfig::new(STAGES, PERIOD);
@@ -114,7 +114,8 @@ fn main() {
 
     // (d) scheme only, fixed arrivals
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid");
-    let mut scheme = TimberFfScheme::new(sched, STAGES);
+    let mut scheme = CaptureLaw::TimberFf(sched).build(0);
+    scheme.reset(&Topology::linear(STAGES));
     let t = Instant::now();
     let mut ok = 0u64;
     for c in 0..CYCLES {
@@ -139,11 +140,13 @@ fn main() {
     );
 
     // (d2) every registry scheme behind the trait object the
-    // simulator calls (the baselines are the capture-law adapter),
+    // simulator calls (all eight are one `LawScheme`),
     // on the same fixed arrivals, per `evaluate` call; one
     // `on_time_limit` per cycle as `fill_row` asks it.
     for id in SchemeId::ALL {
-        let mut scheme = Registry::new(sched, STAGES).build(id, 7);
+        let mut built = Registry::new(sched).build(id, 7);
+        let scheme: &mut dyn SequentialScheme = &mut built;
+        scheme.reset(&Topology::linear(STAGES));
         let t = Instant::now();
         let mut ok = 0u64;
         for c in 0..CYCLES {
@@ -192,7 +195,7 @@ fn main() {
                 bounded: 0,
                 exact: 0,
             };
-            let mut scheme = TimberFfScheme::new(sched, STAGES);
+            let mut scheme = CaptureLaw::TimberFf(sched).build(0);
             let sens = mk_sens();
             let mut cfg = PipelineConfig::new(STAGES, PERIOD);
             cfg.governor = Some(GovernorConfig::default());

@@ -12,9 +12,10 @@
 //!
 //! Run with: `cargo run --release --example partial_replacement`
 
-use timber_repro::core::{CheckingPeriod, TimberFfScheme};
+use timber_repro::core::CheckingPeriod;
 use timber_repro::pipeline::{PipelineConfig, PipelineSim};
 use timber_repro::proc_model::{structural, PerfPoint};
+use timber_repro::schemes::CaptureLaw;
 use timber_repro::telemetry::{Recorder, RecorderConfig};
 use timber_repro::variability::{SensitizationModel, VariabilityBuilder};
 
@@ -45,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .voltage_droop(0.05, 500, 2000.0)
         .local_jitter(0.005)
         .build();
-    let mut scheme = TimberFfScheme::new(schedule, stages);
+    let mut scheme = CaptureLaw::TimberFf(schedule).build(0);
     let mut recorder = Recorder::new(RecorderConfig::new(stages, period));
     let stats = PipelineSim::with_telemetry(
         PipelineConfig::new(stages, period),

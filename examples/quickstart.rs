@@ -6,10 +6,10 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use timber_repro::core::scheme::TimberFfScheme;
 use timber_repro::core::{CaptureOutcome, CheckingPeriod, TimberFlipFlop, TimberLatch};
 use timber_repro::netlist::Picos;
 use timber_repro::pipeline::{PipelineConfig, PipelineSim};
+use timber_repro::schemes::CaptureLaw;
 use timber_repro::variability::{SensitizationModel, VariabilityBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -57,7 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    point under voltage droop: TIMBER masks every violation with
     //    no throughput loss.
     let stages = 5;
-    let mut scheme = TimberFfScheme::new(CheckingPeriod::deferred_flagging(period, 24.0)?, stages);
+    let mut scheme =
+        CaptureLaw::TimberFf(CheckingPeriod::deferred_flagging(period, 24.0)?).build(0);
     let sens = SensitizationModel::uniform(stages, Picos(970), 42);
     let mut var = VariabilityBuilder::new(42)
         .voltage_droop(0.05, 500, 2000.0)

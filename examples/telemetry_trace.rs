@@ -11,10 +11,10 @@
 //!
 //! [`Recorder`]: timber_repro::telemetry::Recorder
 
-use timber_repro::core::scheme::TimberFfScheme;
 use timber_repro::core::CheckingPeriod;
 use timber_repro::netlist::Picos;
 use timber_repro::pipeline::{Environment, PipelineConfig, PipelineSim, SweepSpec};
+use timber_repro::schemes::CaptureLaw;
 use timber_repro::telemetry::{
     render_summary, trace_csv, trace_json, Counter, Recorder, RecorderConfig,
 };
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    any `TelemetrySink`; the default `NoopSink` compiles to the
     //    exact un-instrumented hot loop.
     let schedule = CheckingPeriod::deferred_flagging(PERIOD, 24.0)?;
-    let mut scheme = TimberFfScheme::new(schedule, STAGES);
+    let mut scheme = CaptureLaw::TimberFf(schedule).build(0);
     let sens = SensitizationModel::uniform(STAGES, Picos(970), SEED);
     let mut var = VariabilityBuilder::new(SEED)
         .voltage_droop(0.06, 400, 1500.0)
@@ -71,11 +71,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (result, recorders) = SweepSpec::new(SEED, 100_000, 4)
         .scheme("deferred", |_p| {
             let s = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid");
-            Box::new(TimberFfScheme::new(s, STAGES))
+            Box::new(CaptureLaw::TimberFf(s).build(0))
         })
         .scheme("immediate", |_p| {
             let s = CheckingPeriod::immediate_flagging(PERIOD, 24.0).expect("valid");
-            Box::new(TimberFfScheme::new(s, STAGES))
+            Box::new(CaptureLaw::TimberFf(s).build(0))
         })
         .env("stress", |p| Environment {
             config: PipelineConfig::new(STAGES, PERIOD),

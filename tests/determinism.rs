@@ -1,11 +1,11 @@
 //! Reproducibility: every stochastic component is seeded, so identical
 //! configurations must produce bit-identical results.
 
-use timber_repro::core::scheme::TimberFfScheme;
 use timber_repro::core::CheckingPeriod;
 use timber_repro::netlist::{random_dag, CellLibrary, Picos, RandomDagSpec};
 use timber_repro::pipeline::{Environment, PipelineConfig, PipelineSim, SweepSpec};
 use timber_repro::proc_model::{PerfPoint, ProcessorModel};
+use timber_repro::schemes::CaptureLaw;
 use timber_repro::sta::{ClockConstraint, TimingAnalysis};
 use timber_repro::variability::{DelaySource, SensitizationModel, VariabilityBuilder};
 
@@ -13,7 +13,7 @@ use timber_repro::variability::{DelaySource, SensitizationModel, VariabilityBuil
 fn pipeline_runs_are_reproducible() {
     let run = || {
         let sched = CheckingPeriod::deferred_flagging(Picos(1000), 24.0).expect("valid");
-        let mut scheme = TimberFfScheme::new(sched, 4);
+        let mut scheme = CaptureLaw::TimberFf(sched).build(0);
         let sens = SensitizationModel::uniform(4, Picos(970), 99);
         let mut var = VariabilityBuilder::new(99)
             .voltage_droop(0.06, 400, 1500.0)
@@ -40,11 +40,11 @@ fn sweeps_are_thread_count_invariant() {
         SweepSpec::new(2010, 5_000, 6)
             .scheme("deferred", |_p| {
                 let sched = CheckingPeriod::deferred_flagging(Picos(1000), 24.0).expect("valid");
-                Box::new(TimberFfScheme::new(sched, 4))
+                Box::new(CaptureLaw::TimberFf(sched).build(0))
             })
             .scheme("immediate", |_p| {
                 let sched = CheckingPeriod::immediate_flagging(Picos(1000), 24.0).expect("valid");
-                Box::new(TimberFfScheme::new(sched, 4))
+                Box::new(CaptureLaw::TimberFf(sched).build(0))
             })
             .env("stress", |p| Environment {
                 config: PipelineConfig::new(4, Picos(1000)),
@@ -82,11 +82,11 @@ fn telemetry_traces_are_thread_count_invariant() {
         let (result, recorders) = SweepSpec::new(2010, 5_000, 6)
             .scheme("deferred", |_p| {
                 let sched = CheckingPeriod::deferred_flagging(Picos(1000), 24.0).expect("valid");
-                Box::new(TimberFfScheme::new(sched, 4))
+                Box::new(CaptureLaw::TimberFf(sched).build(0))
             })
             .scheme("immediate", |_p| {
                 let sched = CheckingPeriod::immediate_flagging(Picos(1000), 24.0).expect("valid");
-                Box::new(TimberFfScheme::new(sched, 4))
+                Box::new(CaptureLaw::TimberFf(sched).build(0))
             })
             .env("stress", |p| Environment {
                 config: PipelineConfig::new(4, Picos(1000)),

@@ -112,14 +112,15 @@ fn timing_report_and_stats_agree_on_design_size() {
 
 #[test]
 fn dag_pipeline_with_dag_relay_masks_reconvergent_errors() {
-    use timber_repro::core::{CheckingPeriod, TimberFfScheme};
+    use timber_repro::core::CheckingPeriod;
     use timber_repro::pipeline::{PipelineConfig, PipelineSim, Topology};
+    use timber_repro::schemes::CaptureLaw;
     use timber_repro::variability::{SensitizationModel, VariabilityBuilder};
 
     let topo = Topology::diamond();
     let period = Picos(1000);
     let schedule = CheckingPeriod::deferred_flagging(period, 24.0).expect("valid");
-    let mut scheme = TimberFfScheme::new(schedule, topo.len()).on_topology(&topo);
+    let mut scheme = CaptureLaw::TimberFf(schedule).build(0);
     let sens = SensitizationModel::uniform(topo.len(), Picos(970), 5);
     let mut var = VariabilityBuilder::new(5)
         .voltage_droop(0.05, 500, 2000.0)

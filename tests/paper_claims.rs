@@ -2,11 +2,10 @@
 //! APIs (these are the assertions `EXPERIMENTS.md` summarises).
 
 use timber_repro::core::circuit::{two_stage_ff_demo, two_stage_latch_demo};
-use timber_repro::core::scheme::{TimberFfScheme, TimberLatchScheme};
 use timber_repro::core::CheckingPeriod;
 use timber_repro::netlist::Picos;
 use timber_repro::pipeline::{PipelineConfig, PipelineSim, SequentialScheme};
-use timber_repro::schemes::MarginedFlop;
+use timber_repro::schemes::CaptureLaw;
 use timber_repro::variability::{SensitizationModel, VariabilityBuilder};
 use timber_repro::wavesim::Logic;
 
@@ -77,7 +76,7 @@ fn stress_run(scheme: &mut dyn SequentialScheme, cycles: u64) -> timber_repro::p
 #[test]
 fn claim_no_replay_and_negligible_performance_loss() {
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid");
-    let mut timber = TimberFfScheme::new(sched, 5);
+    let mut timber = CaptureLaw::TimberFf(sched).build(0);
     let stats = stress_run(&mut timber, 100_000);
     assert!(stats.masked > 0, "environment must generate violations");
     assert_eq!(stats.corrupted, 0, "TIMBER must mask everything here");
@@ -93,7 +92,7 @@ fn claim_no_replay_and_negligible_performance_loss() {
 #[test]
 fn claim_single_stage_errors_dominate() {
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid");
-    let mut timber = TimberFfScheme::new(sched, 5);
+    let mut timber = CaptureLaw::TimberFf(sched).build(0);
     let stats = stress_run(&mut timber, 250_000);
     assert!(stats.violations() > 10);
     assert!(
@@ -119,7 +118,7 @@ fn claim_single_stage_errors_dominate() {
 /// margins exist at all.
 #[test]
 fn claim_conventional_design_corrupts_without_margin() {
-    let mut margined = MarginedFlop::new();
+    let mut margined = CaptureLaw::Conventional.build(0);
     let stats = stress_run(&mut margined, 100_000);
     assert!(stats.corrupted > 0);
 }
@@ -129,12 +128,12 @@ fn claim_conventional_design_corrupts_without_margin() {
 #[test]
 fn claim_latch_masks_without_relay_state() {
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid");
-    let mut latch = TimberLatchScheme::new(sched, 5);
+    let mut latch = CaptureLaw::TimberLatch(sched).build(0);
     let stats = stress_run(&mut latch, 100_000);
     assert_eq!(stats.corrupted, 0);
     assert!(stats.masked > 0);
     // No violation → no flag: run a nominal environment and check.
-    let mut latch = TimberLatchScheme::new(sched, 5);
+    let mut latch = CaptureLaw::TimberLatch(sched).build(0);
     let sens = SensitizationModel::uniform(5, Picos(900), 3);
     let mut var = timber_repro::variability::CompositeVariability::nominal();
     let nominal =

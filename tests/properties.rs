@@ -154,7 +154,7 @@ proptest! {
 
         let period = Picos(1000);
         let sched = CheckingPeriod::deferred_flagging(period, 24.0).unwrap();
-        let registry = Registry::new(sched, 4);
+        let registry = Registry::new(sched);
         let mut spec = SweepSpec::new(seed, 4_000, 2)
             .env("stress", move |p| Environment {
                 config: PipelineConfig::new(4, period),
@@ -168,7 +168,7 @@ proptest! {
             })
             .threads(2);
         for id in SchemeId::ALL {
-            spec = spec.scheme(id.name(), move |p| registry.build(id, p.seed));
+            spec = spec.scheme(id.name(), move |p| Box::new(registry.build(id, p.seed)));
         }
         let (result, recorders) = spec.run_with_telemetry(64);
         prop_assert_eq!(recorders.len(), SchemeId::ALL.len());
