@@ -615,13 +615,19 @@ mod tests {
         ]
     }
 
+    /// A row's simulated time in ps and its energy.
+    fn time_and_energy(s: &RunStats) -> (i64, f64) {
+        (s.wall_time.as_ps(), s.energy)
+    }
+
     #[test]
     fn scalar_laws_reproduce_their_pinned_counts() {
         // Every capture law through `PipelineSim` on the shared stress
         // environment, Razor's metastability aperture and the diamond
         // relay. `compare_shows_the_papers_tradeoffs` checks shapes;
         // this pins the exact counts (`repro dag` prints the same run).
-        let compare: Vec<(String, [u64; 9])> = compare(40_000)
+        let rows = compare(40_000);
+        let compare: Vec<(String, [u64; 9])> = rows
             .iter()
             .map(|r| (r.name.clone(), counts(&r.stats)))
             .collect();
@@ -637,11 +643,28 @@ mod tests {
         ]
         .map(|(name, c)| (name.to_owned(), c));
         assert_eq!(compare, expected);
+        let floats: Vec<(i64, f64)> = rows.iter().map(|r| time_and_energy(&r.stats)).collect();
+        assert_eq!(
+            floats,
+            [
+                (40_010_000, 40_000.0),
+                (40_000_000, 40_000.0),
+                (40_000_000, 40_000.0),
+                (40_000_000, 40_000.0),
+                (43_590_600, 40_000.0),
+                (40_000_000, 40_000.0),
+                (40_000_000, 40_000.0),
+                (40_000_000, 40_000.0),
+            ]
+        );
 
         let meta = crate::ablations::ablation_metastability(80_000);
         assert_eq!(counts(&meta.razor_ideal), [79969, 0, 0, 31, 0, 0, 31, 0, 0]);
         assert_eq!(counts(&meta.razor_meta), [79790, 0, 0, 60, 0, 0, 210, 0, 0]);
         assert_eq!(counts(&meta.timber), [80000, 38, 6, 0, 0, 0, 0, 500, 5]);
+        assert_eq!(time_and_energy(&meta.razor_ideal), (80_000_000, 80_000.0));
+        assert_eq!(time_and_energy(&meta.razor_meta), (80_000_000, 80_000.0));
+        assert_eq!(time_and_energy(&meta.timber), (80_050_000, 80_000.0));
 
         let dag = crate::ablations::ablation_dag(500_000);
         assert_eq!(
@@ -654,5 +677,19 @@ mod tests {
             [500000, 0, 0, 0, 0, 186, 0, 0, 0]
         );
         assert_eq!(dag.conventional.chain_histogram, [186]);
+        assert_eq!(time_and_energy(&dag.dag_relay), (500_100_000, 500_000.0));
+        assert_eq!(time_and_energy(&dag.conventional), (500_000_000, 500_000.0));
+
+        // The claims sweep (`repro claims` runs 1,000,000 cycles).
+        let claims = claims(80_000);
+        assert_eq!(counts(&claims.deferred), [80000, 38, 5, 0, 0, 0, 0, 400, 4]);
+        assert_eq!(claims.deferred.chain_histogram, [29, 3, 1]);
+        assert_eq!(time_and_energy(&claims.deferred), (80_040_000, 80_000.0));
+        assert_eq!(
+            counts(&claims.immediate),
+            [80000, 29, 29, 0, 0, 0, 0, 2102, 22]
+        );
+        assert_eq!(claims.immediate.chain_histogram, [18, 4, 1]);
+        assert_eq!(time_and_energy(&claims.immediate), (80_210_200, 80_000.0));
     }
 }
