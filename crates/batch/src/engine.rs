@@ -57,10 +57,8 @@ impl BatchConfig {
     ///
     /// Panics if `lanes` is outside `1..=64`, the workload covers
     /// fewer stages than the pipeline, a closed-loop governor is
-    /// configured, the energy weights are not the default 1.0 (the
-    /// engine folds energy into a closed form), the scheme parameters
-    /// are invalid, or the law is one the engine does not model (Razor
-    /// with a metastability aperture).
+    /// configured, the scheme parameters are invalid, or the law is one
+    /// the engine does not model (Razor with a metastability aperture).
     pub fn validate(&self) {
         assert!(
             (1..=MAX_LANES).contains(&self.lanes),
@@ -74,10 +72,6 @@ impl BatchConfig {
         assert!(
             self.pipeline.governor.is_none(),
             "the bit-sliced engine supports only the open-loop controller"
-        );
-        assert!(
-            self.pipeline.energy_per_cycle == 1.0 && self.pipeline.energy_per_bubble == 1.0,
-            "the bit-sliced engine requires unit energy weights"
         );
         self.scheme.validate();
         if let BatchScheme::Razor { meta_window, .. } = self.scheme {
@@ -103,34 +97,14 @@ pub struct BatchRun {
 }
 
 impl BatchRun {
-    /// Sums the per-lane statistics into one aggregate, in lane order.
-    ///
-    /// Counts and energy add; `wall_time` adds (total simulated time
-    /// across lanes); the chain histogram merges element-wise. The
-    /// aggregation is sequential over lanes, so the result — including
-    /// its f64 fields — is bit-identical for any worker thread count
-    /// that produced the run.
+    /// Merges the per-lane statistics ([`RunStats::merge`]) in lane
+    /// order, so the result — including its f64 fields — is
+    /// bit-identical for any worker thread count that produced the
+    /// run.
     pub fn totals(&self) -> RunStats {
         let mut total = RunStats::default();
         for s in &self.stats {
-            total.cycles += s.cycles;
-            total.instructions += s.instructions;
-            total.masked += s.masked;
-            total.flagged += s.flagged;
-            total.detected += s.detected;
-            total.predicted += s.predicted;
-            total.corrupted += s.corrupted;
-            total.penalty_cycles += s.penalty_cycles;
-            total.slow_cycles += s.slow_cycles;
-            total.slowdown_episodes += s.slowdown_episodes;
-            total.wall_time += s.wall_time;
-            total.energy += s.energy;
-            if total.chain_histogram.len() < s.chain_histogram.len() {
-                total.chain_histogram.resize(s.chain_histogram.len(), 0);
-            }
-            for (t, &c) in total.chain_histogram.iter_mut().zip(&s.chain_histogram) {
-                *t += c;
-            }
+            total.merge(s);
         }
         total
     }
@@ -536,11 +510,10 @@ impl Engine {
         let mut counters = Vec::with_capacity(self.lanes);
         for (l, tally) in self.tally.into_iter().enumerate() {
             let episodes = self.clocks[l].episodes();
-            // Every cycle is nominal or slowed, and both energy
-            // weights are asserted 1.0, so wall time and energy fold
-            // into closed forms identical to the scalar running sums
-            // (integer ps additions; +1.0 f64 additions are exact in
-            // this range).
+            // Every cycle is nominal or slowed, so wall time folds into
+            // a closed form identical to the scalar running sum
+            // (integer ps additions); energy is the scalar simulator's
+            // one unit per cycle.
             let wall_time = self.pipeline.nominal_period * (cycles - tally.slow_cycles) as i64
                 + slowed * tally.slow_cycles as i64;
             let mut c = [0u64; Counter::COUNT];

@@ -6,7 +6,7 @@
 //! repro fig1|fig8 [--json]
 //! repro claims|claims-netlist|compare [--json] [--threads N]
 //! repro margin|ablation-schedule|ablation-droop|metastability [--threads N]
-//! repro bench [--json] [--threads N] [--out BENCH.json] [--batch {on,off}]
+//! repro bench [--json] [--threads N] [--out BENCH.json]
 //! repro trace <claims|claims-netlist> [--telemetry OUT.json] [--threads N]
 //! repro bench-check --fresh FRESH.json [--baseline BASE.json]
 //!                   [--tolerance 0.15] [--max-overhead 0.5]
@@ -40,17 +40,16 @@
 //! any number, only wall-clock time. `bench` times the sweep engine
 //! and writes the baseline to `--out` (default `BENCH_pipeline.json`;
 //! CI writes to a scratch path so the committed baseline is never
-//! clobbered); `--batch {on,off}` controls the bit-sliced 64-lane
-//! batching measurement (default `on`; `off` records
-//! `batched: null`). `bench-check` gates a fresh measurement: the
-//! within-run hardware-independent checks (thread-count invariance,
-//! telemetry overhead ratio vs `--max-overhead`, the multi-core
-//! scaling floor, and scalar<->bit-sliced equivalence plus the
-//! batching speed floor when the document carries a `batched` section)
-//! always run and report every breach in one invocation, and with
-//! `--baseline` the machine-dependent throughput comparison against a
-//! committed document runs too (`--tolerance`, two-sided, a fraction
-//! in (0, 1)). `trace`
+//! clobbered), and it always times the bit-sliced 64-lane engine too.
+//! `bench-check` gates a fresh measurement: the within-run
+//! hardware-independent checks (thread-count invariance, telemetry
+//! overhead ratio vs `--max-overhead`, the multi-core scaling floor,
+//! and scalar<->bit-sliced equivalence plus the batching speed floor;
+//! a document without the `batched` section fails them) always run
+//! and report every breach in one invocation, and with `--baseline`
+//! the machine-dependent throughput comparison against a committed
+//! document runs too (`--tolerance`, two-sided, a fraction in
+//! (0, 1)). `trace`
 //! runs an experiment with telemetry attached and writes the JSON
 //! trace (plus a CSV sibling) to the `--telemetry` path. `lint` runs
 //! the `timber-lint` static design-rule checks over every shipped
@@ -163,7 +162,6 @@ const FLAGS: &[(&[&str], Option<&str>)] = &[
     (&["retry-base", "retry-cap", "watchdog"], Some("milliseconds")),
     (&["tolerance"], Some("a fraction, e.g. 0.15")),
     (&["max-overhead"], Some("a fraction, e.g. 0.5")),
-    (&["batch"], Some("`on` or `off`")),
     (&["deny"], Some("`warn` or `error`")),
     (&["out", "telemetry", "baseline", "fresh", "frontier-check", "checkpoint"], Some("a file")),
     (&["socket"], Some("a path")),
@@ -257,7 +255,7 @@ const COMMANDS: &[Command] = &[
         let text = experiments::render_compare(&rows, experiments::PERIOD) + "\n";
         show(a, report::compare_json(&rows, experiments::PERIOD), text, true);
     }),
-    command("bench", &["json", "threads", "out", "batch"], run_bench),
+    command("bench", &["json", "threads", "out"], run_bench),
     Command {
         operand: Some("an experiment, e.g. `repro trace claims`"),
         ..command("trace", &["threads", "telemetry"], run_trace)
@@ -462,7 +460,7 @@ fn run_bench(a: &Args) {
     // `--out` keeps CI measurement runs from clobbering the committed
     // baseline the gate compares against.
     let out: String = a.get("out").unwrap_or_else(|| "BENCH_pipeline.json".into());
-    let (threads, batch) = (a.threads(), a.get("batch").unwrap_or(perf::BatchMode::On));
+    let threads = a.threads();
     // With `--json` the banner goes to stderr so stdout stays a single
     // machine-readable document (CI pipes it to a file).
     if a.on("json") {
@@ -470,7 +468,7 @@ fn run_bench(a: &Args) {
     } else {
         println!("== Sweep-engine baseline (writes {out}) ==");
     }
-    let r = perf::pipeline_baseline_threaded(2_000_000, threads, batch);
+    let r = perf::pipeline_baseline_threaded(2_000_000, threads);
     let doc = perf::bench_json(&r);
     write_out(Some(&out), &format!("{doc}\n"));
     show(a, &doc, perf::render_bench(&r) + "\n", true);
@@ -479,7 +477,7 @@ fn run_bench(a: &Args) {
     if !r.identical {
         fail("repro bench FAILED: thread count changed sweep results");
     }
-    if r.batched.is_some_and(|b| !b.identical) {
+    if !r.batched.identical {
         fail("repro bench FAILED: scalar and bit-sliced engines diverged");
     }
 }

@@ -46,8 +46,7 @@ pub use experiments::{
 pub use lintgate::{gate_config, gate_passes, lint_all, render_reports, shipped_netlists};
 pub use margin::{margin_recovery, render_margin, MarginRow};
 pub use perf::{
-    bench_check, pipeline_baseline, pipeline_baseline_threaded, BatchBench, BatchMode, BenchResult,
-    BenchRun,
+    bench_check, pipeline_baseline, pipeline_baseline_threaded, BatchBench, BenchResult, BenchRun,
 };
 pub use trace::{trace_experiment, TraceResult, DEFAULT_RING_CAPACITY};
 pub use tune::{frontier_check, tune_document, FrontierCheck};

@@ -20,7 +20,6 @@
 //!   against a committed baseline. Meaningful on the machine that wrote
 //!   the baseline; advisory on heterogeneous CI hardware.
 
-use std::str::FromStr;
 use std::time::Instant;
 
 use serde_json::{json, Value};
@@ -51,34 +50,6 @@ pub const BATCH_SPEEDUP_FLOOR: f64 = 4.0;
 /// runs, so one slow scheduling window on a shared host cannot decide
 /// a gate.
 pub const TIMING_REPEATS: usize = 5;
-
-/// Whether `repro bench` runs the bit-sliced batching measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchMode {
-    /// Measure the batched path. The default.
-    On,
-    /// Skip the batched path; the document records `batched: null`.
-    Off,
-}
-
-impl BatchMode {
-    /// Whether the batched measurement runs under this mode.
-    pub fn enabled(self) -> bool {
-        !matches!(self, BatchMode::Off)
-    }
-}
-
-impl FromStr for BatchMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<BatchMode, String> {
-        match s {
-            "on" => Ok(BatchMode::On),
-            "off" => Ok(BatchMode::Off),
-            other => Err(format!("expects `on` or `off`, got {other:?}")),
-        }
-    }
-}
 
 /// One timed execution of the baseline workload.
 #[derive(Debug, Clone, Copy)]
@@ -134,7 +105,7 @@ pub struct BatchBench {
 }
 
 /// The full baseline: the claims sweep timed single- and
-/// multi-threaded, plus the optional bit-sliced batching measurement.
+/// multi-threaded, plus the bit-sliced batching measurement.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
     /// Trials per sweep cell.
@@ -156,11 +127,10 @@ pub struct BenchResult {
     pub speedup: f64,
     /// Recorder-instrumented vs no-op-sink cost of the same sweep.
     pub overhead: OverheadRun,
-    /// The bit-sliced batching measurement (`None` with `--batch off`).
-    pub batched: Option<BatchBench>,
-    /// Batched over scalar single-thread cycles/second (`None` with
-    /// `--batch off`).
-    pub speedup_batched: Option<f64>,
+    /// The bit-sliced batching measurement.
+    pub batched: BatchBench,
+    /// Batched over scalar single-thread cycles/second.
+    pub speedup_batched: f64,
     /// Whether every run (single, multi, instrumented) produced
     /// bit-identical statistics (they must).
     pub identical: bool,
@@ -231,19 +201,19 @@ fn batch_baseline(config: &BatchConfig, cycles: u64, wall: f64, batched: &BatchR
 /// thread count did not change a single statistic, and runs the
 /// bit-sliced batching measurement.
 pub fn pipeline_baseline(cycles: u64) -> BenchResult {
-    pipeline_baseline_threaded(cycles, 0, BatchMode::On)
+    pipeline_baseline_threaded(cycles, 0)
 }
 
 /// [`pipeline_baseline`] with an explicit worker-thread count for the
-/// multi-threaded run and an explicit [`BatchMode`]. `threads == 0`
-/// clamps to [`std::thread::available_parallelism`] (the
-/// single-threaded reference run always uses one worker).
-pub fn pipeline_baseline_threaded(cycles: u64, threads: usize, batch: BatchMode) -> BenchResult {
+/// multi-threaded run. `threads == 0` clamps to
+/// [`std::thread::available_parallelism`] (the single-threaded
+/// reference run always uses one worker).
+pub fn pipeline_baseline_threaded(cycles: u64, threads: usize) -> BenchResult {
     let (cores, multi_threads) = (resolve_threads(0), resolve_threads(threads));
     // Every gated ratio divides medians of `TIMING_REPEATS` runs,
     // interleaved so that a slow window on a shared host lands on both
     // sides of a ratio rather than on one.
-    let batch_config = batch.enabled().then(batch_config);
+    let batch_config = batch_config();
     let mut single_walls = Vec::with_capacity(TIMING_REPEATS);
     let mut batched_walls = Vec::with_capacity(TIMING_REPEATS);
     let mut multi_walls = Vec::with_capacity(TIMING_REPEATS);
@@ -254,11 +224,9 @@ pub fn pipeline_baseline_threaded(cycles: u64, threads: usize, batch: BatchMode)
     for _ in 0..TIMING_REPEATS {
         let (wall, one) = timed(|| experiments::claims_threaded(cycles, 1));
         single_walls.push(wall);
-        if let Some(config) = &batch_config {
-            let (wall, result) = timed(|| run_batched(config, cycles_per_lane(cycles)));
-            batched_walls.push(wall);
-            batched_run = Some(result);
-        }
+        let (wall, result) = timed(|| run_batched(&batch_config, cycles_per_lane(cycles)));
+        batched_walls.push(wall);
+        batched_run = Some(result);
         let (wall, multi) = timed(|| experiments::claims_threaded(cycles, multi_threads));
         multi_walls.push(wall);
         // Same sweep once more with a recorder attached: the
@@ -286,12 +254,9 @@ pub fn pipeline_baseline_threaded(cycles: u64, threads: usize, batch: BatchMode)
         cycles_per_second: total_cycles as f64 / wall,
     };
     let single_run = run(1, wall_single);
-    let batched = batch_config
-        .zip(batched_run)
-        .map(|(config, result)| batch_baseline(&config, cycles, median(batched_walls), &result));
-    let speedup_batched = batched
-        .as_ref()
-        .map(|b| b.cycles_per_second / single_run.cycles_per_second);
+    let batched_run = batched_run.expect("at least one repetition");
+    let batched = batch_baseline(&batch_config, cycles, median(batched_walls), &batched_run);
+    let speedup_batched = batched.cycles_per_second / single_run.cycles_per_second;
     BenchResult {
         trials: TRIALS,
         cycles_per_trial: (cycles / TRIALS as u64).max(1),
@@ -350,8 +315,8 @@ pub fn bench_json(r: &BenchResult) -> String {
             "instrumented_wall_seconds": r.overhead.instrumented_wall_seconds,
             "ratio": r.overhead.ratio,
         }),
-        "batched": r.batched.as_ref().map(batch_json).unwrap_or(Value::Null),
-        "speedup_batched": r.speedup_batched.map(|v| json!(v)).unwrap_or(Value::Null),
+        "batched": batch_json(&r.batched),
+        "speedup_batched": r.speedup_batched,
         "identical_across_threads": r.identical,
     }))
     .expect("serialise bench result")
@@ -359,12 +324,16 @@ pub fn bench_json(r: &BenchResult) -> String {
 
 /// Renders the baseline as text.
 pub fn render_bench(r: &BenchResult) -> String {
-    let mut out = format!(
+    let b = &r.batched;
+    format!(
         "claims sweep: {} trials x {} cycles, {} total simulated cycles ({} cores detected)\n\
          single thread ({}): {:.3} s  ({:.0} cycles/s)\n\
          multi  thread ({}): {:.3} s  ({:.0} cycles/s)\n\
          speedup: {:.2}x   results identical across thread counts: {}\n\
-         telemetry overhead: instrumented {:.3} s vs no-op {:.3} s ({:.2}x)\n",
+         telemetry overhead: instrumented {:.3} s vs no-op {:.3} s ({:.2}x)\n\
+         batched ({} lanes x {} cycles): {:.3} s  ({:.0} lane-cycles/s), \
+         scalar replay {:.3} s  ({:.0}/s), bit-identical: {}\n\
+         speedup_batched: {:.2}x over scalar single thread\n",
         r.trials,
         r.cycles_per_trial,
         r.total_cycles,
@@ -380,24 +349,15 @@ pub fn render_bench(r: &BenchResult) -> String {
         r.overhead.instrumented_wall_seconds,
         r.overhead.noop_wall_seconds,
         r.overhead.ratio,
-    );
-    match (&r.batched, r.speedup_batched) {
-        (Some(b), Some(sb)) => out.push_str(&format!(
-            "batched ({} lanes x {} cycles): {:.3} s  ({:.0} lane-cycles/s), \
-             scalar replay {:.3} s  ({:.0}/s), bit-identical: {}\n\
-             speedup_batched: {:.2}x over scalar single thread\n",
-            b.lanes,
-            b.cycles_per_lane,
-            b.wall_seconds,
-            b.cycles_per_second,
-            b.scalar_replay_wall_seconds,
-            b.scalar_replay_cycles_per_second,
-            b.identical,
-            sb,
-        )),
-        _ => out.push_str("batched: off\n"),
-    }
-    out
+        b.lanes,
+        b.cycles_per_lane,
+        b.wall_seconds,
+        b.cycles_per_second,
+        b.scalar_replay_wall_seconds,
+        b.scalar_replay_cycles_per_second,
+        b.identical,
+        r.speedup_batched,
+    )
 }
 
 /// Extracts `<section>.cycles_per_second` from a bench JSON document.
@@ -416,10 +376,10 @@ fn throughput(doc: &Value, section: &str, label: &str) -> Result<f64, String> {
 ///   the recorder-instrumented sweep must cost at most
 ///   `1 + max_overhead` times the no-op-sink sweep
 ///   (`telemetry_overhead.ratio`), the multi-thread speedup must reach
-///   [`SCALING_FLOOR_FRACTION`]` x min(threads, cores)`, and — when the
-///   document carries a `batched` measurement — the bit-sliced engine
-///   must be bit-identical to the scalar replay and `speedup_batched`
-///   must reach [`BATCH_SPEEDUP_FLOOR`]. All were measured on one
+///   [`SCALING_FLOOR_FRACTION`]` x min(threads, cores)`, the bit-sliced
+///   engine must be bit-identical to the scalar replay, and
+///   `speedup_batched` must reach [`BATCH_SPEEDUP_FLOOR`]; a document
+///   without these figures fails. All were measured on one
 ///   machine in one process, so they hold regardless of runner
 ///   hardware. Every failed criterion is reported; the check never
 ///   stops at the first breach.
@@ -504,27 +464,22 @@ pub fn bench_check(
         ),
     }
 
-    if fresh["batched"] == Value::Null {
-        report.push_str("batched: off (no bit-sliced measurement in this document)\n");
-    } else {
-        if fresh["batched"]["identical_scalar_bitsliced"] != Value::Bool(true) {
-            breaches
-                .push("batched: scalar and bit-sliced engines were not bit-identical".to_owned());
-        }
-        match fresh["speedup_batched"].as_f64().filter(|v| *v > 0.0) {
-            None => breaches.push("fresh: missing or non-positive speedup_batched".to_owned()),
-            Some(sb) => {
-                let line = format!(
-                    "batched: {sb:.2}x the scalar single-thread throughput \
-                     (floor {BATCH_SPEEDUP_FLOOR:.2}x)"
-                );
-                report.push_str(&line);
-                report.push('\n');
-                if sb < BATCH_SPEEDUP_FLOOR {
-                    breaches.push(format!(
-                        "{line} -- bit-sliced engine below the batching floor"
-                    ));
-                }
+    if fresh["batched"]["identical_scalar_bitsliced"] != Value::Bool(true) {
+        breaches.push("batched: scalar and bit-sliced engines were not bit-identical".to_owned());
+    }
+    match fresh["speedup_batched"].as_f64().filter(|v| *v > 0.0) {
+        None => breaches.push("fresh: missing or non-positive speedup_batched".to_owned()),
+        Some(sb) => {
+            let line = format!(
+                "batched: {sb:.2}x the scalar single-thread throughput \
+                 (floor {BATCH_SPEEDUP_FLOOR:.2}x)"
+            );
+            report.push_str(&line);
+            report.push('\n');
+            if sb < BATCH_SPEEDUP_FLOOR {
+                breaches.push(format!(
+                    "{line} -- bit-sliced engine below the batching floor"
+                ));
             }
         }
     }
@@ -569,38 +524,33 @@ mod tests {
 
     #[test]
     fn baseline_is_thread_count_invariant_and_well_formed() {
-        let r = pipeline_baseline_threaded(40_000, 0, BatchMode::Off);
+        let r = pipeline_baseline_threaded(40_000, 0);
         assert!(r.identical, "thread count must not change results");
         assert_eq!(r.trials, TRIALS);
         assert_eq!(r.total_cycles, 2 * TRIALS as u64 * r.cycles_per_trial);
         assert!(r.cores >= 1);
         assert!(r.single.cycles_per_second > 0.0);
         assert!(r.multi.cycles_per_second > 0.0);
-        assert!(r.batched.is_none());
-        assert!(r.speedup_batched.is_none());
 
         let js = bench_json(&r);
         let back: Value = serde_json::from_str(&js).expect("valid json");
         assert_eq!(back["benchmark"], "pipeline_sweep_claims");
         assert_eq!(back["identical_across_threads"], serde_json::json!(true));
         assert!(back["cores"].as_u64().unwrap() >= 1);
-        assert_eq!(back["batched"], Value::Null);
-        assert_eq!(back["speedup_batched"], Value::Null);
         assert!(back["single_thread"]["cycles_per_second"].as_f64().unwrap() > 0.0);
         assert!(back["telemetry_overhead"]["ratio"].as_f64().unwrap() > 0.0);
         assert!(!render_bench(&r).is_empty());
-        assert!(render_bench(&r).contains("batched: off"));
     }
 
     #[test]
     fn batched_measurement_is_equivalent_and_reported() {
-        let r = pipeline_baseline_threaded(40_000, 1, BatchMode::On);
-        let b = r.batched.expect("batched measurement present");
+        let r = pipeline_baseline_threaded(40_000, 1);
+        let b = r.batched;
         assert!(b.identical, "scalar and bit-sliced engines must agree");
         assert_eq!(b.lanes, MAX_LANES);
         assert_eq!(b.total_cycles, b.cycles_per_lane * MAX_LANES as u64);
         assert!(b.cycles_per_second > 0.0);
-        assert!(r.speedup_batched.unwrap() > 0.0);
+        assert!(r.speedup_batched > 0.0);
 
         let js = bench_json(&r);
         let back: Value = serde_json::from_str(&js).expect("valid json");
@@ -615,22 +565,10 @@ mod tests {
 
     #[test]
     fn explicit_thread_count_is_respected() {
-        let r = pipeline_baseline_threaded(40_000, 3, BatchMode::Off);
+        let r = pipeline_baseline_threaded(40_000, 3);
         assert_eq!(r.multi.threads, 3);
         assert_eq!(r.single.threads, 1);
         assert!(r.identical);
-    }
-
-    #[test]
-    fn batch_mode_parses_per_the_cli_contract() {
-        assert_eq!("on".parse::<BatchMode>().unwrap(), BatchMode::On);
-        assert_eq!("off".parse::<BatchMode>().unwrap(), BatchMode::Off);
-        assert!("auto".parse::<BatchMode>().is_err());
-        assert!(BatchMode::On.enabled());
-        assert!(!BatchMode::Off.enabled());
-        let err = "maybe".parse::<BatchMode>().unwrap_err();
-        assert!(err.contains("maybe"), "{err}");
-        assert!(err.contains("on"), "{err}");
     }
 
     /// A synthetic well-formed bench document for the gate tests. The
@@ -772,10 +710,11 @@ mod tests {
         let slow = doc_full(4e6, 8e6, 1.05, 3.4, 4, 4, Some(true), Some(2.0));
         let err = bench_check(None, &slow, 0.15, 0.5).expect_err("slow batching must fail");
         assert!(err.contains("batching floor"), "{err}");
-        // `--batch off` documents skip the tier entirely.
-        let off = doc_full(4e6, 8e6, 1.05, 3.4, 4, 4, None, None);
-        let report = bench_check(None, &off, 0.15, 0.5).expect("batched tier skipped");
-        assert!(report.contains("batched: off"), "{report}");
+        // A document without the batched section fails both checks.
+        let missing = doc_full(4e6, 8e6, 1.05, 3.4, 4, 4, None, None);
+        let err = bench_check(None, &missing, 0.15, 0.5).expect_err("missing tier must fail");
+        assert!(err.contains("bit-identical"), "{err}");
+        assert!(err.contains("speedup_batched"), "{err}");
     }
 
     #[test]

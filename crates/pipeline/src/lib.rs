@@ -61,4 +61,6 @@ pub use timber_resilience::{GovernorConfig, GovernorLevel};
 pub use topology::Topology;
 
 #[cfg(test)]
+mod doubles;
+#[cfg(test)]
 mod props;

@@ -7,57 +7,9 @@ use proptest::prelude::*;
 use timber_netlist::Picos;
 use timber_variability::{CompositeVariability, SensitizationModel, StagePathProfile};
 
+use crate::doubles::{BorrowAll, DetectAll};
 use crate::reference::MarginedFlop;
-use crate::scheme::{CycleContext, Recovery, SequentialScheme, StageOutcome};
 use crate::sim::{PipelineConfig, PipelineSim};
-use crate::topology::Topology;
-
-/// A scheme that masks every overrun by borrowing the overshoot.
-#[derive(Debug)]
-struct BorrowAll;
-impl SequentialScheme for BorrowAll {
-    fn evaluate(
-        &mut self,
-        _s: usize,
-        arrival: Picos,
-        _i: Picos,
-        ctx: &CycleContext,
-    ) -> StageOutcome {
-        if arrival <= ctx.period {
-            StageOutcome::Ok
-        } else {
-            StageOutcome::Masked {
-                borrowed: arrival - ctx.period,
-                flagged: false,
-            }
-        }
-    }
-    fn reset(&mut self, _topology: &Topology) {}
-}
-
-/// A scheme that detects every overrun.
-#[derive(Debug)]
-struct DetectAll(u32);
-impl SequentialScheme for DetectAll {
-    fn evaluate(
-        &mut self,
-        _s: usize,
-        arrival: Picos,
-        _i: Picos,
-        ctx: &CycleContext,
-    ) -> StageOutcome {
-        if arrival <= ctx.period {
-            StageOutcome::Ok
-        } else {
-            StageOutcome::Detected {
-                recovery: Recovery::Replay {
-                    penalty_cycles: self.0,
-                },
-            }
-        }
-    }
-    fn reset(&mut self, _topology: &Topology) {}
-}
 
 fn sens(stages: usize, crit: i64, seed: u64) -> SensitizationModel {
     SensitizationModel::new(
@@ -97,7 +49,7 @@ proptest! {
         seed in 0u64..50,
     ) {
         let cfg = PipelineConfig::new(stages, Picos(period));
-        let mut scheme = BorrowAll;
+        let mut scheme = BorrowAll { flagged: false };
         let s = sens(stages, 1000, seed);
         let mut var = CompositeVariability::nominal();
         let stats = PipelineSim::new(cfg, &mut scheme, &s, &mut var).run(5_000);
@@ -141,7 +93,7 @@ proptest! {
         seed in 0u64..30,
     ) {
         let cfg = PipelineConfig::new(stages, Picos(period));
-        let mut scheme = BorrowAll;
+        let mut scheme = BorrowAll { flagged: false };
         let s = sens(stages, 1000, seed);
         let mut var = CompositeVariability::nominal();
         let cycles = 2_000u64;

@@ -24,13 +24,7 @@ impl MarginedFlop {
 }
 
 impl SequentialScheme for MarginedFlop {
-    fn evaluate(
-        &mut self,
-        _stage: usize,
-        arrival: Picos,
-        _incoming_borrow: Picos,
-        ctx: &CycleContext,
-    ) -> StageOutcome {
+    fn evaluate(&mut self, _stage: usize, arrival: Picos, ctx: &CycleContext) -> StageOutcome {
         if arrival <= ctx.period {
             StageOutcome::Ok
         } else {
@@ -56,16 +50,9 @@ mod tests {
         let ctx = CycleContext {
             cycle: 0,
             period: Picos(1000),
-            nominal_period: Picos(1000),
         };
-        assert_eq!(
-            f.evaluate(0, Picos(999), Picos::ZERO, &ctx),
-            StageOutcome::Ok
-        );
-        assert_eq!(
-            f.evaluate(0, Picos(1000), Picos::ZERO, &ctx),
-            StageOutcome::Ok
-        );
+        assert_eq!(f.evaluate(0, Picos(999), &ctx), StageOutcome::Ok);
+        assert_eq!(f.evaluate(0, Picos(1000), &ctx), StageOutcome::Ok);
     }
 
     #[test]
@@ -74,11 +61,7 @@ mod tests {
         let ctx = CycleContext {
             cycle: 0,
             period: Picos(1000),
-            nominal_period: Picos(1000),
         };
-        assert_eq!(
-            f.evaluate(0, Picos(1001), Picos::ZERO, &ctx),
-            StageOutcome::Corrupted
-        );
+        assert_eq!(f.evaluate(0, Picos(1001), &ctx), StageOutcome::Corrupted);
     }
 }

@@ -12,8 +12,6 @@ pub struct CycleContext {
     /// Current clock period (may be temporarily increased by the
     /// central controller).
     pub period: Picos,
-    /// Nominal (design) clock period.
-    pub nominal_period: Picos,
 }
 
 /// Recovery action demanded by a detection-based scheme.
@@ -93,22 +91,16 @@ impl StageOutcome {
 /// The simulator calls [`evaluate`](SequentialScheme::evaluate) once per
 /// stage per cycle, in stage order, which lets stateful schemes (like
 /// the TIMBER flip-flop with its error-relay select inputs) maintain
-/// per-stage state across calls.
+/// per-stage state across calls. A capture is decided from the arrival
+/// and the cycle alone: time borrowed into the stage is already part of
+/// the arrival.
 pub trait SequentialScheme {
-    /// Evaluates the data arrival at stage boundary `stage`.
-    ///
-    /// * `arrival` — when the data stabilises at the boundary, measured
-    ///   from the launching clock edge, *including* `incoming_borrow`;
-    ///   `arrival <= ctx.period` means the data met the edge.
-    /// * `incoming_borrow` — time already borrowed into this stage by
-    ///   the previous boundary (zero for schemes without borrowing).
-    fn evaluate(
-        &mut self,
-        stage: usize,
-        arrival: Picos,
-        incoming_borrow: Picos,
-        ctx: &CycleContext,
-    ) -> StageOutcome;
+    /// Evaluates the data arrival at stage boundary `stage`: `arrival`
+    /// is when the data stabilises at the boundary, measured from the
+    /// launching clock edge and including any time the previous
+    /// boundary borrowed; `arrival <= ctx.period` means the data met
+    /// the edge.
+    fn evaluate(&mut self, stage: usize, arrival: Picos, ctx: &CycleContext) -> StageOutcome;
 
     /// Clears all per-run state and sizes the scheme for `topology`,
     /// the boundary graph of the run that follows. The simulator calls
@@ -120,10 +112,11 @@ pub trait SequentialScheme {
     /// The latest arrival this scheme provably captures on time in
     /// this cycle, or `None` (the default): "never skip".
     ///
-    /// `Some(l)` promises that, at any stage and for any incoming
-    /// borrow, every arrival `≤ l` makes [`evaluate`] return
-    /// [`StageOutcome::Ok`] and leaves the scheme in the same state —
-    /// whichever arrival it was. The pipeline simulator relies on this
+    /// `Some(l)` promises that, at any stage, every arrival `≤ l` makes
+    /// [`evaluate`] return [`StageOutcome::Ok`] and leaves the scheme in
+    /// the same state — whichever arrival it was. Borrowed time is part
+    /// of the arrival, so the promise holds for any incoming borrow by
+    /// construction. The pipeline simulator relies on this
     /// to hand a provably-on-time stage a worst-case stand-in arrival
     /// instead of deriving the exact one: the outcome, the scheme's
     /// state and so every later outcome are the same either way.

@@ -45,11 +45,6 @@ pub struct PipelineConfig {
     pub slowdown_factor: f64,
     /// Duration of a slow-down episode, in cycles.
     pub slowdown_window: u64,
-    /// Energy per productive cycle (relative units).
-    pub energy_per_cycle: f64,
-    /// Energy per recovery bubble (replay re-executes work, so bubbles
-    /// are not free; defaults to the per-cycle energy).
-    pub energy_per_bubble: f64,
     /// Closed-loop escalation-ladder governor. `None` (the default)
     /// keeps the open-loop single-pulse [`FrequencyController`];
     /// `Some` replaces it with a
@@ -82,8 +77,6 @@ impl PipelineConfig {
             consolidation_latency_cycles: 2,
             slowdown_factor: 0.10,
             slowdown_window: 100,
-            energy_per_cycle: 1.0,
-            energy_per_bubble: 1.0,
             governor: None,
             debug_bounds: None,
         }
@@ -525,24 +518,17 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
             }
 
             if self.penalty_remaining > 0 {
-                // Recovery bubble: no instruction completes, stage
-                // boundaries idle, but the re-executed work still burns
-                // energy.
+                // Recovery bubble: no instruction completes and stage
+                // boundaries idle.
                 self.penalty_remaining -= 1;
                 stats.penalty_cycles += 1;
-                stats.energy += self.config.energy_per_bubble;
                 if S::ENABLED {
                     self.sink.add(Counter::PenaltyCycles, 1);
                 }
                 continue;
             }
-            stats.energy += self.config.energy_per_cycle;
 
-            let ctx = CycleContext {
-                cycle: t,
-                period,
-                nominal_period: self.config.nominal_period,
-            };
+            let ctx = CycleContext { cycle: t, period };
             // Row-based cycle step: sample the whole delay row, build
             // the arrival row in one pass, then classify outcomes.
             self.supply.fill_row(
@@ -555,7 +541,7 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
 
             for s in 0..self.config.stages {
                 let arrival = self.soa.arrival_row[s];
-                let outcome = self.scheme.evaluate(s, arrival, self.soa.carry[s], &ctx);
+                let outcome = self.scheme.evaluate(s, arrival, &ctx);
                 match outcome {
                     StageOutcome::Ok => {
                         if self.soa.chain[s] > 0 {
@@ -672,6 +658,9 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
             stats.chain_histogram.pop();
         }
         stats.slowdown_episodes = self.clock.episodes();
+        // One unit per cycle, bubbles included: the count is below
+        // 2^53, so the conversion is exact.
+        stats.energy = stats.cycles as f64;
         stats
     }
 }
@@ -681,8 +670,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    use crate::doubles::{BorrowAll, DetectAll};
     use crate::reference::MarginedFlop;
-    use crate::scheme::Recovery;
     use timber_variability::CompositeVariability;
 
     fn uniform_sens(stages: usize, crit: i64) -> SensitizationModel {
@@ -716,32 +705,10 @@ mod tests {
         assert_eq!(stats.masked, 0);
     }
 
-    /// A scheme that detects every overrun and replays.
-    #[derive(Debug)]
-    struct DetectAll;
-    impl SequentialScheme for DetectAll {
-        fn evaluate(
-            &mut self,
-            _stage: usize,
-            arrival: Picos,
-            _incoming: Picos,
-            ctx: &CycleContext,
-        ) -> StageOutcome {
-            if arrival <= ctx.period {
-                StageOutcome::Ok
-            } else {
-                StageOutcome::Detected {
-                    recovery: Recovery::Replay { penalty_cycles: 1 },
-                }
-            }
-        }
-        fn reset(&mut self, _topology: &Topology) {}
-    }
-
     #[test]
     fn detection_costs_bubbles() {
         let cfg = PipelineConfig::new(2, Picos(800));
-        let mut scheme = DetectAll;
+        let mut scheme = DetectAll(1);
         let sens = uniform_sens(2, 900);
         let mut var = CompositeVariability::nominal();
         let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(100_000);
@@ -751,36 +718,13 @@ mod tests {
         assert!(stats.ipc() < 1.0);
     }
 
-    /// A scheme that masks every overrun by borrowing the overshoot.
-    #[derive(Debug)]
-    struct BorrowAll;
-    impl SequentialScheme for BorrowAll {
-        fn evaluate(
-            &mut self,
-            _stage: usize,
-            arrival: Picos,
-            _incoming: Picos,
-            ctx: &CycleContext,
-        ) -> StageOutcome {
-            if arrival <= ctx.period {
-                StageOutcome::Ok
-            } else {
-                StageOutcome::Masked {
-                    borrowed: arrival - ctx.period,
-                    flagged: false,
-                }
-            }
-        }
-        fn reset(&mut self, _topology: &Topology) {}
-    }
-
     #[test]
     fn borrowing_preserves_full_throughput() {
         // Period 880 vs critical 900: only critical (p=1e-3) and the
         // top of the near-critical band violate — the paper's sparse-
         // error regime.
         let cfg = PipelineConfig::new(3, Picos(880));
-        let mut scheme = BorrowAll;
+        let mut scheme = BorrowAll { flagged: false };
         let sens = uniform_sens(3, 900);
         let mut var = CompositeVariability::nominal();
         let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(100_000);
@@ -797,29 +741,8 @@ mod tests {
     fn borrowed_time_increases_next_stage_pressure() {
         // Deterministic: every stage always at 850 vs period 800 →
         // borrow 50 each boundary; chains span the whole pipeline.
-        #[derive(Debug)]
-        struct Fixed;
-        impl SequentialScheme for Fixed {
-            fn evaluate(
-                &mut self,
-                _s: usize,
-                arrival: Picos,
-                _i: Picos,
-                ctx: &CycleContext,
-            ) -> StageOutcome {
-                if arrival <= ctx.period {
-                    StageOutcome::Ok
-                } else {
-                    StageOutcome::Masked {
-                        borrowed: arrival - ctx.period,
-                        flagged: false,
-                    }
-                }
-            }
-            fn reset(&mut self, _topology: &Topology) {}
-        }
         let cfg = PipelineConfig::new(2, Picos(800));
-        let mut scheme = Fixed;
+        let mut scheme = BorrowAll { flagged: false };
         // p_critical = 1: force the critical path every cycle.
         let mut profiles = vec![timber_variability::StagePathProfile::from_critical(Picos(850)); 2];
         for p in &mut profiles {
@@ -845,7 +768,7 @@ mod tests {
         // every cycle, so after the run boundary 1 carries 50ps of
         // borrow with a chain of depth 1 feeding it.
         let cfg = PipelineConfig::new(2, Picos(800));
-        let mut scheme = BorrowAll;
+        let mut scheme = BorrowAll { flagged: false };
         let mut profiles = vec![timber_variability::StagePathProfile::from_critical(Picos(850)); 2];
         for p in &mut profiles {
             p.p_critical = 1.0;
@@ -866,7 +789,7 @@ mod tests {
         // boundary, chains of length 2 on the 2-stage pipeline.
         let mut cfg = PipelineConfig::new(2, Picos(800));
         cfg.debug_bounds = bounds;
-        let mut scheme = BorrowAll;
+        let mut scheme = BorrowAll { flagged: false };
         let mut profiles = vec![timber_variability::StagePathProfile::from_critical(Picos(850)); 2];
         for p in &mut profiles {
             p.p_critical = 1.0;
@@ -935,14 +858,8 @@ mod tests {
     #[derive(Debug)]
     struct LimitedBorrowAll;
     impl SequentialScheme for LimitedBorrowAll {
-        fn evaluate(
-            &mut self,
-            s: usize,
-            arrival: Picos,
-            i: Picos,
-            ctx: &CycleContext,
-        ) -> StageOutcome {
-            BorrowAll.evaluate(s, arrival, i, ctx)
+        fn evaluate(&mut self, s: usize, arrival: Picos, ctx: &CycleContext) -> StageOutcome {
+            BorrowAll { flagged: false }.evaluate(s, arrival, ctx)
         }
         fn reset(&mut self, _topology: &Topology) {}
         fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
@@ -1131,30 +1048,6 @@ mod tests {
         let _ = PipelineConfig::new(0, Picos(1000));
     }
 
-    /// A scheme that masks and *flags* every overrun — maximum
-    /// escalation pressure for governor tests.
-    #[derive(Debug)]
-    struct FlagAll;
-    impl SequentialScheme for FlagAll {
-        fn evaluate(
-            &mut self,
-            _s: usize,
-            arrival: Picos,
-            _i: Picos,
-            ctx: &CycleContext,
-        ) -> StageOutcome {
-            if arrival <= ctx.period {
-                StageOutcome::Ok
-            } else {
-                StageOutcome::Masked {
-                    borrowed: arrival - ctx.period,
-                    flagged: true,
-                }
-            }
-        }
-        fn reset(&mut self, _topology: &Topology) {}
-    }
-
     fn storm_config(stages: usize) -> PipelineConfig {
         let mut cfg = PipelineConfig::new(stages, Picos(800));
         cfg.governor = Some(timber_resilience::GovernorConfig {
@@ -1186,7 +1079,7 @@ mod tests {
     #[test]
     fn governor_escalates_under_storm_and_slows_wall_clock() {
         let cfg = storm_config(2);
-        let mut scheme = FlagAll;
+        let mut scheme = BorrowAll { flagged: true };
         let sens = forced_sens(2);
         let mut var = CompositeVariability::nominal();
         let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(400);
@@ -1203,7 +1096,7 @@ mod tests {
     fn governor_stays_nominal_on_quiet_workload() {
         let mut cfg = storm_config(3);
         cfg.nominal_period = Picos(1000);
-        let mut scheme = FlagAll;
+        let mut scheme = BorrowAll { flagged: true };
         let sens = uniform_sens(3, 900);
         let mut var = CompositeVariability::nominal();
         let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(5_000);
@@ -1216,7 +1109,7 @@ mod tests {
     fn governor_telemetry_counters_match_events() {
         use timber_telemetry::{Recorder, RecorderConfig};
         let cfg = storm_config(2);
-        let mut scheme = FlagAll;
+        let mut scheme = BorrowAll { flagged: true };
         let sens = forced_sens(2);
         let mut var = CompositeVariability::nominal();
         let mut rec = Recorder::new(RecorderConfig::new(2, Picos(800)).ring_capacity(4096));
@@ -1252,7 +1145,7 @@ mod tests {
     fn safe_mode_replay_flushes_carry_and_chain() {
         use timber_telemetry::{Recorder, RecorderConfig};
         let cfg = storm_config(2);
-        let mut scheme = FlagAll;
+        let mut scheme = BorrowAll { flagged: true };
         let sens = forced_sens(2);
         let mut var = CompositeVariability::nominal();
         let mut rec = Recorder::new(RecorderConfig::new(2, Picos(800)).ring_capacity(4096));

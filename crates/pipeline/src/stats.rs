@@ -32,8 +32,8 @@ pub struct RunStats {
     /// violations (index 0 = single-stage events). This is the
     /// single- vs multi-stage error statistic of the paper's §3.
     pub chain_histogram: Vec<u64>,
-    /// Total energy consumed (relative units; see
-    /// `PipelineConfig::energy_per_cycle`).
+    /// Total energy consumed, in relative units: one unit per cycle,
+    /// bubbles included, so it equals `cycles`.
     pub energy: f64,
 }
 
@@ -85,14 +85,26 @@ impl RunStats {
         }
     }
 
-    /// Energy per completed instruction (∞-free: 0.0 when no
-    /// instructions completed).
-    pub fn energy_per_instruction(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.energy / self.instructions as f64
-        }
+    /// The run's totals as JSON object members, without braces:
+    /// `"instructions"` through `"escalations"` (slowdown episodes),
+    /// then `"sim_time_ps"` (simulated wall time). Serve's response
+    /// body and soak's trial payload both embed these bytes.
+    pub fn totals_json(&self) -> String {
+        format!(
+            "\"instructions\":{},\"masked\":{},\"flagged\":{},\"detected\":{},\
+             \"predicted\":{},\"corrupted\":{},\"penalty_cycles\":{},\"slow_cycles\":{},\
+             \"escalations\":{},\"sim_time_ps\":{}",
+            self.instructions,
+            self.masked,
+            self.flagged,
+            self.detected,
+            self.predicted,
+            self.corrupted,
+            self.penalty_cycles,
+            self.slow_cycles,
+            self.slowdown_episodes,
+            self.wall_time.as_ps(),
+        )
     }
 
     /// Records a chain of `len` consecutive-stage masked violations.

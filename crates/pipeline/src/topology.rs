@@ -94,8 +94,8 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doubles::BorrowAll;
     use crate::reference::MarginedFlop;
-    use crate::scheme::{CycleContext, SequentialScheme, StageOutcome};
     use crate::sim::{PipelineConfig, PipelineSim};
     use timber_netlist::Picos;
     use timber_variability::{CompositeVariability, SensitizationModel, StagePathProfile};
@@ -154,36 +154,13 @@ mod tests {
         assert_eq!(stats.instructions, 10_000);
     }
 
-    /// A deterministic borrowing scheme for edge-propagation checks.
-    #[derive(Debug)]
-    struct BorrowAll;
-    impl SequentialScheme for BorrowAll {
-        fn evaluate(
-            &mut self,
-            _s: usize,
-            arrival: Picos,
-            _i: Picos,
-            ctx: &CycleContext,
-        ) -> StageOutcome {
-            if arrival <= ctx.period {
-                StageOutcome::Ok
-            } else {
-                StageOutcome::Masked {
-                    borrowed: arrival - ctx.period,
-                    flagged: false,
-                }
-            }
-        }
-        fn reset(&mut self, _topology: &Topology) {}
-    }
-
     #[test]
     fn reconvergence_takes_worst_incoming_borrow() {
         // Force the two middle boundaries of the diamond to borrow
         // different amounts (critical 1080 and 1040, others safe); the
         // sink must inherit the max, not the last one written.
         let topo = Topology::diamond();
-        let mut scheme = BorrowAll;
+        let mut scheme = BorrowAll { flagged: false };
         let sens = forced(&[900, 1080, 1040, 900]);
         let mut var = CompositeVariability::nominal();
         let cfg = PipelineConfig::new(4, Picos(1000));
@@ -202,7 +179,7 @@ mod tests {
         // All four boundaries always critical at 1040: every boundary
         // borrows every cycle, chains grow along 0 -> {1,2} -> 3.
         let topo = Topology::diamond();
-        let mut scheme = BorrowAll;
+        let mut scheme = BorrowAll { flagged: false };
         let sens = forced(&[1040; 4]);
         let mut var = CompositeVariability::nominal();
         let cfg = PipelineConfig::new(4, Picos(1000));

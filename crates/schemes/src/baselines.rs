@@ -15,7 +15,6 @@ mod tests {
         CycleContext {
             cycle: 0,
             period: Picos(1000),
-            nominal_period: Picos(1000),
         }
     }
 
@@ -37,20 +36,14 @@ mod tests {
     #[test]
     fn razor_detects_in_window_and_replays() {
         let mut r = razor(100, 0, 0);
+        assert_eq!(r.evaluate(0, Picos(990), &ctx()), StageOutcome::Ok);
         assert_eq!(
-            r.evaluate(0, Picos(990), Picos::ZERO, &ctx()),
-            StageOutcome::Ok
-        );
-        assert_eq!(
-            r.evaluate(0, Picos(1050), Picos::ZERO, &ctx()),
+            r.evaluate(0, Picos(1050), &ctx()),
             StageOutcome::Detected {
                 recovery: Recovery::Replay { penalty_cycles: 1 }
             }
         );
-        assert_eq!(
-            r.evaluate(0, Picos(1150), Picos::ZERO, &ctx()),
-            StageOutcome::Corrupted
-        );
+        assert_eq!(r.evaluate(0, Picos(1150), &ctx()), StageOutcome::Corrupted);
     }
 
     #[test]
@@ -58,24 +51,21 @@ mod tests {
         let mut r = razor(100, 20, 4);
         // Inside the aperture (period ± 10): extended resolution.
         assert_eq!(
-            r.evaluate(0, Picos(995), Picos::ZERO, &ctx()),
+            r.evaluate(0, Picos(995), &ctx()),
             StageOutcome::Detected {
                 recovery: Recovery::Replay { penalty_cycles: 4 }
             }
         );
         assert_eq!(
-            r.evaluate(0, Picos(1008), Picos::ZERO, &ctx()),
+            r.evaluate(0, Picos(1008), &ctx()),
             StageOutcome::Detected {
                 recovery: Recovery::Replay { penalty_cycles: 4 }
             }
         );
         // Outside the aperture: plain behaviour.
+        assert_eq!(r.evaluate(0, Picos(985), &ctx()), StageOutcome::Ok);
         assert_eq!(
-            r.evaluate(0, Picos(985), Picos::ZERO, &ctx()),
-            StageOutcome::Ok
-        );
-        assert_eq!(
-            r.evaluate(0, Picos(1050), Picos::ZERO, &ctx()),
+            r.evaluate(0, Picos(1050), &ctx()),
             StageOutcome::Detected {
                 recovery: Recovery::Replay { penalty_cycles: 1 }
             }
@@ -85,17 +75,14 @@ mod tests {
     #[test]
     fn razor_without_metastability_model_is_unchanged_near_edge() {
         let mut r = razor(100, 0, 0);
-        assert_eq!(
-            r.evaluate(0, Picos(999), Picos::ZERO, &ctx()),
-            StageOutcome::Ok
-        );
+        assert_eq!(r.evaluate(0, Picos(999), &ctx()), StageOutcome::Ok);
     }
 
     #[test]
     fn transition_detector_stalls_instead_of_replaying() {
         let mut t = scheme(CaptureLaw::TransitionDetector { window: Picos(100) }, 0);
         assert_eq!(
-            t.evaluate(0, Picos(1050), Picos::ZERO, &ctx()),
+            t.evaluate(0, Picos(1050), &ctx()),
             StageOutcome::Detected {
                 recovery: Recovery::Stall { penalty_cycles: 1 }
             }
@@ -105,26 +92,17 @@ mod tests {
     #[test]
     fn canary_predicts_in_guard_band() {
         let mut c = scheme(CaptureLaw::Canary { guard: Picos(80) }, 0);
-        assert_eq!(
-            c.evaluate(0, Picos(900), Picos::ZERO, &ctx()),
-            StageOutcome::Ok
-        );
-        assert_eq!(
-            c.evaluate(0, Picos(950), Picos::ZERO, &ctx()),
-            StageOutcome::Predicted
-        );
+        assert_eq!(c.evaluate(0, Picos(900), &ctx()), StageOutcome::Ok);
+        assert_eq!(c.evaluate(0, Picos(950), &ctx()), StageOutcome::Predicted);
         // A fast variation that jumps past the guard band escapes.
-        assert_eq!(
-            c.evaluate(0, Picos(1010), Picos::ZERO, &ctx()),
-            StageOutcome::Corrupted
-        );
+        assert_eq!(c.evaluate(0, Picos(1010), &ctx()), StageOutcome::Corrupted);
         assert_eq!(c.on_time_limit(&ctx()), Some(Picos(920)));
     }
 
     #[test]
     fn soft_edge_masks_silently_within_window() {
         let mut s = scheme(CaptureLaw::SoftEdge { window: Picos(30) }, 0);
-        let out = s.evaluate(0, Picos(1020), Picos::ZERO, &ctx());
+        let out = s.evaluate(0, Picos(1020), &ctx());
         assert_eq!(
             out,
             StageOutcome::Masked {
@@ -132,10 +110,7 @@ mod tests {
                 flagged: false
             }
         );
-        assert_eq!(
-            s.evaluate(0, Picos(1040), Picos::ZERO, &ctx()),
-            StageOutcome::Corrupted
-        );
+        assert_eq!(s.evaluate(0, Picos(1040), &ctx()), StageOutcome::Corrupted);
     }
 
     #[test]
@@ -147,7 +122,7 @@ mod tests {
             },
             1,
         );
-        let out = l.evaluate(0, Picos(1050), Picos::ZERO, &ctx());
+        let out = l.evaluate(0, Picos(1050), &ctx());
         assert_eq!(
             out,
             StageOutcome::Masked {
@@ -203,10 +178,7 @@ mod tests {
             },
             1,
         );
-        assert_eq!(
-            l.evaluate(0, Picos(1050), Picos::ZERO, &ctx()),
-            StageOutcome::Corrupted
-        );
+        assert_eq!(l.evaluate(0, Picos(1050), &ctx()), StageOutcome::Corrupted);
     }
 
     #[test]
@@ -217,7 +189,7 @@ mod tests {
         };
         let draws = |l: &mut LawScheme| -> Vec<StageOutcome> {
             (0..64)
-                .map(|_| l.evaluate(0, Picos(1050), Picos::ZERO, &ctx()))
+                .map(|_| l.evaluate(0, Picos(1050), &ctx()))
                 .collect()
         };
         let mut l = scheme(law, 7);
@@ -239,7 +211,7 @@ mod tests {
         let masked = (0..n)
             .filter(|_| {
                 matches!(
-                    l.evaluate(0, Picos(1050), Picos::ZERO, &ctx()),
+                    l.evaluate(0, Picos(1050), &ctx()),
                     StageOutcome::Masked { .. }
                 )
             })

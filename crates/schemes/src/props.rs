@@ -26,7 +26,6 @@ fn ctx(period: i64) -> CycleContext {
     CycleContext {
         cycle: 0,
         period: Picos(period),
-        nominal_period: Picos(period),
     }
 }
 
@@ -44,7 +43,7 @@ proptest! {
     ) {
         let mut r = razor(window, meta, 3);
         let arrival = Picos(period + arrival_off);
-        let out = r.evaluate(0, arrival, Picos::ZERO, &ctx(period));
+        let out = r.evaluate(0, arrival, &ctx(period));
         let half = meta / 2;
         if meta > 0 && arrival_off > -half && arrival_off <= half {
             prop_assert!(matches!(out, StageOutcome::Detected { .. }), "expected Detected");
@@ -67,7 +66,7 @@ proptest! {
     ) {
         let mut c = CaptureLaw::Canary { guard: Picos(guard) }.build(0);
         let arrival = Picos(period + arrival_off);
-        let out = c.evaluate(0, arrival, Picos::ZERO, &ctx(period));
+        let out = c.evaluate(0, arrival, &ctx(period));
         if arrival_off + guard <= 0 {
             prop_assert_eq!(out, StageOutcome::Ok);
         } else if arrival_off <= 0 {
@@ -87,7 +86,7 @@ proptest! {
         overshoot in 1i64..400,
     ) {
         let mut s = CaptureLaw::SoftEdge { window: Picos(window) }.build(0);
-        let out = s.evaluate(0, Picos(period + overshoot), Picos::ZERO, &ctx(period));
+        let out = s.evaluate(0, Picos(period + overshoot), &ctx(period));
         if overshoot <= window {
             prop_assert_eq!(out, StageOutcome::Masked {
                 borrowed: Picos(overshoot),
@@ -109,8 +108,8 @@ proptest! {
         let mut razor = razor(window, 0, 0);
         let mut tdtb = CaptureLaw::TransitionDetector { window: Picos(window) }.build(0);
         let arrival = Picos(period + arrival_off);
-        let r = razor.evaluate(0, arrival, Picos::ZERO, &ctx(period));
-        let t = tdtb.evaluate(0, arrival, Picos::ZERO, &ctx(period));
+        let r = razor.evaluate(0, arrival, &ctx(period));
+        let t = tdtb.evaluate(0, arrival, &ctx(period));
         let caught = |o: &StageOutcome| matches!(o, StageOutcome::Detected { .. });
         prop_assert_eq!(caught(&r), caught(&t));
         prop_assert_eq!(r.state_correct(), t.state_correct());
@@ -142,7 +141,6 @@ proptest! {
             let ctx = CycleContext {
                 cycle,
                 period: Picos(1000),
-                nominal_period: Picos(1000),
             };
             let mut next_carry = vec![Picos::ZERO; stages + 1];
             let mut next_chain = vec![0usize; stages + 1];
@@ -151,7 +149,7 @@ proptest! {
                 let base = 1000i64 - rng.gen_range(0i64..200)
                     + if rng.gen_bool(0.4) { rng.gen_range(0..=interval) } else { 0 };
                 let arrival = carry[s] + Picos(base);
-                let outcome = scheme.evaluate(s, arrival, carry[s], &ctx);
+                let outcome = scheme.evaluate(s, arrival, &ctx);
                 if !outcome.state_correct() {
                     prop_assert!(chain[s] >= k,
                         "corruption with chain {} < k={k} (seed={seed} cycle={cycle} \
@@ -234,23 +232,22 @@ proptest! {
         for cycle in 0..cycles {
             // Nominal, over-clocked and throttled edges.
             let period = Picos([1000, 880, 1100, 1200][(splitmix64(seed, n) % 4) as usize]);
-            let ctx = CycleContext { cycle, period, nominal_period: Picos(1000) };
+            let ctx = CycleContext { cycle, period };
             for s in 0..stages {
                 n += 1;
                 let draw = splitmix64(seed ^ 0xA11, n);
-                let incoming = Picos((draw >> 32) as i64 % 120);
                 let (oa, ob) = if cycle as usize * stages + s == step {
                     let limit = a.on_time_limit(&ctx).expect("scheme is limited");
                     prop_assert_eq!(b.on_time_limit(&ctx), Some(limit));
-                    let oa = a.evaluate(s, limit - Picos(slack.0), incoming, &ctx);
-                    let ob = b.evaluate(s, limit - Picos(slack.1), incoming, &ctx);
+                    let oa = a.evaluate(s, limit - Picos(slack.0), &ctx);
+                    let ob = b.evaluate(s, limit - Picos(slack.1), &ctx);
                     prop_assert_eq!(oa, StageOutcome::Ok);
                     prop_assert_eq!(ob, StageOutcome::Ok);
                     (oa, ob)
                 } else {
                     // Arrivals from well on time to past every window.
                     let arrival = period + Picos((draw % 400) as i64 - 250);
-                    (a.evaluate(s, arrival, incoming, &ctx), b.evaluate(s, arrival, incoming, &ctx))
+                    (a.evaluate(s, arrival, &ctx), b.evaluate(s, arrival, &ctx))
                 };
                 prop_assert_eq!(oa, ob, "{} cycle {} stage {}", a.law().id().name(), cycle, s);
             }

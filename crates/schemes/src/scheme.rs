@@ -106,13 +106,7 @@ impl SequentialScheme for LawScheme {
     ///
     /// Panics at a stage outside the topology a TIMBER-FF scheme was
     /// reset with.
-    fn evaluate(
-        &mut self,
-        stage: usize,
-        arrival: Picos,
-        _incoming_borrow: Picos,
-        ctx: &CycleContext,
-    ) -> StageOutcome {
+    fn evaluate(&mut self, stage: usize, arrival: Picos, ctx: &CycleContext) -> StageOutcome {
         if self.relay.is_some() {
             return self.relayed_capture(stage, arrival, ctx);
         }
@@ -162,7 +156,6 @@ mod tests {
         CycleContext {
             cycle,
             period: Picos(1000),
-            nominal_period: Picos(1000),
         }
     }
 
@@ -188,7 +181,7 @@ mod tests {
     #[test]
     fn single_stage_error_masked_without_flag() {
         let mut s = timber_ff(&Topology::linear(3));
-        let out = s.evaluate(0, Picos(1030), Picos::ZERO, &ctx(0));
+        let out = s.evaluate(0, Picos(1030), &ctx(0));
         assert_eq!(
             out,
             StageOutcome::Masked {
@@ -202,13 +195,13 @@ mod tests {
     fn relay_raises_downstream_select_next_cycle() {
         let mut s = timber_ff(&Topology::linear(3));
         // Cycle 0: error at boundary 0.
-        let _ = s.evaluate(0, Picos(1030), Picos::ZERO, &ctx(0));
-        let _ = s.evaluate(1, Picos(900), Picos::ZERO, &ctx(0));
-        let _ = s.evaluate(2, Picos(900), Picos::ZERO, &ctx(0));
+        let _ = s.evaluate(0, Picos(1030), &ctx(0));
+        let _ = s.evaluate(1, Picos(900), &ctx(0));
+        let _ = s.evaluate(2, Picos(900), &ctx(0));
         // Cycle 1: boundary 1 now has select 1 -> can mask up to 80ps.
-        let _ = s.evaluate(0, Picos(900), Picos::ZERO, &ctx(1));
+        let _ = s.evaluate(0, Picos(900), &ctx(1));
         assert_eq!(select_at(&s, 1), 1);
-        let out = s.evaluate(1, Picos(1070), Picos(40), &ctx(1));
+        let out = s.evaluate(1, Picos(1070), &ctx(1));
         assert_eq!(
             out,
             StageOutcome::Masked {
@@ -222,39 +215,36 @@ mod tests {
     fn two_stage_error_without_relay_escapes() {
         let mut s = timber_ff(&Topology::linear(3));
         // Boundary 1 with select 0 sees a 70ps overshoot directly.
-        let out = s.evaluate(1, Picos(1070), Picos::ZERO, &ctx(0));
+        let out = s.evaluate(1, Picos(1070), &ctx(0));
         assert_eq!(out, StageOutcome::Corrupted);
     }
 
     #[test]
     fn selects_decay_after_clean_cycle() {
         let mut s = timber_ff(&Topology::linear(2));
-        let _ = s.evaluate(0, Picos(1030), Picos::ZERO, &ctx(0));
-        let _ = s.evaluate(1, Picos(900), Picos::ZERO, &ctx(0));
+        let _ = s.evaluate(0, Picos(1030), &ctx(0));
+        let _ = s.evaluate(1, Picos(900), &ctx(0));
         // Cycle 1: clean everywhere.
-        let _ = s.evaluate(0, Picos(900), Picos::ZERO, &ctx(1));
-        let _ = s.evaluate(1, Picos(900), Picos::ZERO, &ctx(1));
+        let _ = s.evaluate(0, Picos(900), &ctx(1));
+        let _ = s.evaluate(1, Picos(900), &ctx(1));
         // Cycle 2: boundary 1 back to select 0.
-        let _ = s.evaluate(0, Picos(900), Picos::ZERO, &ctx(2));
+        let _ = s.evaluate(0, Picos(900), &ctx(2));
         assert_eq!(select_at(&s, 1), 0);
     }
 
     #[test]
     fn reset_clears_state() {
         let mut s = timber_ff(&Topology::linear(2));
-        let _ = s.evaluate(0, Picos(1030), Picos::ZERO, &ctx(0));
-        let _ = s.evaluate(1, Picos(900), Picos::ZERO, &ctx(0));
+        let _ = s.evaluate(0, Picos(1030), &ctx(0));
+        let _ = s.evaluate(1, Picos(900), &ctx(0));
         s.reset(&Topology::linear(2));
         // Cycle 1 after the reset: the relayed select is gone, so a
         // 70ps overshoot at boundary 1 escapes.
         assert_eq!(select_at(&s, 0), 0);
         assert_eq!(select_at(&s, 1), 0);
-        let _ = s.evaluate(0, Picos(900), Picos::ZERO, &ctx(1));
+        let _ = s.evaluate(0, Picos(900), &ctx(1));
         assert_eq!(select_at(&s, 1), 0);
-        assert_eq!(
-            s.evaluate(1, Picos(1070), Picos::ZERO, &ctx(1)),
-            StageOutcome::Corrupted
-        );
+        assert_eq!(s.evaluate(1, Picos(1070), &ctx(1)), StageOutcome::Corrupted);
     }
 
     #[test]
@@ -262,17 +252,17 @@ mod tests {
         // Diamond: 0 -> {1, 2} -> 3.
         let mut s = timber_ff(&Topology::diamond());
         // Cycle 0: errors at boundaries 1 AND 2.
-        let _ = s.evaluate(0, Picos(900), Picos::ZERO, &ctx(0));
-        let _ = s.evaluate(1, Picos(1030), Picos::ZERO, &ctx(0));
-        let _ = s.evaluate(2, Picos(1030), Picos::ZERO, &ctx(0));
-        let _ = s.evaluate(3, Picos(900), Picos::ZERO, &ctx(0));
+        let _ = s.evaluate(0, Picos(900), &ctx(0));
+        let _ = s.evaluate(1, Picos(1030), &ctx(0));
+        let _ = s.evaluate(2, Picos(1030), &ctx(0));
+        let _ = s.evaluate(3, Picos(900), &ctx(0));
         // Cycle 1: boundary 3's select is the max of both relays (1).
-        let _ = s.evaluate(0, Picos(900), Picos::ZERO, &ctx(1));
+        let _ = s.evaluate(0, Picos(900), &ctx(1));
         assert_eq!(select_at(&s, 3), 1);
         // And with the raised select it masks a 2-unit violation.
-        let _ = s.evaluate(1, Picos(900), Picos::ZERO, &ctx(1));
-        let _ = s.evaluate(2, Picos(900), Picos::ZERO, &ctx(1));
-        let out = s.evaluate(3, Picos(1070), Picos(40), &ctx(1));
+        let _ = s.evaluate(1, Picos(900), &ctx(1));
+        let _ = s.evaluate(2, Picos(900), &ctx(1));
+        let out = s.evaluate(3, Picos(1070), &ctx(1));
         assert_eq!(
             out,
             StageOutcome::Masked {
@@ -289,9 +279,9 @@ mod tests {
         // index order.
         let mut s = timber_ff(&Topology::diamond());
         for (stage, arrival) in [900, 1030, 900, 900].into_iter().enumerate() {
-            let _ = s.evaluate(stage, Picos(arrival), Picos::ZERO, &ctx(0));
+            let _ = s.evaluate(stage, Picos(arrival), &ctx(0));
         }
-        let _ = s.evaluate(0, Picos(900), Picos::ZERO, &ctx(1));
+        let _ = s.evaluate(0, Picos(900), &ctx(1));
         assert_eq!(select_at(&s, 2), 0);
         assert_eq!(select_at(&s, 3), 1);
     }
@@ -312,8 +302,8 @@ mod tests {
         ];
         for (cycle, row) in arrivals.iter().enumerate() {
             for (stage, &a) in row.iter().enumerate() {
-                let d = dag.evaluate(stage, Picos(a), Picos::ZERO, &ctx(cycle as u64));
-                let l = lin.evaluate(stage, Picos(a), Picos::ZERO, &ctx(cycle as u64));
+                let d = dag.evaluate(stage, Picos(a), &ctx(cycle as u64));
+                let l = lin.evaluate(stage, Picos(a), &ctx(cycle as u64));
                 assert_eq!(d, l, "cycle {cycle} stage {stage}");
             }
         }
@@ -340,7 +330,7 @@ mod tests {
     #[test]
     fn latch_scheme_borrows_continuously() {
         let mut s = timber_latch(2);
-        let out = s.evaluate(0, Picos(1023), Picos::ZERO, &ctx(0));
+        let out = s.evaluate(0, Picos(1023), &ctx(0));
         assert_eq!(
             out,
             StageOutcome::Masked {
@@ -349,7 +339,7 @@ mod tests {
             }
         );
         // Beyond the TB window: flagged.
-        let out = s.evaluate(1, Picos(1100), Picos::ZERO, &ctx(0));
+        let out = s.evaluate(1, Picos(1100), &ctx(0));
         assert_eq!(
             out,
             StageOutcome::Masked {
@@ -362,7 +352,7 @@ mod tests {
     #[test]
     fn latch_scheme_corrupts_past_checking_period() {
         let mut s = timber_latch(1);
-        let out = s.evaluate(0, Picos(1130), Picos::ZERO, &ctx(0));
+        let out = s.evaluate(0, Picos(1130), &ctx(0));
         assert_eq!(out, StageOutcome::Corrupted);
     }
 

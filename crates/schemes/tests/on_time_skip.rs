@@ -94,14 +94,8 @@ impl DelaySource for Counting<'_> {
 struct Unlimited<'a>(&'a mut dyn SequentialScheme);
 
 impl SequentialScheme for Unlimited<'_> {
-    fn evaluate(
-        &mut self,
-        stage: usize,
-        arrival: Picos,
-        incoming_borrow: Picos,
-        ctx: &CycleContext,
-    ) -> StageOutcome {
-        self.0.evaluate(stage, arrival, incoming_borrow, ctx)
+    fn evaluate(&mut self, stage: usize, arrival: Picos, ctx: &CycleContext) -> StageOutcome {
+        self.0.evaluate(stage, arrival, ctx)
     }
 
     fn reset(&mut self, topology: &Topology) {

@@ -274,10 +274,7 @@ pub fn evaluate(compiled: &CompiledDesign, spec: &EvalSpec) -> String {
          \"period_ps\":{},\"checking_ps\":{},\
          \"padding\":{{\"floor_ps\":{},\"endpoints\":{},\"total_ps\":{}}},\
          \"netlist\":{{\"flops\":{},\"nets\":{}}},\
-         \"trials\":{},\"cycles\":{},\"seed\":{},\
-         \"totals\":{{\"instructions\":{},\"masked\":{},\"flagged\":{},\"detected\":{},\
-         \"predicted\":{},\"corrupted\":{},\"penalty_cycles\":{},\"slow_cycles\":{},\
-         \"escalations\":{},\"sim_time_ps\":{}}}",
+         \"trials\":{},\"cycles\":{},\"seed\":{},\"totals\":{{{}}}",
         spec.key(),
         spec.design.name(),
         spec.scheme.name(),
@@ -292,16 +289,7 @@ pub fn evaluate(compiled: &CompiledDesign, spec: &EvalSpec) -> String {
         spec.trials,
         spec.cycles,
         spec.seed,
-        totals.instructions,
-        totals.masked,
-        totals.flagged,
-        totals.detected,
-        totals.predicted,
-        totals.corrupted,
-        totals.penalty_cycles,
-        totals.slow_cycles,
-        totals.slowdown_episodes,
-        totals.wall_time.as_ps(),
+        totals.totals_json(),
     )
 }
 

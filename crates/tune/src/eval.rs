@@ -251,7 +251,7 @@ fn replacement_plan(
     (replaced, config)
 }
 
-/// Runs the storm battery for any batch scheme and sums the per-lane
+/// Runs the storm battery for any batch scheme and merges the per-lane
 /// statistics sequentially (lane order, then intensity order), so the
 /// aggregate is bit-identical for any worker layout.
 pub fn storm_score(
@@ -274,20 +274,7 @@ pub fn storm_score(
             workload,
             lanes,
         };
-        let run = run_batched(&config, cycles);
-        let storm = run.totals();
-        total.cycles += storm.cycles;
-        total.instructions += storm.instructions;
-        total.masked += storm.masked;
-        total.flagged += storm.flagged;
-        total.detected += storm.detected;
-        total.predicted += storm.predicted;
-        total.corrupted += storm.corrupted;
-        total.penalty_cycles += storm.penalty_cycles;
-        total.slow_cycles += storm.slow_cycles;
-        total.slowdown_episodes += storm.slowdown_episodes;
-        total.wall_time += storm.wall_time;
-        total.energy += storm.energy;
+        total.merge(&run_batched(&config, cycles).totals());
     }
     total
 }

@@ -122,11 +122,10 @@ fn main() {
         let ctx = timber_pipeline::CycleContext {
             cycle: c,
             period: PERIOD,
-            nominal_period: PERIOD,
         };
         for s in 0..STAGES {
             let arr = Picos(600 + ((c as i64 + s as i64) & 63));
-            if scheme.evaluate(s, arr, Picos::ZERO, &ctx) == timber_pipeline::StageOutcome::Ok {
+            if scheme.evaluate(s, arr, &ctx) == timber_pipeline::StageOutcome::Ok {
                 ok += 1;
             }
         }
@@ -153,12 +152,11 @@ fn main() {
             let ctx = timber_pipeline::CycleContext {
                 cycle: c,
                 period: PERIOD,
-                nominal_period: PERIOD,
             };
             ok += u64::from(scheme.on_time_limit(&ctx).is_some());
             for s in 0..STAGES {
                 let arr = Picos(600 + ((c as i64 + s as i64) & 63));
-                if scheme.evaluate(s, arr, Picos::ZERO, &ctx) == timber_pipeline::StageOutcome::Ok {
+                if scheme.evaluate(s, arr, &ctx) == timber_pipeline::StageOutcome::Ok {
                     ok += 1;
                 }
             }
