@@ -323,6 +323,35 @@ fn conform_json_is_a_single_machine_readable_document() {
     }
 }
 
+/// The content hash of a report, for the byte pins below.
+fn content_hex(bytes: &[u8]) -> String {
+    timber_serve::content_hash(bytes).hex()
+}
+
+#[test]
+fn analyze_json_bytes_are_pinned() {
+    // The certificates and the soundness replay read no delay
+    // environment, so no change to the derating model may move them.
+    let out = repro(&["analyze", "--json", "--deny", "warn"]);
+    assert!(out.status.success());
+    assert_eq!(
+        content_hex(&out.stdout),
+        "cd97bb1f507da6a77824c9c885e79d5e7463c3d67359fc2f144044fd68231482"
+    );
+}
+
+#[test]
+fn conform_json_bytes_are_pinned() {
+    // The campaign replays traces through exact-arrival delays, so no
+    // change to the derating model may move it.
+    let out = conform_json_4();
+    assert!(out.status.success());
+    assert_eq!(
+        content_hex(&out.stdout),
+        "3ec0f96fa2ffa08e48586c0953c6fceb87ddfcb921c9411c38ecb3e007a592d3"
+    );
+}
+
 #[test]
 fn conform_threads_do_not_change_the_json() {
     let one = repro(&["conform", "--json", "--threads", "1"]);
