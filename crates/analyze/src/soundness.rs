@@ -117,9 +117,9 @@ pub fn replay_case(
         });
     }
     let sens = critical_only(stages);
-    let mut var = TraceDelaySource::new(w.arrivals());
+    let var = TraceDelaySource::new(w.arrivals());
     let mut sink = MaxSink::default();
-    let stats = PipelineSim::with_telemetry(config, &mut built, &sens, &mut var, &mut sink)
+    let stats = PipelineSim::with_telemetry(config, &mut built, &sens, &var, &mut sink)
         .run(w.cycles() as u64);
 
     let mut violations = Vec::new();

@@ -33,20 +33,15 @@ pub fn run_scalar_reference(config: &BatchConfig, cycles: u64, threads: usize) -
         let seed = config.workload.lane_seed(lane);
         let mut scheme = config.scheme.build(seed);
         let sens = SensitizationModel::from_stages(config.workload.profiles().to_vec(), seed);
-        let mut var = CompositeVariability::nominal();
+        let var = CompositeVariability::nominal();
         // Ring capacity 0: counters only, no event storage cost.
         let mut recorder = Recorder::new(
             RecorderConfig::new(config.pipeline.stages, config.pipeline.nominal_period)
                 .ring_capacity(0),
         );
-        let stats = PipelineSim::with_telemetry(
-            config.pipeline,
-            &mut scheme,
-            &sens,
-            &mut var,
-            &mut recorder,
-        )
-        .run(cycles);
+        let stats =
+            PipelineSim::with_telemetry(config.pipeline, &mut scheme, &sens, &var, &mut recorder)
+                .run(cycles);
         let counters = Counter::ALL.map(|c| recorder.counter(c));
         (stats, counters)
     });

@@ -67,9 +67,9 @@ fn pipeline_sim_throughput(c: &mut Criterion) {
                         CheckingPeriod::deferred_flagging(Picos(1000), 24.0).expect("valid");
                     let mut scheme = CaptureLaw::TimberFf(sched).build(0);
                     let sens = SensitizationModel::uniform(5, Picos(970), 1);
-                    let mut var = CompositeVariability::nominal();
+                    let var = CompositeVariability::nominal();
                     let cfg = PipelineConfig::new(5, Picos(1000));
-                    black_box(PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(cycles))
+                    black_box(PipelineSim::new(cfg, &mut scheme, &sens, &var).run(cycles))
                 })
             },
         );
@@ -87,9 +87,9 @@ fn pipeline_hot_loop(c: &mut Criterion) {
             let sched = CheckingPeriod::deferred_flagging(Picos(1000), 24.0).expect("valid");
             let mut scheme = CaptureLaw::TimberFf(sched).build(0);
             let sens = timber_bench::experiments::stress_sensitization(5, 2010);
-            let mut var = timber_bench::experiments::stress_variability(2010);
+            let var = timber_bench::experiments::stress_variability(2010);
             let cfg = PipelineConfig::new(5, Picos(1000));
-            black_box(PipelineSim::new(cfg, &mut scheme, &sens, &mut var).run(CYCLES))
+            black_box(PipelineSim::new(cfg, &mut scheme, &sens, &var).run(CYCLES))
         })
     });
 }

@@ -320,7 +320,7 @@ fn stress_environment(stages: usize, seed: u64) -> Environment {
     Environment {
         config: PipelineConfig::new(stages, PERIOD),
         sensitization: stress_sensitization(stages, seed),
-        variability: Box::new(stress_variability(seed)),
+        variability: stress_variability(seed),
     }
 }
 
@@ -352,12 +352,10 @@ pub fn claims_netlist_spec(cycles: u64, threads: usize) -> (SweepSpec<'static>, 
         .env("netlist-backed", move |p| Environment {
             config: PipelineConfig::new(stages, period),
             sensitization: SensitizationModel::new(profiles.clone(), p.seed ^ 0x5EED),
-            variability: Box::new(
-                VariabilityBuilder::new(p.seed)
-                    .voltage_droop(0.05, 500, 2000.0)
-                    .local_jitter(0.005)
-                    .build(),
-            ),
+            variability: VariabilityBuilder::new(p.seed)
+                .voltage_droop(0.05, 500, 2000.0)
+                .local_jitter(0.005)
+                .build(),
         })
         .threads(threads);
     (spec, period)
@@ -632,14 +630,14 @@ mod tests {
             .map(|r| (r.name.clone(), counts(&r.stats)))
             .collect();
         let expected = [
-            ("timber-ff", [40000, 18, 1, 0, 0, 0, 0, 100, 1]),
-            ("timber-latch", [40000, 17, 0, 0, 0, 0, 0, 0, 0]),
-            ("razor-ff", [39983, 0, 0, 17, 0, 0, 17, 0, 0]),
-            ("transition-detector-ff", [39983, 0, 0, 17, 0, 0, 17, 0, 0]),
-            ("canary-ff", [40000, 0, 0, 0, 445, 0, 0, 35906, 362]),
-            ("soft-edge-ff", [40000, 17, 0, 0, 0, 0, 0, 0, 0]),
-            ("logical-masking", [40000, 13, 0, 0, 0, 4, 0, 0, 0]),
-            ("conventional-ff", [40000, 0, 0, 0, 0, 17, 0, 0, 0]),
+            ("timber-ff", [40000, 28, 2, 0, 0, 0, 0, 100, 1]),
+            ("timber-latch", [40000, 26, 0, 0, 0, 0, 0, 0, 0]),
+            ("razor-ff", [39974, 0, 0, 26, 0, 0, 26, 0, 0]),
+            ("transition-detector-ff", [39974, 0, 0, 26, 0, 0, 26, 0, 0]),
+            ("canary-ff", [40000, 0, 0, 0, 427, 0, 0, 36303, 369]),
+            ("soft-edge-ff", [40000, 26, 0, 0, 0, 0, 0, 0, 0]),
+            ("logical-masking", [40000, 18, 0, 0, 0, 8, 0, 0, 0]),
+            ("conventional-ff", [40000, 0, 0, 0, 0, 26, 0, 0, 0]),
         ]
         .map(|(name, c)| (name.to_owned(), c));
         assert_eq!(compare, expected);
@@ -651,7 +649,7 @@ mod tests {
                 (40_000_000, 40_000.0),
                 (40_000_000, 40_000.0),
                 (40_000_000, 40_000.0),
-                (43_590_600, 40_000.0),
+                (43_630_300, 40_000.0),
                 (40_000_000, 40_000.0),
                 (40_000_000, 40_000.0),
                 (40_000_000, 40_000.0),
@@ -659,9 +657,9 @@ mod tests {
         );
 
         let meta = crate::ablations::ablation_metastability(80_000);
-        assert_eq!(counts(&meta.razor_ideal), [79969, 0, 0, 31, 0, 0, 31, 0, 0]);
-        assert_eq!(counts(&meta.razor_meta), [79790, 0, 0, 60, 0, 0, 210, 0, 0]);
-        assert_eq!(counts(&meta.timber), [80000, 38, 6, 0, 0, 0, 0, 500, 5]);
+        assert_eq!(counts(&meta.razor_ideal), [79958, 0, 0, 42, 0, 0, 42, 0, 0]);
+        assert_eq!(counts(&meta.razor_meta), [79690, 0, 0, 91, 0, 0, 310, 0, 0]);
+        assert_eq!(counts(&meta.timber), [80000, 45, 6, 0, 0, 0, 0, 500, 5]);
         assert_eq!(time_and_energy(&meta.razor_ideal), (80_000_000, 80_000.0));
         assert_eq!(time_and_energy(&meta.razor_meta), (80_000_000, 80_000.0));
         assert_eq!(time_and_energy(&meta.timber), (80_050_000, 80_000.0));
@@ -669,27 +667,27 @@ mod tests {
         let dag = crate::ablations::ablation_dag(500_000);
         assert_eq!(
             counts(&dag.dag_relay),
-            [500000, 192, 13, 0, 0, 0, 0, 1000, 10]
+            [500000, 220, 25, 0, 0, 0, 0, 2200, 22]
         );
-        assert_eq!(dag.dag_relay.chain_histogram, [214, 8, 2]);
+        assert_eq!(dag.dag_relay.chain_histogram, [213, 19, 3]);
         assert_eq!(
             counts(&dag.conventional),
-            [500000, 0, 0, 0, 0, 186, 0, 0, 0]
+            [500000, 0, 0, 0, 0, 205, 0, 0, 0]
         );
-        assert_eq!(dag.conventional.chain_histogram, [186]);
-        assert_eq!(time_and_energy(&dag.dag_relay), (500_100_000, 500_000.0));
+        assert_eq!(dag.conventional.chain_histogram, [205]);
+        assert_eq!(time_and_energy(&dag.dag_relay), (500_220_000, 500_000.0));
         assert_eq!(time_and_energy(&dag.conventional), (500_000_000, 500_000.0));
 
         // The claims sweep (`repro claims` runs 1,000,000 cycles).
         let claims = claims(80_000);
-        assert_eq!(counts(&claims.deferred), [80000, 38, 5, 0, 0, 0, 0, 400, 4]);
-        assert_eq!(claims.deferred.chain_histogram, [29, 3, 1]);
-        assert_eq!(time_and_energy(&claims.deferred), (80_040_000, 80_000.0));
+        assert_eq!(counts(&claims.deferred), [80000, 55, 4, 0, 0, 0, 0, 300, 3]);
+        assert_eq!(claims.deferred.chain_histogram, [48, 2, 1]);
+        assert_eq!(time_and_energy(&claims.deferred), (80_030_000, 80_000.0));
         assert_eq!(
             counts(&claims.immediate),
-            [80000, 29, 29, 0, 0, 0, 0, 2102, 22]
+            [80000, 29, 29, 0, 0, 0, 0, 2800, 28]
         );
-        assert_eq!(claims.immediate.chain_histogram, [18, 4, 1]);
-        assert_eq!(time_and_energy(&claims.immediate), (80_210_200, 80_000.0));
+        assert_eq!(claims.immediate.chain_histogram, [27, 1]);
+        assert_eq!(time_and_energy(&claims.immediate), (80_280_000, 80_000.0));
     }
 }

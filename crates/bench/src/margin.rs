@@ -34,12 +34,10 @@ fn run_at(id: SchemeId, period: Picos, cycles: u64, threads: usize) -> RunStats 
         .env("margin-stress", move |p| Environment {
             config: PipelineConfig::new(STAGES, period),
             sensitization: SensitizationModel::uniform(STAGES, Picos(970), p.seed ^ 0x5EED),
-            variability: Box::new(
-                VariabilityBuilder::new(p.seed)
-                    .voltage_droop(0.05, 500, 2000.0)
-                    .local_jitter(0.005)
-                    .build(),
-            ),
+            variability: VariabilityBuilder::new(p.seed)
+                .voltage_droop(0.05, 500, 2000.0)
+                .local_jitter(0.005)
+                .build(),
         })
         .threads(threads)
         .run()

@@ -21,14 +21,13 @@ fn run_scheme(id: SchemeId, storm: StormScenario, seed: u64) -> (Recorder, u64) 
     let registry = Registry::new(schedule);
     let mut scheme = registry.build(id, seed);
     let sens = SensitizationModel::uniform(STAGES, Picos(940), seed);
-    let mut var = storm.build(STAGES, seed);
+    let var = storm.build(STAGES, seed);
     let mut config = PipelineConfig::new(STAGES, PERIOD);
     config.governor = Some(GovernorConfig::default());
     // Large enough to keep every event of this short run, so the trace
     // can be compared against the monotonic counters.
     let mut rec = Recorder::new(RecorderConfig::new(STAGES, PERIOD).ring_capacity(1 << 16));
-    let stats =
-        PipelineSim::with_telemetry(config, &mut scheme, &sens, &mut var, &mut rec).run(CYCLES);
+    let stats = PipelineSim::with_telemetry(config, &mut scheme, &sens, &var, &mut rec).run(CYCLES);
     (rec, stats.slowdown_episodes)
 }
 
@@ -92,12 +91,11 @@ fn quiet_environment_never_escalates_for_any_scheme() {
         let mut scheme = registry.build(id, 7);
         // Short paths under nominal variability: nothing ever flags.
         let sens = SensitizationModel::uniform(STAGES, Picos(600), 7);
-        let mut var = timber_variability::CompositeVariability::nominal();
+        let var = timber_variability::CompositeVariability::nominal();
         let mut config = PipelineConfig::new(STAGES, PERIOD);
         config.governor = Some(GovernorConfig::default());
         let mut rec = Recorder::new(RecorderConfig::new(STAGES, PERIOD).ring_capacity(1024));
-        let _ =
-            PipelineSim::with_telemetry(config, &mut scheme, &sens, &mut var, &mut rec).run(CYCLES);
+        let _ = PipelineSim::with_telemetry(config, &mut scheme, &sens, &var, &mut rec).run(CYCLES);
         assert_eq!(rec.counter(Counter::Escalations), 0, "{}", id.name());
         assert_eq!(rec.counter(Counter::SafeModeEntries), 0, "{}", id.name());
     }

@@ -35,8 +35,8 @@
 //! let config = PipelineConfig::new(5, Picos(1000));
 //! let mut scheme = MarginedFlop::new();
 //! let sens = SensitizationModel::uniform(5, Picos(900), 1);
-//! let mut var = CompositeVariability::nominal();
-//! let mut sim = PipelineSim::new(config, &mut scheme, &sens, &mut var);
+//! let var = CompositeVariability::nominal();
+//! let mut sim = PipelineSim::new(config, &mut scheme, &sens, &var);
 //! let stats = sim.run(10_000);
 //! assert_eq!(stats.cycles, 10_000);
 //! assert_eq!(stats.corrupted, 0); // nominal environment, 10% margin

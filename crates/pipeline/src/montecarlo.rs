@@ -26,7 +26,7 @@
 //!   trial.
 
 use timber_telemetry::{Recorder, RecorderConfig};
-use timber_variability::{splitmix64, DelaySource, SensitizationModel};
+use timber_variability::{splitmix64, CompositeVariability, SensitizationModel};
 
 use crate::scheme::SequentialScheme;
 use crate::sim::{PipelineConfig, PipelineSim};
@@ -57,7 +57,7 @@ pub struct Environment {
     /// Per-stage path sensitization model.
     pub sensitization: SensitizationModel,
     /// Delay-derating environment.
-    pub variability: Box<dyn DelaySource>,
+    pub variability: CompositeVariability,
 }
 
 type SchemeFactory<'a> = Box<dyn Fn(&TrialPoint) -> Box<dyn SequentialScheme> + Sync + 'a>;
@@ -82,7 +82,7 @@ type EnvFactory<'a> = Box<dyn Fn(&TrialPoint) -> Environment + Sync + 'a>;
 ///     .env("nominal", |p| Environment {
 ///         config: PipelineConfig::new(3, Picos(1000)),
 ///         sensitization: SensitizationModel::uniform(3, Picos(900), p.seed),
-///         variability: Box::new(CompositeVariability::nominal()),
+///         variability: CompositeVariability::nominal(),
 ///     })
 ///     .threads(2)
 ///     .run();
@@ -184,12 +184,12 @@ impl<'a> SweepSpec<'a> {
     fn run_trial(&self, flat: usize) -> RunStats {
         let point = self.point(flat);
         let mut scheme = (self.schemes[point.scheme])(&point);
-        let mut env = (self.envs[point.env])(&point);
+        let env = (self.envs[point.env])(&point);
         PipelineSim::new(
             env.config,
             scheme.as_mut(),
             &env.sensitization,
-            env.variability.as_mut(),
+            &env.variability,
         )
         .run(self.cycles_per_trial)
     }
@@ -197,7 +197,7 @@ impl<'a> SweepSpec<'a> {
     fn run_trial_with_telemetry(&self, flat: usize, ring_capacity: usize) -> (RunStats, Recorder) {
         let point = self.point(flat);
         let mut scheme = (self.schemes[point.scheme])(&point);
-        let mut env = (self.envs[point.env])(&point);
+        let env = (self.envs[point.env])(&point);
         let mut recorder = Recorder::new(
             RecorderConfig::new(env.config.stages, env.config.nominal_period)
                 .ring_capacity(ring_capacity),
@@ -206,7 +206,7 @@ impl<'a> SweepSpec<'a> {
             env.config,
             scheme.as_mut(),
             &env.sensitization,
-            env.variability.as_mut(),
+            &env.variability,
             &mut recorder,
         )
         .run(self.cycles_per_trial);
@@ -374,7 +374,7 @@ mod tests {
         Environment {
             config: PipelineConfig::new(stages, Picos(1000)),
             sensitization: SensitizationModel::uniform(stages, Picos(900), seed),
-            variability: Box::new(CompositeVariability::nominal()),
+            variability: CompositeVariability::nominal(),
         }
     }
 
@@ -382,12 +382,10 @@ mod tests {
         Environment {
             config: PipelineConfig::new(stages, Picos(1000)),
             sensitization: SensitizationModel::uniform(stages, Picos(970), seed),
-            variability: Box::new(
-                VariabilityBuilder::new(seed)
-                    .voltage_droop(0.06, 400, 1500.0)
-                    .local_jitter(0.01)
-                    .build(),
-            ),
+            variability: VariabilityBuilder::new(seed)
+                .voltage_droop(0.06, 400, 1500.0)
+                .local_jitter(0.01)
+                .build(),
         }
     }
 
@@ -478,12 +476,12 @@ mod tests {
         for trial in 0..3 {
             let seed = splitmix64(11, trial);
             let mut scheme = MarginedFlop::new();
-            let mut env = stressed_env(3, seed);
+            let env = stressed_env(3, seed);
             let stats = PipelineSim::new(
                 env.config,
                 &mut scheme,
                 &env.sensitization,
-                env.variability.as_mut(),
+                &env.variability,
             )
             .run(1_000);
             manual.merge(&stats);

@@ -32,9 +32,9 @@ proptest! {
         let cfg = PipelineConfig::new(stages, Picos(period));
         let mut scheme = DetectAll(penalty);
         let s = sens(stages, 1000, seed);
-        let mut var = CompositeVariability::nominal();
+        let var = CompositeVariability::nominal();
         let cycles = 5_000u64;
-        let stats = PipelineSim::new(cfg, &mut scheme, &s, &mut var).run(cycles);
+        let stats = PipelineSim::new(cfg, &mut scheme, &s, &var).run(cycles);
         prop_assert_eq!(stats.instructions + stats.penalty_cycles, stats.cycles);
         prop_assert_eq!(stats.cycles, cycles);
         prop_assert!(stats.ipc() <= 1.0);
@@ -51,8 +51,8 @@ proptest! {
         let cfg = PipelineConfig::new(stages, Picos(period));
         let mut scheme = BorrowAll { flagged: false };
         let s = sens(stages, 1000, seed);
-        let mut var = CompositeVariability::nominal();
-        let stats = PipelineSim::new(cfg, &mut scheme, &s, &mut var).run(5_000);
+        let var = CompositeVariability::nominal();
+        let stats = PipelineSim::new(cfg, &mut scheme, &s, &var).run(5_000);
         let weighted: u64 = stats
             .chain_histogram
             .iter()
@@ -75,9 +75,9 @@ proptest! {
         let cfg = PipelineConfig::new(stages, Picos(period));
         let mut scheme = MarginedFlop::new();
         let s = sens(stages, period - 50, seed);
-        let mut var = CompositeVariability::nominal();
+        let var = CompositeVariability::nominal();
         let cycles = 3_000u64;
-        let stats = PipelineSim::new(cfg, &mut scheme, &s, &mut var).run(cycles);
+        let stats = PipelineSim::new(cfg, &mut scheme, &s, &var).run(cycles);
         prop_assert_eq!(stats.wall_time, Picos(period) * cycles as i64);
         prop_assert_eq!(stats.slowdown_episodes, 0);
         prop_assert_eq!(stats.slow_cycles, 0);
@@ -95,9 +95,9 @@ proptest! {
         let cfg = PipelineConfig::new(stages, Picos(period));
         let mut scheme = BorrowAll { flagged: false };
         let s = sens(stages, 1000, seed);
-        let mut var = CompositeVariability::nominal();
+        let var = CompositeVariability::nominal();
         let cycles = 2_000u64;
-        let stats = PipelineSim::new(cfg, &mut scheme, &s, &mut var).run(cycles);
+        let stats = PipelineSim::new(cfg, &mut scheme, &s, &var).run(cycles);
         let events = stats.masked + stats.detected + stats.predicted + stats.corrupted;
         prop_assert!(events <= stages as u64 * cycles);
         prop_assert!(stats.flagged <= stats.masked + stats.predicted);

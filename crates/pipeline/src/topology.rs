@@ -144,9 +144,9 @@ mod tests {
         let topo = Topology::diamond();
         let mut scheme = MarginedFlop::new();
         let sens = SensitizationModel::uniform(4, Picos(900), 3);
-        let mut var = CompositeVariability::nominal();
+        let var = CompositeVariability::nominal();
         let cfg = PipelineConfig::new(4, Picos(1000));
-        let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var)
+        let stats = PipelineSim::new(cfg, &mut scheme, &sens, &var)
             .on_topology(&topo)
             .run(10_000);
         assert_eq!(stats.corrupted, 0);
@@ -162,9 +162,9 @@ mod tests {
         let topo = Topology::diamond();
         let mut scheme = BorrowAll { flagged: false };
         let sens = forced(&[900, 1080, 1040, 900]);
-        let mut var = CompositeVariability::nominal();
+        let var = CompositeVariability::nominal();
         let cfg = PipelineConfig::new(4, Picos(1000));
-        let mut sim = PipelineSim::new(cfg, &mut scheme, &sens, &mut var).on_topology(&topo);
+        let mut sim = PipelineSim::new(cfg, &mut scheme, &sens, &var).on_topology(&topo);
         let _ = sim.run(1);
         // After cycle 0: boundaries 1 and 2 borrowed 80 and 40; the
         // sink's incoming carry must be the max (80), and both chains
@@ -181,9 +181,9 @@ mod tests {
         let topo = Topology::diamond();
         let mut scheme = BorrowAll { flagged: false };
         let sens = forced(&[1040; 4]);
-        let mut var = CompositeVariability::nominal();
+        let var = CompositeVariability::nominal();
         let cfg = PipelineConfig::new(4, Picos(1000));
-        let stats = PipelineSim::new(cfg, &mut scheme, &sens, &mut var)
+        let stats = PipelineSim::new(cfg, &mut scheme, &sens, &var)
             .on_topology(&topo)
             .run(50);
         assert_eq!(stats.masked, 4 * 50);
@@ -201,9 +201,8 @@ mod tests {
     fn topology_must_match_the_stage_count() {
         let mut scheme = MarginedFlop::new();
         let sens = SensitizationModel::uniform(5, Picos(900), 3);
-        let mut var = CompositeVariability::nominal();
+        let var = CompositeVariability::nominal();
         let cfg = PipelineConfig::new(5, Picos(1000));
-        let _ =
-            PipelineSim::new(cfg, &mut scheme, &sens, &mut var).on_topology(&Topology::diamond());
+        let _ = PipelineSim::new(cfg, &mut scheme, &sens, &var).on_topology(&Topology::diamond());
     }
 }

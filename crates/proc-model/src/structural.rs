@@ -258,10 +258,10 @@ mod tests {
         use timber_pipeline::{PipelineConfig, PipelineSim};
         let period = proxy_period(&nl, PerfPoint::High);
         let sens = timber_variability::SensitizationModel::new(profiles, 9);
-        let mut var = timber_variability::CompositeVariability::nominal();
+        let var = timber_variability::CompositeVariability::nominal();
         let mut scheme = timber_pipeline::reference::MarginedFlop::new();
-        let stats = PipelineSim::new(PipelineConfig::new(5, period), &mut scheme, &sens, &mut var)
-            .run(5_000);
+        let stats =
+            PipelineSim::new(PipelineConfig::new(5, period), &mut scheme, &sens, &var).run(5_000);
         assert_eq!(
             stats.corrupted, 0,
             "nominal run at the binned period is safe"

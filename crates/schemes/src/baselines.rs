@@ -151,7 +151,7 @@ mod tests {
             })
             .to_vec();
         let sens = SensitizationModel::new(profiles, 1);
-        let mut var = CompositeVariability::nominal();
+        let var = CompositeVariability::nominal();
         let mut l = scheme(
             CaptureLaw::LogicalMasking {
                 coverage: 1.0,
@@ -161,7 +161,7 @@ mod tests {
         );
         let config = PipelineConfig::new(4, Picos(1000));
         let mut sim =
-            PipelineSim::new(config, &mut l, &sens, &mut var).on_topology(&Topology::diamond());
+            PipelineSim::new(config, &mut l, &sens, &var).on_topology(&Topology::diamond());
         let stats = sim.run(100);
         assert_eq!(stats.masked, 100);
         assert_eq!(stats.corrupted, 0);

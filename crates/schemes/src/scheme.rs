@@ -321,9 +321,9 @@ mod tests {
         // The simulator sizes the scheme, so a topology that does not
         // fit the pipeline is refused there.
         let sens = SensitizationModel::uniform(3, Picos(900), 1);
-        let mut var = CompositeVariability::nominal();
+        let var = CompositeVariability::nominal();
         let mut s = CaptureLaw::TimberFf(sched()).build(0);
-        let _ = PipelineSim::new(PipelineConfig::new(3, Picos(1000)), &mut s, &sens, &mut var)
+        let _ = PipelineSim::new(PipelineConfig::new(3, Picos(1000)), &mut s, &sens, &var)
             .on_topology(&Topology::diamond());
     }
 
@@ -375,8 +375,8 @@ mod tests {
         };
         let run = |s: &mut LawScheme, topology: &Topology| {
             let sens = profiles(topology.len());
-            let mut var = CompositeVariability::nominal();
-            PipelineSim::new(config(topology.len()), s, &sens, &mut var)
+            let var = CompositeVariability::nominal();
+            PipelineSim::new(config(topology.len()), s, &sens, &var)
                 .on_topology(topology)
                 .run(50)
         };

@@ -256,7 +256,7 @@ pub fn evaluate(compiled: &CompiledDesign, spec: &EvalSpec) -> String {
         let seed = splitmix64(spec.seed, trial as u64);
         let mut scheme = registry.build(spec.scheme, seed);
         let sens = SensitizationModel::new(compiled.profiles.clone(), seed ^ 0x5EED);
-        let mut var = match spec.storm {
+        let var = match spec.storm {
             Some(storm) => storm.build(stages, seed),
             // Nominal stress: mild droop plus fast local jitter.
             None => VariabilityBuilder::new(seed)
@@ -266,7 +266,7 @@ pub fn evaluate(compiled: &CompiledDesign, spec: &EvalSpec) -> String {
         };
         let mut config = PipelineConfig::new(stages, compiled.period);
         config.governor = Some(GovernorConfig::default());
-        let stats = PipelineSim::new(config, &mut scheme, &sens, &mut var).run(spec.cycles);
+        let stats = PipelineSim::new(config, &mut scheme, &sens, &var).run(spec.cycles);
         totals.merge(&stats);
     }
     format!(
@@ -481,7 +481,7 @@ mod tests {
         }
         assert_eq!(
             crate::key::content_hash(bodies.as_bytes()).hex(),
-            "a980abf1a91fe1562808542e73c2ba5f003edfff8fd4d239241bc142abadabd8"
+            "6d57204f0ee0dd8b8186521a44675ee6c1bcc80ce936e03ea3c4927bd06ebe86"
         );
     }
 }

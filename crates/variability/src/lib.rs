@@ -11,33 +11,35 @@
 //! that determines which path delay a pipeline stage exercises on each
 //! cycle.
 //!
-//! All models are seeded and deterministic: the same configuration
-//! always produces the same factor sequence, so every experiment in the
-//! repository is exactly reproducible.
+//! All models are seeded, integer and counter-mode: every factor is a
+//! Q16 fixed-point value and a pure function of `(seed, cycle, stage)`,
+//! read from committed integer tables, so every experiment in the
+//! repository is exactly reproducible on any platform.
 //!
 //! # Example
 //!
 //! ```
-//! use timber_variability::{DelaySource, VariabilityBuilder};
+//! use timber_variability::{DelaySource, Q16, VariabilityBuilder};
 //!
-//! let mut var = VariabilityBuilder::new(42)
+//! let var = VariabilityBuilder::new(42)
 //!     .voltage_droop(0.08, 500, 2000.0)
 //!     .local_jitter(0.01)
 //!     .build();
 //! let f = var.factor(0, 3);
-//! assert!(f > 0.5 && f < 2.0);
+//! assert!(f > Q16::from_f64(0.5) && f < Q16::from_f64(2.0));
+//! // A pure function of the coordinates: any order, any number of times.
+//! assert_eq!(var.factor(7_000, 1), var.factor(7_000, 1));
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod math;
 pub mod model;
 pub mod sensitization;
+mod tables;
 
-pub use math::{box_muller, exponential, poisson_count};
 pub use model::{
     Aging, CompositeVariability, DelaySource, LocalJitter, ProcessVariation, TemperatureDrift,
-    VariabilityBuilder, VoltageDroop,
+    VariabilityBuilder, VoltageDroop, Q16,
 };
 pub use sensitization::{
     draw, mix64, row_key, splitmix64, SensitizationModel, StageDelayModel, StagePathProfile, PHI,

@@ -23,13 +23,13 @@ const SEED: u64 = 7;
 fn run(scheme: &mut dyn SequentialScheme) -> timber_repro::pipeline::RunStats {
     // Identical seeds for every scheme: same workload, same droops.
     let sens = SensitizationModel::uniform(STAGES, Picos(970), SEED);
-    let mut var = VariabilityBuilder::new(SEED)
+    let var = VariabilityBuilder::new(SEED)
         .voltage_droop(0.05, 500, 2000.0)
         .temperature(0.01, 1_000_000)
         .local_jitter(0.005)
         .build();
     let config = PipelineConfig::new(STAGES, PERIOD);
-    PipelineSim::new(config, scheme, &sens, &mut var).run(CYCLES)
+    PipelineSim::new(config, scheme, &sens, &var).run(CYCLES)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

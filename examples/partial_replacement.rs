@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let sens = SensitizationModel::new(profiles.clone(), SEED ^ 0x5EED);
-    let mut var = VariabilityBuilder::new(SEED)
+    let var = VariabilityBuilder::new(SEED)
         .voltage_droop(0.05, 500, 2000.0)
         .local_jitter(0.005)
         .build();
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PipelineConfig::new(stages, period),
         &mut scheme,
         &sens,
-        &mut var,
+        &var,
         &mut recorder,
     )
     .run(CYCLES);

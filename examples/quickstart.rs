@@ -60,12 +60,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut scheme =
         CaptureLaw::TimberFf(CheckingPeriod::deferred_flagging(period, 24.0)?).build(0);
     let sens = SensitizationModel::uniform(stages, Picos(970), 42);
-    let mut var = VariabilityBuilder::new(42)
+    let var = VariabilityBuilder::new(42)
         .voltage_droop(0.05, 500, 2000.0)
         .local_jitter(0.005)
         .build();
     let config = PipelineConfig::new(stages, period);
-    let stats = PipelineSim::new(config, &mut scheme, &sens, &mut var).run(100_000);
+    let stats = PipelineSim::new(config, &mut scheme, &sens, &var).run(100_000);
     println!(
         "pipeline:  {} cycles, {} violations masked ({} flagged), {} corrupted, IPC {:.4}",
         stats.cycles,

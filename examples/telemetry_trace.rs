@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let schedule = CheckingPeriod::deferred_flagging(PERIOD, 24.0)?;
     let mut scheme = CaptureLaw::TimberFf(schedule).build(0);
     let sens = SensitizationModel::uniform(STAGES, Picos(970), SEED);
-    let mut var = VariabilityBuilder::new(SEED)
+    let var = VariabilityBuilder::new(SEED)
         .voltage_droop(0.06, 400, 1500.0)
         .local_jitter(0.01)
         .build();
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PipelineConfig::new(STAGES, PERIOD),
         &mut scheme,
         &sens,
-        &mut var,
+        &var,
         &mut recorder,
     )
     .run(CYCLES);
@@ -80,12 +80,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .env("stress", |p| Environment {
             config: PipelineConfig::new(STAGES, PERIOD),
             sensitization: SensitizationModel::uniform(STAGES, Picos(970), p.seed),
-            variability: Box::new(
-                VariabilityBuilder::new(p.seed)
-                    .voltage_droop(0.06, 400, 1500.0)
-                    .local_jitter(0.01)
-                    .build(),
-            ),
+            variability: VariabilityBuilder::new(p.seed)
+                .voltage_droop(0.06, 400, 1500.0)
+                .local_jitter(0.01)
+                .build(),
         })
         .threads(0)
         .run_with_telemetry(256);

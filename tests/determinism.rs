@@ -15,7 +15,7 @@ fn pipeline_runs_are_reproducible() {
         let sched = CheckingPeriod::deferred_flagging(Picos(1000), 24.0).expect("valid");
         let mut scheme = CaptureLaw::TimberFf(sched).build(0);
         let sens = SensitizationModel::uniform(4, Picos(970), 99);
-        let mut var = VariabilityBuilder::new(99)
+        let var = VariabilityBuilder::new(99)
             .voltage_droop(0.06, 400, 1500.0)
             .local_jitter(0.01)
             .build();
@@ -23,7 +23,7 @@ fn pipeline_runs_are_reproducible() {
             PipelineConfig::new(4, Picos(1000)),
             &mut scheme,
             &sens,
-            &mut var,
+            &var,
         )
         .run(50_000)
     };
@@ -49,12 +49,10 @@ fn sweeps_are_thread_count_invariant() {
             .env("stress", |p| Environment {
                 config: PipelineConfig::new(4, Picos(1000)),
                 sensitization: SensitizationModel::uniform(4, Picos(970), p.seed),
-                variability: Box::new(
-                    VariabilityBuilder::new(p.seed)
-                        .voltage_droop(0.06, 400, 1500.0)
-                        .local_jitter(0.01)
-                        .build(),
-                ),
+                variability: VariabilityBuilder::new(p.seed)
+                    .voltage_droop(0.06, 400, 1500.0)
+                    .local_jitter(0.01)
+                    .build(),
             })
             .threads(threads)
             .run()
@@ -91,12 +89,10 @@ fn telemetry_traces_are_thread_count_invariant() {
             .env("stress", |p| Environment {
                 config: PipelineConfig::new(4, Picos(1000)),
                 sensitization: SensitizationModel::uniform(4, Picos(970), p.seed),
-                variability: Box::new(
-                    VariabilityBuilder::new(p.seed)
-                        .voltage_droop(0.06, 400, 1500.0)
-                        .local_jitter(0.01)
-                        .build(),
-                ),
+                variability: VariabilityBuilder::new(p.seed)
+                    .voltage_droop(0.06, 400, 1500.0)
+                    .local_jitter(0.01)
+                    .build(),
             })
             .threads(threads)
             .run_with_telemetry(128);
@@ -169,8 +165,8 @@ fn variability_factors_are_pure_functions_of_seed_and_coordinates() {
             .local_jitter(0.01)
             .build()
     };
-    let mut a = build();
-    let mut b = build();
+    let a = build();
+    let b = build();
     for cycle in (0..10_000u64).step_by(37) {
         for stage in 0..6 {
             assert_eq!(a.factor(cycle, stage), b.factor(cycle, stage));

@@ -122,12 +122,12 @@ fn dag_pipeline_with_dag_relay_masks_reconvergent_errors() {
     let schedule = CheckingPeriod::deferred_flagging(period, 24.0).expect("valid");
     let mut scheme = CaptureLaw::TimberFf(schedule).build(0);
     let sens = SensitizationModel::uniform(topo.len(), Picos(970), 5);
-    let mut var = VariabilityBuilder::new(5)
+    let var = VariabilityBuilder::new(5)
         .voltage_droop(0.05, 500, 2000.0)
         .local_jitter(0.005)
         .build();
     let config = PipelineConfig::new(topo.len(), period);
-    let stats = PipelineSim::new(config, &mut scheme, &sens, &mut var)
+    let stats = PipelineSim::new(config, &mut scheme, &sens, &var)
         .on_topology(&topo)
         .run(80_000);
     assert!(stats.masked > 0, "stress must produce violations");

@@ -64,11 +64,11 @@ fn claim_fig7_latch_masks_without_relay() {
 fn stress_run(scheme: &mut dyn SequentialScheme, cycles: u64) -> timber_repro::pipeline::RunStats {
     let stages = 5;
     let sens = SensitizationModel::uniform(stages, Picos(970), 7);
-    let mut var = VariabilityBuilder::new(7)
+    let var = VariabilityBuilder::new(7)
         .voltage_droop(0.05, 500, 2000.0)
         .local_jitter(0.005)
         .build();
-    PipelineSim::new(PipelineConfig::new(stages, PERIOD), scheme, &sens, &mut var).run(cycles)
+    PipelineSim::new(PipelineConfig::new(stages, PERIOD), scheme, &sens, &var).run(cycles)
 }
 
 /// §1/§6: TIMBER recovers the margin "without roll-back or instruction
@@ -135,9 +135,9 @@ fn claim_latch_masks_without_relay_state() {
     // No violation → no flag: run a nominal environment and check.
     let mut latch = CaptureLaw::TimberLatch(sched).build(0);
     let sens = SensitizationModel::uniform(5, Picos(900), 3);
-    let mut var = timber_repro::variability::CompositeVariability::nominal();
+    let var = timber_repro::variability::CompositeVariability::nominal();
     let nominal =
-        PipelineSim::new(PipelineConfig::new(5, PERIOD), &mut latch, &sens, &mut var).run(60_000);
+        PipelineSim::new(PipelineConfig::new(5, PERIOD), &mut latch, &sens, &var).run(60_000);
     assert_eq!(nominal.flagged, 0, "no false error flags");
     assert_eq!(nominal.violations(), 0);
 }

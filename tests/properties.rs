@@ -159,12 +159,10 @@ proptest! {
             .env("stress", move |p| Environment {
                 config: PipelineConfig::new(4, period),
                 sensitization: SensitizationModel::uniform(4, Picos(970), p.seed),
-                variability: Box::new(
-                    VariabilityBuilder::new(p.seed)
-                        .voltage_droop(0.06, 400, 1500.0)
-                        .local_jitter(0.01)
-                        .build(),
-                ),
+                variability: VariabilityBuilder::new(p.seed)
+                    .voltage_droop(0.06, 400, 1500.0)
+                    .local_jitter(0.01)
+                    .build(),
             })
             .threads(2);
         for id in SchemeId::ALL {
