@@ -88,12 +88,15 @@ impl StageOutcome {
 /// A sequential-element resilience scheme at every stage boundary of the
 /// simulated pipeline.
 ///
-/// The simulator calls [`evaluate`](SequentialScheme::evaluate) once per
-/// stage per cycle, in stage order, which lets stateful schemes (like
-/// the TIMBER flip-flop with its error-relay select inputs) maintain
-/// per-stage state across calls. A capture is decided from the arrival
-/// and the cycle alone: time borrowed into the stage is already part of
-/// the arrival.
+/// The simulator calls [`evaluate`](SequentialScheme::evaluate) at most
+/// once per stage per cycle, in stage order, which lets stateful schemes
+/// (like the TIMBER flip-flop with its error-relay select inputs)
+/// maintain per-stage state across calls. It calls it at every boundary
+/// of every productive cycle unless the scheme reports an
+/// [`on_time_limit`](SequentialScheme::on_time_limit), which lets it
+/// leave out the boundaries it proves on time. A capture is decided
+/// from the arrival and the cycle alone: time borrowed into the stage
+/// is already part of the arrival.
 pub trait SequentialScheme {
     /// Evaluates the data arrival at stage boundary `stage`: `arrival`
     /// is when the data stabilises at the boundary, measured from the
@@ -112,14 +115,31 @@ pub trait SequentialScheme {
     /// The latest arrival this scheme provably captures on time in
     /// this cycle, or `None` (the default): "never skip".
     ///
-    /// `Some(l)` promises that, at any stage, every arrival `≤ l` makes
-    /// [`evaluate`] return [`StageOutcome::Ok`] and leaves the scheme in
-    /// the same state — whichever arrival it was. Borrowed time is part
-    /// of the arrival, so the promise holds for any incoming borrow by
-    /// construction. The pipeline simulator relies on this
-    /// to hand a provably-on-time stage a worst-case stand-in arrival
-    /// instead of deriving the exact one: the outcome, the scheme's
-    /// state and so every later outcome are the same either way.
+    /// `Some(l)` promises two things:
+    ///
+    /// * At any stage, every arrival `≤ l` makes [`evaluate`] return
+    ///   [`StageOutcome::Ok`] and leaves the scheme in the same state —
+    ///   whichever arrival it was. Borrowed time is part of the arrival,
+    ///   so this holds for any incoming borrow by construction. The
+    ///   pipeline simulator relies on it to hand a provably on-time
+    ///   stage that inherits a borrow or a relay chain a worst-case
+    ///   stand-in arrival instead of deriving the exact one.
+    /// * At a boundary that inherits neither a borrow nor a relay chain
+    ///   (no predecessor returned [`StageOutcome::Masked`] in the last
+    ///   productive cycle), the simulator may omit the call for an
+    ///   arrival `≤ l` altogether, and the scheme's later outcomes must
+    ///   be the same as if the call had been made. It may omit every
+    ///   call of a cycle. A stateless scheme keeps this for free; a
+    ///   scheme whose state crosses cycles must keep what a masked
+    ///   violation hands on, and may rely on the boundaries it reaches
+    ///   being evaluated. The one exception is the first productive
+    ///   cycle after a safe-mode flush: the flush ends the simulator's
+    ///   chains but not the scheme's own state, so that cycle evaluates
+    ///   every boundary.
+    ///
+    /// Either way, the outcome, the scheme's state and so every later
+    /// outcome are the same as when every stage is evaluated with its
+    /// exact arrival.
     ///
     /// [`evaluate`]: SequentialScheme::evaluate
     fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {

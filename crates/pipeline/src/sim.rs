@@ -88,7 +88,8 @@ impl PipelineConfig {
 ///
 /// The hot loop is row-based: once per productive cycle it fills one
 /// row — `row[s]` is the derated combinational delay of stage `s` —
-/// and then evaluates the whole row against the scheme.
+/// and then evaluates the row against the scheme, at the boundaries
+/// the fill did not prove on time.
 struct DelaySupply<'a> {
     sensitization: &'a SensitizationModel,
     variability: &'a dyn DelaySource,
@@ -118,7 +119,9 @@ impl DelaySupply<'_> {
 
     /// Fills one cycle's delay row: each stage's base delay is the
     /// sensitization model's pure `(cycle, stage)` sample, derated by
-    /// `global(cycle) * local(cycle, stage)`.
+    /// `global(cycle) * local(cycle, stage)`. Sets `proved[s]` where
+    /// stage `s` was proved on time, and returns whether every stage
+    /// was.
     ///
     /// A stage that [`on_time`] proves on time against the scheme's
     /// [`SequentialScheme::on_time_limit`] for this cycle skips the
@@ -137,28 +140,35 @@ impl DelaySupply<'_> {
         ctx: &CycleContext,
         carry: &[Picos],
         row: &mut [Picos],
-    ) {
+        proved: &mut [bool],
+    ) -> bool {
         let cycle = ctx.cycle;
         let limit = scheme.on_time_limit(ctx);
         let variability = self.variability;
         let mut global = None;
-        for (s, slot) in row.iter_mut().enumerate() {
+        let mut all = true;
+        for (s, (slot, proved)) in row.iter_mut().zip(proved.iter_mut()).enumerate() {
             let base = self.sensitization.sample(cycle, s);
             if let Some(limit) = limit {
                 let room = limit.as_ps().saturating_sub(carry[s].as_ps());
                 if self.bounds[s].is_some_and(|b| on_time(base, b, room)) {
                     *slot = Picos(room);
+                    *proved = true;
                     continue;
                 }
                 let global = *global.get_or_insert_with(|| variability.global(cycle));
                 if self.local_bounds[s].is_some_and(|l| on_time(base, global * l, room)) {
                     *slot = Picos(room);
+                    *proved = true;
                     continue;
                 }
             }
             let global = *global.get_or_insert_with(|| variability.global(cycle));
             *slot = (global * variability.local(cycle, s)).derate(base);
+            *proved = false;
+            all = false;
         }
+        all
     }
 }
 
@@ -196,6 +206,10 @@ struct StageSoa {
     delay_row: Vec<Picos>,
     /// Per-stage arrival row (`carry + delay`), built in one pass.
     arrival_row: Vec<Picos>,
+    /// Per stage, whether this cycle's fill proved it on time.
+    proved: Vec<bool>,
+    /// Whether some boundary holds a carry or a chain.
+    live: bool,
 }
 
 impl StageSoa {
@@ -207,6 +221,8 @@ impl StageSoa {
             next_chain: vec![0; stages + 1],
             delay_row: vec![Picos::ZERO; stages],
             arrival_row: vec![Picos::ZERO; stages],
+            proved: vec![false; stages],
+            live: false,
         }
     }
 
@@ -220,10 +236,21 @@ impl StageSoa {
         }
     }
 
+    /// Whether boundary `s` may skip the scheme call: proved on time,
+    /// and inheriting neither a borrow nor a relay chain.
+    fn skips(&self, s: usize) -> bool {
+        self.proved[s] && self.carry[s] == Picos::ZERO && self.chain[s] == 0
+    }
+
     /// Swaps the double buffers at the end of a productive cycle.
     fn commit_cycle(&mut self) {
         std::mem::swap(&mut self.carry, &mut self.next_carry);
         std::mem::swap(&mut self.chain, &mut self.next_chain);
+        self.live = self
+            .chain
+            .iter()
+            .zip(&self.carry)
+            .any(|(&d, &c)| d > 0 || c != Picos::ZERO);
     }
 }
 
@@ -299,6 +326,11 @@ impl ClockControl {
 /// histogram sum equals the masked count; on a DAG each forked path
 /// counts separately.
 ///
+/// The cycle is sparse, as TIMBER's sparse-error premise suggests: a
+/// boundary proved on time against the scheme's
+/// [`SequentialScheme::on_time_limit`] that inherits neither a borrow
+/// nor a relay chain is not evaluated at all (see [`PipelineSim::run`]).
+///
 /// The simulator is generic over a [`TelemetrySink`]; the default
 /// [`NoopSink`] compiles away (every instrumentation site is guarded by
 /// the sink's `ENABLED` constant), so [`PipelineSim::new`] keeps the
@@ -316,6 +348,9 @@ pub struct PipelineSim<'a, S: TelemetrySink = NoopSink> {
     /// Struct-of-arrays boundary state (carry/chain rows, double
     /// buffered) plus the per-cycle delay and arrival rows.
     soa: StageSoa,
+    /// A safe-mode flush has happened since the last productive cycle,
+    /// so the next one evaluates every boundary.
+    flushed: bool,
     cycle: u64,
     penalty_remaining: u64,
     sink: S,
@@ -382,6 +417,7 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
             clock,
             topology,
             soa: StageSoa::new(config.stages),
+            flushed: false,
             cycle: 0,
             penalty_remaining: 0,
             sink,
@@ -448,6 +484,15 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
     /// Schemes that reserve a guard band (canary prediction) apply it
     /// inside their own `evaluate`; the simulator hands every scheme
     /// the raw arrival against the actual clock edge.
+    ///
+    /// A boundary the delay fill proves on time, with no carry and no
+    /// chain entering it, is left out of the outcome loop: its outcome
+    /// is `Ok` with no chain to end, and the `on_time_limit` contract
+    /// makes omitting the call exact. A cycle where every boundary is
+    /// left out, with no carry or chain anywhere, skips the outcome
+    /// loop and the buffer swap altogether. The first productive cycle
+    /// after a safe-mode flush evaluates every boundary: the flush ends
+    /// the simulator's chains, not the scheme's own relay state.
     pub fn run(&mut self, cycles: u64) -> RunStats {
         let mut stats = RunStats::default();
         // Chains are at most `stages` long, so one reservation keeps
@@ -494,6 +539,12 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
                             }
                         }
                         self.soa.carry.fill(Picos::ZERO);
+                        self.soa.live = false;
+                        // The scheme keeps its own relay state, which
+                        // the flush does not reach: evaluate every
+                        // boundary of the next productive cycle, so the
+                        // scheme sees it as if nothing were skipped.
+                        self.flushed = true;
                         self.penalty_remaining += self.config.stages as u64;
                         if S::ENABLED {
                             self.sink.event(t, EventKind::SafeModeReplay { flushed });
@@ -534,15 +585,27 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
             let ctx = CycleContext { cycle: t, period };
             // Row-based cycle step: sample the whole delay row, build
             // the arrival row in one pass, then classify outcomes.
-            self.supply.fill_row(
+            let all_proved = self.supply.fill_row(
                 &*self.scheme,
                 &ctx,
                 &self.soa.carry,
                 &mut self.soa.delay_row,
+                &mut self.soa.proved,
             );
+            let dense = std::mem::take(&mut self.flushed);
+            stats.instructions += 1;
+            if all_proved && !self.soa.live && !dense {
+                // Every boundary is on time and inherits nothing: each
+                // outcome is `Ok` with no chain to end, and the carry
+                // and chain rows stay zero.
+                continue;
+            }
             self.soa.begin_cycle();
 
             for s in 0..self.config.stages {
+                if !dense && self.soa.skips(s) {
+                    continue;
+                }
                 let arrival = self.soa.arrival_row[s];
                 let outcome = self.scheme.evaluate(s, arrival, &ctx);
                 match outcome {
@@ -647,7 +710,6 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
                 }
             }
             self.soa.commit_cycle();
-            stats.instructions += 1;
         }
         // Flush chains still in flight.
         for &len in &self.soa.chain {

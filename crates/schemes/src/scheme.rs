@@ -80,7 +80,14 @@ impl LawScheme {
         };
         // The first capture of a cycle applies the inputs the last
         // evaluated cycle relayed; a recovery bubble evaluates nothing,
-        // so it holds them.
+        // so it holds them. So does a cycle the simulator leaves out
+        // because every boundary is on time and inherits no chain: a
+        // relayed select is non-zero only at a boundary whose
+        // predecessor masked in the last productive cycle, which
+        // inherits a chain and is evaluated, so the select is rolled in
+        // the cycle it belongs to. A safe-mode flush ends the chains
+        // but not these inputs, so the simulator evaluates every
+        // boundary of the cycle after it.
         if relay.cycle != Some(ctx.cycle) {
             relay.cycle = Some(ctx.cycle);
             for (select, pending) in relay.select.iter_mut().zip(&mut relay.pending) {
@@ -135,7 +142,12 @@ impl SequentialScheme for LawScheme {
 
     /// The law's limit. An on-time arrival draws no coverage sample and
     /// relays nothing, so the scheme's state is the same for every
-    /// such arrival.
+    /// such arrival. It is also the same when the call is omitted at a
+    /// boundary that inherits no chain. The relayed selects are the only
+    /// state that crosses calls, and an on-time capture reads none; a
+    /// pending select is non-zero only at a boundary that inherits a
+    /// chain, which the simulator evaluates, so the selects still roll
+    /// in the cycle they belong to.
     fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
         Some(self.law.on_time_limit(ctx.period))
     }

@@ -1,13 +1,13 @@
 //! Differential check of the simulator's on-time skip: every run must
 //! come out exactly as it does when the exact variability factor is
-//! computed for every stage of every cycle.
+//! computed, and the scheme evaluated, for every stage of every cycle.
 //!
 //! The exact path is reached through two adapters that forward
 //! everything but hide the contracts the skip relies on —
 //! [`DelaySource::global_bound`], [`DelaySource::local_bound`] and
-//! [`SequentialScheme::on_time_limit`] keep their `None` defaults. A
-//! counting wrapper shows that the skip really fires, at both of its
-//! levels.
+//! [`SequentialScheme::on_time_limit`] keep their `None` defaults.
+//! Counting wrappers show that the skip really fires, at both levels
+//! of the delay fill and in the scheme calls it leaves out.
 
 use std::cell::Cell;
 
@@ -21,7 +21,7 @@ use timber_pipeline::{
 };
 use timber_resilience::StormScenario;
 use timber_schemes::{LawScheme, Registry, SchemeId};
-use timber_telemetry::{Recorder, RecorderConfig};
+use timber_telemetry::{EventKind, Recorder, RecorderConfig};
 use timber_variability::{
     splitmix64, CompositeVariability, DelaySource, SensitizationModel, StagePathProfile,
     VariabilityBuilder, Q16,
@@ -135,6 +135,60 @@ impl SequentialScheme for Unlimited<'_> {
     }
 }
 
+/// A scheme that forwards everything, its on-time limit included, and
+/// counts the boundaries it evaluates.
+struct Evaluations<'a> {
+    inner: &'a mut dyn SequentialScheme,
+    calls: u64,
+}
+
+impl SequentialScheme for Evaluations<'_> {
+    fn evaluate(&mut self, stage: usize, arrival: Picos, ctx: &CycleContext) -> StageOutcome {
+        self.calls += 1;
+        self.inner.evaluate(stage, arrival, ctx)
+    }
+
+    fn reset(&mut self, topology: &Topology) {
+        self.inner.reset(topology);
+    }
+
+    fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
+        self.inner.on_time_limit(ctx)
+    }
+}
+
+/// Runs `scheme` on `environment` in `chunks` successive `run` calls,
+/// with telemetry; with `exact` set, through the adapters.
+fn instrumented_run(
+    config: PipelineConfig,
+    topology: &Topology,
+    scheme: &mut dyn SequentialScheme,
+    (sens, var): (&SensitizationModel, &dyn DelaySource),
+    chunks: &[u64],
+    exact: bool,
+) -> Outcome {
+    let mut unlimited = Unlimited(scheme);
+    let scheme: &mut dyn SequentialScheme = if exact { &mut unlimited } else { unlimited.0 };
+    let hidden = Exact(var);
+    let var: &dyn DelaySource = if exact { &hidden } else { hidden.0 };
+    let mut recorder = Recorder::new(
+        RecorderConfig::new(config.stages, config.nominal_period).ring_capacity(1 << 16),
+    );
+    let mut sim =
+        PipelineSim::with_telemetry(config, scheme, sens, var, &mut recorder).on_topology(topology);
+    let chunks = chunks.iter().map(|&n| sim.run(n)).collect();
+    let carry = sim.carry().to_vec();
+    let chains = sim.chain_depths().to_vec();
+    let penalty_remaining = sim.penalty_remaining();
+    Outcome {
+        chunks,
+        carry,
+        chains,
+        penalty_remaining,
+        recorder,
+    }
+}
+
 /// One simulated trial, in the shape the serve engine runs.
 #[derive(Debug, Clone, Copy)]
 struct Trial {
@@ -148,7 +202,7 @@ struct Trial {
     /// Clock period as a per-mille of the critical path: below 1000
     /// is over-clocked.
     period_permille: i64,
-    governor: bool,
+    governor: Option<GovernorConfig>,
     seed: u64,
 }
 
@@ -184,9 +238,7 @@ impl Trial {
     fn config(&self) -> PipelineConfig {
         let period = Picos(Self::CRITICAL * self.period_permille / 1000);
         let mut config = PipelineConfig::new(self.stages, period);
-        if self.governor {
-            config.governor = Some(GovernorConfig::default());
-        }
+        config.governor = self.governor;
         config
     }
 
@@ -210,29 +262,16 @@ impl Trial {
     /// Runs the trial in `chunks` successive `run` calls; with `exact`
     /// set, through the adapters.
     fn run(&self, chunks: &[u64], exact: bool) -> Outcome {
-        let mut scheme = self.scheme();
-        let mut unlimited = Unlimited(&mut scheme);
-        let scheme: &mut dyn SequentialScheme = if exact { &mut unlimited } else { unlimited.0 };
         let (sens, var) = self.environment();
-        let hidden = Exact(&var);
-        let var: &dyn DelaySource = if exact { &hidden } else { hidden.0 };
-        let config = self.config();
-        let mut recorder = Recorder::new(
-            RecorderConfig::new(self.stages, config.nominal_period).ring_capacity(1 << 16),
-        );
-        let mut sim = PipelineSim::with_telemetry(config, scheme, &sens, var, &mut recorder)
-            .on_topology(&self.topology());
-        let chunks = chunks.iter().map(|&n| sim.run(n)).collect();
-        let carry = sim.carry().to_vec();
-        let chains = sim.chain_depths().to_vec();
-        let penalty_remaining = sim.penalty_remaining();
-        Outcome {
+        let mut scheme = self.scheme();
+        instrumented_run(
+            self.config(),
+            &self.topology(),
+            &mut scheme,
+            (&sens, &var),
             chunks,
-            carry,
-            chains,
-            penalty_remaining,
-            recorder,
-        }
+            exact,
+        )
     }
 
     /// The un-instrumented run (the serve path) in one call of
@@ -262,6 +301,47 @@ impl Trial {
         };
         (stats, var.queries())
     }
+
+    /// The un-instrumented run in one call of `cycles`, with the
+    /// scheme's on-time limit shown or hidden, and the boundaries the
+    /// scheme evaluated.
+    fn evaluations(&self, cycles: u64, limited: bool) -> (RunStats, u64) {
+        let mut scheme = self.scheme();
+        let mut counted = Evaluations {
+            inner: &mut scheme,
+            calls: 0,
+        };
+        let (sens, var) = self.environment();
+        let stats = if limited {
+            PipelineSim::new(self.config(), &mut counted, &sens, &var)
+                .on_topology(&self.topology())
+                .run(cycles)
+        } else {
+            let mut hidden = Unlimited(&mut counted);
+            PipelineSim::new(self.config(), &mut hidden, &sens, &var)
+                .on_topology(&self.topology())
+                .run(cycles)
+        };
+        (stats, counted.calls)
+    }
+}
+
+/// The serve engine's governor.
+fn serve_governor() -> Option<GovernorConfig> {
+    Some(GovernorConfig::default())
+}
+
+/// A governor that reaches safe mode within a few dozen cycles of a
+/// flag burst, so its flushes land on live relay chains.
+fn aggressive_governor() -> Option<GovernorConfig> {
+    Some(GovernorConfig {
+        window: 16,
+        escalate_flags: 2,
+        hold_windows: 1,
+        deadline_windows: 1,
+        latency_cycles: 1,
+        ..GovernorConfig::default()
+    })
 }
 
 const STORMS: [Option<StormScenario>; 4] = [
@@ -284,7 +364,7 @@ proptest! {
         // of a chain-only run, so chains keep their coverage).
         shape in (1usize..7, any::<bool>()),
         period_permille in 850i64..1250,
-        governor in any::<bool>(),
+        governed in 0usize..3,
         seed in any::<u64>(),
         cycles in 50u64..1500,
     ) {
@@ -294,7 +374,7 @@ proptest! {
             stages: if shape.1 { 4 } else { shape.0 },
             diamond: shape.1,
             period_permille,
-            governor,
+            governor: [None, serve_governor(), aggressive_governor()][governed],
             seed,
         };
         let split = splitmix64(seed, 1) % cycles;
@@ -327,7 +407,7 @@ fn both_skip_levels_fire_on_serve_shaped_storms() {
                 stages,
                 diamond,
                 period_permille: 1000,
-                governor: true,
+                governor: serve_governor(),
                 seed: 7,
             };
             let (skipping, fast) = trial.stats(CYCLES, true, |v| Box::new(v.clone()));
@@ -378,7 +458,7 @@ fn every_law_and_storm_skips_invisibly() {
                     stages: if diamond { 4 } else { 5 },
                     diamond,
                     period_permille,
-                    governor: true,
+                    governor: serve_governor(),
                     seed: 11,
                 };
                 assert_eq!(
@@ -386,6 +466,182 @@ fn every_law_and_storm_skips_invisibly() {
                     trial.stats(1500, false, |v| Box::new(Exact(v))).0,
                     "{scheme:?} {storm:?} diamond {diamond} period {period_permille}"
                 );
+            }
+        }
+    }
+}
+
+/// A storm that drives the aggressive governor up its whole ladder
+/// again and again. Every stage's delay is the critical path derated
+/// by one factor per cycle, in pairs of cycles at 1.04, 1.14 and 1.29:
+/// each overshoots by about 40ps, inside TIMBER-FF's first 80ps
+/// interval, at one level's edge (nominal, throttle, deep throttle).
+/// In the first cycle of the level's pair boundary 0 masks and relays
+/// select 1 to boundary 1; in the second, boundary 1's overshoot plus
+/// the borrow needs two intervals, so it masks flagged. That is a flag
+/// every six cycles at every level but safe mode, where all is on time.
+struct LadderStorm;
+
+impl LadderStorm {
+    const FACTORS: [f64; 3] = [1.04, 1.14, 1.29];
+}
+
+impl DelaySource for LadderStorm {
+    fn global(&self, cycle: u64) -> Q16 {
+        Q16::from_f64(Self::FACTORS[(cycle / 2 % 3) as usize])
+    }
+
+    fn local(&self, _cycle: u64, _stage: usize) -> Q16 {
+        Q16::ONE
+    }
+
+    fn global_bound(&self, _horizon: u64) -> Option<Q16> {
+        Some(Q16::from_f64(Self::FACTORS[2]))
+    }
+
+    fn local_bound(&self, _stage: usize) -> Option<Q16> {
+        Some(Q16::ONE)
+    }
+}
+
+/// A safe-mode flush ends the simulator's chains but not TIMBER-FF's
+/// relayed selects, so the first productive cycle after it must reach
+/// the scheme although every boundary is on time at the safe clock.
+/// Under [`LadderStorm`], a flush after a cycle in which boundary 0
+/// masked leaves select 1 pending at boundary 1; were it applied in a
+/// later cycle instead, boundary 1's next late arrival would mask
+/// flagged with two intervals where the exact run masks silently with
+/// one. The run, its final state and its full telemetry must equal the
+/// exact run's.
+#[test]
+fn safe_mode_flushes_keep_the_relayed_selects_in_step() {
+    let mut profile = StagePathProfile::from_critical(Picos(Trial::CRITICAL));
+    profile.p_critical = 1.0;
+    profile.p_near = 0.0;
+    let sens = SensitizationModel::new(vec![profile; 2], 1);
+    let mut config = PipelineConfig::new(2, Picos(Trial::CRITICAL));
+    config.governor = aggressive_governor();
+    let topology = Topology::linear(2);
+    let law = Trial {
+        scheme: SchemeId::TimberFf,
+        storm: None,
+        stages: 2,
+        diamond: false,
+        period_permille: 1000,
+        governor: config.governor,
+        seed: 0,
+    };
+    let chunks = [900, 0, 1100];
+    let run = |exact| {
+        let mut scheme = law.scheme();
+        instrumented_run(
+            config,
+            &topology,
+            &mut scheme,
+            (&sens, &LadderStorm),
+            &chunks,
+            exact,
+        )
+    };
+    let skipping = run(false);
+    assert_eq!(skipping, run(true));
+    let live_flushes = skipping
+        .recorder
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::SafeModeReplay { flushed } if flushed > 0))
+        .count();
+    assert!(live_flushes > 0, "no flush met a live chain");
+}
+
+/// Logical masking masks with no borrow, so a boundary can inherit a
+/// chain and no carry. It must still be evaluated: its `Ok` ends the
+/// chain there.
+#[test]
+fn a_chain_without_a_carry_is_evaluated() {
+    let mut unborrowed_relays = 0;
+    for seed in 0..24u64 {
+        let trial = Trial {
+            scheme: SchemeId::LogicalMasking,
+            storm: STORMS[(seed % 4) as usize],
+            stages: if seed % 2 == 1 { 4 } else { 5 },
+            diamond: seed % 2 == 1,
+            period_permille: 900 + (seed % 5) as i64 * 20,
+            governor: serve_governor().filter(|_| seed % 3 == 0),
+            seed,
+        };
+        let stages = trial.stages;
+        let chunks = [600, 0, 600];
+        let skipping = trial.run(&chunks, false);
+        assert_eq!(skipping, trial.run(&chunks, true), "seed {seed}");
+        unborrowed_relays += skipping
+            .recorder
+            .events()
+            .iter()
+            .filter(|e| {
+                matches!(e.kind, EventKind::Borrow { stage, slack, .. }
+                    if slack == Picos::ZERO && (stage as usize) + 1 < stages)
+            })
+            .count();
+    }
+    assert!(unborrowed_relays > 0, "no masking handed on a bare chain");
+}
+
+/// On the diamond, a violation masked at boundary 1 or 2 leaves a relay
+/// pending at the reconvergent boundary 3; the cycle that applies it
+/// must be evaluated there even when every boundary is on time.
+#[test]
+fn a_pending_relay_on_the_diamond_is_applied() {
+    let mut relays = 0;
+    for seed in 0..24u64 {
+        let trial = Trial {
+            scheme: SchemeId::TimberFf,
+            storm: STORMS[(seed % 4) as usize],
+            stages: 4,
+            diamond: true,
+            period_permille: 880 + (seed % 6) as i64 * 20,
+            governor: serve_governor().filter(|_| seed % 2 == 0),
+            seed,
+        };
+        let chunks = [500, 0, 500];
+        let skipping = trial.run(&chunks, false);
+        assert_eq!(skipping, trial.run(&chunks, true), "seed {seed}");
+        relays += skipping
+            .recorder
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Relay { stage: 3, .. }))
+            .count();
+    }
+    assert!(relays > 0, "no relay reached the reconvergent boundary");
+}
+
+/// The call skip is not vacuous: on every stress setting, on a linear
+/// chain and on the diamond, for every capture law, the skipping run
+/// evaluates strictly fewer boundaries than the exact run, which
+/// evaluates every boundary of every productive cycle, and both runs'
+/// statistics are equal.
+#[test]
+fn the_skipping_run_evaluates_fewer_boundaries() {
+    const CYCLES: u64 = 2000;
+    for scheme in SchemeId::ALL {
+        for storm in STORMS {
+            for (stages, diamond) in [(5, false), (4, true)] {
+                let trial = Trial {
+                    scheme,
+                    storm,
+                    stages,
+                    diamond,
+                    period_permille: 1000,
+                    governor: serve_governor(),
+                    seed: 3,
+                };
+                let name = format!("{scheme:?} {storm:?} diamond {diamond}");
+                let (skipping, fewer) = trial.evaluations(CYCLES, true);
+                let (exact, every) = trial.evaluations(CYCLES, false);
+                assert_eq!(skipping, exact, "{name}");
+                assert_eq!(every, exact.instructions * stages as u64, "{name}");
+                assert!(fewer < every, "{name}: {fewer} of {every} boundaries");
             }
         }
     }

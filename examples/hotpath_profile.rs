@@ -2,14 +2,18 @@
 //! claims-style trial in isolation so optimisation work targets the
 //! real cost centres, then the environment path of a serve-shaped
 //! trial under each stress scenario, with and without the on-time
-//! skip. Run with `cargo run --release --example hotpath_profile`.
+//! skip, and how many boundary-cycles still reach the scheme. Run with
+//! `cargo run --release --example hotpath_profile`.
 
 use std::cell::Cell;
 use std::time::Instant;
 
 use timber::CheckingPeriod;
 use timber_netlist::Picos;
-use timber_pipeline::{GovernorConfig, PipelineConfig, PipelineSim, SequentialScheme, Topology};
+use timber_pipeline::{
+    CycleContext, GovernorConfig, PipelineConfig, PipelineSim, SequentialScheme, StageOutcome,
+    Topology,
+};
 use timber_resilience::StormScenario;
 use timber_schemes::{CaptureLaw, Registry, SchemeId};
 use timber_variability::{
@@ -117,13 +121,13 @@ fn main() {
     let t = Instant::now();
     let mut ok = 0u64;
     for c in 0..CYCLES {
-        let ctx = timber_pipeline::CycleContext {
+        let ctx = CycleContext {
             cycle: c,
             period: PERIOD,
         };
         for s in 0..STAGES {
             let arr = Picos(600 + ((c as i64 + s as i64) & 63));
-            if scheme.evaluate(s, arr, &ctx) == timber_pipeline::StageOutcome::Ok {
+            if scheme.evaluate(s, arr, &ctx) == StageOutcome::Ok {
                 ok += 1;
             }
         }
@@ -147,14 +151,14 @@ fn main() {
         let t = Instant::now();
         let mut ok = 0u64;
         for c in 0..CYCLES {
-            let ctx = timber_pipeline::CycleContext {
+            let ctx = CycleContext {
                 cycle: c,
                 period: PERIOD,
             };
             ok += u64::from(scheme.on_time_limit(&ctx).is_some());
             for s in 0..STAGES {
                 let arr = Picos(600 + ((c as i64 + s as i64) & 63));
-                if scheme.evaluate(s, arr, &ctx) == timber_pipeline::StageOutcome::Ok {
+                if scheme.evaluate(s, arr, &ctx) == StageOutcome::Ok {
                     ok += 1;
                 }
             }
@@ -169,7 +173,9 @@ fn main() {
     // its exact factor. The shares say how far the skipping run got:
     // the cycles that derived the global part (some stage was not
     // proved on time by the static bound), and the stage-cycles that
-    // derived the exact local part (neither bound proved them).
+    // derived the exact local part (neither bound proved them), and the
+    // boundary-cycles that reached the scheme's `evaluate` (the rest
+    // were proved on time with no borrow or chain entering them).
     for storm in [
         None,
         Some(StormScenario::DroopTrain),
@@ -178,7 +184,7 @@ fn main() {
     ] {
         let name = storm.map_or("nominal", StormScenario::name);
         let mut walls = [0.0; 2];
-        let mut shares = [0.0; 2];
+        let mut shares = [0.0; 3];
         for (wall, hide_bound) in walls.iter_mut().zip([false, true]) {
             let var = Counted {
                 inner: match storm {
@@ -192,7 +198,11 @@ fn main() {
                 global: Cell::new(0),
                 local: Cell::new(0),
             };
-            let mut scheme = CaptureLaw::TimberFf(sched).build(0);
+            let mut law = CaptureLaw::TimberFf(sched).build(0);
+            let mut scheme = Evaluated {
+                inner: &mut law,
+                calls: 0,
+            };
             let sens = mk_sens();
             let mut cfg = PipelineConfig::new(STAGES, PERIOD);
             cfg.governor = Some(GovernorConfig::default());
@@ -204,19 +214,44 @@ fn main() {
                 shares = [
                     var.global.get() as f64 / stats.instructions as f64,
                     var.local.get() as f64 / rows,
+                    scheme.calls as f64 / rows,
                 ];
             }
         }
         println!(
             "env {name:<12} {:.3}s  ({:.0} cycles/s; exact {:.0} cycles/s, {:.2}x) \
-             global part on {:.2}% of cycles, exact local on {:.2}% of stage-cycles",
+             global part on {:.2}% of cycles, exact local on {:.2}% of stage-cycles, \
+             evaluate on {:.2}% of stage-cycles",
             walls[0],
             CYCLES as f64 / walls[0],
             CYCLES as f64 / walls[1],
             walls[1] / walls[0],
             100.0 * shares[0],
             100.0 * shares[1],
+            100.0 * shares[2],
         );
+    }
+}
+
+/// A scheme that forwards everything, its on-time limit included, and
+/// counts the boundaries the simulator evaluates.
+struct Evaluated<'a> {
+    inner: &'a mut dyn SequentialScheme,
+    calls: u64,
+}
+
+impl SequentialScheme for Evaluated<'_> {
+    fn evaluate(&mut self, stage: usize, arrival: Picos, ctx: &CycleContext) -> StageOutcome {
+        self.calls += 1;
+        self.inner.evaluate(stage, arrival, ctx)
+    }
+
+    fn reset(&mut self, topology: &Topology) {
+        self.inner.reset(topology);
+    }
+
+    fn on_time_limit(&self, ctx: &CycleContext) -> Option<Picos> {
+        self.inner.on_time_limit(ctx)
     }
 }
 
