@@ -11,7 +11,7 @@
 //!   the telemetry-overhead ratio, the multi-core scaling floor
 //!   (`speedup >= 0.7 x min(threads, cores)`), and the bit-sliced
 //!   batching tier (scalar<->bit-sliced equivalence plus
-//!   `speedup_batched >= 4x`: the engine's lane-cycles/s over the
+//!   `speedup_batched >= 1.75x`: the engine's lane-cycles/s over the
 //!   single-threaded scalar replay of the same lanes, one workload and
 //!   one delay model on both sides).
 //!   Every wall clock behind a gated ratio is the median of the same
@@ -42,8 +42,10 @@ pub const SCALING_FLOOR_FRACTION: f64 = 0.7;
 
 /// Within-run batching floor: the bit-sliced engine must deliver at
 /// least this multiple of the cycles/second of the single-threaded
-/// scalar replay of the same lanes.
-pub const BATCH_SPEEDUP_FLOOR: f64 = 4.0;
+/// scalar replay of the same lanes. Chosen about 11% below the lowest
+/// of 90 fresh runs on a shared 2-vCPU host once the scalar cycle
+/// became sparse (1.97x; medians 2.57-2.83x); see `DESIGN.md` §12.4.
+pub const BATCH_SPEEDUP_FLOOR: f64 = 1.75;
 
 /// Timed repetitions behind each wall clock of a gated ratio: the
 /// single-thread, multi-thread and instrumented sweeps, the bit-sliced
@@ -480,9 +482,18 @@ pub fn bench_check(
     match fresh["speedup_batched"].as_f64().filter(|v| *v > 0.0) {
         None => breaches.push("fresh: missing or non-positive speedup_batched".to_owned()),
         Some(sb) => {
+            // Both rates, so a breach says which side moved.
+            let rate = |v: &Value| {
+                v["cycles_per_second"]
+                    .as_f64()
+                    .map_or(f64::NAN, |c| c / 1e6)
+            };
+            let engine = rate(&fresh["batched"]);
+            let replay = rate(&fresh["batched"]["scalar_replay"]);
             let line = format!(
                 "batched: {sb:.2}x the scalar replay of the same lanes \
-                 (floor {BATCH_SPEEDUP_FLOOR:.2}x)"
+                 ({engine:.1}M lane-cycles/s against {replay:.1}M cycles/s; \
+                 floor {BATCH_SPEEDUP_FLOOR:.2}x)"
             );
             report.push_str(&line);
             report.push('\n');
@@ -716,10 +727,15 @@ mod tests {
         let diverged = doc_full(4e6, 8e6, 1.05, 3.4, 4, 4, Some(false), Some(6.0));
         let err = bench_check(None, &diverged, 0.15, 0.5).expect_err("divergence must fail");
         assert!(err.contains("bit-identical"), "{err}");
-        // A batched path slower than the floor is a hard failure.
-        let slow = doc_full(4e6, 8e6, 1.05, 3.4, 4, 4, Some(true), Some(2.0));
+        // A batched path slower than the floor is a hard failure, and
+        // the breach names both sides' rates.
+        let slow = doc_full(4e6, 8e6, 1.05, 3.4, 4, 4, Some(true), Some(1.0));
         let err = bench_check(None, &slow, 0.15, 0.5).expect_err("slow batching must fail");
         assert!(err.contains("batching floor"), "{err}");
+        assert!(
+            err.contains("6.4M lane-cycles/s against 1.6M cycles/s"),
+            "{err}"
+        );
         // A document without the batched section fails both checks.
         let missing = doc_full(4e6, 8e6, 1.05, 3.4, 4, 4, None, None);
         let err = bench_check(None, &missing, 0.15, 0.5).expect_err("missing tier must fail");
@@ -731,7 +747,7 @@ mod tests {
     fn bench_check_reports_every_breach_in_one_invocation() {
         // Invariance breach + overhead breach + scaling breach +
         // batched divergence, all present, all reported together.
-        let broken = doc_full(4e6, 4.4e6, 2.0, 1.1, 4, 4, Some(false), Some(2.0)).replace(
+        let broken = doc_full(4e6, 4.4e6, 2.0, 1.1, 4, 4, Some(false), Some(1.0)).replace(
             "\"identical_across_threads\": true",
             "\"identical_across_threads\": false",
         );
