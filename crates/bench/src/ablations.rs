@@ -9,13 +9,9 @@ use timber_pipeline::{Environment, PipelineConfig, RunStats, SequentialScheme, S
 use timber_schemes::CaptureLaw;
 use timber_variability::{SensitizationModel, VariabilityBuilder};
 
-use crate::experiments::{PERIOD, SEED, TRIALS};
+use crate::experiments::{per_trial, PERIOD, SEED, TRIALS};
 
 const STAGES: usize = 5;
-
-fn per_trial(cycles: u64) -> u64 {
-    (cycles / TRIALS as u64).max(1)
-}
 
 fn environment(droop_depth: f64, seed: u64) -> Environment {
     let sens = SensitizationModel::uniform(STAGES, Picos(970), seed ^ 0x5EED);
@@ -51,14 +47,11 @@ pub struct ScheduleAblationRow {
 /// quantifying the paper's §4 trade-off: more TB intervals defer
 /// flagging (fewer slowdowns) but shrink the per-stage margin for the
 /// same checking period.
-pub fn ablation_schedule(cycles: u64) -> Vec<ScheduleAblationRow> {
-    ablation_schedule_threaded(cycles, 0)
-}
-
-/// [`ablation_schedule`] with an explicit worker-thread count (`0` =
-/// all available cores). Every (c, TB, ED) combination is one entry on
-/// the sweep's scheme axis, all sharing identical environments.
-pub fn ablation_schedule_threaded(cycles: u64, threads: usize) -> Vec<ScheduleAblationRow> {
+///
+/// `threads` is the worker-thread count (`0` = all available cores).
+/// Every (c, TB, ED) combination is one entry on the sweep's scheme
+/// axis, all sharing identical environments.
+pub fn ablation_schedule(cycles: u64, threads: usize) -> Vec<ScheduleAblationRow> {
     let mut grid = Vec::new();
     for c in [12.0, 24.0, 36.0] {
         for (k_tb, k_ed) in [(0u8, 2u8), (1, 1), (1, 2), (2, 1), (2, 2)] {
@@ -124,14 +117,11 @@ pub struct DroopAblationRow {
 /// Sweeps the droop severity: the conventional design's corruption rate
 /// climbs with depth, while TIMBER keeps masking until the violations
 /// outgrow the checking period.
-pub fn ablation_droop(cycles: u64) -> Vec<DroopAblationRow> {
-    ablation_droop_threaded(cycles, 0)
-}
-
-/// [`ablation_droop`] with an explicit worker-thread count (`0` = all
-/// available cores). The droop depths form the sweep's environment
-/// axis; both schemes see the same environments at every depth.
-pub fn ablation_droop_threaded(cycles: u64, threads: usize) -> Vec<DroopAblationRow> {
+///
+/// `threads` is the worker-thread count (`0` = all available cores).
+/// The droop depths form the sweep's environment axis; both schemes see
+/// the same environments at every depth.
+pub fn ablation_droop(cycles: u64, threads: usize) -> Vec<DroopAblationRow> {
     const DEPTHS: [f64; 5] = [0.02, 0.04, 0.06, 0.08, 0.10];
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid");
     let mut spec = SweepSpec::new(SEED, per_trial(cycles), TRIALS)
@@ -193,14 +183,9 @@ pub struct MetastabilityResult {
 
 /// Compares Razor with and without metastability resolution costs
 /// against TIMBER under the same stress (paper §5.1: "TIMBER flip-flop
-/// does not suffer from data-path metastability issues").
-pub fn ablation_metastability(cycles: u64) -> MetastabilityResult {
-    ablation_metastability_threaded(cycles, 0)
-}
-
-/// [`ablation_metastability`] with an explicit worker-thread count
-/// (`0` = all available cores).
-pub fn ablation_metastability_threaded(cycles: u64, threads: usize) -> MetastabilityResult {
+/// does not suffer from data-path metastability issues"). `threads` is
+/// the worker-thread count (`0` = all available cores).
+pub fn ablation_metastability(cycles: u64, threads: usize) -> MetastabilityResult {
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid");
     let razor = |meta_window, meta_penalty| CaptureLaw::Razor {
         window: sched.checking(),
@@ -464,7 +449,7 @@ mod tests {
 
     #[test]
     fn schedule_ablation_shows_flagging_tradeoff() {
-        let rows = ablation_schedule(12_000);
+        let rows = ablation_schedule(12_000, 0);
         assert_eq!(rows.len(), 15);
         // At a fixed c, more TB intervals => margin shrinks.
         let at = |c: f64, tb: u8, ed: u8| {
@@ -480,7 +465,7 @@ mod tests {
 
     #[test]
     fn droop_ablation_shows_monotone_corruption() {
-        let rows = ablation_droop(20_000);
+        let rows = ablation_droop(20_000, 0);
         assert_eq!(rows.len(), 5);
         // Conventional corruption grows (weakly) with droop depth.
         assert!(
@@ -495,7 +480,7 @@ mod tests {
 
     #[test]
     fn metastability_costs_razor_but_not_timber() {
-        let r = ablation_metastability(25_000);
+        let r = ablation_metastability(25_000, 0);
         assert!(r.razor_meta.penalty_cycles >= r.razor_ideal.penalty_cycles);
         assert_eq!(r.timber.detected, 0);
         assert_eq!(r.timber.penalty_cycles, 0);

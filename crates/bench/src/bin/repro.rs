@@ -223,23 +223,23 @@ const COMMANDS: &[Command] = &[
         show(a, report::fig8_json(&points), experiments::render_fig8(&points) + "\n", true);
     }),
     figure("claims", "§3/§4 claims: error rates, flagging policies, performance loss", JSON_THREADS, |a| {
-        let r = experiments::claims_threaded(1_000_000, a.threads());
+        let r = experiments::claims(1_000_000, a.threads());
         show(a, report::claims_json(&r), r.render() + "\n", true);
     }),
     figure("claims-netlist", "§3/§4 claims on netlist-derived stage profiles", JSON_THREADS, |a| {
-        let r = experiments::claims_netlist_backed_threaded(1_000_000, a.threads());
+        let r = experiments::claims_netlist_backed(1_000_000, a.threads());
         show(a, report::claims_json(&r), r.render() + "\n", true);
     }),
     figure("margin", "Margin recovery: minimum safe operating period per scheme", &["threads"],
-           |a| println!("{}", margin::render_margin(&margin::margin_recovery_threaded(300_000, a.threads())))),
+           |a| println!("{}", margin::render_margin(&margin::margin_recovery(300_000, a.threads())))),
     figure("validate", "Corner-case circuit validation (paper §1: \"validated using corner-case circuit simulations\")", &[],
            |_| println!("{}", ablations::render_validation(&ablations::validation()))),
     figure("ablation-schedule", "Ablation: TB/ED interval split vs flagging policy", &["threads"], |a| {
-        let rows = ablations::ablation_schedule_threaded(500_000, a.threads());
+        let rows = ablations::ablation_schedule(500_000, a.threads());
         println!("{}", ablations::render_ablation_schedule(&rows));
     }),
     figure("ablation-droop", "Ablation: droop depth vs masking coverage", &["threads"], |a| {
-        let rows = ablations::ablation_droop_threaded(500_000, a.threads());
+        let rows = ablations::ablation_droop(500_000, a.threads());
         println!("{}", ablations::render_ablation_droop(&rows));
     }),
     figure("dag", "Extension: reconvergent (diamond) topology with the DAG error relay", &[],
@@ -247,11 +247,11 @@ const COMMANDS: &[Command] = &[
     figure("glitch", "Ablation: glitch propagation through the TIMBER latch (the §5.2 drawback)", &[],
            |_| println!("{}", ablations::render_glitch(&ablations::ablation_glitch_activity(200)))),
     figure("metastability", "Ablation: Razor metastability exposure vs TIMBER immunity", &["threads"], |a| {
-        let r = ablations::ablation_metastability_threaded(500_000, a.threads());
+        let r = ablations::ablation_metastability(500_000, a.threads());
         println!("{}", ablations::render_metastability(&r));
     }),
     figure("compare", "Cross-scheme comparison under the identical stress environment", JSON_THREADS, |a| {
-        let rows = experiments::compare_threaded(1_000_000, a.threads());
+        let rows = experiments::compare(1_000_000, a.threads());
         let text = experiments::render_compare(&rows, experiments::PERIOD) + "\n";
         show(a, report::compare_json(&rows, experiments::PERIOD), text, true);
     }),
@@ -468,7 +468,7 @@ fn run_bench(a: &Args) {
     } else {
         println!("== Sweep-engine baseline (writes {out}) ==");
     }
-    let r = perf::pipeline_baseline_threaded(2_000_000, threads);
+    let r = perf::pipeline_baseline(2_000_000, threads);
     let doc = perf::bench_json(&r);
     write_out(Some(&out), &format!("{doc}\n"));
     show(a, &doc, perf::render_bench(&r) + "\n", true);

@@ -290,13 +290,13 @@ pub fn stress_stage_profiles(stages: usize, seed: u64) -> Vec<StagePathProfile> 
 /// The sensitization half of the shared stress environment: stage
 /// profiles from a high-performance processor model (critical paths at
 /// 97% of the cycle).
-pub fn stress_sensitization(stages: usize, seed: u64) -> SensitizationModel {
+fn stress_sensitization(stages: usize, seed: u64) -> SensitizationModel {
     SensitizationModel::new(stress_stage_profiles(stages, seed), seed ^ 0x5EED)
 }
 
 /// The variability half of the shared stress environment: voltage
 /// droop, slow temperature drift and small local jitter.
-pub fn stress_variability(seed: u64) -> CompositeVariability {
+fn stress_variability(seed: u64) -> CompositeVariability {
     VariabilityBuilder::new(seed)
         .voltage_droop(0.05, 500, 2000.0)
         .temperature(0.01, 1_000_000)
@@ -309,7 +309,7 @@ pub fn stress_variability(seed: u64) -> CompositeVariability {
 pub const TRIALS: usize = 8;
 
 /// Splits a total cycle budget into per-trial cycle counts.
-fn per_trial(cycles: u64) -> u64 {
+pub(crate) fn per_trial(cycles: u64) -> u64 {
     (cycles / TRIALS as u64).max(1)
 }
 
@@ -324,15 +324,7 @@ fn stress_environment(stages: usize, seed: u64) -> Environment {
     }
 }
 
-/// Runs the §3/§4 claims on sensitization profiles derived from the
-/// *structural* proxy netlist (per-bank STA arrivals) instead of the
-/// uniform synthetic profiles — the fully netlist-backed variant of
-/// [`claims`].
-pub fn claims_netlist_backed(cycles: u64) -> ClaimsResult {
-    claims_netlist_backed_threaded(cycles, 0)
-}
-
-/// The sweep specification behind [`claims_netlist_backed_threaded`]
+/// The sweep specification behind [`claims_netlist_backed`]
 /// (also used by the telemetry trace path). The returned period is the
 /// netlist-derived one the spec runs at.
 pub fn claims_netlist_spec(cycles: u64, threads: usize) -> (SweepSpec<'static>, Picos) {
@@ -361,9 +353,12 @@ pub fn claims_netlist_spec(cycles: u64, threads: usize) -> (SweepSpec<'static>, 
     (spec, period)
 }
 
-/// [`claims_netlist_backed`] with an explicit worker-thread count
-/// (`0` = all available cores; the count never changes the numbers).
-pub fn claims_netlist_backed_threaded(cycles: u64, threads: usize) -> ClaimsResult {
+/// Runs the §3/§4 claims on sensitization profiles derived from the
+/// *structural* proxy netlist (per-bank STA arrivals) instead of the
+/// uniform synthetic profiles — the fully netlist-backed variant of
+/// [`claims`]. `threads` is the worker-thread count (`0` = all
+/// available cores; the count never changes the numbers).
+pub fn claims_netlist_backed(cycles: u64, threads: usize) -> ClaimsResult {
     let (spec, period) = claims_netlist_spec(cycles, threads);
     let result = spec.run();
     ClaimsResult {
@@ -374,12 +369,7 @@ pub fn claims_netlist_backed_threaded(cycles: u64, threads: usize) -> ClaimsResu
     }
 }
 
-/// Runs the claims experiment for `cycles` cycles.
-pub fn claims(cycles: u64) -> ClaimsResult {
-    claims_threaded(cycles, 0)
-}
-
-/// The sweep specification behind [`claims_threaded`] (also used by
+/// The sweep specification behind [`claims`] (also used by
 /// the telemetry trace path): deferred vs immediate flagging on the
 /// shared stress environment.
 pub fn claims_spec(cycles: u64, threads: usize) -> SweepSpec<'static> {
@@ -396,9 +386,10 @@ pub fn claims_spec(cycles: u64, threads: usize) -> SweepSpec<'static> {
         .threads(threads)
 }
 
-/// [`claims`] with an explicit worker-thread count (`0` = all available
-/// cores; the count never changes the numbers).
-pub fn claims_threaded(cycles: u64, threads: usize) -> ClaimsResult {
+/// Runs the claims experiment for `cycles` cycles on `threads` worker
+/// threads (`0` = all available cores; the count never changes the
+/// numbers).
+pub fn claims(cycles: u64, threads: usize) -> ClaimsResult {
     let result = claims_spec(cycles, threads).run();
     ClaimsResult {
         deferred: result.cell(0, 0).clone(),
@@ -420,18 +411,14 @@ pub struct CompareRow {
 }
 
 /// Runs every implemented scheme through the identical stress
-/// environment (same seeds) for `cycles` cycles.
-pub fn compare(cycles: u64) -> Vec<CompareRow> {
-    compare_threaded(cycles, 0)
-}
-
-/// [`compare`] with an explicit worker-thread count (`0` = all
-/// available cores; the count never changes the numbers).
+/// environment (same seeds) for `cycles` cycles on `threads` worker
+/// threads (`0` = all available cores; the count never changes the
+/// numbers).
 ///
 /// Every scheme is one entry on the sweep's scheme axis; the per-trial
 /// seeds are scheme-independent, so all schemes face exactly the same
 /// stress environments.
-pub fn compare_threaded(cycles: u64, threads: usize) -> Vec<CompareRow> {
+pub fn compare(cycles: u64, threads: usize) -> Vec<CompareRow> {
     let sched = CheckingPeriod::deferred_flagging(PERIOD, 24.0).expect("valid schedule");
     let registry = Registry::new(sched);
     let mut spec = SweepSpec::new(SEED, per_trial(cycles), TRIALS)
@@ -538,7 +525,7 @@ mod tests {
         // cluster inside droop episodes, so a 60k-cycle window can
         // legitimately see zero of them. 400k cycles gives an expected
         // count above 20, making "stress produces violations" robust.
-        let r = claims_netlist_backed(400_000);
+        let r = claims_netlist_backed(400_000, 0);
         assert_eq!(r.deferred.corrupted, 0);
         assert!(r.deferred.masked > 0, "stress must produce violations");
         // Deferred flagging still flags a subset.
@@ -549,7 +536,7 @@ mod tests {
 
     #[test]
     fn claims_hold_under_stress() {
-        let r = claims(60_000);
+        let r = claims(60_000, 0);
         // TIMBER masks everything in this regime: no corruption.
         assert_eq!(r.deferred.corrupted, 0, "{:?}", r.deferred);
         assert!(r.deferred.masked > 0, "environment must produce errors");
@@ -574,7 +561,7 @@ mod tests {
 
     #[test]
     fn compare_shows_the_papers_tradeoffs() {
-        let rows = compare(40_000);
+        let rows = compare(40_000, 0);
         let get = |name: &str| {
             rows.iter()
                 .find(|r| r.name == name)
@@ -624,7 +611,7 @@ mod tests {
         // environment, Razor's metastability aperture and the diamond
         // relay. `compare_shows_the_papers_tradeoffs` checks shapes;
         // this pins the exact counts (`repro dag` prints the same run).
-        let rows = compare(40_000);
+        let rows = compare(40_000, 0);
         let compare: Vec<(String, [u64; 9])> = rows
             .iter()
             .map(|r| (r.name.clone(), counts(&r.stats)))
@@ -656,7 +643,7 @@ mod tests {
             ]
         );
 
-        let meta = crate::ablations::ablation_metastability(80_000);
+        let meta = crate::ablations::ablation_metastability(80_000, 0);
         assert_eq!(counts(&meta.razor_ideal), [79958, 0, 0, 42, 0, 0, 42, 0, 0]);
         assert_eq!(counts(&meta.razor_meta), [79690, 0, 0, 91, 0, 0, 310, 0, 0]);
         assert_eq!(counts(&meta.timber), [80000, 45, 6, 0, 0, 0, 0, 500, 5]);
@@ -679,7 +666,7 @@ mod tests {
         assert_eq!(time_and_energy(&dag.conventional), (500_000_000, 500_000.0));
 
         // The claims sweep (`repro claims` runs 1,000,000 cycles).
-        let claims = claims(80_000);
+        let claims = claims(80_000, 0);
         assert_eq!(counts(&claims.deferred), [80000, 55, 4, 0, 0, 0, 0, 300, 3]);
         assert_eq!(claims.deferred.chain_histogram, [48, 2, 1]);
         assert_eq!(time_and_energy(&claims.deferred), (80_030_000, 80_000.0));

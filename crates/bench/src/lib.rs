@@ -5,9 +5,9 @@
 //! the paper-vs-measured record).
 //!
 //! Each experiment is a library function returning a structured result
-//! plus a text rendering; the `repro` binary prints them and the
-//! Criterion benches in `benches/` time them. Experiments are seeded
-//! and deterministic.
+//! plus a text rendering; the `repro` binary prints them, and
+//! `repro bench` times the claims sweep. Experiments are seeded and
+//! deterministic.
 //!
 //! | Paper item | Function |
 //! |---|---|
@@ -40,13 +40,11 @@ pub use ablations::{
     ValidationSummary,
 };
 pub use experiments::{
-    claims, claims_threaded, compare, compare_threaded, fig1, fig2, fig5, fig7, fig8, table1,
-    ClaimsResult, CompareRow, Fig1Result, WaveResult,
+    claims, compare, fig1, fig2, fig5, fig7, fig8, table1, ClaimsResult, CompareRow, Fig1Result,
+    WaveResult,
 };
 pub use lintgate::{gate_config, gate_passes, lint_all, render_reports, shipped_netlists};
 pub use margin::{margin_recovery, render_margin, MarginRow};
-pub use perf::{
-    bench_check, pipeline_baseline, pipeline_baseline_threaded, BatchBench, BenchResult, BenchRun,
-};
+pub use perf::{bench_check, pipeline_baseline, BatchBench, BenchResult, BenchRun};
 pub use trace::{trace_experiment, TraceResult, DEFAULT_RING_CAPACITY};
 pub use tune::{frontier_check, tune_document, FrontierCheck};

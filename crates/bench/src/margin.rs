@@ -15,7 +15,7 @@ use timber_pipeline::{Environment, PipelineConfig, RunStats, SweepSpec};
 use timber_schemes::{Registry, SchemeId};
 use timber_variability::{SensitizationModel, VariabilityBuilder};
 
-use crate::experiments::{SEED, TRIALS};
+use crate::experiments::{per_trial, SEED, TRIALS};
 
 const STAGES: usize = 5;
 /// Nominal (base-design) clock period against which recovered margin is
@@ -28,8 +28,7 @@ fn run_at(id: SchemeId, period: Picos, cycles: u64, threads: usize) -> RunStats 
     // and the canary guard band.
     let schedule = CheckingPeriod::deferred_flagging(period, 24.0).expect("valid");
     let registry = Registry::new(schedule);
-    let per_trial = (cycles / TRIALS as u64).max(1);
-    SweepSpec::new(SEED, per_trial, TRIALS)
+    SweepSpec::new(SEED, per_trial(cycles), TRIALS)
         .scheme(id.name(), move |p| Box::new(registry.build(id, p.seed)))
         .env("margin-stress", move |p| Environment {
             config: PipelineConfig::new(STAGES, period),
@@ -62,15 +61,12 @@ pub struct MarginRow {
 /// operating point of every scheme under the identical environment, and
 /// reports the margin each recovers relative to the conventional
 /// design's requirement.
-pub fn margin_recovery(cycles: u64) -> Vec<MarginRow> {
-    margin_recovery_threaded(cycles, 0)
-}
-
-/// [`margin_recovery`] with an explicit worker-thread count (`0` = all
-/// available cores). Each binary-search probe is a sweep whose trials
-/// run in parallel; the search path itself is deterministic because the
-/// sweep results are thread-count invariant.
-pub fn margin_recovery_threaded(cycles: u64, threads: usize) -> Vec<MarginRow> {
+///
+/// `threads` is the worker-thread count (`0` = all available cores).
+/// Each binary-search probe is a sweep whose trials run in parallel;
+/// the search path itself is deterministic because the sweep results
+/// are thread-count invariant.
+pub fn margin_recovery(cycles: u64, threads: usize) -> Vec<MarginRow> {
     let schemes = [
         SchemeId::ConventionalFf,
         SchemeId::CanaryFf,
@@ -138,7 +134,7 @@ mod tests {
     fn timber_recovers_margin_over_conventional() {
         // One shared (short) search keeps the debug-mode test fast;
         // the `repro margin` binary runs the full-length version.
-        let rows = margin_recovery(10_000);
+        let rows = margin_recovery(10_000, 0);
         let period = |n: &str| {
             rows.iter()
                 .find(|r| r.name == n)

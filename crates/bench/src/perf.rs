@@ -203,15 +203,11 @@ fn batch_baseline(cycles: u64, wall: f64, replay_wall: f64, identical: bool) -> 
 /// worker thread and with every available core, cross-checks that the
 /// thread count did not change a single statistic, and runs the
 /// bit-sliced batching measurement.
-pub fn pipeline_baseline(cycles: u64) -> BenchResult {
-    pipeline_baseline_threaded(cycles, 0)
-}
-
-/// [`pipeline_baseline`] with an explicit worker-thread count for the
-/// multi-threaded run. `threads == 0` clamps to
-/// [`std::thread::available_parallelism`] (the single-threaded
-/// reference run always uses one worker).
-pub fn pipeline_baseline_threaded(cycles: u64, threads: usize) -> BenchResult {
+///
+/// `threads` is the worker-thread count of the multi-threaded run;
+/// `threads == 0` clamps to [`std::thread::available_parallelism`]
+/// (the single-threaded reference run always uses one worker).
+pub fn pipeline_baseline(cycles: u64, threads: usize) -> BenchResult {
     let (cores, multi_threads) = (resolve_threads(0), resolve_threads(threads));
     // Every gated ratio divides medians of `TIMING_REPEATS` runs,
     // interleaved so that a slow window on a shared host lands on both
@@ -226,7 +222,7 @@ pub fn pipeline_baseline_threaded(cycles: u64, threads: usize) -> BenchResult {
     let mut batch_identical = true;
     let mut identical = true;
     for _ in 0..TIMING_REPEATS {
-        let (wall, one) = timed(|| experiments::claims_threaded(cycles, 1));
+        let (wall, one) = timed(|| experiments::claims(cycles, 1));
         single_walls.push(wall);
         let (wall, batched) = timed(|| run_batched(&batch_config, cycles_per_lane(cycles)));
         batched_walls.push(wall);
@@ -234,7 +230,7 @@ pub fn pipeline_baseline_threaded(cycles: u64, threads: usize) -> BenchResult {
             timed(|| reference::run_scalar_reference(&batch_config, cycles_per_lane(cycles), 1));
         replay_walls.push(wall);
         batch_identical &= batched == replay;
-        let (wall, multi) = timed(|| experiments::claims_threaded(cycles, multi_threads));
+        let (wall, multi) = timed(|| experiments::claims(cycles, multi_threads));
         multi_walls.push(wall);
         // Same sweep once more with a recorder attached: the
         // instrumented / no-op ratio is the within-run overhead gate,
@@ -270,7 +266,7 @@ pub fn pipeline_baseline_threaded(cycles: u64, threads: usize) -> BenchResult {
     let speedup_batched = batched.cycles_per_second / batched.scalar_replay_cycles_per_second;
     BenchResult {
         trials: TRIALS,
-        cycles_per_trial: (cycles / TRIALS as u64).max(1),
+        cycles_per_trial: experiments::per_trial(cycles),
         total_cycles,
         cores,
         single: single_run,
@@ -545,7 +541,7 @@ mod tests {
 
     #[test]
     fn baseline_is_thread_count_invariant_and_well_formed() {
-        let r = pipeline_baseline_threaded(40_000, 0);
+        let r = pipeline_baseline(40_000, 0);
         assert!(r.identical, "thread count must not change results");
         assert_eq!(r.trials, TRIALS);
         assert_eq!(r.total_cycles, 2 * TRIALS as u64 * r.cycles_per_trial);
@@ -565,7 +561,7 @@ mod tests {
 
     #[test]
     fn batched_measurement_is_equivalent_and_reported() {
-        let r = pipeline_baseline_threaded(40_000, 1);
+        let r = pipeline_baseline(40_000, 1);
         let b = r.batched;
         assert!(b.identical, "scalar and bit-sliced engines must agree");
         assert_eq!(b.lanes, MAX_LANES);
@@ -586,7 +582,7 @@ mod tests {
 
     #[test]
     fn explicit_thread_count_is_respected() {
-        let r = pipeline_baseline_threaded(40_000, 3);
+        let r = pipeline_baseline(40_000, 3);
         assert_eq!(r.multi.threads, 3);
         assert_eq!(r.single.threads, 1);
         assert!(r.identical);

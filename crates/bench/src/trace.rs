@@ -127,7 +127,7 @@ mod tests {
         assert_eq!(t.cells[1].0, "immediate");
 
         // Telemetry counters agree with the merged statistics.
-        let plain = experiments::claims_threaded(60_000, 1);
+        let plain = experiments::claims(60_000, 1);
         assert_eq!(t.result.cell(0, 0), &plain.deferred);
         assert_eq!(t.cells[0].1.counter(Counter::Masked), plain.deferred.masked);
         assert_eq!(

@@ -44,9 +44,7 @@ pub mod gen;
 pub mod graph;
 pub mod logic;
 pub mod netlist;
-pub mod stats;
 pub mod units;
-pub mod verilog;
 
 pub use arith::{alu, array_multiplier, kogge_stone_adder, AluOp};
 pub use cell::{Cell, CellId, CellLibrary, TimingArc};
@@ -61,7 +59,6 @@ pub use logic::LogicFn;
 pub use netlist::{
     Driver, FlopId, InstId, Instance, Net, NetId, Netlist, NetlistBuilder, SeqElement, Sink,
 };
-pub use stats::NetlistStats;
 pub use units::{Area, Picos};
 
 #[cfg(test)]

@@ -15,58 +15,24 @@
 //! so reading a log never holds more than one line of it beyond what
 //! the caller keeps.
 //!
-//! Two keyspaces share the format:
+//! One writer, [`JournalWriter`], serves two keyspaces:
 //!
-//! * [`CheckpointWriter`] / [`read_checkpoint`] key records by *trial
-//!   index* (the soak campaign's resume log);
-//! * [`JournalWriter`] / [`read_journal`] key records by an arbitrary
-//!   single-line string — the serve daemon uses content-address hex
-//!   digests, so a restarted daemon re-answers any previously computed
-//!   request from the journal without re-evaluating it.
+//! * the hardened executor's checkpoint keys records by the decimal
+//!   *trial index*, read back by [`read_checkpoint_counting`] (the soak
+//!   campaign's resume log);
+//! * the serve daemon keys records by content-address hex digests, read
+//!   back by [`visit_log`] / [`scan_log`], so a restarted daemon
+//!   re-answers any previously computed request from the journal
+//!   without re-evaluating it.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-/// Appends completed-trial records to a checkpoint file, one flushed
-/// line per trial.
-#[derive(Debug)]
-pub struct CheckpointWriter {
-    out: BufWriter<File>,
-}
-
-impl CheckpointWriter {
-    /// Opens `path` for appending (created if absent). Existing records
-    /// are preserved — pass the same path on `--resume`.
-    pub fn append(path: &Path) -> std::io::Result<CheckpointWriter> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(CheckpointWriter {
-            out: BufWriter::new(file),
-        })
-    }
-
-    /// Records trial `index` with its canonical single-line payload and
-    /// flushes so a kill cannot lose it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `payload` contains a newline or tab (it must be the
-    /// trial's canonical single-line JSON).
-    pub fn record(&mut self, index: usize, payload: &str) -> std::io::Result<()> {
-        assert!(
-            !payload.contains('\n') && !payload.contains('\t'),
-            "checkpoint payloads must be single-line and tab-free"
-        );
-        writeln!(self.out, "{index}\t{payload}")?;
-        self.out.flush()
-    }
-}
-
-/// Appends content-keyed records to a journal file, one flushed line
-/// per record. Same on-disk discipline as [`CheckpointWriter`], but the
-/// key is an arbitrary single-line string (the serve daemon writes
-/// cache-key hex digests).
+/// Appends keyed records to a log file, one flushed line per record.
+/// The key is any non-empty single-line string: the serve daemon writes
+/// cache-key hex digests, the hardened executor decimal trial indices.
 #[derive(Debug)]
 pub struct JournalWriter {
     out: BufWriter<File>,
@@ -168,16 +134,13 @@ pub fn scan_log(path: &Path) -> std::io::Result<(Vec<(String, String)>, ScanStat
     Ok((records, stats))
 }
 
-/// Reads a checkpoint file back as `index -> payload`.
+/// Reads a checkpoint file back as `index -> payload`, plus the
+/// [`ScanStats`] of what was dropped.
 ///
 /// Returns an empty map if the file does not exist. A torn final line
-/// (kill mid-append) is dropped; a later record for the same index wins
+/// (kill mid-append) is dropped, and a record whose key is not a trial
+/// index counts as malformed; a later record for the same index wins
 /// (harmless — payloads are deterministic, so duplicates are equal).
-pub fn read_checkpoint(path: &Path) -> std::io::Result<BTreeMap<usize, String>> {
-    Ok(read_checkpoint_counting(path)?.0)
-}
-
-/// [`read_checkpoint`] plus the [`ScanStats`] of what was dropped.
 pub fn read_checkpoint_counting(
     path: &Path,
 ) -> std::io::Result<(BTreeMap<usize, String>, ScanStats)> {
@@ -191,14 +154,6 @@ pub fn read_checkpoint_counting(
     })?;
     stats.malformed += unindexed;
     Ok((map, stats))
-}
-
-/// Reads a journal file back as `(key, payload)` records in append
-/// order (a later record for the same key should win — replay them in
-/// order). Returns an empty list if the file does not exist; a torn
-/// final line is dropped.
-pub fn read_journal(path: &Path) -> std::io::Result<Vec<(String, String)>> {
-    Ok(scan_log(path)?.0)
 }
 
 #[cfg(test)]
@@ -216,12 +171,12 @@ mod tests {
         let path = tmp("round");
         let _ = std::fs::remove_file(&path);
         {
-            let mut w = CheckpointWriter::append(&path).unwrap();
-            w.record(2, r#"{"trial":2}"#).unwrap();
-            w.record(0, r#"{"trial":0}"#).unwrap();
-            w.record(1, r#"{"trial":1}"#).unwrap();
+            let mut w = JournalWriter::append(&path).unwrap();
+            w.record("2", r#"{"trial":2}"#).unwrap();
+            w.record("0", r#"{"trial":0}"#).unwrap();
+            w.record("1", r#"{"trial":1}"#).unwrap();
         }
-        let map = read_checkpoint(&path).unwrap();
+        let map = read_checkpoint_counting(&path).unwrap().0;
         assert_eq!(
             map.into_iter().collect::<Vec<_>>(),
             vec![
@@ -237,14 +192,14 @@ mod tests {
     fn missing_file_reads_empty() {
         let path = tmp("missing");
         let _ = std::fs::remove_file(&path);
-        assert!(read_checkpoint(&path).unwrap().is_empty());
+        assert!(read_checkpoint_counting(&path).unwrap().0.is_empty());
     }
 
     #[test]
     fn torn_final_line_is_dropped() {
         let path = tmp("torn");
         std::fs::write(&path, "0\t{\"a\":1}\n1\t{\"b\":2}\n2\t{\"tru").unwrap();
-        let map = read_checkpoint(&path).unwrap();
+        let map = read_checkpoint_counting(&path).unwrap().0;
         assert_eq!(map.len(), 2);
         assert_eq!(map[&0], "{\"a\":1}");
         assert_eq!(map[&1], "{\"b\":2}");
@@ -256,14 +211,14 @@ mod tests {
         let path = tmp("append");
         let _ = std::fs::remove_file(&path);
         {
-            let mut w = CheckpointWriter::append(&path).unwrap();
-            w.record(0, "a").unwrap();
+            let mut w = JournalWriter::append(&path).unwrap();
+            w.record("0", "a").unwrap();
         }
         {
-            let mut w = CheckpointWriter::append(&path).unwrap();
-            w.record(1, "b").unwrap();
+            let mut w = JournalWriter::append(&path).unwrap();
+            w.record("1", "b").unwrap();
         }
-        let map = read_checkpoint(&path).unwrap();
+        let map = read_checkpoint_counting(&path).unwrap().0;
         assert_eq!(map.len(), 2);
         let _ = std::fs::remove_file(&path);
     }
@@ -273,8 +228,8 @@ mod tests {
     fn multiline_payloads_are_rejected() {
         let path = tmp("reject");
         let _ = std::fs::remove_file(&path);
-        let mut w = CheckpointWriter::append(&path).unwrap();
-        let _ = w.record(0, "bad\npayload");
+        let mut w = JournalWriter::append(&path).unwrap();
+        let _ = w.record("0", "bad\npayload");
     }
 
     #[test]
@@ -287,7 +242,7 @@ mod tests {
             w.record("beef02", r#"{"b":2}"#).unwrap();
             w.record("cafe01", r#"{"a":1}"#).unwrap(); // duplicate key
         }
-        let records = read_journal(&path).unwrap();
+        let records = scan_log(&path).unwrap().0;
         assert_eq!(
             records,
             vec![
@@ -303,7 +258,7 @@ mod tests {
     fn journal_tolerates_torn_final_line() {
         let path = tmp("journal-torn");
         std::fs::write(&path, "aa\t{\"x\":1}\nbb\t{\"y\":2}\ncc\t{\"to").unwrap();
-        let records = read_journal(&path).unwrap();
+        let records = scan_log(&path).unwrap().0;
         assert_eq!(records.len(), 2);
         assert_eq!(records[1], ("bb".to_owned(), "{\"y\":2}".to_owned()));
         let _ = std::fs::remove_file(&path);
@@ -313,7 +268,7 @@ mod tests {
     fn journal_missing_file_reads_empty() {
         let path = tmp("journal-missing");
         let _ = std::fs::remove_file(&path);
-        assert!(read_journal(&path).unwrap().is_empty());
+        assert!(scan_log(&path).unwrap().0.is_empty());
     }
 
     #[test]
@@ -378,8 +333,7 @@ mod tests {
             std::io::ErrorKind::InvalidData
         );
         assert!(scan_log(&path).is_err());
-        assert!(read_journal(&path).is_err());
-        assert!(read_checkpoint(&path).is_err());
+        assert!(read_checkpoint_counting(&path).is_err());
         let _ = std::fs::remove_file(&path);
     }
 }

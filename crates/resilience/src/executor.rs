@@ -36,7 +36,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::checkpoint::CheckpointWriter;
+use crate::checkpoint::JournalWriter;
 use crate::retry::RetryPolicy;
 
 /// Resolves a `--threads` value: 0 means all available cores.
@@ -174,7 +174,7 @@ pub struct HardenedSpec {
     /// are known to be transient (fault injection).
     pub retry_hangs: bool,
     /// Payloads of trials already completed in a previous run
-    /// (from [`crate::read_checkpoint`]); these are not re-run.
+    /// (from [`crate::read_checkpoint_counting`]); these are not re-run.
     pub completed: BTreeMap<usize, String>,
     /// Append-only checkpoint log for newly completed trials.
     pub checkpoint: Option<PathBuf>,
@@ -247,7 +247,7 @@ struct Campaign {
     /// Position of the next pull in `todo`.
     next: AtomicUsize,
     slots: Vec<Mutex<Option<TrialResult>>>,
-    writer: Option<Mutex<CheckpointWriter>>,
+    writer: Option<Mutex<JournalWriter>>,
     /// Set with `io_error` on a checkpoint failure; workers stop pulling.
     stop: AtomicBool,
     io_error: Mutex<Option<std::io::Error>>,
@@ -383,7 +383,7 @@ impl Campaign {
             if let Err(e) = writer
                 .lock()
                 .expect("checkpoint lock")
-                .record(index, payload)
+                .record(&index.to_string(), payload)
             {
                 *self.io_error.lock().expect("io error lock") = Some(e);
                 self.stop.store(true, Ordering::SeqCst);
@@ -497,7 +497,7 @@ pub fn run_hardened(mut spec: HardenedSpec) -> std::io::Result<HardenedOutcome> 
     let stopped = spec.stop_after.is_some_and(|limit| limit <= todo.len());
     todo.truncate(spec.stop_after.unwrap_or(usize::MAX));
     let writer = match &spec.checkpoint {
-        Some(path) => Some(Mutex::new(CheckpointWriter::append(path)?)),
+        Some(path) => Some(Mutex::new(JournalWriter::append(path)?)),
         None => None,
     };
 
@@ -748,7 +748,7 @@ mod tests {
         assert!(first.stopped);
         // Resume: finish the rest; final payloads identical to a
         // never-stopped run.
-        let completed = crate::read_checkpoint(&path).unwrap();
+        let completed = crate::read_checkpoint_counting(&path).unwrap().0;
         assert!(completed.len() >= 3);
         let mut s = spec((0..8).map(ok_job).collect());
         s.checkpoint = Some(path.clone());
@@ -821,7 +821,7 @@ mod tests {
             let stopped = run_hardened(first).unwrap();
             let mut second = run(threads);
             second.checkpoint = Some(path.clone());
-            second.completed = crate::read_checkpoint(&path).unwrap();
+            second.completed = crate::read_checkpoint_counting(&path).unwrap().0;
             let resumed = run_hardened(second).unwrap();
             let _ = std::fs::remove_file(&path);
             assert_eq!(resumed.payloads, whole.payloads, "threads={threads}");

@@ -42,10 +42,7 @@ pub mod ladder;
 pub mod retry;
 pub mod storms;
 
-pub use checkpoint::{
-    read_checkpoint, read_checkpoint_counting, read_journal, scan_log, visit_log, CheckpointWriter,
-    JournalWriter, ScanStats,
-};
+pub use checkpoint::{read_checkpoint_counting, scan_log, visit_log, JournalWriter, ScanStats};
 pub use executor::{
     resolve_threads, run_hardened, scatter_strict, FailureKind, HardenedOutcome, HardenedSpec,
     QuarantineEntry, TrialJob,

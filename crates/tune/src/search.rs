@@ -36,11 +36,6 @@ pub struct TuneSpec {
     pub sabotage: bool,
 }
 
-/// The whole enumerable space.
-pub fn space_size() -> usize {
-    enumerate().len()
-}
-
 impl Default for TuneSpec {
     fn default() -> TuneSpec {
         TuneSpec {

@@ -39,7 +39,6 @@ pub mod circuit;
 pub mod element;
 pub mod signal;
 pub mod sim;
-pub mod vcd;
 pub mod wave;
 
 pub use circuit::Circuit;
