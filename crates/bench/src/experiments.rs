@@ -283,7 +283,7 @@ impl ClaimsResult {
 /// high-performance processor model (critical paths at 97% of the
 /// cycle). The claims sensitization and the bit-sliced bench workload
 /// both derive from these.
-pub fn stress_stage_profiles(stages: usize, seed: u64) -> Vec<StagePathProfile> {
+pub(crate) fn stress_stage_profiles(stages: usize, seed: u64) -> Vec<StagePathProfile> {
     ProcessorModel::generate(PerfPoint::High, 256, PERIOD, seed).stage_profiles(stages)
 }
 

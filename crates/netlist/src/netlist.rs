@@ -243,14 +243,6 @@ impl Netlist {
     pub fn net_ids(&self) -> impl Iterator<Item = NetId> {
         (0..self.nets.len() as u32).map(NetId)
     }
-
-    /// Total combinational cell area of the design.
-    pub fn combinational_area(&self) -> crate::units::Area {
-        self.instances
-            .iter()
-            .map(|i| self.library.cell(i.cell).area())
-            .sum()
-    }
 }
 
 /// Incrementally constructs a [`Netlist`].
@@ -560,18 +552,6 @@ mod tests {
         b.output("y", y);
         let nl = b.finish().unwrap();
         assert_ne!(nl.net(x).name(), nl.net(y).name());
-    }
-
-    #[test]
-    fn combinational_area_sums_cells() {
-        let lib = lib();
-        let mut b = NetlistBuilder::new("t", &lib);
-        let a = b.input("a");
-        let x = b.gate("inv", &[a]).unwrap(); // area 1.0
-        let y = b.gate("xor2", &[a, x]).unwrap(); // area 3.0
-        b.output("y", y);
-        let nl = b.finish().unwrap();
-        assert!((nl.combinational_area().0 - 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -93,27 +93,39 @@ impl PipelineConfig {
 struct DelaySupply<'a> {
     sensitization: &'a SensitizationModel,
     variability: &'a dyn DelaySource,
-    /// Per stage, [`DelaySource::local_bound`].
+    /// Per stage, [`DelaySource::local_bound`], asked for once.
     local_bounds: Vec<Option<Q16>>,
-    /// Per stage, the run's [`DelaySource::global_bound`] times the
-    /// stage's local bound: a bound on every factor of the current
-    /// `run` call.
+    /// Per stage, the [`DelaySource::global_bound`] asked for last
+    /// times the stage's local bound: a bound on every factor of the
+    /// cycles before `until`.
     bounds: Vec<Option<Q16>>,
+    /// The first cycle `bounds` does not cover.
+    until: u64,
 }
 
-impl DelaySupply<'_> {
-    /// Refreshes the per-stage factor bounds for queries below
-    /// `horizon`.
-    fn prepare(&mut self, horizon: u64) {
-        let global = self.variability.global_bound(horizon);
-        for (s, (local, bound)) in self
-            .local_bounds
-            .iter_mut()
-            .zip(&mut self.bounds)
-            .enumerate()
-        {
-            *local = self.variability.local_bound(s);
-            *bound = global.zip(*local).map(|(g, l)| g * l);
+impl<'a> DelaySupply<'a> {
+    /// A supply whose bounds are asked for at its first cycle.
+    fn new(
+        sensitization: &'a SensitizationModel,
+        variability: &'a dyn DelaySource,
+        stages: usize,
+    ) -> DelaySupply<'a> {
+        DelaySupply {
+            sensitization,
+            variability,
+            local_bounds: (0..stages).map(|s| variability.local_bound(s)).collect(),
+            bounds: vec![None; stages],
+            until: 0,
+        }
+    }
+
+    /// Asks for the global bound that holds from `cycle` and refreshes
+    /// the per-stage bounds with it.
+    fn refresh(&mut self, cycle: u64) {
+        let global = self.variability.global_bound(cycle);
+        self.until = global.map_or(u64::MAX, |(_, until)| until);
+        for (bound, local) in self.bounds.iter_mut().zip(&self.local_bounds) {
+            *bound = global.zip(*local).map(|((g, _), l)| g * l);
         }
     }
 
@@ -124,10 +136,10 @@ impl DelaySupply<'_> {
     /// was.
     ///
     /// A stage that [`on_time`] proves on time against the scheme's
-    /// [`SequentialScheme::on_time_limit`] for this cycle skips the
-    /// exact factor: first with the run's static bound, then, where
-    /// that fails, with the cycle's exact global part (derived once per
-    /// cycle, when first needed) times the stage's local bound. A
+    /// [`SequentialScheme::on_time_limit`] for this cycle, with the
+    /// bound that holds at the cycle (the bounds are refreshed when the
+    /// cycle reaches `until`), skips the exact factor; the global part
+    /// is derived once per cycle, when a stage first needs it. A
     /// skipped stage gets the stand-in `limit − carry[s]`, an arrival
     /// exactly at the limit. The stand-in is exact in outcome: the true
     /// arrival is at most the limit, and the scheme contract makes every
@@ -135,7 +147,7 @@ impl DelaySupply<'_> {
     /// a pure function of the coordinates, so a skipped query changes
     /// no other answer.
     fn fill_row(
-        &self,
+        &mut self,
         scheme: &dyn SequentialScheme,
         ctx: &CycleContext,
         carry: &[Picos],
@@ -143,6 +155,9 @@ impl DelaySupply<'_> {
         proved: &mut [bool],
     ) -> bool {
         let cycle = ctx.cycle;
+        if cycle >= self.until {
+            self.refresh(cycle);
+        }
         let limit = scheme.on_time_limit(ctx);
         let variability = self.variability;
         let mut global = None;
@@ -152,12 +167,6 @@ impl DelaySupply<'_> {
             if let Some(limit) = limit {
                 let room = limit.as_ps().saturating_sub(carry[s].as_ps());
                 if self.bounds[s].is_some_and(|b| on_time(base, b, room)) {
-                    *slot = Picos(room);
-                    *proved = true;
-                    continue;
-                }
-                let global = *global.get_or_insert_with(|| variability.global(cycle));
-                if self.local_bounds[s].is_some_and(|l| on_time(base, global * l, room)) {
                     *slot = Picos(room);
                     *proved = true;
                     continue;
@@ -408,12 +417,7 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
         PipelineSim {
             config,
             scheme,
-            supply: DelaySupply {
-                sensitization,
-                variability,
-                local_bounds: vec![None; config.stages],
-                bounds: vec![None; config.stages],
-            },
+            supply: DelaySupply::new(sensitization, variability, config.stages),
             clock,
             topology,
             soa: StageSoa::new(config.stages),
@@ -499,7 +503,6 @@ impl<'a, S: TelemetrySink> PipelineSim<'a, S> {
         // `record_chain` allocation-free for the whole run.
         stats.reserve_chains(self.config.stages + 1);
         let mut seen_episodes = self.clock.episodes();
-        self.supply.prepare(self.cycle.saturating_add(cycles));
         for _ in 0..cycles {
             let t = self.cycle;
             self.cycle += 1;
@@ -924,8 +927,8 @@ mod tests {
             self.factor
         }
 
-        fn global_bound(&self, _horizon: u64) -> Option<Q16> {
-            Some(Q16::ONE)
+        fn global_bound(&self, _from: u64) -> Option<(Q16, u64)> {
+            Some((Q16::ONE, u64::MAX))
         }
 
         fn local_bound(&self, _stage: usize) -> Option<Q16> {

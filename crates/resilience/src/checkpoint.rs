@@ -1,7 +1,8 @@
 //! Crash-safe trial checkpointing and content-keyed journalling.
 //!
 //! The format is an append-only line log: each completed record is one
-//! `"{key}\t{payload}\n"` line, flushed as it is written. Payloads
+//! `"{key}\t{payload}\n"` line, flushed as it is written, alone or with
+//! the rest of its batch. Payloads
 //! are the record's canonical single-line JSON, stored *verbatim* — on
 //! resume the final report is assembled from these exact strings,
 //! which is what makes a killed-and-resumed campaign byte-identical to
@@ -30,7 +31,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
-/// Appends keyed records to a log file, one flushed line per record.
+/// Appends keyed records to a log file, one line per record, flushed
+/// per record or per batch.
 /// The key is any non-empty single-line string: the serve daemon writes
 /// cache-key hex digests, the hardened executor decimal trial indices.
 #[derive(Debug)]
@@ -55,15 +57,38 @@ impl JournalWriter {
     /// Panics if `key` or `payload` contains a newline or tab (records
     /// must stay single-line so a torn append damages at most itself).
     pub fn record(&mut self, key: &str, payload: &str) -> std::io::Result<()> {
-        assert!(
-            !key.contains('\n') && !key.contains('\t') && !key.is_empty(),
-            "journal keys must be non-empty, single-line and tab-free"
-        );
-        assert!(
-            !payload.contains('\n') && !payload.contains('\t'),
-            "journal payloads must be single-line and tab-free"
-        );
-        writeln!(self.out, "{key}\t{payload}")?;
+        self.record_all([(key, payload)])
+    }
+
+    /// Records every `key -> payload` of a batch, in order, and flushes
+    /// once: the same bytes as one [`JournalWriter::record`] per record,
+    /// in one write where they fit the buffer. A kill still tears at
+    /// most the file's last line.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`JournalWriter::record`] does, at the first bad
+    /// record; the records before it are buffered, not yet flushed.
+    pub fn record_all<K, P>(
+        &mut self,
+        records: impl IntoIterator<Item = (K, P)>,
+    ) -> std::io::Result<()>
+    where
+        K: AsRef<str>,
+        P: AsRef<str>,
+    {
+        for (key, payload) in records {
+            let (key, payload) = (key.as_ref(), payload.as_ref());
+            assert!(
+                !key.contains('\n') && !key.contains('\t') && !key.is_empty(),
+                "journal keys must be non-empty, single-line and tab-free"
+            );
+            assert!(
+                !payload.contains('\n') && !payload.contains('\t'),
+                "journal payloads must be single-line and tab-free"
+            );
+            writeln!(self.out, "{key}\t{payload}")?;
+        }
         self.out.flush()
     }
 }
@@ -252,6 +277,35 @@ mod tests {
             ]
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_batch_writes_the_bytes_of_one_record_at_a_time() {
+        let records = [
+            ("cafe01", r#"{"a":1}"#),
+            ("beef02", ""),
+            ("7", r#"{"trial":7,"pad":"xxxxxxxxxxxxxxxxxxxxxxxx"}"#),
+            ("cafe01", r#"{"a":1}"#),
+        ];
+        let (one, batch) = (tmp("one-at-a-time"), tmp("batch"));
+        for path in [&one, &batch] {
+            std::fs::write(path, "old\tline\n").unwrap();
+        }
+        {
+            let mut w = JournalWriter::append(&one).unwrap();
+            for (key, payload) in records {
+                w.record(key, payload).unwrap();
+            }
+            let mut w = JournalWriter::append(&batch).unwrap();
+            w.record_all(records).unwrap();
+            w.record_all(Vec::<(String, String)>::new()).unwrap();
+        }
+        let bytes = std::fs::read(&batch).unwrap();
+        assert_eq!(bytes, std::fs::read(&one).unwrap());
+        assert_eq!(scan_log(&batch).unwrap().0.len(), 1 + records.len());
+        for path in [one, batch] {
+            let _ = std::fs::remove_file(path);
+        }
     }
 
     #[test]

@@ -125,6 +125,29 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Every storm's expiring global bound expires after the cycle
+        /// it was asked from and covers each cycle before it expires
+        /// (the first 4,096).
+        #[test]
+        fn expiring_global_bounds_cover_every_storm(
+            seed in proptest::prelude::any::<u64>(),
+            from in (0u64..20_000, 0u64..u64::MAX - 1, proptest::prelude::any::<bool>()),
+        ) {
+            let from = if from.2 { from.0 } else { from.1 };
+            for sc in StormScenario::ALL {
+                let env = sc.build(4, seed);
+                let (bound, until) = env.global_bound(from).expect("storms are bounded");
+                assert!(until > from, "{sc}: a bound from {from} expires at {until}");
+                for c in from..until.min(from.saturating_add(4096)) {
+                    assert!(env.global(c) <= bound, "{sc}: cycle {c} from {from}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn seeds_differentiate_runs() {
         let a = StormScenario::DroopTrain.build(4, 1);

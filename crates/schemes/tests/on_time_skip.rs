@@ -6,8 +6,8 @@
 //! everything but hide the contracts the skip relies on —
 //! [`DelaySource::global_bound`], [`DelaySource::local_bound`] and
 //! [`SequentialScheme::on_time_limit`] keep their `None` defaults.
-//! Counting wrappers show that the skip really fires, at both levels
-//! of the delay fill and in the scheme calls it leaves out.
+//! Counting wrappers show that the skip really fires, in the delay fill
+//! and in the scheme calls it leaves out.
 
 use std::cell::Cell;
 
@@ -40,9 +40,22 @@ impl DelaySource for Exact<'_> {
     }
 }
 
-/// The same factors with all of each moved into the local part, and the
-/// same static bound: the second skip level, the exact global part
-/// times the local bound, is then no tighter than the first.
+/// The largest global bound `source` gives over `0..horizon`, walking
+/// its bounds from expiry to expiry: the static bound of a run.
+fn run_bound(source: &dyn DelaySource, horizon: u64) -> Option<Q16> {
+    let (mut worst, mut from) = (Q16(0), 0);
+    while from < horizon {
+        let (bound, until) = source.global_bound(from)?;
+        assert!(until > from, "a bound from {from} expires at {until}");
+        worst = worst.max(bound);
+        from = until;
+    }
+    Some(worst)
+}
+
+/// The same factors with all of each moved into the local part, and
+/// the run's static bound in the local bound: the skip tests every
+/// cycle against the run's worst case.
 struct Flat<'a> {
     inner: &'a dyn DelaySource,
     /// The horizon of the one `run` call the source serves.
@@ -58,12 +71,12 @@ impl DelaySource for Flat<'_> {
         self.inner.factor(cycle, stage)
     }
 
-    fn global_bound(&self, _horizon: u64) -> Option<Q16> {
-        Some(Q16::ONE)
+    fn global_bound(&self, _from: u64) -> Option<(Q16, u64)> {
+        Some((Q16::ONE, u64::MAX))
     }
 
     fn local_bound(&self, stage: usize) -> Option<Q16> {
-        let global = self.inner.global_bound(self.horizon)?;
+        let global = run_bound(self.inner, self.horizon)?;
         Some(global * self.inner.local_bound(stage)?)
     }
 }
@@ -113,8 +126,8 @@ impl DelaySource for Counting<'_> {
         self.inner.local(cycle, stage)
     }
 
-    fn global_bound(&self, horizon: u64) -> Option<Q16> {
-        self.inner.global_bound(horizon)
+    fn global_bound(&self, from: u64) -> Option<(Q16, u64)> {
+        self.inner.global_bound(from)
     }
 
     fn local_bound(&self, stage: usize) -> Option<Q16> {
@@ -389,13 +402,14 @@ proptest! {
 
 /// The skip is not vacuous. On every storm, on a linear chain and on
 /// the diamond, the skipping run derives the global part on fewer
-/// cycles than it simulates (the static bound proves whole cycles on
-/// time) and the exact local part on strictly fewer stage-cycles than
-/// the exact run. On the storms whose slow global terms (droop, aging)
-/// the static bound must cover at their worst, the second level proves
-/// stage-cycles on time that the static bound could not: a flattened
-/// source with the same static bound and no separate global part
-/// derives more exact factors on the same trajectory.
+/// cycles than it simulates (the bound proves whole cycles on time)
+/// and the exact local part on strictly fewer stage-cycles than the
+/// exact run. A flattened source has the run's static bound and no
+/// separate global part. On the storms whose slow global terms (droop,
+/// aging) a static bound must cover at their worst, the bound that
+/// holds at the cycle proves on time what the static one cannot: the
+/// skipping run derives the global part on fewer cycles and fewer
+/// exact factors on the same trajectory.
 #[test]
 fn both_skip_levels_fire_on_serve_shaped_storms() {
     const CYCLES: u64 = 4000;
@@ -437,9 +451,77 @@ fn both_skip_levels_fire_on_serve_shaped_storms() {
             ) {
                 assert!(
                     fast.exact < static_only.exact,
-                    "{name}: the second level decided nothing ({fast:?})"
+                    "{name}: the expiring bound proved no more stage-cycles than the static one \
+                     ({fast:?} against {static_only:?})"
+                );
+                assert!(
+                    fast.global < static_only.global,
+                    "{name}: the expiring bound proved no more cycles than the static one \
+                     ({fast:?} against {static_only:?})"
                 );
             }
+        }
+    }
+}
+
+/// A run split into many `run` calls, at the cycles where the
+/// environment's global bounds expire and next to them, comes out as
+/// one uninterrupted run: the same final state, the same telemetry,
+/// and per-call statistics that add up to the whole run's. (A chain
+/// still in flight when a call returns is recorded by that call, so
+/// the chain histograms are not compared.)
+#[test]
+fn runs_split_at_bound_expiries_equal_one_run() {
+    const CYCLES: u64 = 1500;
+    for storm in STORMS {
+        let trial = Trial {
+            scheme: SchemeId::TimberFf,
+            storm,
+            stages: 5,
+            diamond: false,
+            period_permille: 1000,
+            governor: serve_governor(),
+            seed: 9,
+        };
+        let (_, var) = trial.environment();
+        let (mut cuts, mut from) = (vec![1], 0);
+        while from < CYCLES {
+            let (_, until) = var.global_bound(from).expect("bounded");
+            cuts.extend(
+                [until - 1, until, until.saturating_add(1)]
+                    .into_iter()
+                    .filter(|&c| c < CYCLES),
+            );
+            from = until;
+        }
+        cuts.sort_unstable();
+        cuts.dedup();
+        let chunks: Vec<u64> = cuts
+            .iter()
+            .chain([&CYCLES])
+            .scan(0, |at, &cut| Some(cut - std::mem::replace(at, cut)))
+            .collect();
+        let name = storm.map_or("nominal", StormScenario::name);
+        let split = trial.run(&chunks, false);
+        let whole = trial.run(&[CYCLES], false);
+        let sum = |chunks: &[RunStats]| {
+            let mut total = RunStats::default();
+            chunks.iter().for_each(|c| total.merge(c));
+            RunStats {
+                chain_histogram: Vec::new(),
+                slowdown_episodes: chunks.last().map_or(0, |c| c.slowdown_episodes),
+                ..total
+            }
+        };
+        assert_eq!(sum(&split.chunks), sum(&whole.chunks), "{name}");
+        assert_eq!(
+            (split.carry, split.chains, split.penalty_remaining),
+            (whole.carry, whole.chains, whole.penalty_remaining),
+            "{name}"
+        );
+        assert_eq!(split.recorder, whole.recorder, "{name}");
+        if storm.is_some_and(|s| s != StormScenario::FlagSpikes) {
+            assert!(chunks.len() > 30, "{name}: {} calls", chunks.len());
         }
     }
 }
@@ -495,8 +577,8 @@ impl DelaySource for LadderStorm {
         Q16::ONE
     }
 
-    fn global_bound(&self, _horizon: u64) -> Option<Q16> {
-        Some(Q16::from_f64(Self::FACTORS[2]))
+    fn global_bound(&self, _from: u64) -> Option<(Q16, u64)> {
+        Some((Q16::from_f64(Self::FACTORS[2]), u64::MAX))
     }
 
     fn local_bound(&self, _stage: usize) -> Option<Q16> {

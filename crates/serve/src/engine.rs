@@ -13,9 +13,9 @@
 //!    instead of killing the daemon;
 //! 4. the remaining evaluations run as one hardened work-pull batch
 //!    (`run_hardened`: watchdog, bounded retries, quarantine ledger);
-//! 5. new results are journalled (crash-safe, torn-line tolerant) and
-//!    inserted in canonical key order, then responses are emitted
-//!    sorted by request id.
+//! 5. new results are journalled in one append per batch (crash-safe,
+//!    torn-line tolerant) and inserted in canonical key order, then
+//!    responses are emitted sorted by request id.
 //!
 //! Determinism: response bodies are pure functions of specs, cache
 //! trajectories are pure functions of the request stream, and only the
@@ -567,6 +567,7 @@ impl Engine {
         let mut quarantined: BTreeMap<usize, &timber_resilience::QuarantineEntry> =
             outcome.quarantined.iter().map(|q| (q.index, q)).collect();
         let durations = durations.lock().expect("duration table");
+        let mut sealed = Vec::with_capacity(ready.len());
         for (pos, ((key, p, _, design_ns), payload)) in
             ready.iter().zip(outcome.payloads.iter()).enumerate()
         {
@@ -580,12 +581,7 @@ impl Engine {
                     self.stats.miss_latency.record((design_ns + eval_ns).max(1));
                     // Seal once; the cache and journal both store the
                     // checksummed form so every later read verifies.
-                    let sealed = seal(body);
-                    if let Some(journal) = &mut self.journal {
-                        journal.record(&key.hex(), &sealed)?;
-                    }
-                    let evicted = self.results.insert(*key, sealed);
-                    self.stats.add(ServiceCounter::Evictions, evicted as u64);
+                    sealed.push((*key, seal(body)));
                     for &id in &p.ids {
                         responses.push(Response {
                             id,
@@ -614,6 +610,15 @@ impl Engine {
                     }
                 }
             }
+        }
+        // One journal append and flush for the whole batch, before any
+        // of its responses leaves `process_batch`.
+        if let Some(journal) = &mut self.journal {
+            journal.record_all(sealed.iter().map(|(key, body)| (key.hex(), body)))?;
+        }
+        for (key, body) in sealed {
+            let evicted = self.results.insert(key, body);
+            self.stats.add(ServiceCounter::Evictions, evicted as u64);
         }
         Ok(())
     }

@@ -83,11 +83,10 @@ impl Mul for Q16 {
 /// The factor splits in two: a cycle-wide [`DelaySource::global`] part,
 /// the same for every stage of a cycle, and a stage's own
 /// [`DelaySource::local`] part. The simulator derives the global part
-/// once per cycle, and its on-time skip bounds the two parts apart:
-/// with the run's [`DelaySource::global_bound`] times the stage's
-/// [`DelaySource::local_bound`] before it derives anything, then with
-/// the exact global part times the local bound, and only then with the
-/// exact local part.
+/// at most once per cycle. Its on-time skip tests a stage against the
+/// [`DelaySource::global_bound`] that holds at the cycle times the
+/// stage's [`DelaySource::local_bound`] before it derives anything,
+/// and derives the exact factor only where that fails.
 pub trait DelaySource {
     /// The cycle-wide part of the factor at `cycle`.
     fn global(&self, cycle: u64) -> Q16;
@@ -102,10 +101,15 @@ pub trait DelaySource {
         self.global(cycle) * self.local(cycle, stage)
     }
 
-    /// An upper bound on [`DelaySource::global`] over cycles
-    /// `0..horizon`, or `None` (the default): "never skip".
-    fn global_bound(&self, horizon: u64) -> Option<Q16> {
-        let _ = horizon;
+    /// A bound that expires: `Some((bound, until))` promises
+    /// `global(c) ≤ bound` for every `c` in `from..until`, with
+    /// `until > from` (unless `from` is `u64::MAX`; an `until` of
+    /// `u64::MAX` never expires). `None` (the default) means "never
+    /// skip". A caller asks again from `until` on; a bound that
+    /// follows the environment's present state, not its worst case
+    /// over a run, proves more stages on time.
+    fn global_bound(&self, from: u64) -> Option<(Q16, u64)> {
+        let _ = from;
         None
     }
 
@@ -267,22 +271,60 @@ impl VoltageDroop {
         }
     }
 
+    /// The recovery tail at `cycle` of the event that started at
+    /// `start`, in Q16: `depth · 2^(−age·decay/2²⁴)`, non-increasing
+    /// in `cycle` (the table is non-increasing).
+    #[inline]
+    fn tail(&self, start: u64, cycle: u64) -> u64 {
+        let y = (cycle - start).saturating_mul(self.decay);
+        (self.depth * u64::from(exp2_neg_q31(y))) >> 31
+    }
+
     /// The factor at `cycle`: `1 + ripple + event`.
     #[inline]
     pub fn at(&self, cycle: u64) -> Q16 {
         let phase = cycle.wrapping_mul(self.ripple_step) as u32;
         let ripple = (self.ripple * u64::from(positive_sine_q16(phase))) >> 16;
-        let event = self.last_event(cycle).map_or(0, |start| {
-            let y = (cycle - start).saturating_mul(self.decay);
-            (self.depth * u64::from(exp2_neg_q31(y))) >> 31
-        });
+        let event = self
+            .last_event(cycle)
+            .map_or(0, |start| self.tail(start, cycle));
         one_plus(&[ripple, event])
     }
 
     /// `1 + depth/4 + depth`: the ripple's sine and the recovery tail
     /// are both at most one.
+    #[cfg(test)]
     pub(crate) fn bound(&self) -> Q16 {
         one_plus(&[self.ripple, self.depth])
+    }
+
+    /// A bound on the factor over `from..until`, and `until`: the
+    /// ripple's amplitude plus the tail of the latest event at or
+    /// before `from`, read at `from`. The latest event stays the same
+    /// until the next one starts, and its tail does not grow, so the
+    /// bound holds until then. While the tail decays, `until` comes
+    /// at most `max(window/20, 4)` cycles (about one recovery constant
+    /// τ) later, so the next bound is tighter; a tail that has reached
+    /// zero stays there until the next event.
+    pub(crate) fn bound_from(&self, from: u64) -> (Q16, u64) {
+        let k = self.window_of(from);
+        let here = self.event_in(k);
+        let (last, next) = if here <= from {
+            let next = k
+                .checked_add(1)
+                .filter(|&j| j.checked_mul(self.window).is_some())
+                .map_or(u64::MAX, |j| self.event_in(j));
+            (Some(here), next)
+        } else {
+            (k.checked_sub(1).map(|j| self.event_in(j)), here)
+        };
+        let tail = last.map_or(0, |start| self.tail(start, from));
+        let until = if tail == 0 {
+            next
+        } else {
+            next.min(from.saturating_add((self.window / 20).max(4)))
+        };
+        (one_plus(&[self.ripple, tail]), until)
     }
 }
 
@@ -362,6 +404,14 @@ impl Aging {
     pub(crate) fn bound(&self, horizon: u64) -> Q16 {
         self.at(horizon.saturating_sub(1))
     }
+
+    /// A bound on the factor over `from..until`, and `until`: the
+    /// factor at `until − 1`, over a span of `max(from/4, 64)` cycles
+    /// that grows as the logarithm flattens.
+    pub(crate) fn bound_from(&self, from: u64) -> (Q16, u64) {
+        let until = from.saturating_add((from / 4).max(64));
+        (self.bound(until), until)
+    }
 }
 
 /// Fast local noise: an iid normal derating per (cycle, stage),
@@ -422,6 +472,17 @@ impl CompositeVariability {
     pub fn nominal() -> CompositeVariability {
         CompositeVariability::default()
     }
+
+    /// The static bound on the global part over `0..horizon`: each
+    /// source at its worst, aging at `horizon − 1`. No expiring bound
+    /// may exceed it.
+    #[cfg(test)]
+    pub(crate) fn static_global_bound(&self, horizon: u64) -> Q16 {
+        let droop = self.droop.map_or(Q16::ONE, |d| d.bound());
+        let temperature = self.temperature.map_or(Q16::ONE, |t| t.bound());
+        let aging = self.aging.map_or(Q16::ONE, |a| a.bound(horizon));
+        droop * temperature * aging
+    }
 }
 
 impl DelaySource for CompositeVariability {
@@ -440,12 +501,15 @@ impl DelaySource for CompositeVariability {
         process * jitter
     }
 
-    /// Each global source's bound, multiplied as the factors are.
-    fn global_bound(&self, horizon: u64) -> Option<Q16> {
-        let droop = self.droop.map_or(Q16::ONE, |d| d.bound());
+    /// Each global source's bound from `from`, multiplied as the
+    /// factors are, until the first of them expires; temperature's
+    /// bound never does.
+    fn global_bound(&self, from: u64) -> Option<(Q16, u64)> {
+        let forever = (Q16::ONE, u64::MAX);
+        let (droop, droop_until) = self.droop.map_or(forever, |d| d.bound_from(from));
         let temperature = self.temperature.map_or(Q16::ONE, |t| t.bound());
-        let aging = self.aging.map_or(Q16::ONE, |a| a.bound(horizon));
-        Some(droop * temperature * aging)
+        let (aging, aging_until) = self.aging.map_or(forever, |a| a.bound_from(from));
+        Some((droop * temperature * aging, droop_until.min(aging_until)))
     }
 
     /// The stage's process factor times the jitter at +4σ.
@@ -667,7 +731,7 @@ mod tests {
     fn nominal_composite_is_identity() {
         let env = CompositeVariability::nominal();
         assert_eq!(env.factor(42, 7), Q16::ONE);
-        assert_eq!(env.global_bound(1 << 40), Some(Q16::ONE));
+        assert_eq!(env.global_bound(1 << 40), Some((Q16::ONE, u64::MAX)));
         assert_eq!(env.local_bound(3), Some(Q16::ONE));
     }
 

@@ -72,25 +72,24 @@ proptest! {
     }
 
     /// `factor ≤ bound` at every tier the simulator uses, for random
-    /// seeds, cycles and stages: the global part under the run's
-    /// bound, the local part under the stage's bound, and each product
-    /// under the product of bounds. A skipped query is invisible: an
-    /// environment asked only here answers as one asked every cycle
-    /// before it.
+    /// seeds, cycles and stages: the global part under the bound that
+    /// holds from its cycle, the local part under the stage's bound,
+    /// and each product under the product of bounds. A skipped query
+    /// is invisible: an environment asked only here answers as one
+    /// asked every cycle before it.
     #[test]
     fn composite_factor_within_bound_and_skips_are_invisible(
         seed in any::<u64>(),
         stages in 1usize..8,
         depths in (0.0f64..0.6, 0.0f64..0.4),
-        cycle in any::<u64>(),
+        cycle in 0u64..u64::MAX,
         stage in 0usize..16,
-        slack in 1u64..1 << 20,
     ) {
         let var = full_environment(seed, stages, depths.0, depths.1);
-        let horizon = cycle.saturating_add(slack);
         let (global, local) = (var.global(cycle), var.local(cycle, stage));
-        let global_bound = var.global_bound(horizon).expect("bounded");
+        let (global_bound, until) = var.global_bound(cycle).expect("bounded");
         let local_bound = var.local_bound(stage).expect("bounded");
+        prop_assert!(until > cycle, "expires at {until}");
         prop_assert!(global <= global_bound, "{global:?} > {global_bound:?}");
         prop_assert!(local <= local_bound, "{local:?} > {local_bound:?}");
         prop_assert_eq!(var.factor(cycle, stage), global * local);
@@ -274,9 +273,117 @@ proptest! {
     }
 }
 
-/// The second skip level reads the exact global part: with only slow
-/// global sources it is the exact factor, and with only jitter (whose
-/// global part is one) it is the static bound.
+/// A random environment: each global source present or not, over
+/// parameter ranges that hold the three `timber_resilience` storms'
+/// and the serve engine's nominal stress, plus process and jitter.
+fn random_environment(
+    seed: u64,
+    present: (bool, bool, bool),
+    droop: (f64, u64, f64),
+    temperature: (f64, u64),
+    per_decade: f64,
+) -> CompositeVariability {
+    let mut b = VariabilityBuilder::new(seed)
+        .process(4, 0.02)
+        .local_jitter(0.01);
+    if present.0 {
+        b = b.voltage_droop(droop.0, droop.1, droop.2);
+    }
+    if present.1 {
+        b = b.temperature(temperature.0, temperature.1);
+    }
+    if present.2 {
+        b = b.aging(per_decade);
+    }
+    b.build()
+}
+
+/// The three storm environments of `timber_resilience::StormScenario`
+/// (droop train, aging ramp, flag spikes), built with its parameters.
+fn storm_environments(seed: u64) -> [CompositeVariability; 3] {
+    let b = VariabilityBuilder::new(seed);
+    [
+        b.clone()
+            .voltage_droop(0.20, 48, 60.0)
+            .local_jitter(0.01)
+            .build(),
+        b.clone()
+            .aging(0.06)
+            .voltage_droop(0.08, 500, 400.0)
+            .process(4, 0.02)
+            .build(),
+        b.local_jitter(0.05).process(4, 0.03).build(),
+    ]
+}
+
+/// Checks the expiring global bound from `from`: it expires after
+/// `from`, covers every cycle before it expires (the first 4,096), and
+/// is no looser than the static bound up to its expiry.
+fn check_expiring_bound(var: &CompositeVariability, from: u64) {
+    let (bound, until) = var.global_bound(from).expect("bounded");
+    assert!(until > from, "a bound from {from} expires at {until}");
+    for c in from..until.min(from.saturating_add(4096)) {
+        let global = var.global(c);
+        assert!(
+            global <= bound,
+            "cycle {c}: {global:?} > {bound:?} from {from}"
+        );
+    }
+    let worst = var.static_global_bound(until);
+    assert!(bound <= worst, "{bound:?} above the static {worst:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The expiring global bound, for random environments and for the
+    /// three storms, from random cycles near and far from the start.
+    #[test]
+    fn expiring_global_bounds_hold_until_they_expire(
+        seed in any::<u64>(),
+        present in (any::<bool>(), any::<bool>(), any::<bool>()),
+        droop in (0.0f64..0.6, 1u64..600, 1.0f64..5000.0),
+        temperature in (0.0f64..0.5, 1u64..1_000_000),
+        per_decade in 0.0f64..0.5,
+        from in (0u64..20_000, 0u64..u64::MAX - 1, any::<bool>()),
+    ) {
+        let from = if from.2 { from.0 } else { from.1 };
+        let var = random_environment(seed, present, droop, temperature, per_decade);
+        check_expiring_bound(&var, from);
+        for storm in storm_environments(seed) {
+            check_expiring_bound(&storm, from);
+        }
+    }
+}
+
+/// Walking the bounds from expiry to expiry covers a whole run: every
+/// cycle lies under the bound in force, and the droop train's bound is
+/// re-tightened about every recovery constant.
+#[test]
+fn expiring_bounds_chain_over_a_run() {
+    for (i, var) in storm_environments(5).iter().enumerate() {
+        let (mut from, mut refreshes) = (0u64, 0u64);
+        while from < 20_000 {
+            let (bound, until) = var.global_bound(from).unwrap();
+            assert!(until > from);
+            for c in from..until.min(20_000) {
+                assert!(var.global(c) <= bound, "storm {i} cycle {c}");
+            }
+            from = until;
+            refreshes += 1;
+        }
+        if i == 0 {
+            assert!(
+                refreshes > 20_000 / 60,
+                "{refreshes} bounds over the droop train"
+            );
+        }
+    }
+}
+
+/// The split between the parts: with only slow global sources, the
+/// exact global part times the local bound is the exact factor, and
+/// with only jitter (whose global part is one) it is the bound.
 #[test]
 fn slow_sources_answer_per_query_exactly_and_jitter_statically() {
     let slow = VariabilityBuilder::new(4)
@@ -289,7 +396,7 @@ fn slow_sources_answer_per_query_exactly_and_jitter_statically() {
         let per_query = slow.global(c) * slow.local_bound(1).unwrap();
         assert_eq!(per_query, slow.factor(c, 1), "cycle {c}");
         let per_query = jitter.global(c) * jitter.local_bound(1).unwrap();
-        let static_bound = jitter.global_bound(300).unwrap() * jitter.local_bound(1).unwrap();
+        let static_bound = jitter.global_bound(0).unwrap().0 * jitter.local_bound(1).unwrap();
         assert_eq!(per_query, static_bound, "cycle {c}");
     }
 }

@@ -171,9 +171,10 @@ fn main() {
     // serve trial (TIMBER flops, escalation governor): with the
     // on-time skip, and with the bounds hidden so every stage derives
     // its exact factor. The shares say how far the skipping run got:
-    // the cycles that derived the global part (some stage was not
-    // proved on time by the static bound), and the stage-cycles that
-    // derived the exact local part (neither bound proved them), and the
+    // how often the simulator asked for a fresh global bound, the
+    // cycles that derived the global part (some stage was not proved
+    // on time by the bound that held), and the stage-cycles that
+    // derived the exact local part (the bound did not prove them), and the
     // boundary-cycles that reached the scheme's `evaluate` (the rest
     // were proved on time with no borrow or chain entering them).
     for storm in [
@@ -185,6 +186,7 @@ fn main() {
         let name = storm.map_or("nominal", StormScenario::name);
         let mut walls = [0.0; 2];
         let mut shares = [0.0; 3];
+        let mut refreshes = 0.0;
         for (wall, hide_bound) in walls.iter_mut().zip([false, true]) {
             let var = Counted {
                 inner: match storm {
@@ -197,6 +199,7 @@ fn main() {
                 hide_bound,
                 global: Cell::new(0),
                 local: Cell::new(0),
+                refreshes: Cell::new(0),
             };
             let mut law = CaptureLaw::TimberFf(sched).build(0);
             let mut scheme = Evaluated {
@@ -216,10 +219,12 @@ fn main() {
                     var.local.get() as f64 / rows,
                     scheme.calls as f64 / rows,
                 ];
+                refreshes = 1000.0 * var.refreshes.get() as f64 / stats.cycles as f64;
             }
         }
         println!(
             "env {name:<12} {:.3}s  ({:.0} cycles/s; exact {:.0} cycles/s, {:.2}x) \
+             bound refreshes {refreshes:.2} per 1,000 cycles, \
              global part on {:.2}% of cycles, exact local on {:.2}% of stage-cycles, \
              evaluate on {:.2}% of stage-cycles",
             walls[0],
@@ -255,13 +260,15 @@ impl SequentialScheme for Evaluated<'_> {
     }
 }
 
-/// A delay source that counts the global and local parts it derives,
-/// and can hide both bounds, forcing the simulator's exact path.
+/// A delay source that counts the global and local parts it derives
+/// and the global bounds it is asked for, and can hide both bounds,
+/// forcing the simulator's exact path.
 struct Counted {
     inner: CompositeVariability,
     hide_bound: bool,
     global: Cell<u64>,
     local: Cell<u64>,
+    refreshes: Cell<u64>,
 }
 
 impl DelaySource for Counted {
@@ -275,10 +282,9 @@ impl DelaySource for Counted {
         self.inner.local(cycle, stage)
     }
 
-    fn global_bound(&self, horizon: u64) -> Option<Q16> {
-        self.inner
-            .global_bound(horizon)
-            .filter(|_| !self.hide_bound)
+    fn global_bound(&self, from: u64) -> Option<(Q16, u64)> {
+        self.refreshes.set(self.refreshes.get() + 1);
+        self.inner.global_bound(from).filter(|_| !self.hide_bound)
     }
 
     fn local_bound(&self, stage: usize) -> Option<Q16> {
